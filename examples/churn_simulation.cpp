@@ -164,6 +164,11 @@ int main(int argc, char** argv) {
     sampler->add_probe([&health](double time, obs::TimeSeriesSink& s) {
       health.sample_into(time, s);
     });
+    // Probes run before registry snapshots, so each tick reads fresh
+    // traffic tallies.
+    sampler->add_probe([&net](double, obs::TimeSeriesSink&) {
+      net.export_metrics(net.metrics());
+    });
     sampler->add_registry(net.metrics(), {"net."});
   }
 
@@ -307,6 +312,7 @@ int main(int argc, char** argv) {
               << tracer.event_count() << " events)\n";
   }
   if (!metrics_path.empty()) {
+    net.export_metrics(net.metrics());
     obs::write_metrics_file(net.metrics(), metrics_path);
     std::cerr << "metrics written to " << metrics_path << "\n";
   }

@@ -83,14 +83,12 @@ inline constexpr std::size_t kPhaseCount = 4;
   return "?";
 }
 
-/// Traffic and timing of one protocol phase.  A view over the unified
-/// metrics registry: counts are diffs of the network's registry counters
-/// (net.messages{tag=...} / net.bytes{tag=...}) taken at the phase
-/// boundaries, with the legacy per-tag sim::Network counters asserted
-/// equal as a regression check.  Under the synchronous wrapper the
-/// message/byte counts are real but every time is zero (constant-zero
-/// latency).  Times are in sim::Time units; kTransfer may start before
-/// kVsa ends (Section 3.5's VSA/VST overlap).
+/// Traffic and timing of one protocol phase.  Counts are diffs of the
+/// network's per-tag tally (sim::Network::counters) taken at the phase
+/// boundaries.  Under the synchronous wrapper the message/byte counts are
+/// real but every time is zero (constant-zero latency).  Times are in
+/// sim::Time units; kTransfer may start before kVsa ends (Section 3.5's
+/// VSA/VST overlap).
 struct PhaseMetrics {
   std::uint64_t messages = 0;
   double bytes = 0.0;

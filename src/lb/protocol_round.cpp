@@ -82,16 +82,8 @@ ProtocolRound::ProtocolRound(sim::Network& net, chord::Ring& ring,
     report_plan_.emplace_back(leaf, i);
   }
 
-  // Resolve the per-phase registry handles once: PhaseMetrics are diffs
-  // of these counters taken at phase boundaries.
+  // Round outcomes (lb.*) are published into the network's registry.
   registry_ = &net_.metrics();
-  for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    const obs::Labels labels{
-        {"tag", std::string(tag_of(static_cast<Phase>(p)))}};
-    phase_counters_[p] =
-        PhaseCounters{&registry_->counter("net.messages", labels),
-                      &registry_->counter("net.bytes", labels)};
-  }
 }
 
 std::string_view ProtocolRound::tag_of(Phase p) noexcept {
@@ -112,8 +104,6 @@ void ProtocolRound::begin_phase(Phase p) {
   const std::size_t i = static_cast<std::size_t>(p);
   metrics(p).start = net_.engine().now();
   phase_base_[i] = net_.counters(tag_of(p));
-  phase_reg_base_[i] = {phase_counters_[i].messages->value(),
-                        phase_counters_[i].bytes->value()};
   if (obs::Tracer* tr = net_.tracer()) {
     // Child of whatever caused the transition: the round span for phase
     // 1 (start() installs it as ambient), the last-arriving message of
@@ -127,16 +117,11 @@ void ProtocolRound::end_phase(Phase p) {
   const std::size_t i = static_cast<std::size_t>(p);
   PhaseMetrics& m = metrics(p);
   m.end = net_.engine().now();
-  // The registry is the accounting source; the legacy per-tag counters
-  // must tell the identical story (regression check for the migration).
-  m.messages = static_cast<std::uint64_t>(
-      phase_counters_[i].messages->value() - phase_reg_base_[i].first);
-  m.bytes = phase_counters_[i].bytes->value() - phase_reg_base_[i].second;
-  const sim::TrafficCounters& base = phase_base_[i];
+  // The network's per-tag tally is the accounting source: a phase's
+  // traffic is its tag's delta since begin_phase.
   const sim::TrafficCounters now = net_.counters(tag_of(p));
-  P2PLB_ASSERT_MSG(m.messages == now.messages - base.messages &&
-                       m.bytes == now.bytes - base.bytes,
-                   "registry phase diff diverged from legacy counters");
+  m.messages = now.messages - phase_base_[i].messages;
+  m.bytes = now.bytes - phase_base_[i].bytes;
   // Phase 4's span closes once, in maybe_finish -- end_phase(kTransfer)
   // is re-stamped on every delivery.
   if (p != Phase::kTransfer)
@@ -399,7 +384,7 @@ void ProtocolRound::maybe_finish() {
   report_.dissemination.messages = metrics(Phase::kDissemination).messages;
   report_.vsa.messages = metrics(Phase::kVsa).messages;
 
-  // Round outcomes land in the registry next to the traffic counters.
+  // Round outcomes land in the network's registry.
   const std::size_t planned = report_.vsa.assignments.size();
   registry_->counter("lb.rounds").increment();
   registry_->counter("lb.transfers_planned")

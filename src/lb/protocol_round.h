@@ -159,15 +159,10 @@ class ProtocolRound {
   /// (entry leaf, reporting node) in live-node order.
   std::vector<std::pair<ktree::KtIndex, chord::NodeIndex>> report_plan_;
 
-  // Observability.  The round always has a registry (the network creates
-  // an owned one on demand); PhaseMetrics are registry-counter diffs with
-  // the legacy per-tag counters asserted equal (see balancer.h).
-  struct PhaseCounters {
-    obs::Counter* messages = nullptr;
-    obs::Counter* bytes = nullptr;
-  };
+  // Observability.  PhaseMetrics are deltas of the network's per-tag
+  // tallies (see balancer.h); round outcomes (lb.*) go to the registry
+  // the network owns.
   obs::MetricsRegistry* registry_ = nullptr;
-  std::array<PhaseCounters, kPhaseCount> phase_counters_{};
   // Causal spans (zero when no tracer is attached): the round span roots
   // one trace; each phase span and per-transfer async span is a child of
   // the message whose delivery started it (the round span for phase 1).
@@ -179,7 +174,6 @@ class ProtocolRound {
   std::function<void(const BalanceReport&)> on_complete_;
   double t0_ = 0.0;
   std::array<sim::TrafficCounters, kPhaseCount> phase_base_{};
-  std::array<std::pair<double, double>, kPhaseCount> phase_reg_base_{};
   std::vector<std::size_t> lbi_waits_;  // per KT node (leaves only used)
   std::function<void(ktree::KtIndex)> release_leaf_;
   std::size_t handoffs_left_ = 0;

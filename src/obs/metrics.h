@@ -1,15 +1,13 @@
 // Unified metrics registry: named, label-aware counters, gauges and
 // histograms shared by every layer of the stack.
 //
-// Before this module each subsystem kept its own tallies (the network's
-// TrafficCounters, the balancer's analytic message counts, the tree
-// maintenance counter), which is how accounting schemes drift apart.  A
-// MetricsRegistry is the one place simulation-wide totals accumulate:
-// sim::Network books every send into it, lb::ProtocolRound derives its
-// per-phase metrics from it, and ktree::MaintenanceProtocol counts its
-// repair traffic in it.  The registry is deterministic by construction --
-// metrics are stored in canonical-key order, so snapshots and exports are
-// stable across runs for golden tests.
+// Protocols publish their outcomes here (lb::ProtocolRound's lb.* round
+// counters, ktree::MaintenanceProtocol's repair traffic), and layers that
+// keep their own tallies export them on request as gauges
+// (sim::Engine::export_metrics, sim::Network::export_metrics).  The
+// registry is deterministic by construction -- metrics are stored in
+// canonical-key order, so snapshots and exports are stable across runs for
+// golden tests.
 //
 // Handles returned by counter()/gauge()/histogram() are stable for the
 // registry's lifetime: resolve once, update on the hot path without a
@@ -129,10 +127,9 @@ class MetricsRegistry {
   /// Remove the metric with this identity (whatever its type).  Returns
   /// true when something was removed.  Any handle previously returned
   /// for the removed metric is invalidated -- callers that cache
-  /// handles (sim::Network does) must not remove metrics they still
-  /// hold handles to.  Later snapshots simply omit the key, so a
-  /// diff() across the removal never sees it (diff iterates the newer
-  /// snapshot's keys).
+  /// handles must not remove metrics they still hold handles to.  Later
+  /// snapshots simply omit the key, so a diff() across the removal never
+  /// sees it (diff iterates the newer snapshot's keys).
   bool remove(std::string_view name, const Labels& labels = {});
 
   [[nodiscard]] std::size_t size() const noexcept {

@@ -9,15 +9,16 @@
 // message / byte / latency accounting lives in exactly one place.  Sends
 // may carry a tag ("lb.vsa", "ktree.maintenance", ...) and the network
 // keeps an independent counter set per tag, which is how overlapping
-// protocol phases on one shared network are told apart.
+// protocol phases on one shared network are told apart.  These tallies
+// are the only traffic count: export_metrics() publishes them into an
+// obs::MetricsRegistry (net.messages / net.bytes / net.latency_sum, plus
+// a {tag=...} labelled set per tag) when a caller asks, so the send path
+// never touches a registry.
 //
-// Observability: attach_metrics() mirrors every send into an
-// obs::MetricsRegistry (net.messages / net.bytes / net.latency_sum,
-// plus a {tag=...} labelled set per tag) and attach_tracer() records a
-// msg.send instant at scheduling time and a msg.deliver instant at
-// delivery time, on the lane named after the tag ("net" for untagged
-// sends).  Both sinks default to detached and cost one pointer test per
-// send when unset.
+// Observability: attach_tracer() records a msg.send instant at scheduling
+// time and a msg.deliver instant at delivery time, on the lane named
+// after the tag ("net" for untagged sends).  The sink defaults to
+// detached and costs one pointer test per send when unset.
 //
 // Causal envelopes: when a tracer is attached, every message carries an
 // obs::SpanContext.  The network holds an *ambient* context -- set by
@@ -35,13 +36,14 @@
 // runs inside the same engine event as the payload).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/thread_safety.h"
 #include "obs/metrics.h"
@@ -156,36 +158,8 @@ class Network {
     const Time lat = latency_(from, to);
     P2PLB_ASSERT_MSG(lat >= 0.0, "latency function returned negative delay");
     account(totals_, lat, bytes);
-    if (!tag.empty()) {
-      // Sends come in long same-tag bursts (one protocol phase at a
-      // time), so memoize the last tag's map entries and skip both map
-      // walks on a hit.
-      if (tag != last_tag_) {
-        auto it = tagged_.find(tag);
-        if (it == tagged_.end())
-          it = tagged_.emplace(std::string(tag), TrafficCounters{}).first;
-        last_tag_ = it->first;  // stable: map nodes never move
-        last_counters_ = &it->second;
-        last_handles_ = metrics_ != nullptr ? &tag_metric_handles(tag)
-                                            : nullptr;
-        if (profiler_ != nullptr)
-          last_tag_frame_ = profiler_->intern(tag, obs::tag_layer(tag));
-      }
-      account(*last_counters_, lat, bytes);
-    }
-    if (metrics_ != nullptr) {
-      totals_handles_.messages->increment();
-      totals_handles_.bytes->add(bytes);
-      totals_handles_.latency->add(lat);
-      if (!tag.empty()) {
-        if (last_handles_ == nullptr)  // registry attached after the memo
-          last_handles_ = &tag_metric_handles(tag);
-        const TagHandles& h = *last_handles_;
-        h.messages->increment();
-        h.bytes->add(bytes);
-        h.latency->add(lat);
-      }
-    }
+    TagSlot* const slot = tag.empty() ? nullptr : &tag_slot(tag);
+    if (slot != nullptr) account(slot->counters, lat, bytes);
     if (windows_ != nullptr) {
       // The aggregator is passive (it schedules nothing) and the series
       // ids were resolved at attach time, so this is pure arithmetic:
@@ -237,7 +211,7 @@ class Network {
       // scheduled and no ids are allocated, so the schedule and every
       // trace byte stay identical.
       const obs::Profiler::StackId carried = profiler_->push(
-          profiler_->current(), tag.empty() ? net_frame_ : last_tag_frame_);
+          profiler_->current(), slot != nullptr ? slot->frame : net_frame_);
       on_receive = [this, carried, inner = std::move(on_receive)]() {
         const obs::Profiler::Scope scope(profiler_, carried);
         inner();
@@ -267,50 +241,39 @@ class Network {
   /// Attribute every delivery's wall time to `profiler` under the
   /// message's tag frame, nested in the causal stack that was ambient at
   /// send time (nullptr detaches).  Tag frames are interned as
-  /// (tag, layer-prefix); untagged sends use ("net", "net").  Resets the
-  /// per-tag memo so the next send re-resolves its frame.
+  /// (tag, layer-prefix); untagged sends use ("net", "net").  Tags already
+  /// in use are re-interned here, later ones on their first send.
   void attach_profiler(obs::Profiler* profiler) {  // p2plb: holds(net_shard_)
     profiler_ = profiler;
-    last_tag_ = {};
-    last_counters_ = nullptr;
-    last_handles_ = nullptr;
-    last_tag_frame_ = 0;
     net_frame_ = profiler != nullptr ? profiler->intern("net", "net") : 0;
+    for (TagSlot& s : tags_) s.frame = tag_frame(s.name);
   }
   [[nodiscard]] obs::Profiler* profiler() const noexcept { return profiler_; }
 
-  /// Mirror all subsequent accounting into `registry` (non-null).  The
-  /// registry counters are seeded from the current legacy counters, so a
-  /// network with a fresh registry of its own agrees with its legacy
-  /// counters exactly.  A registry shared across networks accumulates all
-  /// of them, and reset_counters() clears only the legacy side -- in both
-  /// cases the schemes intentionally diverge.
-  void attach_metrics(obs::MetricsRegistry* registry) {  // p2plb: holds(net_shard_)
-    P2PLB_REQUIRE(registry != nullptr);
-    P2PLB_REQUIRE_MSG(metrics_ == nullptr || metrics_ == registry,
-                      "a different metrics registry is already attached");
-    if (metrics_ == registry) return;
-    metrics_ = registry;
-    totals_handles_ = TagHandles{&metrics_->counter("net.messages"),
-                                 &metrics_->counter("net.bytes"),
-                                 &metrics_->counter("net.latency_sum")};
-    seed(totals_handles_, totals_);
-    tag_handles_.clear();
-    last_handles_ = nullptr;  // pointed into the cleared map
-    for (const auto& [tag, counters] : tagged_)
-      seed(tag_metric_handles(tag), counters);
-  }
-  /// The attached registry, creating (and owning) one on first use.
+  /// A registry the network creates on first use and owns.  The network
+  /// never writes to it on its own: protocols publish their outcomes
+  /// there, and export_metrics(metrics()) adds the traffic tallies.
   [[nodiscard]] obs::MetricsRegistry& metrics() {
-    if (metrics_ == nullptr) {
-      owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-      attach_metrics(owned_metrics_.get());
-    }
+    if (metrics_ == nullptr)
+      metrics_ = std::make_unique<obs::MetricsRegistry>();
     return *metrics_;
   }
-  /// The attached registry, or nullptr when none is attached.
-  [[nodiscard]] obs::MetricsRegistry* metrics_registry() const noexcept {
-    return metrics_;
+
+  /// Publish the traffic tallies into `registry` as gauges, like
+  /// Engine::export_metrics: net.messages / net.bytes / net.latency_sum
+  /// over every send, plus the same three labelled {tag=...} for each tag
+  /// sent at least once.  Values are set, not added, so exporting again
+  /// after more traffic overwrites them.
+  void export_metrics(obs::MetricsRegistry& registry) const {
+    const auto set = [&registry](const TrafficCounters& c,
+                                 const obs::Labels& labels) {
+      registry.gauge("net.messages", labels)
+          .set(static_cast<double>(c.messages));
+      registry.gauge("net.bytes", labels).set(c.bytes);
+      registry.gauge("net.latency_sum", labels).set(c.latency_sum);
+    };
+    set(totals_, {});
+    for (const TagSlot& s : tags_) set(s.counters, {{"tag", s.name}});
   }
 
   /// Feed every send into `windows`'s net.messages / net.bytes counter
@@ -339,34 +302,18 @@ class Network {
   }
   /// Counters for one tag (all-zero if nothing was sent under it).
   [[nodiscard]] TrafficCounters counters(std::string_view tag) const {
-    const auto it = tagged_.find(tag);
-    return it == tagged_.end() ? TrafficCounters{} : it->second;
-  }
-
-  [[nodiscard]] std::uint64_t messages_sent() const noexcept {
-    return totals_.messages;
-  }
-  [[nodiscard]] double bytes_sent() const noexcept { return totals_.bytes; }
-  /// Mean per-message latency over all sends so far (0 if none).
-  [[nodiscard]] double mean_latency() const noexcept {
-    return totals_.mean_latency();
-  }
-
-  void reset_counters() noexcept {  // p2plb: holds(net_shard_)
-    totals_ = TrafficCounters{};
-    tagged_.clear();
-    last_tag_ = {};  // the memo pointed into the cleared map
-    last_counters_ = nullptr;
-    last_handles_ = nullptr;
+    for (const TagSlot& s : tags_)
+      if (s.name == tag) return s.counters;
+    return {};
   }
 
  private:
-  /// Registry handles for one counter set, resolved once and then updated
-  /// without a registry lookup.
-  struct TagHandles {
-    obs::Counter* messages = nullptr;
-    obs::Counter* bytes = nullptr;
-    obs::Counter* latency = nullptr;
+  /// One tag's tally and its profiler frame (0 when no profiler is
+  /// attached).
+  struct TagSlot {
+    std::string name;
+    TrafficCounters counters;
+    obs::Profiler::FrameId frame = 0;
   };
 
   static void account(TrafficCounters& c, Time lat, double bytes) noexcept {
@@ -375,25 +322,25 @@ class Network {
     c.latency_sum += lat;
   }
 
-  /// Bring freshly resolved registry handles up to date with traffic that
-  /// predates the attach.
-  static void seed(const TagHandles& h, const TrafficCounters& c) {
-    h.messages->add(static_cast<double>(c.messages));
-    h.bytes->add(c.bytes);
-    h.latency->add(c.latency_sum);
+  [[nodiscard]] obs::Profiler::FrameId tag_frame(std::string_view tag) const {
+    return profiler_ != nullptr ? profiler_->intern(tag, obs::tag_layer(tag))
+                                : 0;
   }
 
+  /// The slot for `tag`, created on its first send.  Sends come in long
+  /// same-tag bursts (one protocol phase at a time), so the last slot hit
+  /// is checked first; a miss scans the few tags in use.
   // p2plb: holds(net_shard_)
-  const TagHandles& tag_metric_handles(std::string_view tag) {
-    const auto it = tag_handles_.find(tag);
-    if (it != tag_handles_.end()) return it->second;
-    const obs::Labels labels{{"tag", std::string(tag)}};
-    return tag_handles_
-        .emplace(std::string(tag),
-                 TagHandles{&metrics_->counter("net.messages", labels),
-                            &metrics_->counter("net.bytes", labels),
-                            &metrics_->counter("net.latency_sum", labels)})
-        .first->second;
+  TagSlot& tag_slot(std::string_view tag) {
+    if (last_slot_ < tags_.size() && tags_[last_slot_].name == tag)
+      return tags_[last_slot_];
+    const auto it =
+        std::find_if(tags_.begin(), tags_.end(),
+                     [tag](const TagSlot& s) { return s.name == tag; });
+    last_slot_ = static_cast<std::size_t>(it - tags_.begin());
+    if (it == tags_.end())
+      tags_.push_back({std::string(tag), TrafficCounters{}, tag_frame(tag)});
+    return tags_[last_slot_];
   }
 
   /// Ownership domain of the accounting and causal-envelope state every
@@ -405,30 +352,19 @@ class Network {
   LatencyFn owned_latency_;  ///< Backing store for the wrapping ctor only.
   Latency latency_;
   TrafficCounters totals_;  // p2plb: shared(net_shard_)
-  // Ordered so iteration (and therefore any derived output) is
-  // deterministic; std::less<> enables string_view lookups.
-  // p2plb: shared(net_shard_)
-  std::map<std::string, TrafficCounters, std::less<>> tagged_;
-  // One-entry memo over tagged_ / tag_handles_ (sends burst per tag).
-  // last_tag_ views the map node's key, which is stable until clear().
-  std::string_view last_tag_;  // p2plb: shared(net_shard_)
-  TrafficCounters* last_counters_ = nullptr;  // p2plb: shared(net_shard_)
-  const TagHandles* last_handles_ = nullptr;  // p2plb: shared(net_shard_)
+  // Per-tag tallies in first-use order, and the index of the last slot
+  // hit (sends burst per tag).
+  std::vector<TagSlot> tags_;  // p2plb: shared(net_shard_)
+  std::size_t last_slot_ = 0;  // p2plb: shared(net_shard_)
 
   obs::Tracer* tracer_ = nullptr;
   obs::SpanContext ambient_ P2PLB_GUARDED_BY(net_shard_);
   obs::Profiler* profiler_ = nullptr;
   obs::Profiler::FrameId net_frame_ = 0;       ///< ("net","net"), untagged
-  // Memoized with last_tag_.  p2plb: shared(net_shard_)
-  obs::Profiler::FrameId last_tag_frame_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  std::unique_ptr<obs::MetricsRegistry> metrics_;
   obs::WindowedAggregator* windows_ = nullptr;
   obs::SeriesId win_messages_;  ///< resolved at attach_windows time
   obs::SeriesId win_bytes_;
-  TagHandles totals_handles_;  // p2plb: shared(net_shard_)
-  // p2plb: shared(net_shard_)
-  std::map<std::string, TagHandles, std::less<>> tag_handles_;
 };
 
 }  // namespace p2plb::sim

@@ -45,23 +45,27 @@ chord::Ring make_ring(std::size_t nodes, std::uint64_t seed) {
 }
 
 /// Run one balancing round over a fresh copy of the seed-`seed` ring,
-/// with `tracer` (and optionally `metrics`) attached.  Reusing one
-/// tracer across calls accumulates multiple traces, ids continuing
-/// monotonically -- the multi-trace streams these tests need.
+/// with `tracer` attached.  Reusing one tracer across calls accumulates
+/// multiple traces, ids continuing monotonically -- the multi-trace
+/// streams these tests need.  A non-null `metrics` receives a snapshot of
+/// the network's registry (round outcomes plus exported traffic tallies).
 void run_round(obs::Tracer* tracer, std::uint64_t seed,
-               obs::MetricsRegistry* metrics = nullptr) {
+               obs::MetricsSnapshot* metrics = nullptr) {
   auto ring = make_ring(32, seed);
   sim::Engine engine;
   sim::Network net(engine, [](sim::Endpoint x, sim::Endpoint y) {
     return x == y ? 0.0 : 1.0;
   });
   if (tracer != nullptr) net.attach_tracer(tracer);
-  if (metrics != nullptr) net.attach_metrics(metrics);
   Rng rng(seed + 2);
   lb::ProtocolRound round(net, ring, {}, rng);
   round.start();
   engine.run();
   EXPECT_TRUE(round.done());
+  if (metrics != nullptr) {
+    net.export_metrics(net.metrics());
+    *metrics = net.metrics().snapshot();
+  }
 }
 
 std::string encode_events(const std::vector<obs::TraceEvent>& events) {
@@ -177,26 +181,23 @@ TEST(TraceSampling, SampledOutRoundsStillFeedMetrics) {
   }
   ASSERT_TRUE(found);
 
-  obs::MetricsRegistry sampled_metrics;
+  obs::MetricsSnapshot sampled_metrics;
   obs::Tracer sampled;
   sampled.set_trace_sampling(1, 64, drop_seed);
   run_round(&sampled, 1, &sampled_metrics);
   EXPECT_EQ(sampled.event_count(), 0u);   // the whole round was dropped
   EXPECT_GT(sampled.ids_allocated(), 0u); // but ids were still allocated
 
-  obs::MetricsRegistry untraced_metrics;
+  obs::MetricsSnapshot untraced_metrics;
   run_round(nullptr, 1, &untraced_metrics);
 
-  // The metrics path never goes through the tracer: counters agree with
-  // an untraced run exactly even though zero trace events were emitted.
-  const obs::Counter* a = sampled_metrics.find_counter("net.messages");
-  const obs::Counter* b = untraced_metrics.find_counter("net.messages");
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_GT(b->value(), 0.0);
-  EXPECT_EQ(a->value(), b->value());
-  EXPECT_EQ(sampled_metrics.snapshot().values,
-            untraced_metrics.snapshot().values);
+  // The metrics path never goes through the tracer: the exported tallies
+  // agree with an untraced run exactly even though zero trace events were
+  // emitted.
+  EXPECT_GT(untraced_metrics.value("net.messages"), 0.0);
+  EXPECT_EQ(sampled_metrics.value("net.messages"),
+            untraced_metrics.value("net.messages"));
+  EXPECT_EQ(sampled_metrics.values, untraced_metrics.values);
 }
 
 TEST(TraceSampling, KeepEqualsOfDisablesSampling) {

@@ -756,89 +756,76 @@ TEST(TraceGolden, FileWriterPicksFormatBySuffix) {
 }
 
 // ---------------------------------------------------------------------------
-// Network <-> registry parity
+// Network tally export
 // ---------------------------------------------------------------------------
 
-sim::LatencyFn unit_latency() {
+void expect_exported(const obs::MetricsSnapshot& snap,
+                     const sim::TrafficCounters& tally,
+                     const obs::Labels& labels) {
+  const auto key = [&labels](std::string_view name) {
+    return obs::MetricsRegistry::key_of(name, labels);
+  };
+  ASSERT_EQ(snap.values.count(key("net.messages")), 1u) << key("net.messages");
+  EXPECT_EQ(snap.value(key("net.messages")),
+            static_cast<double>(tally.messages));
+  EXPECT_EQ(snap.value(key("net.bytes")), tally.bytes);
+  EXPECT_EQ(snap.value(key("net.latency_sum")), tally.latency_sum);
+}
+
+sim::LatencyFn self_free_latency() {
   return [](sim::Endpoint a, sim::Endpoint b) { return a == b ? 0.0 : 1.0; };
 }
 
-void expect_registry_matches(const obs::MetricsRegistry& reg,
-                             const sim::TrafficCounters& legacy,
-                             const obs::Labels& labels) {
-  const obs::Counter* messages = reg.find_counter("net.messages", labels);
-  const obs::Counter* bytes = reg.find_counter("net.bytes", labels);
-  const obs::Counter* latency = reg.find_counter("net.latency_sum", labels);
-  ASSERT_NE(messages, nullptr);
-  ASSERT_NE(bytes, nullptr);
-  ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(messages->value(), static_cast<double>(legacy.messages));
-  EXPECT_EQ(bytes->value(), legacy.bytes);
-  EXPECT_EQ(latency->value(), legacy.latency_sum);
-}
-
+// The exported registry rows equal the network's own per-tag tallies.
 TEST(NetworkMetrics, RegistryMatchesLegacyCounters) {
   sim::Engine engine;
-  sim::Network net(engine, unit_latency());
-  obs::MetricsRegistry reg;
-  net.attach_metrics(&reg);
+  sim::Network net(engine, self_free_latency());
   net.send(0, 1, [] {}, 100.0, 0.0, "lb.vsa");
   net.send(1, 1, [] {}, 50.0, 0.0, "lb.vsa");
   net.send(0, 2, [] {}, 10.0, 0.0, "ktree.maintenance");
   net.send(2, 0, [] {}, 8.0);  // untagged: totals only
   engine.run();
 
-  expect_registry_matches(reg, net.totals(), {});
-  expect_registry_matches(reg, net.counters("lb.vsa"),
-                          {{"tag", "lb.vsa"}});
-  expect_registry_matches(reg, net.counters("ktree.maintenance"),
-                          {{"tag", "ktree.maintenance"}});
-  // The untagged send created no phantom tag series.
-  EXPECT_EQ(reg.find_counter("net.messages", {{"tag", ""}}), nullptr);
-  // Attaching the same registry again is a no-op; a different one throws.
-  net.attach_metrics(&reg);
-  obs::MetricsRegistry other;
-  EXPECT_THROW(net.attach_metrics(&other), PreconditionError);
+  obs::MetricsRegistry reg;
+  net.export_metrics(reg);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  expect_exported(snap, net.totals(), {});
+  expect_exported(snap, net.counters("lb.vsa"), {{"tag", "lb.vsa"}});
+  expect_exported(snap, net.counters("ktree.maintenance"),
+                  {{"tag", "ktree.maintenance"}});
+  // Three totals plus three per tag: the untagged send created no tag
+  // series.
+  EXPECT_EQ(snap.values.size(), 9u);
 }
 
+// A registry exported into after traffic starts equal to the tallies, not
+// at zero, and a later export overwrites it (gauges are set, not added to).
 TEST(NetworkMetrics, AttachAfterTrafficSeedsTheRegistry) {
   sim::Engine engine;
-  sim::Network net(engine, unit_latency());
-  net.send(0, 1, [] {}, 40.0, 0.0, "lb.transfer");
-  net.send(1, 0, [] {}, 60.0, 0.0, "lb.transfer");
+  sim::Network net(engine, self_free_latency());
+  net.send(0, 1, [] {}, 100.0, 0.0, "lb.vsa");
+  net.send(1, 1, [] {}, 50.0, 0.0, "lb.vsa");
+  net.send(0, 2, [] {}, 10.0, 0.0, "ktree.maintenance");
+  net.send(2, 0, [] {}, 8.0);
   engine.run();
 
-  // Mid-run attach: the registry starts out equal to the legacy counters
-  // (seeded), not at zero.
   obs::MetricsRegistry reg;
-  net.attach_metrics(&reg);
-  expect_registry_matches(reg, net.totals(), {});
-  expect_registry_matches(reg, net.counters("lb.transfer"),
-                          {{"tag", "lb.transfer"}});
+  net.export_metrics(reg);
+  obs::MetricsSnapshot snap = reg.snapshot();
+  expect_exported(snap, net.totals(), {});
+  expect_exported(snap, net.counters("lb.vsa"), {{"tag", "lb.vsa"}});
+  EXPECT_EQ(snap.value("net.messages"), 4.0);
 
-  // ...and stays equal as traffic continues.
-  net.send(0, 1, [] {}, 5.0, 0.0, "lb.transfer");
+  net.send(0, 1, [] {}, 5.0, 0.0, "lb.vsa");
   engine.run();
-  expect_registry_matches(reg, net.totals(), {});
-  expect_registry_matches(reg, net.counters("lb.transfer"),
-                          {{"tag", "lb.transfer"}});
-}
-
-TEST(NetworkMetrics, ResetCountersLeavesTheRegistryUntouched) {
-  sim::Engine engine;
-  sim::Network net(engine, unit_latency());
-  obs::MetricsRegistry& reg = net.metrics();  // lazily owned registry
-  net.send(0, 1, [] {}, 10.0, 0.0, "lb.vsa");
-  engine.run();
-  expect_registry_matches(reg, net.totals(), {});
-
-  // reset_counters() is an interval boundary for the legacy side only:
-  // the registry keeps cumulative simulation-wide totals.
-  net.reset_counters();
-  EXPECT_EQ(net.totals().messages, 0u);
-  const obs::Counter* messages = reg.find_counter("net.messages");
-  ASSERT_NE(messages, nullptr);
-  EXPECT_EQ(messages->value(), 1.0);
+  net.export_metrics(reg);
+  snap = reg.snapshot();
+  expect_exported(snap, net.totals(), {});
+  expect_exported(snap, net.counters("lb.vsa"), {{"tag", "lb.vsa"}});
+  expect_exported(snap, net.counters("ktree.maintenance"),
+                  {{"tag", "ktree.maintenance"}});
+  EXPECT_EQ(snap.value("net.messages"), 5.0);
+  EXPECT_EQ(snap.value("net.messages{tag=lb.vsa}"), 3.0);
 }
 
 }  // namespace

@@ -317,6 +317,18 @@ TEST(ProtocolRound, TimedControllerNeverDriftsFromSyncAcrossRounds) {
     EXPECT_DOUBLE_EQ(sync.rounds[r].moved_load, timed.rounds[r].moved_load);
     EXPECT_EQ(sync.rounds[r].unassigned, timed.rounds[r].unassigned);
     EXPECT_EQ(sync.rounds[r].messages, timed.rounds[r].messages);
+    // The timed controller reuses one network across rounds, so each
+    // phase's traffic is a per-round delta of the network's tag tally;
+    // the sync wrapper starts every round on a fresh network.  A delta of
+    // a cumulative double keeps the rounding of earlier rounds' bytes, so
+    // bytes agree to a relative tolerance rather than bit for bit.
+    for (std::size_t p = 0; p < lb::kPhaseCount; ++p) {
+      SCOPED_TRACE("phase " + std::to_string(p + 1));
+      const lb::PhaseMetrics& s = sync.rounds[r].phases[p];
+      const lb::PhaseMetrics& t = timed.rounds[r].phases[p];
+      EXPECT_EQ(s.messages, t.messages);
+      EXPECT_NEAR(s.bytes, t.bytes, 1e-9 * s.bytes);
+    }
   }
   // The rings themselves must agree server-by-server afterwards.
   ASSERT_EQ(sync_ring.node_count(), timed_ring.node_count());

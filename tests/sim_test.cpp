@@ -162,9 +162,9 @@ TEST(Network, DeliversWithLatency) {
   net.send(10, 13, [&] { delivered_at = e.now(); }, 100.0);
   e.run();
   EXPECT_DOUBLE_EQ(delivered_at, 3.0);
-  EXPECT_EQ(net.messages_sent(), 1u);
-  EXPECT_DOUBLE_EQ(net.bytes_sent(), 100.0);
-  EXPECT_DOUBLE_EQ(net.mean_latency(), 3.0);
+  EXPECT_EQ(net.totals().messages, 1u);
+  EXPECT_DOUBLE_EQ(net.totals().bytes, 100.0);
+  EXPECT_DOUBLE_EQ(net.totals().mean_latency(), 3.0);
 }
 
 TEST(Network, ProcessingDelayAdds) {
@@ -176,16 +176,16 @@ TEST(Network, ProcessingDelayAdds) {
   EXPECT_DOUBLE_EQ(delivered_at, 3.5);
 }
 
-TEST(Network, CountersResetAndAccumulate) {
+TEST(Network, CountersAccumulate) {
   Engine e;
   Network net(e, [](Endpoint, Endpoint) { return 1.0; });
   net.send(0, 1, [] {});
   net.send(0, 2, [] {}, 50.0);
-  EXPECT_EQ(net.messages_sent(), 2u);
-  net.reset_counters();
-  EXPECT_EQ(net.messages_sent(), 0u);
-  EXPECT_DOUBLE_EQ(net.bytes_sent(), 0.0);
+  EXPECT_EQ(net.totals().messages, 2u);
+  EXPECT_DOUBLE_EQ(net.totals().bytes, 50.0);
   e.run();
+  // Counted at send time: delivery adds nothing.
+  EXPECT_EQ(net.totals().messages, 2u);
 }
 
 TEST(Network, LatencyMayBeAsymmetric) {
@@ -201,7 +201,7 @@ TEST(Network, LatencyMayBeAsymmetric) {
   net.send(1, 0, [&] { order.push_back(2); });  // arrives at 1
   e.run();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
-  EXPECT_DOUBLE_EQ(net.mean_latency(), 3.0);
+  EXPECT_DOUBLE_EQ(net.totals().mean_latency(), 3.0);
 }
 
 TEST(Network, ProcessingDelayOrdersAgainstSameTimeEvents) {
@@ -218,7 +218,7 @@ TEST(Network, ProcessingDelayOrdersAgainstSameTimeEvents) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   // processing_delay is compute time, not wire time: latency accounting
   // sees only the link.
-  EXPECT_DOUBLE_EQ(net.mean_latency(), 2.0);
+  EXPECT_DOUBLE_EQ(net.totals().mean_latency(), 2.0);
 }
 
 TEST(Network, PerTagCountersTrackBytesIndependently) {
@@ -237,10 +237,6 @@ TEST(Network, PerTagCountersTrackBytesIndependently) {
   EXPECT_EQ(net.counters("gamma").messages, 0u);  // never used: all-zero
   EXPECT_EQ(net.totals().messages, 4u);
   EXPECT_DOUBLE_EQ(net.totals().bytes, 42.0);
-
-  net.reset_counters();
-  EXPECT_EQ(net.counters("alpha").messages, 0u);
-  EXPECT_EQ(net.totals().messages, 0u);
 }
 
 TEST(TrafficCounters, MeanLatencyOfZeroMessagesIsZero) {
@@ -252,38 +248,27 @@ TEST(TrafficCounters, MeanLatencyOfZeroMessagesIsZero) {
   Engine e;
   Network net(e, [](Endpoint, Endpoint) { return 1.0; });
   // A fresh network and a never-used tag both read as zero, not NaN.
-  EXPECT_DOUBLE_EQ(net.mean_latency(), 0.0);
+  EXPECT_DOUBLE_EQ(net.totals().mean_latency(), 0.0);
   EXPECT_DOUBLE_EQ(net.counters("never-used").mean_latency(), 0.0);
 }
 
-TEST(Network, ResetClearsEveryTagAndLaterTrafficStartsFresh) {
+TEST(Network, TagsInterleavedKeepSeparateMeans) {
   Engine e;
   // Distinct per-destination latencies so each tag has its own mean.
   Network net(e, [](Endpoint, Endpoint to) {
     return static_cast<Time>(to);
   });
+  // Alternating tags miss the last-tag memo on every send.
   net.send(0, 1, [] {}, 10.0, 0.0, "alpha");
-  net.send(0, 3, [] {}, 10.0, 0.0, "alpha");
   net.send(0, 2, [] {}, 4.0, 0.0, "beta");
+  net.send(0, 3, [] {}, 10.0, 0.0, "alpha");
+  net.send(0, 6, [] {}, 4.0, 0.0, "beta");
   e.run();
+  EXPECT_EQ(net.counters("alpha").messages, 2u);
   EXPECT_DOUBLE_EQ(net.counters("alpha").mean_latency(), 2.0);
-  EXPECT_DOUBLE_EQ(net.counters("beta").mean_latency(), 2.0);
-
-  net.reset_counters();
-  for (const char* tag : {"alpha", "beta"}) {
-    EXPECT_EQ(net.counters(tag).messages, 0u) << tag;
-    EXPECT_DOUBLE_EQ(net.counters(tag).bytes, 0.0) << tag;
-    EXPECT_DOUBLE_EQ(net.counters(tag).mean_latency(), 0.0) << tag;
-  }
-  EXPECT_EQ(net.totals().messages, 0u);
-
-  // Traffic after the reset repopulates only its own tag.
-  net.send(0, 5, [] {}, 2.0, 0.0, "alpha");
-  e.run();
-  EXPECT_EQ(net.counters("alpha").messages, 1u);
-  EXPECT_DOUBLE_EQ(net.counters("alpha").mean_latency(), 5.0);
-  EXPECT_EQ(net.counters("beta").messages, 0u);
-  EXPECT_EQ(net.totals().messages, 1u);
+  EXPECT_EQ(net.counters("beta").messages, 2u);
+  EXPECT_DOUBLE_EQ(net.counters("beta").mean_latency(), 4.0);
+  EXPECT_DOUBLE_EQ(net.totals().mean_latency(), 3.0);
 }
 
 }  // namespace

@@ -21,6 +21,11 @@ Host-time rows (sink == "profile") are report-only: they appear in the
 delta table but never feed the worst-ratio gate, since wall-clock
 attribution overhead varies with the host and must not fail CI.
 
+A timed round's optional "oracle_fill_seconds" (the distance-oracle row
+fill time_protocol runs before its timed loop) is report-only too: the
+table shows it, the gate ignores it, and documents that predate it show
+"-".
+
 `trajectory` takes a series of bench documents (oldest first, e.g. the
 BENCH_*.json snapshots committed one per PR) and prints one column per
 snapshot for every timed round and micro kernel, plus the net change
@@ -114,14 +119,17 @@ def compare(baseline_path, current_path, max_regress):
 
     print("## Timed rounds (wall seconds; lower is better)\n")
     print("| nodes | engine | sink | baseline | current | delta | "
-          "events/sec |")
-    print("|---|---|---|---|---|---|---|")
+          "events/sec | oracle fill s |")
+    print("|---|---|---|---|---|---|---|---|")
     for r in cur_rounds:
         key = round_key(r)
         b = base_by_key.get(key)
+        fill = r.get("oracle_fill_seconds")
+        fill_cell = "-" if fill is None else f"{fill:.3f}"
         if b is None:
             print(f"| {key[0]} | {key[1]} | {key[2]} | (new) | "
-                  f"{r['wall_seconds']:.3f} | | {r['events_per_sec']:.0f} |")
+                  f"{r['wall_seconds']:.3f} | | {r['events_per_sec']:.0f} | "
+                  f"{fill_cell} |")
             continue
         ratio = (r["wall_seconds"] / b["wall_seconds"]
                  if b["wall_seconds"] > 0 else 1.0)
@@ -133,7 +141,7 @@ def compare(baseline_path, current_path, max_regress):
               f"{b['wall_seconds']:.3f} | "
               f"{r['wall_seconds']:.3f} | "
               f"{fmt_delta(r['wall_seconds'], b['wall_seconds'])} | "
-              f"{r['events_per_sec']:.0f} |")
+              f"{r['events_per_sec']:.0f} | {fill_cell} |")
 
     print("\n## Micro kernels (ns/op; lower is better)\n")
     print("| kernel | baseline | current | delta |")

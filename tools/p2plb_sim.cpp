@@ -329,6 +329,11 @@ int run(const Cli& cli) {
       sampler->add_probe([&health](double t, obs::TimeSeriesSink& s) {
         health.sample_into(t, s);
       });
+      // Probes run before registry snapshots, so each tick reads fresh
+      // traffic tallies.
+      sampler->add_probe([&net](double, obs::TimeSeriesSink&) {
+        net.export_metrics(net.metrics());
+      });
       sampler->add_registry(net.metrics(), {"net."});
       if (windows)
         // Let the sampler's existing cadence drive window boundaries
@@ -403,6 +408,7 @@ int run(const Cli& cli) {
     }
     if (!metrics_path.empty()) {
       engine.export_metrics(net.metrics());
+      net.export_metrics(net.metrics());
       obs::write_metrics_file(net.metrics(), metrics_path);
       std::cerr << "metrics written to " << metrics_path << "\n";
     }
