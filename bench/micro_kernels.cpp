@@ -1,6 +1,7 @@
 // Microbenchmarks for the library's hot kernels (google-benchmark):
 // Hilbert encode/decode, Chord ring operations and lookups, K-nary tree
-// construction, the VSA pairing loop, topology generation and Dijkstra.
+// construction, the VSA pairing loop, topology generation, Dijkstra and
+// the distance oracle's batch fill.
 #include <benchmark/benchmark.h>
 
 #include "chord/ring.h"
@@ -227,5 +228,23 @@ void BM_Dijkstra5k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Dijkstra5k)->Unit(benchmark::kMillisecond);
+
+void BM_OracleFill(benchmark::State& state) {
+  // The batch fill beside the one-row kernel above: a fresh dense-mode
+  // oracle fills every ts5k-large stub's row in one distances() call,
+  // fanned out over the hardware threads.
+  Rng rng(8);
+  const auto topo = topo::generate_transit_stub(
+      topo::TransitStubParams::ts5k_large(), rng, "bench");
+  std::vector<std::pair<topo::Vertex, topo::Vertex>> sources;
+  for (const topo::Vertex v : topo.stub_vertices()) sources.emplace_back(v, v);
+  for (auto _ : state) {
+    topo::DistanceOracle oracle(topo.graph, topo.graph.vertex_count());
+    benchmark::DoNotOptimize(oracle.distances(sources));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sources.size()));
+}
+BENCHMARK(BM_OracleFill)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

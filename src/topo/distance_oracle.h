@@ -1,10 +1,22 @@
 // Cached pairwise shortest-path queries.
 //
-// Transfer-cost accounting needs distances between arbitrary (heavy,
-// light) vertex pairs.  A full all-pairs table for a 5k-vertex topology
-// would be ~200 MB; instead the oracle runs one Dijkstra per distinct
-// source and keeps a bounded LRU cache of source rows, plus a batch API
-// that groups queries by source for the figure benchmarks.
+// Every hop of a timed round over a topology costs one shortest-path
+// distance, so the oracle keeps whole source rows (one Dijkstra each) and
+// answers a query with one row read.  It has two modes:
+//
+//   dense  capacity >= vertex count: one row slot per vertex, filled on
+//          first use and never evicted, so a lookup is an index and a
+//          read with no hashing.  The benchmarks and drivers run in this
+//          mode and fill every attachment's row up front.
+//   LRU    smaller capacities keep at most `capacity` rows and evict the
+//          least recently used one.
+//
+// distances() resolves a batch grouped by source and fills its missing
+// rows in parallel: the calling thread allocates them, then up to
+// hardware_concurrency workers run one Dijkstra per row, each into its
+// own row with its own heap.  A row is a pure function of (graph,
+// source), so the values, dijkstra_runs() and the cache contents are
+// those of filling the rows one at a time, whatever the worker count.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +43,9 @@ class DistanceOracle {
   [[nodiscard]] double distance(Vertex from, Vertex to);
 
   /// Resolve many pairs, grouping by source so each distinct source costs
-  /// exactly one Dijkstra regardless of cache size.
+  /// exactly one Dijkstra regardless of cache size.  Missing rows are
+  /// filled in parallel; every vertex is range-checked before any row
+  /// work.
   [[nodiscard]] std::vector<double> distances(
       std::span<const std::pair<Vertex, Vertex>> pairs);
 
@@ -50,6 +64,11 @@ class DistanceOracle {
 
  private:
   const std::vector<double>& row(Vertex source);
+  /// The cache slot of `source`, refreshed in LRU order.  A missing row
+  /// is inserted (all kUnreachable, evicting the least recently used row
+  /// in LRU mode), counted as a Dijkstra run and reported via `fresh`; the
+  /// caller fills it before reading it.
+  std::vector<double>& slot(Vertex source, bool& fresh);
 
   const Graph& graph_;
   std::size_t capacity_;

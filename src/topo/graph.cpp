@@ -1,6 +1,7 @@
 #include "topo/graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <queue>
 
 namespace p2plb::topo {
@@ -36,25 +37,69 @@ bool Graph::is_connected() const {
   });
 }
 
-std::vector<double> shortest_paths(const Graph& graph, Vertex source) {
+std::size_t RadixHeap::bucket_of(std::uint64_t key,
+                                 std::uint64_t last) noexcept {
+  if (key == last) return 0;
+  return static_cast<std::size_t>(64 - std::countl_zero(key ^ last));
+}
+
+void RadixHeap::push(double key, Vertex v) {
+  const auto bits = std::bit_cast<std::uint64_t>(key);
+  buckets_[bucket_of(bits, last_)].push_back({bits, v});
+  ++size_;
+}
+
+std::pair<double, Vertex> RadixHeap::pop() {
+  if (buckets_[0].empty()) {
+    std::size_t i = 1;
+    while (buckets_[i].empty()) ++i;
+    std::vector<Item>& from = buckets_[i];
+    last_ = std::min_element(from.begin(), from.end(),
+                             [](const Item& a, const Item& b) {
+                               return a.key < b.key;
+                             })->key;
+    for (const Item& item : from)
+      buckets_[bucket_of(item.key, last_)].push_back(item);
+    from.clear();
+  }
+  const Item item = buckets_[0].back();
+  buckets_[0].pop_back();
+  --size_;
+  return {std::bit_cast<double>(item.key), item.vertex};
+}
+
+void RadixHeap::clear() noexcept {
+  for (std::vector<Item>& bucket : buckets_) bucket.clear();
+  last_ = 0;
+  size_ = 0;
+}
+
+void shortest_paths_into(const Graph& graph, Vertex source,
+                         std::span<double> dist, RadixHeap& heap,
+                         std::optional<Vertex> target) {
   P2PLB_REQUIRE(source < graph.vertex_count());
-  std::vector<double> dist(graph.vertex_count(), kUnreachable);
-  using Entry = std::pair<double, Vertex>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  P2PLB_REQUIRE(dist.size() == graph.vertex_count());
   dist[source] = 0.0;
-  heap.push({0.0, source});
+  heap.push(0.0, source);
   while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
+    const auto [d, v] = heap.pop();
     if (d > dist[v]) continue;  // stale entry
+    if (v == target) break;
     for (const HalfEdge& e : graph.neighbors(v)) {
       const double nd = d + e.weight;
       if (nd < dist[e.to]) {
         dist[e.to] = nd;
-        heap.push({nd, e.to});
+        heap.push(nd, e.to);
       }
     }
   }
+  heap.clear();
+}
+
+std::vector<double> shortest_paths(const Graph& graph, Vertex source) {
+  std::vector<double> dist(graph.vertex_count(), kUnreachable);
+  RadixHeap heap;
+  shortest_paths_into(graph, source, dist, heap);
   return dist;
 }
 
@@ -63,24 +108,9 @@ double shortest_path_distance(const Graph& graph, Vertex from, Vertex to) {
   P2PLB_REQUIRE(to < graph.vertex_count());
   if (from == to) return 0.0;
   std::vector<double> dist(graph.vertex_count(), kUnreachable);
-  using Entry = std::pair<double, Vertex>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  dist[from] = 0.0;
-  heap.push({0.0, from});
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (v == to) return d;
-    if (d > dist[v]) continue;
-    for (const HalfEdge& e : graph.neighbors(v)) {
-      const double nd = d + e.weight;
-      if (nd < dist[e.to]) {
-        dist[e.to] = nd;
-        heap.push({nd, e.to});
-      }
-    }
-  }
-  return kUnreachable;
+  RadixHeap heap;
+  shortest_paths_into(graph, from, dist, heap, to);
+  return dist[to];
 }
 
 std::vector<std::uint32_t> bfs_hops(const Graph& graph, Vertex source) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <queue>
 #include <set>
 
 #include "common/error.h"
@@ -87,6 +90,82 @@ TEST(ShortestPaths, MatchesBfsOnUnitWeights) {
   const auto bfs = bfs_hops(g, 7);
   for (Vertex v = 0; v < 200; ++v)
     EXPECT_DOUBLE_EQ(dij[v], static_cast<double>(bfs[v]));
+}
+
+/// Textbook lazy-deletion Dijkstra over std::priority_queue: the
+/// independent reference for the radix-heap kernel.
+std::vector<double> binary_heap_dijkstra(const Graph& g, Vertex source) {
+  std::vector<double> dist(g.vertex_count(), kUnreachable);
+  using Entry = std::pair<double, Vertex>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  dist[source] = 0.0;
+  heap.push({0.0, source});
+  while (!heap.empty()) {
+    const auto [d, v] = heap.top();
+    heap.pop();
+    if (d > dist[v]) continue;
+    for (const HalfEdge& e : g.neighbors(v)) {
+      const double nd = d + e.weight;
+      if (nd < dist[e.to]) {
+        dist[e.to] = nd;
+        heap.push({nd, e.to});
+      }
+    }
+  }
+  return dist;
+}
+
+/// Random graph with real-valued weights spanning 1e-9 .. 1e16 (so some
+/// additions round and some absorb) and a third of the vertices cut off
+/// from the rest (some of them isolated).
+Graph mixed_weight_graph(Rng& rng, Vertex n) {
+  Graph g(n);
+  g.add_edge(0, 1, 1e16);
+  const Vertex cut = n - n / 3;
+  const auto add = [&](Vertex a, Vertex b) {
+    if (a == b || g.has_edge(a, b)) return;
+    double w = rng.uniform(0.1, 10.0);
+    const std::uint64_t kind = rng.below(8);
+    if (kind == 0) w *= 1e-9;
+    if (kind == 1) w *= 1e6;
+    if (kind == 2) w = std::pow(10.0, rng.uniform(-9.0, 16.0));
+    g.add_edge(a, b, w);
+  };
+  for (Vertex v = 1; v < cut; ++v) add(v, static_cast<Vertex>(rng.below(v)));
+  for (Vertex i = 0; i < 2 * n; ++i)
+    add(static_cast<Vertex>(rng.below(cut)),
+        static_cast<Vertex>(rng.below(cut)));
+  for (Vertex i = 0; i < n / 4; ++i)
+    add(cut + static_cast<Vertex>(rng.below(n - cut)),
+        cut + static_cast<Vertex>(rng.below(n - cut)));
+  return g;
+}
+
+/// Row equality down to the bit pattern (EXPECT_EQ on doubles would let
+/// 0.0 and -0.0 pass, and DOUBLE_EQ several ulps).
+void expect_bitwise_equal(const std::vector<double>& got,
+                          const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t v = 0; v < got.size(); ++v)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[v]),
+              std::bit_cast<std::uint64_t>(want[v]))
+        << "vertex " << v << ": " << got[v] << " vs " << want[v];
+}
+
+TEST(ShortestPaths, RadixHeapMatchesBinaryHeapBitwise) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(100 + seed);
+    const Graph g = mixed_weight_graph(rng, 120 + static_cast<Vertex>(seed));
+    for (int trial = 0; trial < 6; ++trial) {
+      const auto source = static_cast<Vertex>(rng.below(g.vertex_count()));
+      const std::vector<double> want = binary_heap_dijkstra(g, source);
+      expect_bitwise_equal(shortest_paths(g, source), want);
+      const auto target = static_cast<Vertex>(rng.below(g.vertex_count()));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    shortest_path_distance(g, source, target)),
+                std::bit_cast<std::uint64_t>(want[target]));
+    }
+  }
 }
 
 // --- Transit-stub generator ----------------------------------------------------
@@ -337,6 +416,96 @@ TEST(DistanceOracle, CachesRepeatSources) {
   (void)oracle.distance(3, 29);
   EXPECT_EQ(oracle.dijkstra_runs(), 1u);
   EXPECT_DOUBLE_EQ(oracle.distance(7, 7), 0.0);
+}
+
+TEST(DistanceOracle, BatchRejectsOutOfRangePairs) {
+  Graph g(10);
+  for (Vertex v = 1; v < 10; ++v) g.add_edge(v - 1, v, 1.0);
+  for (const std::size_t capacity : {std::size_t{10}, std::size_t{2}}) {
+    DistanceOracle oracle(g, capacity);  // dense, then LRU
+    const std::vector<std::pair<Vertex, Vertex>> bad_source = {{1, 2},
+                                                              {10, 3}};
+    const std::vector<std::pair<Vertex, Vertex>> bad_target = {{1, 2},
+                                                              {3, 10}};
+    EXPECT_THROW((void)oracle.distances(bad_source), PreconditionError);
+    EXPECT_THROW((void)oracle.distances(bad_target), PreconditionError);
+    // Checked before any row work: the valid pair ahead of the bad one
+    // ran no Dijkstra.
+    EXPECT_EQ(oracle.dijkstra_runs(), 0u);
+  }
+}
+
+/// Pairs from every stub of a small transit-stub graph, several targets
+/// per source, in shuffled order.
+std::vector<std::pair<Vertex, Vertex>> stub_pairs(
+    const TransitStubTopology& topo, Rng& rng) {
+  std::vector<std::pair<Vertex, Vertex>> pairs;
+  for (const Vertex s : topo.stub_vertices()) {
+    pairs.emplace_back(s, s);
+    for (int j = 0; j < 3; ++j)
+      pairs.emplace_back(
+          s, static_cast<Vertex>(rng.below(topo.graph.vertex_count())));
+  }
+  for (std::size_t i = pairs.size(); i > 1; --i)
+    std::swap(pairs[i - 1], pairs[rng.below(i)]);
+  return pairs;
+}
+
+TransitStubTopology parallel_batch_topology() {
+  Rng rng(43);
+  TransitStubParams params;
+  params.transit_domains = 3;
+  params.transit_nodes_per_domain = 3;
+  params.stub_domains_per_transit = 3;
+  params.stub_nodes_mean = 8;
+  return generate_transit_stub(params, rng, "batch");
+}
+
+/// A batch equals a fresh oracle's one-pair-at-a-time answers bit for
+/// bit, and costs exactly one Dijkstra per distinct source.
+void expect_batch_matches_lazy_rows(const TransitStubTopology& topo,
+                                    DistanceOracle& batch,
+                                    std::size_t capacity) {
+  Rng rng(44);
+  const auto pairs = stub_pairs(topo, rng);
+  const std::vector<double> got = batch.distances(pairs);
+  EXPECT_EQ(batch.dijkstra_runs(), topo.stub_vertices().size());
+  DistanceOracle lazy(topo.graph, capacity);
+  ASSERT_EQ(got.size(), pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(
+                  lazy.distance(pairs[i].first, pairs[i].second)))
+        << pairs[i].first << " -> " << pairs[i].second;
+}
+
+TEST(DistanceOracle, ParallelBatchMatchesLazyRows) {
+  const auto topo = parallel_batch_topology();
+  const std::size_t n = topo.graph.vertex_count();
+  DistanceOracle oracle(topo.graph, n);  // dense mode
+  expect_batch_matches_lazy_rows(topo, oracle, n);
+  const std::uint64_t runs = oracle.dijkstra_runs();
+  Rng rng(44);
+  (void)oracle.distances(stub_pairs(topo, rng));
+  EXPECT_EQ(oracle.dijkstra_runs(), runs);  // every row already cached
+}
+
+TEST(DistanceOracle, ParallelBatchMatchesLazyRowsLru) {
+  const auto topo = parallel_batch_topology();
+  constexpr std::size_t kCapacity = 7;
+  DistanceOracle oracle(topo.graph, kCapacity);
+  std::vector<Vertex> ascending = topo.stub_vertices();
+  std::sort(ascending.begin(), ascending.end());
+  ASSERT_GT(ascending.size(), 3 * kCapacity);  // several chunks
+  expect_batch_matches_lazy_rows(topo, oracle, kCapacity);
+  // The cache ends as a one-row-at-a-time walk over the ascending
+  // sources leaves it: the last `kCapacity` sources stay, the rest went.
+  const std::uint64_t runs = oracle.dijkstra_runs();
+  for (std::size_t i = ascending.size() - kCapacity; i < ascending.size(); ++i)
+    (void)oracle.distance(ascending[i], ascending[0]);
+  EXPECT_EQ(oracle.dijkstra_runs(), runs);
+  (void)oracle.distance(ascending[0], ascending[1]);
+  EXPECT_EQ(oracle.dijkstra_runs(), runs + 1);
 }
 
 }  // namespace
