@@ -17,17 +17,19 @@
 // round still completes (transfers whose endpoints vanished are skipped,
 // none are lost from the accounting).
 //
-// With `--sample-every T --series FILE` an obs::Sampler additionally
-// records the lb::HealthProbe gauges (plus net.* totals) every T time
-// units, and the crash burst drops an `event.crash` marker into the same
-// series -- feed the file to tools/p2plb_report to measure how long the
-// system takes to re-converge.
+// With `--series FILE` (and optional `--windows W`, default 10) the
+// closed buckets of an obs::WindowedAggregator -- the lb::HealthProbe
+// gauges plus per-bucket net.* send counts, one row each per W time
+// units -- are written as a time series, and the crash burst drops an
+// `event.crash` marker into it at its exact time.  Feed the file to
+// tools/p2plb_report to measure how long the system takes to
+// re-converge.
 //
 // With `--alerts rules.conf` (and optional `--windows W` /
-// `--alerts-out FILE`) an obs::WindowedAggregator + obs::AlertEngine
-// watch the same signals online: the CI alert-smoke job runs this
-// scenario and requires the imbalance rule to fire during the crash
-// burst and resolve after re-convergence.
+// `--alerts-out FILE`) an obs::AlertEngine watches the same windows
+// online: the CI alert-smoke job runs this scenario and requires the
+// imbalance rule to fire during the crash burst and resolve after
+// re-convergence.
 #include <algorithm>
 #include <iostream>
 #include <memory>
@@ -42,7 +44,6 @@
 #include "obs/alert.h"
 #include "obs/format.h"
 #include "obs/metrics.h"
-#include "obs/sampler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "obs/window.h"
@@ -120,11 +121,12 @@ int main(int argc, char** argv) {
                "24");
   cli.add_flag("crash-burst",
                "nodes crashed at once under the designated round", "1");
-  cli.add_flag("sample-every",
-               "sampling period in simulated time (0 = no sampling)", "0");
   cli.add_flag("trace", obs::kTraceFlagHelp, "");
   cli.add_flag("metrics", obs::kMetricsFlagHelp, "");
-  cli.add_flag("series", obs::kSeriesFlagHelp, "");
+  cli.add_flag("series",
+               std::string(obs::kSeriesFlagHelp) +
+                   "; implies --windows, default width 10",
+               "");
   cli.add_flag("windows",
                std::string(obs::kWindowsFlagHelp) + "; 0 = off", "0");
   cli.add_flag("alerts",
@@ -154,35 +156,21 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) net.attach_tracer(&tracer);
 
   constexpr double kEpsilon = 0.1;
-  double sample_every = cli.get_double("sample-every");
-  if (sample_every <= 0.0 && !series_path.empty()) sample_every = 10.0;
-  obs::TimeSeriesSink sink;
-  std::optional<obs::Sampler> sampler;
   lb::HealthProbe health(world.ring, {kEpsilon, "health"});
-  if (sample_every > 0.0) {
-    sampler.emplace(sink, sample_every);
-    sampler->add_probe([&health](double time, obs::TimeSeriesSink& s) {
-      health.sample_into(time, s);
-    });
-    // Probes run before registry snapshots, so each tick reads fresh
-    // traffic tallies.
-    sampler->add_probe([&net](double, obs::TimeSeriesSink&) {
-      net.export_metrics(net.metrics());
-    });
-    sampler->add_registry(net.metrics(), {"net."});
-  }
-
   double window_width = cli.get_double("windows");
   const std::string alerts_path = cli.get_string("alerts");
   const std::string alerts_out = cli.get_string("alerts-out");
-  const bool windowing = window_width > 0.0 || !alerts_path.empty();
+  const bool windowing =
+      window_width > 0.0 || !alerts_path.empty() || !series_path.empty();
   if (windowing && window_width <= 0.0) window_width = 10.0;
   std::optional<obs::WindowedAggregator> windows;
   std::optional<obs::AlertEngine> alerts;
+  std::vector<obs::Sample> series;
   if (windowing) {
     // Online sensing: the aggregator is passive (it schedules nothing),
     // fed by the network's sends and the health probe's boundary
-    // sampling; the alert engine evaluates at every bucket close.
+    // sampling; the alert engine evaluates at every bucket close, and
+    // the series export appends each closed bucket.
     windows.emplace(obs::WindowConfig{window_width, 64});
     net.attach_windows(&*windows);
     health.register_windows(*windows);
@@ -191,12 +179,7 @@ int main(int argc, char** argv) {
       if (!trace_path.empty()) alerts->attach_tracer(&tracer);
       alerts->attach_metrics(&net.metrics());
     }
-    if (sampler)
-      // The sampler's existing cadence drives window boundaries through
-      // quiet stretches between rounds (no new events are added).
-      sampler->add_probe([&windows](double time, obs::TimeSeriesSink&) {
-        windows->advance_to(time);
-      });
+    if (!series_path.empty()) obs::record_series(*windows, series);
   }
 
   Table t({"t (s)", "nodes", "heavy % pre", "max overload pre",
@@ -270,11 +253,12 @@ int main(int argc, char** argv) {
           ++crashed;
         }
         world.reassign_loads();
-        if (sampler) {
-          // Mark the disturbance and capture the spike immediately.
-          sink.append(engine.now(), "event.crash",
-                      static_cast<double>(crashed));
-          sampler->tick(engine.now());
+        if (!series_path.empty()) {
+          // Mark the disturbance at its exact time, after every bucket
+          // that ended by now, so the series stays in time order.
+          windows->advance_to(engine.now());
+          series.push_back({engine.now(), "event.crash",
+                            static_cast<double>(crashed)});
         }
       });
       crashed_round = &round;
@@ -282,10 +266,12 @@ int main(int argc, char** argv) {
     return rounds_started < intervals;
   });
 
+  // A series needs every boundary closed, but the stretches between
+  // rounds carry no traffic: tick the windows once per bucket while
+  // anything else is pending (the tick parks at an engine drain).
+  if (!series_path.empty()) sim::tick_windows(engine, *windows);
   // The churn processes reschedule themselves forever; run to a horizon
   // just past the last balancing sweep instead of draining the queue.
-  // (The sampler chain never parks here: the churn keeps the engine busy.)
-  if (sampler) sampler->start(engine);
   engine.run_until(kBalanceInterval * (intervals + 0.5));
   // Close every bucket the horizon passed, so trailing resolves land.
   if (windows) windows->advance_to(engine.now());
@@ -317,8 +303,8 @@ int main(int argc, char** argv) {
     std::cerr << "metrics written to " << metrics_path << "\n";
   }
   if (!series_path.empty()) {
-    obs::write_series_file(sink, series_path);
-    std::cerr << "series written to " << series_path << " (" << sink.size()
+    obs::write_series_file(series, series_path);
+    std::cerr << "series written to " << series_path << " (" << series.size()
               << " samples)\n";
   }
   if (alerts) {

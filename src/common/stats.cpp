@@ -79,9 +79,13 @@ Summary summarize(std::span<const double> values) {
 }
 
 double gini(std::span<const double> values) {
-  if (values.empty()) return 0.0;
   std::vector<double> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
+  return gini_sorted(sorted);
+}
+
+double gini_sorted(std::span<const double> sorted) {
+  if (sorted.empty()) return 0.0;
   P2PLB_REQUIRE_MSG(sorted.front() >= 0.0, "gini requires non-negative values");
   double cum_weighted = 0.0;
   double total = 0.0;

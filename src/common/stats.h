@@ -57,6 +57,8 @@ struct Summary {
 /// Gini coefficient of a non-negative sample: 0 = perfect equality,
 /// -> 1 = maximal inequality.  Used to quantify load-balance quality.
 [[nodiscard]] double gini(std::span<const double> values);
+/// gini() of an already *sorted* sample (no copy, no sort).
+[[nodiscard]] double gini_sorted(std::span<const double> sorted);
 
 /// max(values) / mean(values): the classic "imbalance factor" of the
 /// balls-and-bins literature.  Returns 0 for an empty or all-zero sample.

@@ -52,10 +52,8 @@ ControllerResult balance_until_stable(chord::Ring& ring,
 ControllerResult balance_until_stable(sim::Network& net, chord::Ring& ring,
                                       const ControllerConfig& config,
                                       Rng& rng,
-                                      std::span<const chord::Key> node_keys,
-                                      obs::Sampler* sampler) {
+                                      std::span<const chord::Key> node_keys) {
   return run_until_stable(config, [&] {
-    if (sampler != nullptr) sampler->ensure_started(net.engine());
     ProtocolRound round(net, ring, {config.balancer, WireModel{}}, rng,
                         node_keys);
     round.start();

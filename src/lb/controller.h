@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "lb/balancer.h"
-#include "obs/sampler.h"
 #include "sim/network.h"
 
 namespace p2plb::lb {
@@ -68,14 +67,8 @@ struct ControllerResult {
 /// previous one's last transfer lands).  Decisions per round are the same
 /// as the synchronous variant's; RoundStats additionally carries real
 /// completion times and per-phase metrics.  Drains the engine.
-///
-/// When `sampler` is given, its periodic chain is (re-)armed before every
-/// round so it keeps recording across the per-round engine drains (see
-/// obs::Sampler's idle-stop contract).  A null or disabled sampler leaves
-/// the event schedule untouched.
 [[nodiscard]] ControllerResult balance_until_stable(
     sim::Network& net, chord::Ring& ring, const ControllerConfig& config,
-    Rng& rng, std::span<const chord::Key> node_keys = {},
-    obs::Sampler* sampler = nullptr);
+    Rng& rng, std::span<const chord::Key> node_keys = {});
 
 }  // namespace p2plb::lb

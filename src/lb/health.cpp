@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string_view>
+#include <vector>
 
 #include "common/stats.h"
 #include "lb/classify.h"
@@ -29,85 +31,57 @@ HealthProbe::HealthProbe(const chord::Ring& ring, HealthProbeConfig config)
   P2PLB_REQUIRE_MSG(!config_.prefix.empty(), "health prefix must be non-empty");
 }
 
-std::vector<std::pair<std::string, double>> HealthProbe::measure(
-    double now) const {
-  std::vector<std::pair<std::string, double>> out;
-  auto emit = [&](std::string_view gauge, double value) {
-    out.emplace_back(config_.prefix + "." + std::string(gauge), value);
-  };
-
-  const std::vector<chord::NodeIndex> live = ring_.live_nodes();
-  emit("nodes", static_cast<double>(live.size()));
-
-  const Lbi truth = ground_truth_lbi(ring_);
-  const Classification cls = classify_all(ring_, truth, config_.epsilon);
-  emit("heavy_fraction", cls.heavy_fraction());
-
-  // Unit loads: load_i / ((L / C) * C_i).  With no load (or no capacity)
-  // every node is exactly at its share of nothing; report all-zero gauges
-  // rather than dividing by zero.
-  std::vector<double> unit;
-  unit.reserve(live.size());
-  const double fair = truth.capacity > 0.0 ? truth.load / truth.capacity : 0.0;
-  for (const chord::NodeIndex i : live) {
-    const double share = fair * ring_.node(i).capacity;
-    unit.push_back(share > 0.0 ? ring_.node_load(i) / share : 0.0);
-  }
-  std::vector<double> sorted = unit;
-  std::sort(sorted.begin(), sorted.end());
-  emit("mean_unit_load",
-       unit.empty() ? 0.0 : summarize(unit).mean);
-  emit("max_unit_load", sorted.empty() ? 0.0 : sorted.back());
-  emit("p99_unit_load", percentile_sorted(sorted, 0.99));
-  emit("imbalance", imbalance_factor(unit));
-  emit("gini_unit_load", gini(unit));
-
-  std::vector<double> vs_counts;
-  vs_counts.reserve(live.size());
-  for (const chord::NodeIndex i : live)
-    vs_counts.push_back(static_cast<double>(ring_.node(i).servers.size()));
-  std::sort(vs_counts.begin(), vs_counts.end());
-  const std::string vs = config_.prefix + ".vs_per_node";
-  out.emplace_back(vs + "{q=max}",
-                   vs_counts.empty() ? 0.0 : vs_counts.back());
-  out.emplace_back(vs + "{q=p50}", percentile_sorted(vs_counts, 0.50));
-  out.emplace_back(vs + "{q=p99}", percentile_sorted(vs_counts, 0.99));
-
-  if (clbi_ != nullptr) {
-    emit("clbi_root_error", clbi_->root_relative_error());
-    const sim::Time last = clbi_->last_refresh_time();
-    emit("clbi_staleness", last < 0.0 ? -1.0 : now - last);
-  }
-  if (tree_ != nullptr) {
-    emit("ktree_instances", static_cast<double>(tree_->instance_count()));
-    std::uint32_t height = 0;
-    tree_->for_each_instance([&](const ktree::Region& r, chord::Key) {
-      height = std::max(height, region_depth(r.len, tree_->degree()));
-    });
-    emit("ktree_depth", static_cast<double>(height));
-  }
-  return out;
-}
-
-void HealthProbe::sample_into(double t, obs::TimeSeriesSink& sink) const {
-  for (const auto& [key, value] : measure(t)) sink.append(t, key, value);
-}
-
 void HealthProbe::register_windows(obs::WindowedAggregator& windows) const {
   const std::string p = config_.prefix + ".";
-  const obs::SeriesId heavy = windows.gauge_series(p + "heavy_fraction");
-  const obs::SeriesId imbalance = windows.gauge_series(p + "imbalance");
-  const obs::SeriesId mean_unit = windows.gauge_series(p + "mean_unit_load");
-  const obs::SeriesId max_unit = windows.gauge_series(p + "max_unit_load");
+  auto gauge = [&](std::string_view name) {
+    return windows.gauge_series(p + std::string(name));
+  };
+  const obs::SeriesId nodes = gauge("nodes");
+  const obs::SeriesId heavy = gauge("heavy_fraction");
+  const obs::SeriesId mean_unit = gauge("mean_unit_load");
+  const obs::SeriesId max_unit = gauge("max_unit_load");
+  const obs::SeriesId p99_unit = gauge("p99_unit_load");
+  const obs::SeriesId imbalance = gauge("imbalance");
+  const obs::SeriesId gini_unit = gauge("gini_unit_load");
+  const obs::SeriesId vs_max = gauge("vs_per_node{q=max}");
+  const obs::SeriesId vs_p50 = gauge("vs_per_node{q=p50}");
+  const obs::SeriesId vs_p99 = gauge("vs_per_node{q=p99}");
+  // The attachments are fixed here: one attached later is not exported.
+  const ContinuousLbi* const clbi = clbi_;
+  const ktree::MaintenanceProtocol* const tree = tree_;
+  obs::SeriesId clbi_error;
+  obs::SeriesId clbi_staleness;
+  if (clbi != nullptr) {
+    clbi_error = gauge("clbi_root_error");
+    clbi_staleness = gauge("clbi_staleness");
+  }
+  obs::SeriesId tree_instances;
+  obs::SeriesId tree_depth;
+  if (tree != nullptr) {
+    tree_instances = gauge("ktree_instances");
+    tree_depth = gauge("ktree_depth");
+  }
   const obs::ColumnId units = windows.column_series(p + "unit_load");
-  windows.add_boundary_probe([this, &windows, heavy, imbalance, mean_unit,
-                              max_unit, units](double boundary) {
+  // The sort buffers live in the probe, so a steady-state boundary
+  // reuses them instead of allocating.
+  windows.add_boundary_probe([=, this, &windows, sorted = std::vector<double>(),
+                              vs_counts = std::vector<double>()](
+                                 double boundary) mutable {
+    auto record = [&](obs::SeriesId id, double value) {
+      windows.record(id, boundary, value);
+    };
     const std::vector<chord::NodeIndex> live = ring_.live_nodes();
+    record(nodes, static_cast<double>(live.size()));
     const Lbi truth = ground_truth_lbi(ring_);
     const Classification cls = classify_all(ring_, truth, config_.epsilon);
-    // Unit loads land in the SoA column (one dense double per node --
-    // the only state that scales with N) and fold into the
-    // `<prefix>.unit_load` histogram when this bucket closes.
+    record(heavy, cls.heavy_fraction());
+
+    // Unit loads: load_i / ((L / C) * C_i).  With no load (or no
+    // capacity) every node is exactly at its share of nothing; report
+    // all-zero gauges rather than dividing by zero.  They land in the SoA
+    // column (one dense double per node -- the only state that scales
+    // with N) and fold into the `<prefix>.unit_load` histogram when this
+    // bucket closes.
     std::vector<double>& col = windows.column_data(units, live.size());
     const double fair =
         truth.capacity > 0.0 ? truth.load / truth.capacity : 0.0;
@@ -115,13 +89,41 @@ void HealthProbe::register_windows(obs::WindowedAggregator& windows) const {
       const double share = fair * ring_.node(live[j]).capacity;
       col[j] = share > 0.0 ? ring_.node_load(live[j]) / share : 0.0;
     }
-    windows.record(heavy, boundary, cls.heavy_fraction());
-    windows.record(imbalance, boundary, imbalance_factor(col));
-    windows.record(mean_unit, boundary,
-                   col.empty() ? 0.0 : summarize(col).mean);
-    windows.record(max_unit, boundary,
-                   col.empty() ? 0.0
-                               : *std::max_element(col.begin(), col.end()));
+    sorted.assign(col.begin(), col.end());
+    std::sort(sorted.begin(), sorted.end());
+    // The mean accumulates in sorted order, as summarize() does.
+    RunningStats unit_stats;
+    for (const double u : sorted) unit_stats.add(u);
+    record(mean_unit, unit_stats.mean());
+    record(max_unit, sorted.empty() ? 0.0 : sorted.back());
+    record(p99_unit, percentile_sorted(sorted, 0.99));
+    record(imbalance, imbalance_factor(col));
+    record(gini_unit, gini_sorted(sorted));
+
+    vs_counts.clear();
+    for (const chord::NodeIndex i : live)
+      vs_counts.push_back(static_cast<double>(ring_.node(i).servers.size()));
+    std::sort(vs_counts.begin(), vs_counts.end());
+    record(vs_max, vs_counts.empty() ? 0.0 : vs_counts.back());
+    record(vs_p50, percentile_sorted(vs_counts, 0.50));
+    record(vs_p99, percentile_sorted(vs_counts, 0.99));
+
+    if (clbi != nullptr) {
+      record(clbi_error, clbi->root_relative_error());
+      // A bucket can close after a later refresh (the roll runs at the
+      // next record); report that as fresh, keeping -1 for "never".
+      const sim::Time last = clbi->last_refresh_time();
+      record(clbi_staleness,
+             last < 0.0 ? -1.0 : std::max(0.0, boundary - last));
+    }
+    if (tree != nullptr) {
+      record(tree_instances, static_cast<double>(tree->instance_count()));
+      std::uint32_t height = 0;
+      tree->for_each_instance([&](const ktree::Region& r, chord::Key) {
+        height = std::max(height, region_depth(r.len, tree->degree()));
+      });
+      record(tree_depth, static_cast<double>(height));
+    }
   });
 }
 

@@ -1,12 +1,12 @@
-// Derived system-health gauges for time-series sampling.
+// Derived system-health gauges, sampled at window boundaries.
 //
 // The metrics registry accumulates what the protocols *did* (messages,
 // transfers, phase timings); a HealthProbe computes what the system *is*
 // at one instant: how unbalanced, how heavy, how stale.  Each reading is
 // a pure function of the ring (plus the optionally attached continuous
-// aggregator and maintenance tree), so sampling never perturbs the
-// simulation -- the schedule-invariance property the observability tests
-// pin.
+// aggregator and maintenance tree), and the windowed plane that samples
+// them schedules nothing, so observing never perturbs the simulation --
+// the schedule-invariance property the observability tests pin.
 //
 // All load gauges are in *unit load*: node i's load divided by its
 // capacity-proportional fair share (L / C) * C_i.  1.0 means exactly
@@ -15,13 +15,10 @@
 #pragma once
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "chord/ring.h"
 #include "ktree/protocol.h"
 #include "lb/continuous.h"
-#include "obs/timeseries.h"
 #include "obs/window.h"
 
 namespace p2plb::lb {
@@ -42,34 +39,28 @@ class HealthProbe {
   explicit HealthProbe(const chord::Ring& ring, HealthProbeConfig config = {});
 
   /// Also report the continuous aggregator's root accuracy and staleness
-  /// (`clbi_root_error`, `clbi_staleness`).  Must outlive the probe.
+  /// (`clbi_root_error`, `clbi_staleness`).  Must outlive the probe;
+  /// attach before register_windows (a later attach is not exported).
   void attach_continuous_lbi(const ContinuousLbi* clbi) noexcept {
     clbi_ = clbi;
   }
   /// Also report the maintenance tree's instance count and height
-  /// (`ktree_instances`, `ktree_depth`).  Must outlive the probe.
+  /// (`ktree_instances`, `ktree_depth`).  Must outlive the probe;
+  /// attach before register_windows (a later attach is not exported).
   void attach_tree(const ktree::MaintenanceProtocol* tree) noexcept {
     tree_ = tree;
   }
 
-  /// All readings at simulated time `now`, as (metric key, value) pairs
-  /// in a fixed order.  Always emitted: nodes, heavy_fraction,
-  /// mean/max/p99 unit load, imbalance (max unit load / mean unit load),
-  /// gini_unit_load, and vs_per_node{q=p50|p99|max}.  Attachments add
-  /// their gauges (see the attach_* docs).
-  [[nodiscard]] std::vector<std::pair<std::string, double>> measure(
-      double now) const;
-
-  /// Append measure(t) to `sink` -- the obs::Sampler probe shape.
-  void sample_into(double t, obs::TimeSeriesSink& sink) const;
-
-  /// Publish into the online metrics plane: registers
-  /// `<prefix>.{heavy_fraction,imbalance,mean_unit_load,max_unit_load}`
-  /// gauge series plus a per-node `<prefix>.unit_load` SoA column
-  /// (folded into a histogram each bucket), and adds a boundary probe
-  /// that samples them into every closing bucket -- the signals the
-  /// alert rules read.  Both the probe and `windows` must outlive each
-  /// other's use; call once per aggregator.
+  /// Publish into the online metrics plane.  Registers gauge series
+  /// `<prefix>.<gauge>` -- always nodes, heavy_fraction, mean/max/p99
+  /// unit load, imbalance (max unit load / mean unit load),
+  /// gini_unit_load and vs_per_node{q=max|p50|p99}; the attachments'
+  /// gauges when attached -- plus a per-node
+  /// `<prefix>.unit_load` SoA column folded into a histogram each
+  /// bucket.  A boundary probe samples them all into every closing
+  /// bucket, stamped with the boundary time: the signals the alert
+  /// rules read and obs::record_series exports.  The probe and
+  /// `windows` must outlive each other's use; call once per aggregator.
   void register_windows(obs::WindowedAggregator& windows) const;
 
   [[nodiscard]] const HealthProbeConfig& config() const noexcept {

@@ -174,7 +174,7 @@ AlertEngine::AlertEngine(WindowedAggregator& windows,
                          std::vector<AlertRule> rules)
     : windows_(windows), rules_(std::move(rules)) {
   states_.resize(rules_.size());
-  windows_.set_boundary_hook([this](double boundary) { evaluate(boundary); });
+  windows_.add_boundary_hook([this](double boundary) { evaluate(boundary); });
 }
 
 void AlertEngine::set_callback(

@@ -1,7 +1,7 @@
 // Deterministic alerting over windowed metrics.
 //
 // The AlertEngine closes the loop the windowed aggregator opens: it
-// registers as the aggregator's boundary hook and evaluates a fixed
+// registers a boundary hook on the aggregator and evaluates a fixed
 // list of declarative rules at every bucket boundary, on the engine's
 // clock.  Because boundaries are a pure function of the record
 // timestamps (see obs/window.h) and rules are evaluated in file order
@@ -90,8 +90,8 @@ struct AlertEvent {
   double threshold = 0.0;
 };
 
-/// The rule evaluator (see the header comment).  Registers itself as
-/// `windows`'s boundary hook; both must outlive the engine.
+/// The rule evaluator (see the header comment).  Registers a boundary
+/// hook on `windows`; both must outlive the engine.
 class AlertEngine {
  public:
   AlertEngine(WindowedAggregator& windows, std::vector<AlertRule> rules);

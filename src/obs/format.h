@@ -30,8 +30,9 @@ inline constexpr const char* kMetricsFlagHelp =
     "write the metrics registry here (CSV if the name ends in .csv, "
     "case-insensitive; aligned text otherwise)";
 inline constexpr const char* kSeriesFlagHelp =
-    "write the sampled time series here (JSONL if the name ends in "
-    ".jsonl, case-insensitive; CSV otherwise)";
+    "write the closed window buckets here as a time series, one row "
+    "per series per bucket (JSONL if the name ends in .jsonl, "
+    "case-insensitive; CSV otherwise)";
 inline constexpr const char* kProfileFlagHelp =
     "write the host-time profile here (collapsed flamegraph stacks if "
     "the name ends in .folded, case-insensitive; p2plb-prof-1 text "

@@ -1,11 +1,12 @@
 // Experiment reports from recorded time series + metrics exports.
 //
-// tools/p2plb_report's engine: given the samples a Sampler recorded over
-// a run (and optionally the final metrics-registry CSV), analyze() folds
-// them into per-series statistics and per-disturbance re-convergence
-// measurements, and write_markdown_report() renders the whole thing as a
-// self-contained Markdown document -- series overview, convergence under
-// churn, before/after health gauges, moved-load-by-distance quantiles and
+// tools/p2plb_report's engine: given the series a run exported (closed
+// window buckets plus event markers, see obs/timeseries.h) and optionally
+// the final metrics-registry CSV, analyze() folds them into per-series
+// statistics and per-disturbance re-convergence measurements, and
+// write_markdown_report() renders the whole thing as a self-contained
+// Markdown document -- series overview, convergence under churn,
+// before/after health gauges, moved-load-by-distance quantiles and
 // traffic totals.  Everything is computed from the files alone so a
 // report can be (re)generated long after the run, in CI or locally.
 #pragma once

@@ -1,6 +1,7 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -14,40 +15,53 @@
 
 namespace p2plb::obs {
 
-void TimeSeriesSink::append(double t, std::string_view key, double value) {
-  P2PLB_REQUIRE_MSG(!key.empty(), "series key must be non-empty");
-  samples_.push_back(Sample{t, std::string(key), value});
+void record_series(WindowedAggregator& windows,
+                   std::vector<Sample>& samples) {
+  windows.add_boundary_hook([&windows, &samples](double boundary) {
+    for (std::uint32_t i = 0; i < windows.series_count(); ++i) {
+      const SeriesId id{i};
+      switch (windows.series_kind(id)) {
+        case SeriesKind::kCounter:
+          samples.push_back(Sample{boundary, windows.series_name(id),
+                                   windows.sum_over(id, 1)});
+          break;
+        case SeriesKind::kGauge:
+          if (windows.count_over(id, 1) > 0)
+            samples.push_back(Sample{boundary, windows.series_name(id),
+                                     windows.last_over(id, 1)});
+          break;
+        case SeriesKind::kHistogram:
+          break;
+      }
+    }
+  });
 }
 
-void TimeSeriesSink::append(double t, std::string_view name,
-                            const Labels& labels, double value) {
-  samples_.push_back(
-      Sample{t, MetricsRegistry::key_of(name, labels), value});
-}
-
-void TimeSeriesSink::write_csv(std::ostream& os) const {
+void write_series_csv(std::ostream& os, const std::vector<Sample>& samples) {
   os << "time,metric,value\n";
-  for (const Sample& s : samples_) {
+  for (const Sample& s : samples) {
     os << csv_field(Table::num(s.t, 6)) << ',' << csv_field(s.key) << ','
        << csv_field(Table::num(s.value, 6)) << '\n';
   }
 }
 
-void TimeSeriesSink::write_jsonl(std::ostream& os) const {
-  for (const Sample& s : samples_) {
+void write_series_jsonl(std::ostream& os,
+                        const std::vector<Sample>& samples) {
+  for (const Sample& s : samples) {
     os << "{\"t\":" << json_number(s.t)
        << ",\"metric\":" << json_string(s.key)
        << ",\"value\":" << json_number(s.value) << "}\n";
   }
 }
 
-void write_series_file(const TimeSeriesSink& sink, const std::string& path) {
+void write_series_file(const std::vector<Sample>& samples,
+                       const std::string& path) {
   std::ofstream os(path);
   P2PLB_REQUIRE_MSG(os.good(), "cannot open series file: " + path);
   if (path_has_extension(path, ".jsonl")) {
-    sink.write_jsonl(os);
+    write_series_jsonl(os, samples);
   } else {
-    sink.write_csv(os);
+    write_series_csv(os, samples);
   }
 }
 
@@ -210,18 +224,17 @@ Reconvergence measure_reconvergence(
     const std::vector<std::pair<double, double>>& points, double event_time) {
   Reconvergence r;
   r.event_time = event_time;
-  if (points.empty()) return r;
   // Pre-event level: the last reading strictly before the event.  A
-  // reading at exactly event_time is ambiguous -- samplers tick right at
-  // a scripted disturbance to capture the spike, so it would poison the
-  // baseline -- and is excluded from both sides.
-  r.baseline = points.front().second;
-  for (const auto& [t, v] : points) {
-    if (t >= event_time) break;
-    r.baseline = v;
-  }
+  // reading at exactly event_time is ambiguous -- a bucket closing at a
+  // scripted disturbance reads the state after it, so it would poison
+  // the baseline -- and is excluded from both sides.
+  std::size_t post = 0;
+  while (post < points.size() && points[post].first < event_time) ++post;
+  if (post == 0) return r;  // no pre-event level to return to
+  r.baseline = points[post - 1].second;
   r.peak = r.baseline;
-  for (const auto& [t, v] : points) {
+  for (; post < points.size(); ++post) {
+    const auto [t, v] = points[post];
     if (t <= event_time) continue;
     r.peak = std::max(r.peak, v);
     if (v <= r.baseline) {

@@ -3,15 +3,18 @@
 // The metrics registry answers "how much, in total"; the tracer answers
 // "what happened, when".  What neither can answer is "how did the system
 // *state* evolve": imbalance trajectories under churn, re-convergence
-// after a crash burst, staleness of the continuous aggregator -- the
-// curves the paper's Section 3.2 resilience claim and Section 5 results
-// are really about.  A TimeSeriesSink records (sim_time, metric, value)
-// samples for exactly that: probes (obs::Sampler, lb::HealthProbe) append
-// readings on a fixed cadence, the sink exports them as CSV or JSONL, and
-// the loaders below read the files back so tools/p2plb_report (and the
-// golden tests) can compute convergence times from a finished run.
+// after a crash burst -- the curves the paper's Section 3.2 resilience
+// claim and Section 5 results are really about.  A series is a plain
+// vector of (sim_time, metric, value) samples.  record_series() fills it
+// from the online windowed-metrics plane: one row per series per closed
+// bucket, stamped with the bucket's end time, so a series is a dump of
+// closed window buckets (lb::HealthProbe::register_windows supplies the
+// health gauges).  Drivers may append marker rows (`event.crash`) at
+// their exact time.  The writers export CSV or JSONL, and the loaders
+// read the files back so tools/p2plb_report (and the golden tests) can
+// compute convergence times from a finished run.
 //
-// Like the rest of obs, the sink is deterministic: samples are stored in
+// Like the rest of obs, series are deterministic: rows are stored in
 // append order, timestamps come from the caller in sim::Time units, and
 // both exporters use the codebase's canonical number formatting -- a
 // (seed, scenario) pair always produces the identical series file.
@@ -20,9 +23,10 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
+#include "obs/window.h"
 
 namespace p2plb::obs {
 
@@ -36,37 +40,25 @@ struct Sample {
   [[nodiscard]] bool operator==(const Sample&) const = default;
 };
 
-/// Append-only recorder of (time, metric, value) samples.
-class TimeSeriesSink {
- public:
-  /// Record one sample under a plain (label-free) metric name.
-  void append(double t, std::string_view key, double value);
-  /// Record one sample under `name{labels}` (labels canonicalized).
-  void append(double t, std::string_view name, const Labels& labels,
-              double value);
+/// Append `windows`' closed buckets to `samples`: adds a boundary hook
+/// that, at every closed bucket, appends one row per series stamped with
+/// the boundary time, in series-registration order -- a counter's bucket
+/// sum, a gauge's last reading (no row when the bucket has none).
+/// Histogram series are not exported.  Both must outlive the hook.
+void record_series(WindowedAggregator& windows, std::vector<Sample>& samples);
 
-  [[nodiscard]] const std::vector<Sample>& samples() const noexcept {
-    return samples_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
-  void clear() noexcept { samples_.clear(); }
+/// CSV export: header "time,metric,value", one sample per row, RFC 4180
+/// quoting (metric keys may contain commas via labels).
+void write_series_csv(std::ostream& os, const std::vector<Sample>& samples);
+/// JSONL export: {"t":...,"metric":"...","value":...} per line, stable
+/// field order.
+void write_series_jsonl(std::ostream& os, const std::vector<Sample>& samples);
 
-  /// CSV export: header "time,metric,value", one sample per row, RFC 4180
-  /// quoting (metric keys may contain commas via labels).
-  void write_csv(std::ostream& os) const;
-  /// JSONL export: {"t":...,"metric":"...","value":...} per line, stable
-  /// field order.
-  void write_jsonl(std::ostream& os) const;
-
- private:
-  std::vector<Sample> samples_;
-};
-
-/// Write the sink to `path`: JSONL when the name ends in ".jsonl"
+/// Write `samples` to `path`: JSONL when the name ends in ".jsonl"
 /// (case-insensitive), CSV otherwise.  Throws PreconditionError on an
 /// unwritable path.
-void write_series_file(const TimeSeriesSink& sink, const std::string& path);
+void write_series_file(const std::vector<Sample>& samples,
+                       const std::string& path);
 
 /// Parse a series back from its CSV / JSONL form (the exact inverses of
 /// the writers above).  Malformed input throws PreconditionError.
@@ -91,10 +83,9 @@ struct Reconvergence {
   /// Time from the event to the first at-or-below-baseline sample
   /// (meaningful only when converged).
   double time = 0.0;
-  /// The pre-event level: the last sample strictly before event_time (the
-  /// first sample overall when none precedes the event).  A sample at
-  /// exactly event_time is excluded from both sides: samplers tick right
-  /// at a scripted disturbance, so that reading carries the spike.
+  /// The pre-event level: the last sample strictly before event_time.  A
+  /// sample at exactly event_time is excluded from both sides: a bucket
+  /// closing at the disturbance instant may already carry the spike.
   double baseline = 0.0;
   /// Worst post-event value seen up to re-convergence (or up to the end
   /// of the series when it never re-converges).
@@ -103,8 +94,9 @@ struct Reconvergence {
 };
 
 /// Measure re-convergence of one extracted series (points in time order)
-/// around a disturbance at `event_time`.  A series with no post-event
-/// samples reports converged = false.
+/// around a disturbance at `event_time`.  A series with no pre-event or
+/// no post-event samples reports converged = false (with no pre-event
+/// sample there is no level to return to; baseline and peak stay 0).
 [[nodiscard]] Reconvergence measure_reconvergence(
     const std::vector<std::pair<double, double>>& points, double event_time);
 

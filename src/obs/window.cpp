@@ -130,10 +130,9 @@ void WindowedAggregator::add_boundary_probe(BoundaryProbe probe) {
   probes_.push_back(std::move(probe));
 }
 
-void WindowedAggregator::set_boundary_hook(BoundaryHook hook) {
+void WindowedAggregator::add_boundary_hook(BoundaryHook hook) {
   P2PLB_REQUIRE(hook != nullptr);
-  P2PLB_REQUIRE_MSG(hook_ == nullptr, "window boundary hook already set");
-  hook_ = std::move(hook);
+  hooks_.push_back(std::move(hook));
 }
 
 std::vector<double>& WindowedAggregator::column_data(ColumnId id,
@@ -197,8 +196,8 @@ void WindowedAggregator::close_current_bucket() {
   last_boundary_ = boundary;
   closed_ = std::min(closed_ + 1, config_.ring_buckets - 1);
   bucket_end_ = boundary + config_.bucket_width;
-  // 4. The hook evaluates over the now-queryable closed window.
-  if (hook_ != nullptr) hook_(boundary);
+  // 4. Hooks read the now-queryable closed window.
+  for (const BoundaryHook& hook : hooks_) hook(boundary);
 }
 
 std::size_t WindowedAggregator::closed_buckets() const noexcept {

@@ -13,10 +13,10 @@
 // Design rules:
 //
 //   * Passive advancement.  The aggregator schedules nothing.  Buckets
-//     close when a record (or an explicit advance_to, e.g. from an
-//     obs::Sampler probe) carries the clock past a boundary, so
-//     attaching one adds no events -- the schedule stays byte-identical,
-//     which the window tests and the CI alert-smoke cmp gate pin.
+//     close when a record (or an explicit advance_to from the driver)
+//     carries the clock past a boundary, so attaching one adds no
+//     events -- the schedule stays byte-identical, which the window
+//     tests and the CI alert-smoke cmp gates pin.
 //   * Bounded memory.  Each series owns ring_buckets buckets, full stop.
 //     A 10^6-node run holds the same few kilobytes per series as a
 //     100-node run; only columns scale with N, as one dense double each.
@@ -37,7 +37,8 @@
 //      gauges/columns that belong to the *closing* bucket;
 //   2. columns fold into their histogram series;
 //   3. the bucket closes (becomes queryable, ring rotates);
-//   4. the boundary hook fires (the AlertEngine evaluates its rules).
+//   4. the boundary hooks fire in registration order (the AlertEngine
+//      evaluates its rules; obs::record_series appends the series rows).
 #pragma once
 
 #include <array>
@@ -145,8 +146,8 @@ class WindowedAggregator {
   /// A boundary probe samples state *into* the closing bucket; it runs
   /// once per closed bucket, stamped with the boundary time.
   using BoundaryProbe = std::function<void(double boundary_t)>;
-  /// The boundary hook runs after each bucket closes (the AlertEngine's
-  /// evaluation point).
+  /// A boundary hook runs after each bucket closes and reads the closed
+  /// window (the AlertEngine's evaluation point, the series export).
   using BoundaryHook = std::function<void(double boundary_t)>;
 
   // --- registration (setup phase; find-or-create by name) ---------------
@@ -164,10 +165,14 @@ class WindowedAggregator {
   [[nodiscard]] const std::string& series_name(SeriesId id) const;
   /// All registered series names in registration order.
   [[nodiscard]] std::vector<std::string> series_names() const;
+  /// Number of registered series; ids run 0 .. series_count() - 1.
+  [[nodiscard]] std::size_t series_count() const noexcept {
+    return series_.size();
+  }
 
   void add_boundary_probe(BoundaryProbe probe);
-  /// At most one hook (the alert engine); REQUIREs none is set yet.
-  void set_boundary_hook(BoundaryHook hook);
+  /// Hooks run in the order they were added.
+  void add_boundary_hook(BoundaryHook hook);
 
   // --- feeding (hot path; no allocation) --------------------------------
   /// Record `value` at time `t` into `id`'s current bucket, closing any
@@ -184,7 +189,7 @@ class WindowedAggregator {
     apply(id, value);
   }
 
-  /// Close every bucket whose end is <= t (probes + folds + hook per
+  /// Close every bucket whose end is <= t (probes + folds + hooks per
   /// boundary, in time order).  The bucket containing t stays open.
   // p2plb: holds(window_shard_)
   void advance_to(double t) {
@@ -279,7 +284,7 @@ class WindowedAggregator {
   std::vector<Series> series_;    // p2plb: shared(window_shard_)
   std::vector<Column> columns_;   // p2plb: shared(window_shard_)
   std::vector<BoundaryProbe> probes_;
-  BoundaryHook hook_;
+  std::vector<BoundaryHook> hooks_;
   std::uint64_t current_seq_ = 0;   // p2plb: shared(window_shard_)
   double bucket_end_ = 0.0;         // p2plb: shared(window_shard_)
   double last_boundary_ = 0.0;      // p2plb: shared(window_shard_)

@@ -367,4 +367,16 @@ class Network {
   obs::SeriesId win_bytes_;
 };
 
+/// Close `windows`' buckets on time through stretches with no sends:
+/// every bucket width, advance the aggregator to now, and stop
+/// rescheduling once nothing else is pending, so Engine::run() still
+/// returns.  Unlike the passive aggregator this adds one event per
+/// bucket to the schedule.
+inline EventId tick_windows(Engine& engine, obs::WindowedAggregator& windows) {
+  return engine.every(windows.config().bucket_width, [&engine, &windows] {
+    windows.advance_to(engine.now());
+    return engine.pending() > 0;
+  });
+}
+
 }  // namespace p2plb::sim

@@ -1,6 +1,7 @@
 // Unit tests for src/common: RNG, statistics, histograms, tables, CLI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -243,6 +244,12 @@ TEST(Gini, KnownValues) {
   // One owner of everything among n: gini = (n-1)/n.
   EXPECT_NEAR(gini(std::vector<double>{0, 0, 0, 10}), 0.75, 1e-12);
   EXPECT_DOUBLE_EQ(gini({}), 0.0);
+  // gini() sorts a copy; gini_sorted() reads an already sorted sample.
+  const std::vector<double> v{3, 0.5, 7, 2};
+  std::vector<double> sorted = v;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(gini_sorted(sorted), gini(v));
+  EXPECT_DOUBLE_EQ(gini_sorted({}), 0.0);
 }
 
 TEST(ImbalanceFactor, MaxOverMean) {

@@ -1,19 +1,21 @@
-// Tests for the time-series observability layer: TimeSeriesSink exports
-// and loaders, re-convergence measurement, the Sampler's idle-stop
-// periodic chain, lb::HealthProbe gauges, and the report generator.
+// Tests for the time-series observability layer: the series writers and
+// loaders, the closed-bucket series export (obs::record_series),
+// re-convergence measurement, lb::HealthProbe gauges, and the report
+// generator.
 //
 // Two properties are pinned hard:
 //   * a deterministic churn scenario with a scripted crash burst yields a
 //     byte-stable series from which measure_reconvergence computes one
-//     exact, finite recovery time (the ISSUE's acceptance scenario);
-//   * attaching a *disabled* sampler is schedule-invariant -- the engine
-//     executes the identical event sequence with and without it -- and an
-//     enabled sampler never changes balancing decisions (it only reads).
+//     exact, finite recovery time;
+//   * exporting a series is schedule-invariant -- the timed controller
+//     executes the identical event sequence, and writes the byte-identical
+//     trace, with and without windows + series attached.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,10 +25,11 @@
 #include "lb/health.h"
 #include "lb/protocol_round.h"
 #include "obs/format.h"
+#include "obs/alert.h"
 #include "obs/report.h"
-#include "obs/sampler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "obs/window.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "workload/capacity.h"
@@ -49,22 +52,20 @@ TEST(Format, PathHasExtensionIsCaseInsensitive) {
 }
 
 // ---------------------------------------------------------------------------
-// TimeSeriesSink exports + loaders
+// Series writers + loaders
 // ---------------------------------------------------------------------------
 
-/// A sink whose keys exercise the escaping paths: a label value with a
+/// A series whose keys exercise the escaping paths: a label value with a
 /// comma (canonical key contains one) and a quote in a plain key.
-obs::TimeSeriesSink tricky_sink() {
-  obs::TimeSeriesSink sink;
-  sink.append(0.0, "health.nodes", 64.0);
-  sink.append(2.5, "m", {{"tag", "a,b"}}, 0.125);
-  sink.append(10.0, "quote\"y", 3.0);
-  return sink;
+std::vector<obs::Sample> tricky_series() {
+  return {{0.0, "health.nodes", 64.0},
+          {2.5, obs::MetricsRegistry::key_of("m", {{"tag", "a,b"}}), 0.125},
+          {10.0, "quote\"y", 3.0}};
 }
 
 TEST(TimeSeries, CsvExportIsGolden) {
   std::ostringstream os;
-  tricky_sink().write_csv(os);
+  obs::write_series_csv(os, tricky_series());
   EXPECT_EQ(os.str(),
             "time,metric,value\n"
             "0,health.nodes,64\n"
@@ -74,7 +75,7 @@ TEST(TimeSeries, CsvExportIsGolden) {
 
 TEST(TimeSeries, JsonlExportIsGolden) {
   std::ostringstream os;
-  tricky_sink().write_jsonl(os);
+  obs::write_series_jsonl(os, tricky_series());
   EXPECT_EQ(os.str(),
             "{\"t\":0,\"metric\":\"health.nodes\",\"value\":64}\n"
             "{\"t\":2.5,\"metric\":\"m{tag=a,b}\",\"value\":0.125}\n"
@@ -82,29 +83,29 @@ TEST(TimeSeries, JsonlExportIsGolden) {
 }
 
 TEST(TimeSeries, LoadersInvertTheWriters) {
-  const obs::TimeSeriesSink sink = tricky_sink();
+  const std::vector<obs::Sample> series = tricky_series();
   std::ostringstream csv, jsonl;
-  sink.write_csv(csv);
-  sink.write_jsonl(jsonl);
+  obs::write_series_csv(csv, series);
+  obs::write_series_jsonl(jsonl, series);
   std::istringstream csv_in(csv.str()), jsonl_in(jsonl.str());
-  EXPECT_EQ(obs::load_series_csv(csv_in), sink.samples());
-  EXPECT_EQ(obs::load_series_jsonl(jsonl_in), sink.samples());
+  EXPECT_EQ(obs::load_series_csv(csv_in), series);
+  EXPECT_EQ(obs::load_series_jsonl(jsonl_in), series);
 }
 
 TEST(TimeSeries, FileRoundTripPicksFormatBySuffixCaseInsensitive) {
-  const obs::TimeSeriesSink sink = tricky_sink();
+  const std::vector<obs::Sample> series = tricky_series();
   const std::string jsonl_path = testing::TempDir() + "series.JSONL";
   const std::string csv_path = testing::TempDir() + "series.csv";
-  obs::write_series_file(sink, jsonl_path);
-  obs::write_series_file(sink, csv_path);
-  EXPECT_EQ(obs::load_series_file(jsonl_path), sink.samples());
-  EXPECT_EQ(obs::load_series_file(csv_path), sink.samples());
+  obs::write_series_file(series, jsonl_path);
+  obs::write_series_file(series, csv_path);
+  EXPECT_EQ(obs::load_series_file(jsonl_path), series);
+  EXPECT_EQ(obs::load_series_file(csv_path), series);
   // The .JSONL file really is JSONL, not CSV.
   std::ifstream is(jsonl_path);
   std::string first;
   ASSERT_TRUE(std::getline(is, first));
   EXPECT_EQ(first.substr(0, 5), "{\"t\":");
-  EXPECT_THROW(obs::write_series_file(sink, "/nonexistent-dir/s.csv"),
+  EXPECT_THROW(obs::write_series_file(series, "/nonexistent-dir/s.csv"),
                PreconditionError);
   EXPECT_THROW((void)obs::load_series_file("/nonexistent-dir/s.csv"),
                PreconditionError);
@@ -127,14 +128,14 @@ TEST(TimeSeries, LoadersRejectMalformedInput) {
 }
 
 TEST(TimeSeries, KeyAndSeriesExtraction) {
-  const obs::TimeSeriesSink sink = tricky_sink();
-  EXPECT_EQ(obs::series_keys(sink.samples()),
+  const std::vector<obs::Sample> series = tricky_series();
+  EXPECT_EQ(obs::series_keys(series),
             (std::vector<std::string>{"health.nodes", "m{tag=a,b}",
                                       "quote\"y"}));
-  const auto points = obs::extract_series(sink.samples(), "m{tag=a,b}");
+  const auto points = obs::extract_series(series, "m{tag=a,b}");
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0], std::make_pair(2.5, 0.125));
-  EXPECT_TRUE(obs::extract_series(sink.samples(), "missing").empty());
+  EXPECT_TRUE(obs::extract_series(series, "missing").empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -154,9 +155,9 @@ TEST(Reconvergence, MeasuresRecoveryAgainstThePreEventBaseline) {
 }
 
 TEST(Reconvergence, SampleAtTheEventInstantIsExcluded) {
-  // The forced sampler tick at a scripted crash lands at exactly the
-  // event time and carries the spike; it must poison neither baseline
-  // nor peak-side bookkeeping.
+  // A bucket closing at exactly the event time reads the state after a
+  // scripted crash and carries the spike; it must poison neither
+  // baseline nor peak-side bookkeeping.
   const std::vector<std::pair<double, double>> points{
       {10.0, 0.1}, {15.0, 0.9}, {20.0, 0.8}, {25.0, 0.1}};
   const obs::Reconvergence rc = obs::measure_reconvergence(points, 15.0);
@@ -179,100 +180,201 @@ TEST(Reconvergence, HandlesDegenerateSeries) {
       {{0.0, 0.1}, {10.0, 0.6}, {20.0, 0.4}}, 5.0);
   EXPECT_FALSE(stuck.converged);
   EXPECT_DOUBLE_EQ(stuck.peak, 0.6);
+  // No pre-event sample (a disturbance before the first closed bucket):
+  // there is no level to return to, so the first post-event sample must
+  // not double as both baseline and recovery.
+  const obs::Reconvergence early = obs::measure_reconvergence(
+      {{10.0, 0.5}, {20.0, 0.1}}, 5.0);
+  EXPECT_FALSE(early.converged);
+  EXPECT_DOUBLE_EQ(early.baseline, 0.0);
 }
 
 // ---------------------------------------------------------------------------
-// Sampler
+// Series export: closed window buckets
 // ---------------------------------------------------------------------------
 
-TEST(Sampler, TickRunsProbesAndFiltersRegistries) {
-  obs::MetricsRegistry reg;
-  reg.counter("net.messages").add(3.0);
-  reg.counter("lb.rounds").add(1.0);
-  obs::TimeSeriesSink sink;
-  obs::Sampler sampler(sink, 1.0);
-  sampler.add_probe(
-      [](double t, obs::TimeSeriesSink& s) { s.append(t, "probe", t * 2.0); });
-  sampler.add_registry(reg, {"net."});
-  sampler.tick(4.0);
-  ASSERT_EQ(sink.size(), 2u);  // the lb.* metric is filtered out
-  EXPECT_EQ(sink.samples()[0], (obs::Sample{4.0, "probe", 8.0}));
-  EXPECT_EQ(sink.samples()[1], (obs::Sample{4.0, "net.messages", 3.0}));
-  EXPECT_EQ(sampler.ticks(), 1u);
-  EXPECT_THROW(obs::Sampler bad(sink, 0.0), PreconditionError);
+TEST(SeriesExport, OneRowPerSeriesPerClosedBucket) {
+  obs::WindowedAggregator w({10.0, 8});
+  const obs::SeriesId c = w.counter_series("c");
+  const obs::SeriesId g = w.gauge_series("g");
+  const obs::SeriesId h = w.histogram_series("h");  // never exported
+  std::vector<obs::Sample> rows;
+  obs::record_series(w, rows);
+  w.record(c, 1.0, 2.0);
+  w.record(c, 5.0, 3.0);
+  w.record(g, 6.0, 0.5);
+  w.record(g, 7.0, 0.75);
+  w.record(h, 8.0, 1.0);
+  w.record(c, 12.0, 1.0);  // [10, 20) has no gauge reading
+  w.advance_to(30.0);
+  // Counters: the bucket sum (0 for a quiet bucket), not a running
+  // total.  Gauges: the bucket's last reading, no row when it has none.
+  const std::vector<obs::Sample> want{
+      {10.0, "c", 5.0}, {10.0, "g", 0.75}, {20.0, "c", 1.0},
+      {30.0, "c", 0.0}};
+  EXPECT_EQ(rows, want);
+  // A series registered later joins at the next boundary.
+  const obs::SeriesId late = w.gauge_series("late");
+  w.record(late, 31.0, 9.0);
+  w.advance_to(40.0);
+  ASSERT_EQ(rows.size(), want.size() + 2);
+  EXPECT_EQ(rows[4], (obs::Sample{40.0, "c", 0.0}));
+  EXPECT_EQ(rows[5], (obs::Sample{40.0, "late", 9.0}));
 }
 
-TEST(Sampler, PeriodicChainParksAtIdleAndRearms) {
+/// Deterministic mini churn run: 64 nodes balancing every 100 time units,
+/// a burst of 8 crashes (plus a load redraw) at t = 350, with the health
+/// gauges exported from 10-wide window buckets.  A tick closes each
+/// boundary on time through the quiet stretches between rounds.
+/// (Seed re-pinned when Node::servers became canonically sorted.)
+std::vector<obs::Sample> run_crash_burst_scenario() {
+  Rng rng(2025);
+  auto ring = workload::build_ring(
+      64, 3, workload::CapacityProfile::gnutella_like(), rng);
+  workload::assign_loads(
+      ring,
+      workload::scaled_load_model(ring, workload::LoadDistribution::kGaussian),
+      rng);
   sim::Engine engine;
-  obs::TimeSeriesSink sink;
-  obs::Sampler sampler(sink, 1.0);
-  sampler.add_probe(
-      [](double t, obs::TimeSeriesSink& s) { s.append(t, "x", 1.0); });
-  engine.schedule_after(3.5, [] {});
-  sampler.start(engine);
-  EXPECT_TRUE(sampler.running());
-  engine.run();  // must return: the chain parks once the engine is idle
-  // Ticks at 0 (synchronous), 1, 2, 3 (work pending), 4 (idle -> park).
-  EXPECT_EQ(sink.size(), 5u);
-  EXPECT_FALSE(sampler.running());
-  EXPECT_DOUBLE_EQ(sink.samples().back().t, 4.0);
+  sim::Network net(engine, [](sim::Endpoint a, sim::Endpoint b) {
+    return a == b ? 0.0 : 1.0;
+  });
+  obs::WindowedAggregator windows({10.0, 64});
+  lb::HealthProbe health(ring, {0.1, "health"});
+  health.register_windows(windows);
+  std::vector<obs::Sample> series;
+  obs::record_series(windows, series);
 
-  // Re-arm for a second drain: one immediate tick plus the new chain.
-  engine.schedule_after(1.5, [] {});
-  sampler.ensure_started(engine);
-  EXPECT_TRUE(sampler.running());
-  engine.run();
-  // Ticks at 4 (immediate), 5 (work pending), 6 (idle -> park).
-  EXPECT_EQ(sink.size(), 8u);
-  EXPECT_FALSE(sampler.running());
+  int started = 0;
+  std::vector<std::unique_ptr<lb::ProtocolRound>> rounds;
+  lb::ProtocolRoundConfig rconfig;
+  rconfig.balancer.epsilon = 0.1;
+  engine.every(100.0, [&] {
+    rounds.push_back(
+        std::make_unique<lb::ProtocolRound>(net, ring, rconfig, rng));
+    rounds.back()->start();
+    return ++started < 8;
+  });
+  engine.schedule_after(350.0, [&] {
+    Rng crng(7);
+    for (int k = 0; k < 8; ++k) {
+      const auto live = ring.live_nodes();
+      ring.remove_node(live[crng.below(live.size())]);
+    }
+    workload::assign_loads(
+        ring,
+        workload::scaled_load_model(ring,
+                                    workload::LoadDistribution::kGaussian),
+        crng);
+    windows.advance_to(engine.now());
+    series.push_back({engine.now(), "event.crash", 8.0});
+  });
+  sim::tick_windows(engine, windows);
+  engine.run_until(850.0);
+  return series;
 }
 
-TEST(Sampler, DisabledSamplerSchedulesNothing) {
-  sim::Engine engine;
-  obs::TimeSeriesSink sink;
-  obs::Sampler sampler(sink, 1.0);
-  sampler.add_probe(
-      [](double t, obs::TimeSeriesSink& s) { s.append(t, "x", 1.0); });
-  sampler.set_enabled(false);
-  sampler.start(engine);
-  sampler.ensure_started(engine);
-  sampler.tick(1.0);
-  EXPECT_FALSE(sampler.running());
-  EXPECT_EQ(engine.pending(), 0u);
-  EXPECT_TRUE(sink.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Schedule invariance of the timed controller's sampler hook
-// ---------------------------------------------------------------------------
-
-enum class SamplerMode { kNone, kDisabled, kEnabled };
-
-/// Drop the `"t":<number>` fields from a JSONL trace, leaving event kind,
-/// lane, name and args -- the decision content.
-std::string strip_timestamps(const std::string& jsonl) {
-  std::string out;
-  std::istringstream is(jsonl);
-  std::string line;
-  while (std::getline(is, line)) {
-    const std::size_t start = line.find("{\"t\":");
-    const std::size_t end = line.find(',', start);
-    if (start == 0 && end != std::string::npos) line.erase(1, end - 1);
-    out += line;
-    out += '\n';
+TEST(SeriesExport, RowsAreTimeOrderedAndRoundTrip) {
+  const std::vector<obs::Sample> series = run_crash_burst_scenario();
+  ASSERT_FALSE(series.empty());
+  for (std::size_t i = 1; i < series.size(); ++i)
+    ASSERT_LE(series[i - 1].t, series[i].t) << "row " << i;
+  // No t = 0 row: the first row is the first closed boundary.
+  EXPECT_DOUBLE_EQ(series.front().t, 10.0);
+  // Values are written with 6 significant digits, so the round trip is
+  // exact on the text: reload, rewrite, compare bytes.
+  std::ostringstream csv, jsonl;
+  obs::write_series_csv(csv, series);
+  obs::write_series_jsonl(jsonl, series);
+  std::istringstream csv_in(csv.str()), jsonl_in(jsonl.str());
+  const std::vector<obs::Sample> from_csv = obs::load_series_csv(csv_in);
+  const std::vector<obs::Sample> from_jsonl = obs::load_series_jsonl(jsonl_in);
+  ASSERT_EQ(from_csv.size(), series.size());
+  ASSERT_EQ(from_jsonl.size(), series.size());
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    EXPECT_EQ(from_csv[i].key, series[i].key);
+    EXPECT_EQ(from_csv[i].t, series[i].t);
+    EXPECT_EQ(from_jsonl[i].key, series[i].key);
+    EXPECT_EQ(from_jsonl[i].t, series[i].t);
   }
-  return out;
+  std::ostringstream csv2, jsonl2;
+  obs::write_series_csv(csv2, from_csv);
+  obs::write_series_jsonl(jsonl2, from_jsonl);
+  EXPECT_EQ(csv2.str(), csv.str());
+  EXPECT_EQ(jsonl2.str(), jsonl.str());
 }
+
+TEST(SeriesExport, WindowTickParksAtEngineDrain) {
+  // sim::tick_windows, the churn driver's quiet-period tick: close each
+  // boundary on time while other work is pending, then stop so run()
+  // returns.
+  sim::Engine engine;
+  obs::WindowedAggregator w({1.0, 8});
+  const obs::SeriesId g = w.gauge_series("g");
+  w.add_boundary_probe([&](double t) { w.record(g, t, t); });
+  std::vector<obs::Sample> rows;
+  obs::record_series(w, rows);
+  engine.schedule_after(3.5, [] {});
+  sim::tick_windows(engine, w);
+  engine.run();  // must return: the tick parks once the engine is idle
+  // Ticks at 1, 2, 3 (work pending) and 4 (idle -> park).
+  EXPECT_DOUBLE_EQ(engine.now(), 4.0);
+  const std::vector<obs::Sample> want{
+      {1.0, "g", 1.0}, {2.0, "g", 2.0}, {3.0, "g", 3.0}, {4.0, "g", 4.0}};
+  EXPECT_EQ(rows, want);
+  EXPECT_EQ(engine.pending(), 0u);
+}
+
+TEST(SeriesExport, SharesBoundariesWithTheAlertEngine) {
+  // Both hooks hang off one aggregator: the series sees every boundary
+  // the alert engine evaluates, and adding it leaves the alert stream
+  // unchanged.
+  auto run = [](bool with_series, std::vector<obs::Sample>& rows) {
+    obs::WindowedAggregator w({10.0, 8});
+    const obs::SeriesId g = w.gauge_series("g");
+    obs::AlertEngine alerts(w, obs::parse_alert_rules("hot g last > 1\n"));
+    if (with_series) obs::record_series(w, rows);
+    w.record(g, 5.0, 0.5);
+    w.record(g, 15.0, 2.0);
+    w.record(g, 25.0, 3.0);
+    w.record(g, 35.0, 0.5);
+    w.advance_to(40.0);
+    std::vector<std::pair<double, bool>> transitions;
+    for (const obs::AlertEvent& e : alerts.events())
+      transitions.emplace_back(e.t, e.fire);
+    return transitions;
+  };
+  std::vector<obs::Sample> no_rows;
+  std::vector<obs::Sample> rows;
+  const auto plain = run(false, no_rows);
+  const auto with_series = run(true, rows);
+  EXPECT_TRUE(no_rows.empty());
+  EXPECT_EQ(with_series, plain);
+  EXPECT_EQ(with_series, (std::vector<std::pair<double, bool>>{
+                             {20.0, true}, {40.0, false}}));
+  const std::vector<obs::Sample> want{
+      {10.0, "g", 0.5}, {20.0, "g", 2.0}, {30.0, "g", 3.0}, {40.0, "g", 0.5}};
+  EXPECT_EQ(rows, want);
+}
+
+// ---------------------------------------------------------------------------
+// Schedule invariance of the timed controller under series export
+// ---------------------------------------------------------------------------
 
 struct TimedOutcome {
   std::uint64_t events_executed = 0;
-  std::size_t transfers = 0;
   std::string trace_jsonl;
   std::vector<double> node_loads;
-  std::size_t samples = 0;
+  std::vector<obs::Sample> series;
+  double end_time = 0.0;
 };
 
-TimedOutcome run_timed_controller(SamplerMode mode) {
+/// How much observation the timed controller run carries: none, windows
+/// (with the health gauges registered) but no series export, or windows
+/// plus the series export.
+enum class SeriesMode { kNone, kWindowsOnly, kSeries };
+
+TimedOutcome run_timed_controller(SeriesMode mode) {
   Rng rng(41);
   auto ring = workload::build_ring(
       32, 3, workload::CapacityProfile::gnutella_like(), rng);
@@ -286,62 +388,83 @@ TimedOutcome run_timed_controller(SamplerMode mode) {
   });
   obs::Tracer tracer;
   net.attach_tracer(&tracer);
-  obs::TimeSeriesSink sink;
-  obs::Sampler sampler(sink, 2.0);
+  constexpr double kWidth = 2.0;
   lb::HealthProbe health(ring, {0.1, "health"});
-  sampler.add_probe([&health](double t, obs::TimeSeriesSink& s) {
-    health.sample_into(t, s);
-  });
-  if (mode == SamplerMode::kDisabled) sampler.set_enabled(false);
+  std::optional<obs::WindowedAggregator> windows;
+  TimedOutcome out;
+  if (mode != SeriesMode::kNone) {
+    windows.emplace(obs::WindowConfig{kWidth, 64});
+    net.attach_windows(&*windows);
+    health.register_windows(*windows);
+    if (mode == SeriesMode::kSeries) obs::record_series(*windows, out.series);
+  }
 
   lb::ControllerConfig config;
   config.max_rounds = 3;
   Rng brng(7);
-  const lb::ControllerResult result = lb::balance_until_stable(
-      net, ring, config, brng, {},
-      mode == SamplerMode::kNone ? nullptr : &sampler);
+  (void)lb::balance_until_stable(net, ring, config, brng);
+  if (windows) windows->advance_to(engine.now() + kWidth);
 
-  TimedOutcome out;
   out.events_executed = engine.events_executed();
-  out.transfers = result.total_transfers();
+  out.end_time = engine.now();
   std::ostringstream os;
   tracer.write_jsonl(os);
   out.trace_jsonl = os.str();
   for (const chord::NodeIndex i : ring.live_nodes())
     out.node_loads.push_back(ring.node_load(i));
-  out.samples = sink.size();
   return out;
 }
 
+// The suite name predates the series export: these two tests pinned the
+// same invariance for the periodic sampler it replaced.
 TEST(SamplerInvariance, DisabledSamplerIsScheduleInvariant) {
-  const TimedOutcome none = run_timed_controller(SamplerMode::kNone);
-  const TimedOutcome disabled = run_timed_controller(SamplerMode::kDisabled);
-  // Byte-identical trace and identical event count: attaching a disabled
-  // sampler provably did not perturb the schedule.
-  EXPECT_EQ(none.events_executed, disabled.events_executed);
-  EXPECT_EQ(none.trace_jsonl, disabled.trace_jsonl);
-  EXPECT_EQ(none.node_loads, disabled.node_loads);
-  EXPECT_EQ(disabled.samples, 0u);
+  const TimedOutcome none = run_timed_controller(SeriesMode::kNone);
+  const TimedOutcome windowed = run_timed_controller(SeriesMode::kWindowsOnly);
+  // Windows without a series export schedule nothing and record nothing.
+  EXPECT_EQ(none.events_executed, windowed.events_executed);
+  EXPECT_EQ(none.trace_jsonl, windowed.trace_jsonl);
+  EXPECT_EQ(none.node_loads, windowed.node_loads);
+  EXPECT_TRUE(windowed.series.empty());
 }
 
 TEST(SamplerInvariance, EnabledSamplerReadsButNeverSteers) {
-  const TimedOutcome none = run_timed_controller(SamplerMode::kNone);
-  const TimedOutcome enabled = run_timed_controller(SamplerMode::kEnabled);
-  // Sampling adds engine events and stretches each round's drain (later
-  // rounds *start* a little later), so traces are not byte-comparable --
-  // but every decision is: same messages sent, same transfers, same final
-  // loads.  Compare the traces with timestamps ignored.
-  EXPECT_EQ(strip_timestamps(none.trace_jsonl),
-            strip_timestamps(enabled.trace_jsonl));
-  EXPECT_EQ(none.transfers, enabled.transfers);
-  EXPECT_EQ(none.node_loads, enabled.node_loads);
-  EXPECT_GT(enabled.events_executed, none.events_executed);
-  EXPECT_GT(enabled.samples, 0u);
+  const TimedOutcome none = run_timed_controller(SeriesMode::kNone);
+  const TimedOutcome observed = run_timed_controller(SeriesMode::kSeries);
+  // Windows + series schedule nothing: the identical event count and the
+  // byte-identical trace, timestamps included.
+  EXPECT_EQ(none.events_executed, observed.events_executed);
+  EXPECT_EQ(none.trace_jsonl, observed.trace_jsonl);
+  EXPECT_EQ(none.node_loads, observed.node_loads);
+  // The series has a heavy-fraction row for each boundary, through the
+  // bucket holding the end time.
+  const auto heavy =
+      obs::extract_series(observed.series, "health.heavy_fraction");
+  ASSERT_FALSE(heavy.empty());
+  for (std::size_t i = 0; i < heavy.size(); ++i)
+    EXPECT_DOUBLE_EQ(heavy[i].first, 2.0 * static_cast<double>(i + 1));
+  EXPECT_GT(heavy.back().first, observed.end_time);
 }
 
 // ---------------------------------------------------------------------------
 // HealthProbe
 // ---------------------------------------------------------------------------
+
+/// Every gauge the probe publishes, read back through the series export
+/// of one closed bucket ending at `t` (> 0).
+std::map<std::string, double> gauges_at(const lb::HealthProbe& probe,
+                                        double t) {
+  obs::WindowedAggregator windows({t, 2});
+  probe.register_windows(windows);
+  std::vector<obs::Sample> rows;
+  obs::record_series(windows, rows);
+  windows.advance_to(t);
+  std::map<std::string, double> g;
+  for (const obs::Sample& s : rows) {
+    EXPECT_DOUBLE_EQ(s.t, t);
+    g[s.key] = s.value;
+  }
+  return g;
+}
 
 TEST(HealthProbe, ComputesExactGaugesOnAHandBuiltRing) {
   chord::Ring ring;
@@ -355,8 +478,7 @@ TEST(HealthProbe, ComputesExactGaugesOnAHandBuiltRing) {
   ring.set_load(0xC0000000u, 0.5);
   // L = 3, C = 4, fair = 0.75; unit_a = 2 / 0.75, unit_b = 1 / 2.25.
   lb::HealthProbe probe(ring, {0.1, "health"});
-  std::map<std::string, double> g;
-  for (const auto& [key, value] : probe.measure(5.0)) g[key] = value;
+  const std::map<std::string, double> g = gauges_at(probe, 5.0);
   EXPECT_DOUBLE_EQ(g.at("health.nodes"), 2.0);
   EXPECT_DOUBLE_EQ(g.at("health.heavy_fraction"), 0.5);  // only node a
   EXPECT_DOUBLE_EQ(g.at("health.max_unit_load"), 2.0 / 0.75);
@@ -388,16 +510,13 @@ TEST(HealthProbe, ReportsAttachedAggregatorAndTree) {
   probe.attach_tree(&tree);
 
   // Before anything runs: staleness sentinel, no instances yet.
-  std::map<std::string, double> g0;
-  for (const auto& [key, value] : probe.measure(0.0)) g0[key] = value;
-  EXPECT_DOUBLE_EQ(g0.at("health.clbi_staleness"), -1.0);
+  EXPECT_DOUBLE_EQ(gauges_at(probe, 0.5).at("health.clbi_staleness"), -1.0);
 
   tree.start();
   lbi.start();
   engine.run_until(80.0);
   ASSERT_TRUE(tree.converged());
-  std::map<std::string, double> g;
-  for (const auto& [key, value] : probe.measure(engine.now())) g[key] = value;
+  const std::map<std::string, double> g = gauges_at(probe, engine.now());
   EXPECT_LT(g.at("health.clbi_root_error"), 1e-9);
   EXPECT_GE(g.at("health.clbi_staleness"), 0.0);
   EXPECT_LE(g.at("health.clbi_staleness"), 1.0);  // refreshes every 1.0
@@ -406,65 +525,62 @@ TEST(HealthProbe, ReportsAttachedAggregatorAndTree) {
   EXPECT_GE(g.at("health.ktree_depth"), 1.0);
 }
 
-// ---------------------------------------------------------------------------
-// The acceptance scenario: crash burst -> spike -> pinned re-convergence
-// ---------------------------------------------------------------------------
-
-/// Deterministic mini churn run: 64 nodes balancing every 100 time units,
-/// a burst of 8 crashes (plus a load redraw) at t = 350, sampled every 10.
-/// (Seed re-pinned when Node::servers became canonically sorted.)
-obs::TimeSeriesSink run_crash_burst_scenario() {
-  Rng rng(2025);
+TEST(HealthProbe, AttachAfterRegistrationIsNotExported) {
+  sim::Engine engine;
+  Rng rng(909);
   auto ring = workload::build_ring(
-      64, 3, workload::CapacityProfile::gnutella_like(), rng);
+      32, 3, workload::CapacityProfile::gnutella_like(), rng);
+  ktree::MaintenanceProtocol tree(engine, ring, 2, 1.0,
+                                  ktree::unit_latency(ring));
+  lb::ContinuousLbi lbi(engine, ring, tree, 1.0, ktree::unit_latency(ring));
+  lb::HealthProbe probe(ring);
+  obs::WindowedAggregator windows({1.0, 4});
+  probe.register_windows(windows);
+  probe.attach_continuous_lbi(&lbi);
+  probe.attach_tree(&tree);
+  std::vector<obs::Sample> rows;
+  obs::record_series(windows, rows);
+  windows.advance_to(2.0);
+  ASSERT_FALSE(rows.empty());
+  for (const obs::Sample& s : rows) {
+    EXPECT_EQ(s.key.find("clbi"), std::string::npos) << s.key;
+    EXPECT_EQ(s.key.find("ktree"), std::string::npos) << s.key;
+  }
+}
+
+TEST(HealthProbe, LaterBoundariesMatchAFreshProbe) {
+  // The probe keeps its sort buffers between boundaries; once the ring
+  // shrinks, its readings must still equal a fresh registration's.
+  Rng rng(77);
+  auto ring = workload::build_ring(
+      32, 3, workload::CapacityProfile::gnutella_like(), rng);
   workload::assign_loads(
       ring,
       workload::scaled_load_model(ring, workload::LoadDistribution::kGaussian),
       rng);
-  sim::Engine engine;
-  sim::Network net(engine, [](sim::Endpoint a, sim::Endpoint b) {
-    return a == b ? 0.0 : 1.0;
-  });
-  obs::TimeSeriesSink sink;
-  obs::Sampler sampler(sink, 10.0);
-  lb::HealthProbe health(ring, {0.1, "health"});
-  sampler.add_probe([&health](double t, obs::TimeSeriesSink& s) {
-    health.sample_into(t, s);
-  });
-
-  int started = 0;
-  std::vector<std::unique_ptr<lb::ProtocolRound>> rounds;
-  lb::ProtocolRoundConfig rconfig;
-  rconfig.balancer.epsilon = 0.1;
-  engine.every(100.0, [&] {
-    rounds.push_back(
-        std::make_unique<lb::ProtocolRound>(net, ring, rconfig, rng));
-    rounds.back()->start();
-    return ++started < 8;
-  });
-  engine.schedule_after(350.0, [&] {
-    Rng crng(7);
-    for (int k = 0; k < 8; ++k) {
-      const auto live = ring.live_nodes();
-      ring.remove_node(live[crng.below(live.size())]);
-    }
-    workload::assign_loads(
-        ring,
-        workload::scaled_load_model(ring,
-                                    workload::LoadDistribution::kGaussian),
-        crng);
-    sink.append(engine.now(), "event.crash", 8.0);
-    sampler.tick(engine.now());
-  });
-  sampler.start(engine);
-  engine.run_until(850.0);
-  return sink;
+  lb::HealthProbe probe(ring);
+  obs::WindowedAggregator windows({5.0, 4});
+  probe.register_windows(windows);
+  std::vector<obs::Sample> rows;
+  obs::record_series(windows, rows);
+  windows.advance_to(5.0);
+  const auto live = ring.live_nodes();
+  for (std::size_t k = 0; k < 8; ++k) ring.remove_node(live[k]);
+  rows.clear();
+  windows.advance_to(10.0);
+  std::map<std::string, double> later;
+  for (const obs::Sample& s : rows) later[s.key] = s.value;
+  EXPECT_DOUBLE_EQ(later.at("health.nodes"), 24.0);
+  EXPECT_EQ(later, gauges_at(probe, 10.0));
 }
 
+// ---------------------------------------------------------------------------
+// The acceptance scenario: crash burst -> spike -> pinned re-convergence
+// ---------------------------------------------------------------------------
+
 TEST(CrashBurstGolden, ReconvergenceTimeIsFiniteAndPinned) {
-  const obs::TimeSeriesSink sink = run_crash_burst_scenario();
-  const auto heavy =
-      obs::extract_series(sink.samples(), "health.heavy_fraction");
+  const std::vector<obs::Sample> series = run_crash_burst_scenario();
+  const auto heavy = obs::extract_series(series, "health.heavy_fraction");
   ASSERT_GT(heavy.size(), 50u);
   const obs::Reconvergence rc = obs::measure_reconvergence(heavy, 350.0);
   // The burst must be visible and the system must demonstrably recover.
@@ -481,23 +597,23 @@ TEST(CrashBurstGolden, ReconvergenceTimeIsFiniteAndPinned) {
 
 TEST(CrashBurstGolden, ScenarioIsByteDeterministic) {
   std::ostringstream a, b;
-  run_crash_burst_scenario().write_csv(a);
-  run_crash_burst_scenario().write_csv(b);
+  obs::write_series_csv(a, run_crash_burst_scenario());
+  obs::write_series_csv(b, run_crash_burst_scenario());
   EXPECT_EQ(a.str(), b.str());
 }
 
 TEST(CrashBurstGolden, ReportPipelineComputesTheSameRecovery) {
   // End-to-end through the file formats: export, reload, analyze -- the
   // exact path tools/p2plb_report takes.
-  const obs::TimeSeriesSink sink = run_crash_burst_scenario();
+  const std::vector<obs::Sample> series = run_crash_burst_scenario();
   const std::string path = testing::TempDir() + "burst_series.csv";
-  obs::write_series_file(sink, path);
+  obs::write_series_file(series, path);
   const std::vector<obs::Sample> samples = obs::load_series_file(path);
   const obs::ExperimentReport report = obs::analyze(samples, {});
   ASSERT_EQ(report.events.size(), 1u);
   EXPECT_DOUBLE_EQ(report.events[0].magnitude, 8.0);
   const obs::Reconvergence direct = obs::measure_reconvergence(
-      obs::extract_series(sink.samples(), "health.heavy_fraction"), 350.0);
+      obs::extract_series(series, "health.heavy_fraction"), 350.0);
   EXPECT_EQ(report.events[0].reconvergence.converged, direct.converged);
   EXPECT_DOUBLE_EQ(report.events[0].reconvergence.time, direct.time);
 

@@ -3,8 +3,8 @@
 // semantics (aligned to t = 0, closed by records passing a boundary,
 // never by scheduled events), sliding-window queries and ring eviction,
 // SoA column folding, the boundary protocol (probes sample into the
-// closing bucket, then columns fold, then the hook fires), and the
-// passivity claim the CI byte-identity gates rest on.
+// closing bucket, then columns fold, then the hooks fire in order), and
+// the passivity claim the CI byte-identity gates rest on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -182,20 +182,29 @@ TEST(Window, BoundaryProtocolProbesThenFoldsThenHook) {
     data[1] = 1.5;
     data[2] = 700.0;
   });
+  std::vector<std::string> order;
   std::vector<double> hook_times;
   std::vector<std::uint64_t> hook_saw_fold;
-  w.set_boundary_hook([&](double boundary) {
+  w.add_boundary_hook([&](double boundary) {
+    order.push_back("first");
     hook_times.push_back(boundary);
     // By the time the hook runs the column has already folded, so the
     // alert engine sees this boundary's distribution.
     hook_saw_fold.push_back(w.merged_histogram(col_series, 1).total());
   });
-  EXPECT_THROW(w.set_boundary_hook([](double) {}), PreconditionError);
+  // A second hook (e.g. the series export next to the alert engine)
+  // runs after the first, also after the fold.
+  w.add_boundary_hook([&](double) {
+    order.push_back("second");
+    hook_saw_fold.push_back(w.merged_histogram(col_series, 1).total());
+  });
 
   w.advance_to(30.0);  // closes [0,10), [10,20), [20,30) in one call
   EXPECT_EQ(probe_times, (std::vector<double>{10.0, 20.0, 30.0}));
   EXPECT_EQ(hook_times, (std::vector<double>{10.0, 20.0, 30.0}));
-  EXPECT_EQ(hook_saw_fold, (std::vector<std::uint64_t>{3u, 3u, 3u}));
+  EXPECT_EQ(order, (std::vector<std::string>{"first", "second", "first",
+                                             "second", "first", "second"}));
+  EXPECT_EQ(hook_saw_fold, std::vector<std::uint64_t>(6, 3u));
   // The probe's gauge reading is queryable as the closing bucket's.
   EXPECT_DOUBLE_EQ(w.last_over(g, 1), 30.0);
   EXPECT_DOUBLE_EQ(w.min_over(g, 3), 10.0);

@@ -1,7 +1,7 @@
 // p2plb-lint: project-specific static analysis.
 //
 // The reproduction's headline guarantees -- byte-stable golden traces,
-// schedule-invariant samplers, decision-identical timed vs. oracle
+// schedule-invariant observation, decision-identical timed vs. oracle
 // rounds -- rest on invariants no compiler flag checks: a strict layer
 // DAG between modules, no ambient randomness or wall-clock reads in
 // library code, and no hash-order-dependent emission.  This tool makes

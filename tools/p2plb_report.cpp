@@ -1,14 +1,15 @@
 // p2plb_report -- experiment reports from recorded runs.
 //
-// Reads the time series a sampled run exported (`--series`, CSV or JSONL
-// by suffix, case-insensitive) plus optionally the final metrics-registry
-// CSV (`--metrics`), and writes a self-contained Markdown report: series
-// overview, re-convergence after each recorded disturbance, before/after
-// health gauges, moved-load-by-distance quantiles and traffic totals.
+// Reads the time series a run exported (`--series`: its closed window
+// buckets plus event markers, CSV or JSONL by suffix, case-insensitive)
+// plus optionally the final metrics-registry CSV (`--metrics`), and
+// writes a self-contained Markdown report: series overview,
+// re-convergence after each recorded disturbance, before/after health
+// gauges, moved-load-by-distance quantiles and traffic totals.
 //
-//   $ churn_simulation --sample-every 10 --series series.csv
+//   $ churn_simulation --windows 10 --series series.csv
 //   $ p2plb_report --series series.csv --out report.md
-//   $ p2plb_sim --sample-every 5 --series s.csv --metrics m.csv
+//   $ p2plb_sim --windows 5 --series s.csv --metrics m.csv
 //   $ p2plb_report --series s.csv --metrics m.csv --out report.md
 //   $ p2plb_report --series s.csv --alerts alerts.csv --out report.md
 //

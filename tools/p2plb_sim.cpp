@@ -23,11 +23,6 @@
 // ring and queue introspection at exit and on anomalies (see also
 // `--stall-ms`).
 //
-// `--sample-every T` / `--series FILE` (they also imply `--timed`)
-// attach an obs::Sampler: every T units of simulated time it records the
-// lb::HealthProbe gauges plus the network's `net.*` totals onto a time
-// series, exported to FILE for tools/p2plb_report.
-//
 //   $ p2plb_sim --topology ts5k-large --workload gaussian --mode aware
 //   $ p2plb_sim --nodes 1024 --workload zipf --zipf 1.1 --rounds 4
 //   $ p2plb_sim --topology ts5k-small --timed
@@ -36,9 +31,13 @@
 // `--alerts rules.conf` (implies `--windows`) evaluates declarative alert
 // rules at every window boundary, prints the fired/resolved transitions,
 // and exports them with `--alerts-out alerts.csv` (p2plb-alerts-1).
+// `--series FILE` (implies `--windows`, default width 10) exports the
+// closed window buckets -- the lb::HealthProbe gauges and the per-bucket
+// `net.*` send counts -- as a time series for tools/p2plb_report.  It
+// schedules nothing: the trace stays byte-identical.
 //
 //   $ p2plb_sim --timed --trace trace.json --metrics metrics.csv
-//   $ p2plb_sim --sample-every 5 --series series.csv
+//   $ p2plb_sim --windows 5 --series series.csv
 //   $ p2plb_sim --alerts examples/alerts.conf --alerts-out alerts.csv
 #include <algorithm>
 #include <array>
@@ -61,7 +60,6 @@
 #include "obs/format.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/sampler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
@@ -222,21 +220,18 @@ int run(const Cli& cli) {
     std::cerr << "--trace-sample must be K/M with 1 <= K <= M (e.g. 1/64)\n";
     return 1;
   }
-  double sample_every = cli.get_double("sample-every");
-  const bool sampling = sample_every > 0.0 || !series_path.empty();
-  if (sampling && sample_every <= 0.0) sample_every = 5.0;
   double window_width = cli.get_double("windows");
   const std::string alerts_path = cli.get_string("alerts");
   const std::string alerts_out = cli.get_string("alerts-out");
-  const bool windowing = window_width > 0.0 || !alerts_path.empty();
+  const bool windowing =
+      window_width > 0.0 || !alerts_path.empty() || !series_path.empty();
   if (windowing && window_width <= 0.0) window_width = 10.0;
   bool timed = cli.get_bool("timed");
-  if (!timed && (!trace_path.empty() || !metrics_path.empty() || sampling ||
+  if (!timed && (!trace_path.empty() || !metrics_path.empty() ||
                  !flight_path.empty() || !profile_path.empty() ||
                  windowing)) {
-    std::cerr << "note: --trace/--metrics/--series/--sample-every/"
-                 "--flight-recorder/--profile/--windows/--alerts imply "
-                 "--timed\n";
+    std::cerr << "note: --trace/--metrics/--series/--flight-recorder/"
+                 "--profile/--windows/--alerts imply --timed\n";
     timed = true;
   }
   lb::ControllerResult result;
@@ -311,15 +306,18 @@ int run(const Cli& cli) {
       engine.attach_profiler(&*profiler);
       net.attach_profiler(&*profiler);
     }
-    obs::TimeSeriesSink sink;
-    std::optional<obs::Sampler> sampler;
     lb::HealthProbe health(ring, {config.balancer.epsilon, "health"});
     std::optional<obs::WindowedAggregator> windows;
     std::optional<obs::AlertEngine> alerts;
+    std::vector<obs::Sample> series;
     if (windowing) {
       // The online metrics plane: passive (no events scheduled), fed
       // from the network's send path and the health probe's boundary
-      // sampling; the alert engine evaluates at every bucket close.
+      // sampling; the alert engine evaluates at every bucket close, and
+      // the series export appends each closed bucket.  Each boundary
+      // closes at the first send past it and reads the state then; a
+      // stretch with no send longer than a bucket (a topology's long
+      // paths) closes several boundaries at once with one later state.
       windows.emplace(obs::WindowConfig{window_width, 64});
       net.attach_windows(&*windows);
       health.register_windows(*windows);
@@ -329,25 +327,7 @@ int run(const Cli& cli) {
         alerts->attach_metrics(&net.metrics());
         alerting = true;
       }
-    }
-    if (sampling) {
-      sampler.emplace(sink, sample_every);
-      sampler->add_probe([&health](double t, obs::TimeSeriesSink& s) {
-        health.sample_into(t, s);
-      });
-      // Probes run before registry snapshots, so each tick reads fresh
-      // traffic tallies.
-      sampler->add_probe([&net](double, obs::TimeSeriesSink&) {
-        net.export_metrics(net.metrics());
-      });
-      sampler->add_registry(net.metrics(), {"net."});
-      if (windows)
-        // Let the sampler's existing cadence drive window boundaries
-        // through quiet periods (no new events are added: the probe
-        // rides the sampler's tick).
-        sampler->add_probe([&windows](double t, obs::TimeSeriesSink&) {
-          windows->advance_to(t);
-        });
+      if (!series_path.empty()) obs::record_series(*windows, series);
     }
     {
       // One top-level frame around the whole run: total measured wall
@@ -356,8 +336,7 @@ int run(const Cli& cli) {
       const obs::Profiler::Scope run_scope(
           profiler ? &*profiler : nullptr,
           profiler ? profiler->intern("run", "driver") : 0);
-      result = lb::balance_until_stable(net, ring, config, brng, keys,
-                                        sampler ? &*sampler : nullptr);
+      result = lb::balance_until_stable(net, ring, config, brng, keys);
     }
     if (profiler) {
       // Sim-time axis for the crosstab: per-round phase windows (named
@@ -381,11 +360,6 @@ int run(const Cli& cli) {
                 << Table::num(
                        static_cast<double>(profiler->total_ns()) / 1e6, 1)
                 << " ms measured)\n";
-    }
-    if (!series_path.empty()) {
-      obs::write_series_file(sink, series_path);
-      std::cerr << "series written to " << series_path << " (" << sink.size()
-                << " samples)\n";
     }
     if (!trace_path.empty()) {
       if (tracer.sink() != nullptr) {
@@ -417,6 +391,17 @@ int run(const Cli& cli) {
       net.export_metrics(net.metrics());
       obs::write_metrics_file(net.metrics(), metrics_path);
       std::cerr << "metrics written to " << metrics_path << "\n";
+    }
+    if (!series_path.empty()) {
+      // Close the bucket holding the end time so the series covers it.
+      // This runs last, and the alert engine's trace lane is detached
+      // first: alerts, metrics and trace stop at engine.now(), as they
+      // do without a series.
+      if (alerts) alerts->attach_tracer(nullptr);
+      windows->advance_to(engine.now() + window_width);
+      obs::write_series_file(series, series_path);
+      std::cerr << "series written to " << series_path << " ("
+                << series.size() << " samples)\n";
     }
     if (!flight_path.empty()) {
       std::ofstream os(flight_path);
@@ -586,13 +571,9 @@ int main(int argc, char** argv) {
   cli.add_flag("metrics",
                std::string(p2plb::obs::kMetricsFlagHelp) + "; implies --timed",
                "");
-  cli.add_flag("sample-every",
-               "sampling period in simulated time (0 = no sampling); "
-               "implies --timed",
-               "0");
   cli.add_flag("series",
                std::string(p2plb::obs::kSeriesFlagHelp) +
-                   "; implies --timed, default period 5",
+                   "; implies --windows, default width 10",
                "");
   cli.add_flag("windows",
                std::string(p2plb::obs::kWindowsFlagHelp) +
