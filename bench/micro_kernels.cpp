@@ -4,6 +4,8 @@
 // the distance oracle's batch fill.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "chord/ring.h"
 #include "chord/router.h"
 #include "common/rng.h"
@@ -182,29 +184,67 @@ void BM_OracleLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleLookup);
 
+/// BM_EngineThroughput variants.  0/1 are the wheel-vs-heap A/B with an
+/// 8-byte capture; 2-4 are wheel-only shapes: the capture sizes the lb
+/// and ktree handlers schedule (24 B, a shared_ptr plus an index), and
+/// per-event fractional times, which make every tick's batch need the
+/// stable sort by time.
+enum EngineShape : std::int64_t {
+  kWheel8B = 0,
+  kHeap8B = 1,
+  kWheel24B = 2,
+  kWheelSharedPtr = 3,
+  kWheelFractional = 4,
+};
+
 void BM_EngineThroughput(benchmark::State& state) {
-  // Raw event-loop throughput, wheel vs binary heap: schedule a batch of
-  // events at random small-latency offsets, drain, repeat.
-  const auto kind = state.range(0) == 0 ? sim::QueueKind::kTimerWheel
-                                        : sim::QueueKind::kBinaryHeap;
+  // Raw event-loop throughput: schedule a batch of events at random
+  // small-latency offsets, drain, repeat.
+  const auto shape = static_cast<EngineShape>(state.range(0));
+  const auto kind = shape == kHeap8B ? sim::QueueKind::kBinaryHeap
+                                     : sim::QueueKind::kTimerWheel;
   constexpr int kBatch = 65536;
   std::uint64_t fired = 0;
+  const auto shared = std::make_shared<std::uint64_t>(0);
   for (auto _ : state) {
     state.PauseTiming();
     sim::Engine engine(kind);
     Rng rng(14);
-    for (int i = 0; i < kBatch; ++i)
-      engine.schedule_at(static_cast<double>(rng.below(512)) + 0.25,
-                         [&fired] { ++fired; });
+    for (int i = 0; i < kBatch; ++i) {
+      const double tick = static_cast<double>(rng.below(512));
+      const auto index = static_cast<std::uint64_t>(i);
+      switch (shape) {
+        case kWheel8B:
+        case kHeap8B:
+          engine.schedule_at(tick + 0.25, [&fired] { ++fired; });
+          break;
+        case kWheel24B:
+          engine.schedule_at(tick + 0.25, [&fired, index, tick] {
+            fired += index + static_cast<std::uint64_t>(tick);
+          });
+          break;
+        case kWheelSharedPtr:
+          engine.schedule_at(tick + 0.25, [shared, index] { *shared += index; });
+          break;
+        case kWheelFractional:
+          engine.schedule_at(
+              tick + static_cast<double>(rng.below(64)) / 64.0,
+              [&fired] { ++fired; });
+          break;
+      }
+    }
     state.ResumeTiming();
     engine.run();
   }
   benchmark::DoNotOptimize(fired);
+  benchmark::DoNotOptimize(*shared);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kBatch);
-  state.SetLabel(kind == sim::QueueKind::kTimerWheel ? "wheel" : "heap");
+  constexpr const char* kLabels[] = {"wheel", "heap", "wheel/24B",
+                                     "wheel/shared_ptr", "wheel/fractional"};
+  state.SetLabel(kLabels[shape]);
 }
-BENCHMARK(BM_EngineThroughput)->Arg(0)->Arg(1);
+BENCHMARK(BM_EngineThroughput)->DenseRange(kWheel8B, kWheelFractional);
 
 void BM_TransitStubGenerate(benchmark::State& state) {
   for (auto _ : state) {

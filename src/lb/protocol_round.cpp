@@ -50,6 +50,8 @@ ProtocolRound::ProtocolRound(sim::Network& net, chord::Ring& ring,
                    bal.key_local_rendezvous};
   params.trace = &trace_;
   report_.vsa = run_vsa(tree_, entries_, params);
+  node_trace_.assign(tree_.size(), nullptr);
+  for (const auto& [i, node_trace] : trace_) node_trace_[i] = &node_trace;
 
   // Endpoint snapshots: decisions survive churn during the round.
   host_ep_.resize(tree_.size());
@@ -210,13 +212,29 @@ void ProtocolRound::start_dissemination() {
       nullptr);
 }
 
+template <class OnReceive>
+void ProtocolRound::vsa_send(sim::Endpoint from, sim::Endpoint to,
+                             double bytes, OnReceive on_receive) {
+  ++vsa_outstanding_;
+  net_.send(
+      from, to,
+      [this, on_receive] {
+        // Process before decrementing: follow-up sends keep the phase
+        // alive, so outstanding hits zero only at the true end.
+        on_receive();
+        P2PLB_ASSERT(vsa_outstanding_ > 0);
+        if (--vsa_outstanding_ == 0) finish_vsa();
+      },
+      bytes, 0.0, kTagVsa);
+}
+
 void ProtocolRound::start_vsa() {
   // Each touched KT node fires once its last input arrives: entry records
   // for leaves, children's forwarded leftovers for interior nodes.
   for (const auto& [leaf, records] : entries_.heavy)
-    vsa_waits_[leaf] += records.size();
+    vsa_waits_[leaf] += static_cast<std::uint32_t>(records.size());
   for (const auto& [leaf, records] : entries_.light)
-    vsa_waits_[leaf] += records.size();
+    vsa_waits_[leaf] += static_cast<std::uint32_t>(records.size());
   for (const auto& [i, node_trace] : trace_)
     if (node_trace.forwarded_up > 0)
       vsa_waits_[tree_.node(i).parent] += node_trace.forwarded_up;
@@ -233,21 +251,6 @@ void ProtocolRound::start_vsa() {
   if (vsa_outstanding_ == 0) finish_vsa();  // no records at all
 }
 
-void ProtocolRound::vsa_send(sim::Endpoint from, sim::Endpoint to,
-                             double bytes, std::function<void()> on_receive) {
-  ++vsa_outstanding_;
-  net_.send(
-      from, to,
-      [this, fn = std::move(on_receive)] {
-        // Process before decrementing: follow-up sends keep the phase
-        // alive, so outstanding hits zero only at the true end.
-        if (fn) fn();
-        P2PLB_ASSERT(vsa_outstanding_ > 0);
-        if (--vsa_outstanding_ == 0) finish_vsa();
-      },
-      bytes, 0.0, kTagVsa);
-}
-
 void ProtocolRound::vsa_record_arrival(ktree::KtIndex node) {
   P2PLB_ASSERT(vsa_waits_[node] > 0);
   if (--vsa_waits_[node] == 0) vsa_process(node);
@@ -255,9 +258,7 @@ void ProtocolRound::vsa_record_arrival(ktree::KtIndex node) {
 
 void ProtocolRound::vsa_process(ktree::KtIndex node) {
   const double phase_now = net_.engine().now() - metrics(Phase::kVsa).start;
-  const auto it = trace_.find(node);
-  const VsaNodeTrace* node_trace =
-      it == trace_.end() ? nullptr : &it->second;
+  const VsaNodeTrace* node_trace = node_trace_[node];
 
   // Rendezvous: re-stamp the precomputed pairings with the simulated time
   // they fired, then notify both endpoints of each pair.
@@ -281,8 +282,7 @@ void ProtocolRound::vsa_process(ktree::KtIndex node) {
           prof, prof != nullptr ? prof->intern("vsa.match", "lb") : 0);
       vsa_send(host_ep_[node], node_ep_[a.from], config_.wire.notify,
                [this, idx] { begin_transfer(idx); });
-      vsa_send(host_ep_[node], node_ep_[a.to], config_.wire.notify,
-               nullptr);
+      vsa_send(host_ep_[node], node_ep_[a.to], config_.wire.notify, [] {});
     }
   }
 

@@ -128,8 +128,12 @@ class ProtocolRound {
   void start_aggregation();
   void start_dissemination();
   void start_vsa();
+  /// One phase-3 message; `on_receive` runs at delivery, before the
+  /// outstanding count drops.  A template so the delivery closure holds
+  /// the handler by value and stays within EventFn's inline buffer.
+  template <class OnReceive>
   void vsa_send(sim::Endpoint from, sim::Endpoint to, double bytes,
-                std::function<void()> on_receive);
+                OnReceive on_receive);
   void vsa_record_arrival(ktree::KtIndex node);
   void vsa_process(ktree::KtIndex node);
   void finish_vsa();
@@ -151,6 +155,8 @@ class ProtocolRound {
   BalanceReport report_;
   VsaEntries entries_;
   VsaTrace trace_;
+  /// trace_'s entry per KtIndex (nullptr: the sweep did nothing there).
+  std::vector<const VsaNodeTrace*> node_trace_;
   std::vector<sim::Endpoint> host_ep_;  // per KT node: its host's endpoint
   /// (vs key, host endpoint), sorted by key; deduplicated (a VS hosting
   /// several tree nodes maps to one endpoint).
@@ -174,10 +180,10 @@ class ProtocolRound {
   std::function<void(const BalanceReport&)> on_complete_;
   double t0_ = 0.0;
   std::array<sim::TrafficCounters, kPhaseCount> phase_base_{};
-  std::vector<std::size_t> lbi_waits_;  // per KT node (leaves only used)
+  std::vector<std::uint32_t> lbi_waits_;  // per KT node (leaves only used)
   std::function<void(ktree::KtIndex)> release_leaf_;
   std::size_t handoffs_left_ = 0;
-  std::vector<std::size_t> vsa_waits_;  // per KT node
+  std::vector<std::uint32_t> vsa_waits_;  // per KT node
   std::uint64_t vsa_outstanding_ = 0;
   bool vsa_done_ = false;
   std::size_t transfers_outstanding_ = 0;

@@ -4,17 +4,23 @@
 // unordered_map<EventId, std::function> plus a priority-queue entry --
 // two allocations and a hash probe per event.  The arena replaces that
 // with slab storage: events live in a deque (stable addresses, chunked
-// allocation), freed slots go on an intrusive free list, and the public
+// allocation), freed slots go on a LIFO free list, and the public
 // EventId carries a generation tag so cancelling a long-dead handle is
 // safe even after its slot has been reused (ABA protection).
+//
+// A node holds what firing and cancelling need -- the callable, the
+// schedule seq, the generation and the live flag -- and nothing the
+// ordering needs: the firing time travels with the slot in whichever
+// container orders it (a timer-wheel bucket entry, a heap entry), so
+// locating the next event never touches the arena.
 //
 // Lifetime protocol (shared by the timer wheel, the same-tick batch and
 // the binary-heap fallback): exactly one ordering container references a
 // slot between acquire() and release().  cancel() does NOT free the slot
 // -- it marks the node dead and destroys the callback immediately, and
 // whichever container still holds the slot releases it when it next
-// pops it.  That keeps intrusive chains walkable without a search on
-// cancel, which is O(1) here versus O(log n) heap surgery.
+// pops it.  That keeps cancel O(1) with no search of the wheel's
+// buckets, versus O(log n) heap surgery.
 #pragma once
 
 #include <cstdint>
@@ -31,16 +37,14 @@ namespace p2plb::sim::core {
 class EventArena {
  public:
   struct Event {
-    EventFn fn;                     ///< Destroyed on cancel, moved out on fire.
-    Time time = 0.0;                ///< Absolute firing time.
-    std::uint64_t seq = 0;          ///< Global schedule order (never reused).
-    std::uint32_t next = kNilSlot;  ///< Intrusive link for wheel slot chains.
-    std::uint32_t gen = 1;          ///< 31-bit generation, never 0.
-    bool live = false;              ///< False once fired or cancelled.
+    EventFn fn;             ///< Destroyed on cancel, moved out on fire.
+    std::uint64_t seq = 0;  ///< Global schedule order (never reused).
+    std::uint32_t gen = 1;  ///< 31-bit generation, never 0.
+    bool live = false;      ///< False once fired or cancelled.
   };
 
-  /// Allocate a slot for an event firing at `t` with schedule order `seq`.
-  std::uint32_t acquire(Time t, std::uint64_t seq, EventFn fn) {
+  /// Allocate a slot for an event with schedule order `seq`.
+  std::uint32_t acquire(std::uint64_t seq, EventFn fn) {
     std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -51,9 +55,7 @@ class EventArena {
     }
     Event& e = nodes_[slot];
     e.fn = std::move(fn);
-    e.time = t;
     e.seq = seq;
-    e.next = kNilSlot;
     e.live = true;
     ++live_count_;
     if (live_count_ > high_water_) high_water_ = live_count_;
@@ -70,7 +72,6 @@ class EventArena {
     }
     e.fn = nullptr;
     e.gen = (e.gen & 0x7FFFFFFFu) == 0x7FFFFFFFu ? 1 : e.gen + 1;
-    e.next = kNilSlot;
     free_.push_back(slot);
   }
 

@@ -1,66 +1,49 @@
 #include "sim/core/timer_wheel.h"
 
 #include <bit>
-#include <cstring>
+#include <utility>
+
+#include "common/error.h"
 
 namespace p2plb::sim::core {
 
-TimerWheel::TimerWheel(EventArena& arena) : arena_(arena) {
-  for (int level = 0; level < kLevels; ++level) {
-    for (std::uint32_t s = 0; s < kSlotsPerLevel; ++s)
-      head_[level][s] = kNilSlot;
-    std::memset(bitmap_[level], 0, sizeof(bitmap_[level]));
-  }
-}
-
-void TimerWheel::insert(std::uint32_t slot, std::uint64_t tick) {
-  P2PLB_ASSERT_MSG(tick >= cur_, "insert below the wheel horizon");
+void TimerWheel::insert(const WheelEntry& e) {
+  P2PLB_ASSERT_MSG(to_tick(e.time) >= cur_, "insert below the wheel horizon");
   ++size_;
-  place(slot, tick);
+  place(e);
 }
 
-void TimerWheel::place(std::uint32_t slot, std::uint64_t tick) {
+void TimerWheel::place(const WheelEntry& e) {
   // Lowest level whose window around the horizon contains the tick: the
   // highest differing 8-bit digit decides, so compare shifted prefixes.
+  const std::uint64_t tick = to_tick(e.time);
+  int level;
   if ((tick >> 8) == (cur_ >> 8)) {
-    push(0, digit(tick, 0), slot);
+    level = 0;
   } else if ((tick >> 16) == (cur_ >> 16)) {
-    push(1, digit(tick, 1), slot);
+    level = 1;
   } else if ((tick >> 24) == (cur_ >> 24)) {
-    push(2, digit(tick, 2), slot);
+    level = 2;
   } else if ((tick >> 32) == (cur_ >> 32)) {
-    push(3, digit(tick, 3), slot);
+    level = 3;
   } else {
-    far_.push_back(slot);
+    far_.push_back(e);
     ++far_inserts_;
+    return;
   }
-}
-
-void TimerWheel::push(int level, std::uint32_t slot_index,
-                      std::uint32_t arena_slot) {
-  arena_.node(arena_slot).next = head_[level][slot_index];
-  head_[level][slot_index] = arena_slot;
+  const std::uint32_t slot_index = digit(tick, level);
+  buckets_[level][slot_index].push_back(e);
   bitmap_[level][slot_index >> 6] |= std::uint64_t{1} << (slot_index & 63u);
   ++occupancy_[level];
 }
 
-std::uint32_t TimerWheel::detach(int level, std::uint32_t slot_index) {
-  const std::uint32_t chain = head_[level][slot_index];
-  head_[level][slot_index] = kNilSlot;
+std::vector<WheelEntry> TimerWheel::detach(int level,
+                                           std::uint32_t slot_index) {
   bitmap_[level][slot_index >> 6] &= ~(std::uint64_t{1} << (slot_index & 63u));
-  // Walk the chain for the occupancy count; the caller is about to walk
-  // it anyway, so the nodes are warm.
-  for (std::uint32_t s = chain; s != kNilSlot; s = arena_.node(s).next)
-    --occupancy_[level];
-  return chain;
-}
-
-void TimerWheel::cascade(std::uint32_t chain) {
-  while (chain != kNilSlot) {
-    const std::uint32_t next = arena_.node(chain).next;
-    place(chain, to_tick(arena_.node(chain).time));
-    chain = next;
-  }
+  // Move-constructing leaves the bucket empty and without storage.
+  std::vector<WheelEntry> bucket(std::move(buckets_[level][slot_index]));
+  occupancy_[level] -= bucket.size();
+  return bucket;
 }
 
 int TimerWheel::find_from(int level, std::uint32_t from) const {
@@ -79,26 +62,26 @@ int TimerWheel::find_from(int level, std::uint32_t from) const {
 void TimerWheel::pull_far() {
   // Rare (ticks >= 2^32 ahead): find the earliest far tick, advance the
   // horizon to its level-3 window, and re-bucket everything now inside.
+  // Both the placed and the kept entries stay in far_'s (seq) order.
   std::uint64_t min_tick = ~std::uint64_t{0};
-  for (const std::uint32_t slot : far_) {
-    const std::uint64_t t = to_tick(arena_.node(slot).time);
+  for (const WheelEntry& e : far_) {
+    const std::uint64_t t = to_tick(e.time);
     if (t < min_tick) min_tick = t;
   }
   cur_ = min_tick & ~std::uint64_t{0xFFFFFFFF};
-  std::vector<std::uint32_t> keep;
+  std::vector<WheelEntry> keep;
   keep.reserve(far_.size());
-  for (const std::uint32_t slot : far_) {
-    const std::uint64_t t = to_tick(arena_.node(slot).time);
-    if ((t >> 32) == (cur_ >> 32))
-      place(slot, t);
+  for (const WheelEntry& e : far_) {
+    if ((to_tick(e.time) >> 32) == (cur_ >> 32))
+      place(e);
     else
-      keep.push_back(slot);
+      keep.push_back(e);
   }
   far_ = std::move(keep);
 }
 
 bool TimerWheel::pop_min(std::uint64_t* tick_out,
-                        std::vector<std::uint32_t>& out) {
+                         std::vector<WheelEntry>& out) {
   if (size_ == 0) return false;
   while (true) {
     // Level 0: every in-window tick is at a digit >= the horizon's, so
@@ -108,14 +91,8 @@ bool TimerWheel::pop_min(std::uint64_t* tick_out,
       const std::uint64_t tick =
           (cur_ & ~std::uint64_t{0xFF}) + static_cast<std::uint64_t>(s0);
       cur_ = tick;
-      std::uint32_t chain = detach(0, static_cast<std::uint32_t>(s0));
-      std::size_t n = 0;
-      while (chain != kNilSlot) {
-        out.push_back(chain);
-        chain = arena_.node(chain).next;
-        ++n;
-      }
-      size_ -= n;
+      out = detach(0, static_cast<std::uint32_t>(s0));
+      size_ -= out.size();
       *tick_out = tick;
       return true;
     }
@@ -131,7 +108,10 @@ bool TimerWheel::pop_min(std::uint64_t* tick_out,
       const std::uint64_t window_mask = (std::uint64_t{1} << shift) - 1;
       cur_ = (cur_ & ~window_mask) |
              (static_cast<std::uint64_t>(d) << (8 * level));
-      cascade(detach(level, static_cast<std::uint32_t>(d)));
+      // Every lower level is empty here, so the entries land in empty
+      // buckets in their (seq) order.
+      for (const WheelEntry& e : detach(level, static_cast<std::uint32_t>(d)))
+        place(e);
       cascaded = true;
       break;
     }

@@ -12,11 +12,13 @@ namespace p2plb::sim {
 
 using obs::wall_now_ms;
 
-Engine::Engine(QueueKind kind) : kind_(kind), wheel_(arena_) {}
+Engine::Engine(QueueKind kind) : kind_(kind) {}
 
 EventId Engine::insert(Time t, EventFn fn) {
+  P2PLB_REQUIRE_MSG(t < core::kTimeLimit,
+                    "firing time must be finite and below 2^64");
   const std::uint64_t seq = next_seq_++;
-  const std::uint32_t slot = arena_.acquire(t, seq, std::move(fn));
+  const std::uint32_t slot = arena_.acquire(seq, std::move(fn));
   const EventId id = arena_.id_of(slot);
   if (kind_ == QueueKind::kBinaryHeap) {
     heap_.push(HeapEntry{t, seq, slot, arena_.node(slot).gen});
@@ -30,12 +32,9 @@ EventId Engine::insert(Time t, EventFn fn) {
     // already-batched event with the same time -- FIFO preserved.
     const auto it = std::upper_bound(
         batch_.begin() + static_cast<std::ptrdiff_t>(batch_pos_),
-        batch_.end(), std::pair<Time, std::uint64_t>(t, seq),
-        [this](const std::pair<Time, std::uint64_t>& v, std::uint32_t s) {
-          const core::EventArena::Event& n = arena_.node(s);
-          return v.first != n.time ? v.first < n.time : v.second < n.seq;
-        });
-    batch_.insert(it, slot);
+        batch_.end(), t,
+        [](Time v, const core::WheelEntry& e) { return v < e.time; });
+    batch_.insert(it, core::WheelEntry{t, slot});
     ++batch_splices_;
   } else if (tick < wheel_.horizon()) {
     // Behind the wheel horizon (see TimerWheel file comment): a peek can
@@ -43,7 +42,7 @@ EventId Engine::insert(Time t, EventFn fn) {
     early_.push(HeapEntry{t, seq, slot, arena_.node(slot).gen});
     ++early_inserts_;
   } else {
-    wheel_.insert(slot, tick);
+    wheel_.insert(core::WheelEntry{t, slot});
     ++wheel_inserts_;
   }
   return id;
@@ -121,12 +120,15 @@ void Engine::refill_batch() {
   batch_pos_ = 0;
   if (!wheel_.pop_min(&batch_tick_, batch_)) return;
   ++batch_refills_;
-  std::sort(batch_.begin(), batch_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              const core::EventArena::Event& na = arena_.node(a);
-              const core::EventArena::Event& nb = arena_.node(b);
-              return na.time != nb.time ? na.time < nb.time : na.seq < nb.seq;
-            });
+  // A popped bucket is in seq order (TimerWheel's order invariant), so a
+  // stable sort by time alone yields (time, seq) order.  Unit-latency
+  // ticks hold one firing time and are already sorted.
+  const auto by_time = [](const core::WheelEntry& a,
+                          const core::WheelEntry& b) {
+    return a.time < b.time;
+  };
+  if (!std::is_sorted(batch_.begin(), batch_.end(), by_time))
+    std::stable_sort(batch_.begin(), batch_.end(), by_time);
 }
 
 bool Engine::find_front(Front& front) {
@@ -134,13 +136,14 @@ bool Engine::find_front(Front& front) {
     clean_heap_top(heap_);
     if (heap_.empty()) return false;
     const HeapEntry& e = heap_.top();
-    front = Front{e.time, e.seq, e.slot, Front::Where::kHeap};
+    front = Front{e.time, e.slot, Front::Where::kHeap};
     return true;
   }
   clean_heap_top(early_);
   while (true) {
-    while (batch_pos_ < batch_.size() && !arena_.is_live(batch_[batch_pos_])) {
-      arena_.release(batch_[batch_pos_]);
+    while (batch_pos_ < batch_.size() &&
+           !arena_.is_live(batch_[batch_pos_].slot)) {
+      arena_.release(batch_[batch_pos_].slot);
       ++batch_pos_;
     }
     if (batch_pos_ < batch_.size() || wheel_.size() == 0) break;
@@ -151,17 +154,16 @@ bool Engine::find_front(Front& front) {
     const HeapEntry& e = early_.top();
     // Early events precede the batch by construction (their ticks are
     // below the horizon; the batch tick is at or above it).
-    if (!have_batch || e.time < arena_.node(batch_[batch_pos_]).time ||
-        (e.time == arena_.node(batch_[batch_pos_]).time &&
-         e.seq < arena_.node(batch_[batch_pos_]).seq)) {
-      front = Front{e.time, e.seq, e.slot, Front::Where::kEarly};
+    if (!have_batch || e.time < batch_[batch_pos_].time ||
+        (e.time == batch_[batch_pos_].time &&
+         e.seq < arena_.node(batch_[batch_pos_].slot).seq)) {
+      front = Front{e.time, e.slot, Front::Where::kEarly};
       return true;
     }
   }
   if (!have_batch) return false;
-  const std::uint32_t slot = batch_[batch_pos_];
-  const core::EventArena::Event& n = arena_.node(slot);
-  front = Front{n.time, n.seq, slot, Front::Where::kBatch};
+  front = Front{batch_[batch_pos_].time, batch_[batch_pos_].slot,
+                Front::Where::kBatch};
   return true;
 }
 
@@ -182,25 +184,29 @@ void Engine::pop_front(const Front& front) {
 bool Engine::step() {
   Front front;
   if (!find_front(front)) return false;
+  fire(front);
+  return true;
+}
+
+void Engine::fire(const Front& front) {
   pop_front(front);
   P2PLB_ASSERT(front.time >= now_);
-  EventFn fn = arena_.take_fn(front.slot);
-  arena_.release(front.slot);
   now_ = front.time;
   ++executed_;
   if (recorder_ != nullptr) {
     core::FlightRecorder::Record r;
     r.time = front.time;
-    r.seq = front.seq;
+    r.seq = arena_.node(front.slot).seq;
     r.kind = core::FlightRecorder::kExecute;
     recorder_->record(r);
   }
+  EventFn fn = arena_.take_fn(front.slot);
+  arena_.release(front.slot);
   if (stall_wall_ms_ > 0.0 || anomaly_hook_ || profiler_ != nullptr) {
     fire_instrumented(fn);
-    return true;
+    return;
   }
   fn();
-  return true;
 }
 
 void Engine::attach_profiler(obs::Profiler* profiler) {
@@ -315,7 +321,7 @@ std::uint64_t Engine::run_until(Time t_end) {
   std::uint64_t n = 0;
   Front front;
   while (find_front(front) && front.time <= t_end) {
-    step();
+    fire(front);
     ++n;
   }
   now_ = t_end;

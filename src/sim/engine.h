@@ -7,17 +7,25 @@
 // protocols) build on `schedule_*`.
 //
 // Internally (see src/sim/core/) events live in a slab arena with
-// generation-tagged handles, and ordering comes from one of two
+// generation-tagged handles, each carrying a move-only EventFn that
+// stores small captures inline, and ordering comes from one of two
 // interchangeable queues selected at construction:
 //   - kTimerWheel (default): a 4-level hierarchical timer wheel keyed on
-//     integer ticks, draining one tick's events as a sorted batch.  O(1)
-//     insert/extract for the near-future delays the latency oracle
-//     produces, and same-timestamp deliveries share one extraction.
+//     integer ticks, draining one tick's events as a batch sorted by
+//     (time, seq).  O(1) insert/extract for the near-future delays the
+//     latency oracle produces, and same-timestamp deliveries share one
+//     extraction.  Buckets are contiguous (time, slot) vectors, so
+//     locating the next event reads no arena node.
 //   - kBinaryHeap: the classic priority-queue ordering, kept as the
 //     differential-testing reference (tests/engine_equivalence_test.cpp
 //     pins byte-identical traces between the two).
 // Both orders are the same total order (time, then schedule seq), so the
-// choice is invisible to everything above step().
+// choice is invisible to everything above step().  Firing times must be
+// finite and below 2^64 (core::kTimeLimit) on either queue.
+//
+// Scheduling, moving and firing an event allocate nothing once the
+// arena and the wheel's buckets have grown to the working set, as long
+// as the callback's captures fit EventFn's inline buffer (24 bytes).
 #pragma once
 
 #include <cstdint>
@@ -94,10 +102,12 @@ class Engine {
     return arena_.live_count();
   }
 
-  /// Schedule `fn` at absolute time `t` (must be >= now()).
+  /// Schedule `fn` (non-empty) at absolute time `t`, which must be
+  /// >= now() and below core::kTimeLimit (finite).
   EventId schedule_at(Time t, EventFn fn);
 
-  /// Schedule `fn` after `delay` (must be >= 0) from now.
+  /// Schedule `fn` (non-empty) after `delay` (must be >= 0) from now;
+  /// now() + delay must be below core::kTimeLimit.
   EventId schedule_after(Time delay, EventFn fn);
 
   /// Cancel a pending event.  Returns false if it already fired or was
@@ -198,7 +208,6 @@ class Engine {
   /// The next live event, located but not yet popped.
   struct Front {
     Time time;
-    std::uint64_t seq;
     std::uint32_t slot;
     enum class Where { kEarly, kBatch, kHeap } where;
   };
@@ -215,6 +224,8 @@ class Engine {
   /// the binary heap), releasing dead slots met on the way.
   bool find_front(Front& front);   // p2plb: holds(engine_shard_)
   void pop_front(const Front& front);  // p2plb: holds(engine_shard_)
+  /// Pop a located front and run its callback (step() and run_until()).
+  void fire(const Front& front);   // p2plb: holds(engine_shard_)
   void refill_batch();             // p2plb: holds(engine_shard_)
   void fire_periodic(EventId chain_id);  // p2plb: holds(engine_shard_)
 
@@ -232,9 +243,9 @@ class Engine {
 
   core::EventArena arena_;   // p2plb: shared(engine_shard_)
   core::TimerWheel wheel_;   // p2plb: shared(engine_shard_)
-  /// Slots of the tick being drained, sorted by (time, seq); same-tick
+  /// Entries of the tick being drained, sorted by (time, seq); same-tick
   /// schedules during the drain splice in at their sorted position.
-  std::vector<std::uint32_t> batch_;  // p2plb: shared(engine_shard_)
+  std::vector<core::WheelEntry> batch_;  // p2plb: shared(engine_shard_)
   std::size_t batch_pos_ = 0;    // p2plb: shared(engine_shard_)
   std::uint64_t batch_tick_ = 0;  // p2plb: shared(engine_shard_)
   /// Events scheduled below the wheel horizon (possible only after a

@@ -190,7 +190,7 @@ class Network {
       // message is in flight.  The wrapper fires inside the same engine
       // event as the payload, so tracing adds no events to the schedule.
       on_receive = [this, lane = std::string(lane), from, to, ctx,
-                    inner = std::move(on_receive)]() {
+                    inner = std::move(on_receive)]() mutable {
         if (tracer_ != nullptr && tracer_->keeps(ctx.trace)) {
           tracer_->flow_end(engine_.now(), lane, "msg", ctx.span);
           tracer_->instant(engine_.now(), lane, "msg.deliver", ctx,
@@ -212,7 +212,7 @@ class Network {
       // trace byte stay identical.
       const obs::Profiler::StackId carried = profiler_->push(
           profiler_->current(), slot != nullptr ? slot->frame : net_frame_);
-      on_receive = [this, carried, inner = std::move(on_receive)]() {
+      on_receive = [this, carried, inner = std::move(on_receive)]() mutable {
         const obs::Profiler::Scope scope(profiler_, carried);
         inner();
       };

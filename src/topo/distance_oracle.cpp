@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <future>
 #include <numeric>
 #include <thread>
@@ -141,7 +142,9 @@ std::vector<double> DistanceOracle::distances(
 }
 
 sim::Latency DistanceOracle::latency(double unreachable) {
-  P2PLB_REQUIRE(unreachable >= 0.0);
+  // A latency is a delay the engine schedules after: infinity (or NaN)
+  // would be a firing time the engine rejects at the first such send.
+  P2PLB_REQUIRE(std::isfinite(unreachable) && unreachable >= 0.0);
   unreachable_latency_ = unreachable;
   return sim::Latency{this, [](void* ctx, sim::Endpoint from,
                                sim::Endpoint to) -> sim::Time {

@@ -56,8 +56,8 @@ class DistanceOracle {
   /// are attachment vertices (the node_endpoint convention for
   /// topology-attached rings) and a hop's latency is the weighted
   /// shortest-path distance.  Same endpoint costs 0 without a query; a
-  /// disconnected pair costs `unreachable` instead of infinity so the
-  /// simulation stays finite.  The oracle must outlive the returned
+  /// disconnected pair costs `unreachable` (finite, >= 0) instead of
+  /// infinity so the simulation stays finite.  The oracle must outlive the returned
   /// callable (whose ctx is the oracle itself -- no allocation, no type
   /// erasure on the per-send path).
   [[nodiscard]] sim::Latency latency(double unreachable = 1e6);

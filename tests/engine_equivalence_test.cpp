@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -104,6 +105,89 @@ TEST(EngineEquivalence, RandomScheduleFuzz) {
   for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {
     const Log wheel = run_fuzz(sim::QueueKind::kTimerWheel, seed);
     const Log heap = run_fuzz(sim::QueueKind::kBinaryHeap, seed);
+    ASSERT_EQ(wheel.size(), heap.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < wheel.size(); ++i) {
+      EXPECT_EQ(wheel[i], heap[i])
+          << "seed " << seed << " diverges at log entry " << i;
+    }
+  }
+}
+
+/// Tick spans that reach every wheel level from the horizon: level 0
+/// (no span), levels 1-3 (2^8, 2^16, 2^24 ticks) and the far list (2^32
+/// ticks and beyond).
+constexpr double kSpans[] = {0.0,        256.0,        65536.0,
+                             16777216.0, 4294967296.0, 8589934592.0};
+
+/// A delay landing at a random level: a span, a small integer jitter
+/// and a quarter-tick fraction.
+double deep_delay(Rng& rng) {
+  return kSpans[rng.below(std::size(kSpans))] +
+         static_cast<double>(rng.below(4)) +
+         0.25 * static_cast<double>(rng.below(4));
+}
+
+/// Like run_fuzz, but the delays span every wheel level and the far
+/// list, and callbacks schedule "twins": events at the exact firing time
+/// of an earlier-scheduled one.  The earlier event sits in a higher
+/// level (or far_) and reaches level 0 by cascade; its twin is often
+/// inserted directly into the same bucket later.  Both must fire in
+/// schedule order, which pins the wheel's bucket-order invariant (the
+/// engine's stable sort by time relies on it).
+Log run_deep_fuzz(sim::QueueKind kind, std::uint64_t seed,
+                  std::uint64_t* far_inserts) {
+  Log log;
+  sim::Engine engine(kind);
+  Rng rng(seed);
+  std::vector<double> times;  // every firing time scheduled so far
+  int next_marker = 0;
+  std::function<void(int)> fire;
+  const auto schedule = [&](double t) {
+    const int m = next_marker++;
+    engine.schedule_at(t, [&fire, m] { fire(m); });
+    times.push_back(t);
+  };
+  fire = [&](int marker) {
+    log.emplace_back(engine.now(), marker);
+    if (next_marker >= 3000) return;
+    const std::uint64_t what = rng.below(4);
+    if (what < 2) {
+      schedule(engine.now() + deep_delay(rng));
+    } else if (what == 2) {
+      const double t = times[rng.below(times.size())];
+      schedule(t >= engine.now() ? t : engine.now() + deep_delay(rng));
+    }
+  };
+
+  // Pinned cascade-vs-direct twins at every level: A is bucketed at
+  // level L (or far_) at time 0; the trigger fires one tick earlier,
+  // after A's bucket has cascaded to level 0, and inserts B at A's
+  // exact time directly.
+  for (const double span : kSpans) {
+    const double t = 3.0 * span + 7.5;
+    schedule(t);
+    engine.schedule_at(t - 1.0, [&schedule, t] { schedule(t); });
+  }
+  for (int i = 0; i < 300; ++i) schedule(deep_delay(rng));
+
+  // Park mid-run and schedule near-future events (the early-heap path).
+  engine.run_until(1048576.5);
+  for (int i = 0; i < 20; ++i)
+    schedule(engine.now() + 0.25 * static_cast<double>(rng.below(8)));
+  engine.run();
+  log.emplace_back(engine.now(), -100);
+  *far_inserts = engine.introspection().far_inserts;
+  return log;
+}
+
+TEST(EngineEquivalence, DeepLevelAndFarListScheduleFuzz) {
+  for (const std::uint64_t seed : {41u, 42u, 43u}) {
+    std::uint64_t wheel_far = 0;
+    std::uint64_t heap_far = 0;
+    const Log wheel =
+        run_deep_fuzz(sim::QueueKind::kTimerWheel, seed, &wheel_far);
+    const Log heap = run_deep_fuzz(sim::QueueKind::kBinaryHeap, seed, &heap_far);
+    EXPECT_GT(wheel_far, 0u) << "seed " << seed << " never used the far list";
     ASSERT_EQ(wheel.size(), heap.size()) << "seed " << seed;
     for (std::size_t i = 0; i < wheel.size(); ++i) {
       EXPECT_EQ(wheel[i], heap[i])

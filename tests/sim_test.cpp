@@ -1,12 +1,21 @@
 // Unit tests for the discrete-event engine and the simulated network.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "sim/engine.h"
 #include "sim/network.h"
+#include "topo/distance_oracle.h"
 
 namespace p2plb::sim {
 namespace {
@@ -143,6 +152,28 @@ TEST(Engine, RejectsPastAndBadInput) {
   EXPECT_THROW(e.every(0.0, [] { return false; }), PreconditionError);
 }
 
+TEST(Engine, RejectsNonFiniteFiringTimes) {
+  const Time inf = std::numeric_limits<Time>::infinity();
+  for (const QueueKind kind : {QueueKind::kTimerWheel, QueueKind::kBinaryHeap}) {
+    Engine e(kind);
+    EXPECT_THROW(e.schedule_at(inf, [] {}), PreconditionError);
+    EXPECT_THROW(e.schedule_at(std::nan(""), [] {}), PreconditionError);
+    EXPECT_THROW(e.schedule_at(core::kTimeLimit, [] {}), PreconditionError);
+    EXPECT_THROW(e.schedule_after(inf, [] {}), PreconditionError);
+    EXPECT_THROW(e.every(inf, [] { return true; }), PreconditionError);
+    EXPECT_EQ(e.pending(), 0u);
+    // The last representable time below 2^64 still has a wheel tick.
+    const Time last = std::nextafter(core::kTimeLimit, 0.0);
+    int fired = 0;
+    e.schedule_at(last, [&] { ++fired; });
+    EXPECT_EQ(e.run(), 1u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(e.now(), last);
+    // now() + delay rounds up to 2^64.
+    EXPECT_THROW(e.schedule_after(4096.0, [] {}), PreconditionError);
+  }
+}
+
 TEST(Engine, RunWithMaxEvents) {
   Engine e;
   int fired = 0;
@@ -151,6 +182,162 @@ TEST(Engine, RunWithMaxEvents) {
   EXPECT_EQ(e.run(4), 4u);
   EXPECT_EQ(fired, 4);
   EXPECT_EQ(e.pending(), 6u);
+}
+
+// --- EventFn --------------------------------------------------------------
+
+/// A callable of exactly N bytes (alignment 1) that reports the address
+/// it is invoked at: inside the EventFn object means stored inline.
+template <std::size_t N>
+struct AddressProbe {
+  std::array<unsigned char, N> bytes{};
+  explicit AddressProbe(const void** out) {
+    std::memcpy(bytes.data(), static_cast<const void*>(&out), sizeof out);
+  }
+  void operator()() const {
+    const void** out = nullptr;
+    std::memcpy(static_cast<void*>(&out), bytes.data(), sizeof out);
+    *out = this;
+  }
+};
+
+bool stored_inside(const void* where, const EventFn& fn) {
+  const auto p = reinterpret_cast<std::uintptr_t>(where);
+  const auto begin = reinterpret_cast<std::uintptr_t>(&fn);
+  return p >= begin && p < begin + sizeof fn;
+}
+
+TEST(EventFn, StoresUpTo24BytesInline) {
+  static_assert(sizeof(AddressProbe<24>) == 24);
+  static_assert(sizeof(AddressProbe<25>) == 25);
+  static_assert(EventFn::stores_inline<AddressProbe<24>>);
+  static_assert(!EventFn::stores_inline<AddressProbe<25>>);
+
+  const void* where = nullptr;
+  EventFn small = AddressProbe<24>(&where);
+  small();
+  EXPECT_TRUE(stored_inside(where, small));
+  EventFn moved = std::move(small);
+  EXPECT_TRUE(small == nullptr);
+  moved();
+  EXPECT_TRUE(stored_inside(where, moved));
+
+  EventFn large = AddressProbe<25>(&where);
+  large();
+  EXPECT_FALSE(stored_inside(where, large));
+  const void* const heap_block = where;
+  EventFn moved_large = std::move(large);
+  moved_large();
+  EXPECT_EQ(where, heap_block);  // a move hands over the block
+
+  // The shapes the protocols schedule stay inline: an lb handler's
+  // [this, index], ProtocolRound::vsa_send's [this, [this, leaf]] and a
+  // K-nary sweep's [shared_ptr, child].
+  int* self = nullptr;
+  std::uint32_t leaf = 0;
+  const auto lb = [self, leaf] { return self != nullptr && leaf > 0; };
+  const auto vsa = [self, lb] { return self != nullptr && lb(); };
+  const auto sweep = [state = std::make_shared<int>(0), leaf] {
+    return *state > 0 && leaf > 0;
+  };
+  static_assert(EventFn::stores_inline<decltype(lb)>);
+  static_assert(sizeof(vsa) == 24 && EventFn::stores_inline<decltype(vsa)>);
+  static_assert(EventFn::stores_inline<decltype(sweep)>);
+}
+
+TEST(EventFn, AcceptsMoveOnlyCaptures) {
+  Engine e;
+  int seen = 0;
+  auto box = std::make_unique<int>(7);
+  e.schedule_at(1.0, [&seen, box = std::move(box)] { seen = *box; });
+  e.run();
+  EXPECT_EQ(seen, 7);
+}
+
+/// Counts its own destructions and calls; a moved-from copy counts
+/// nothing, so `destroyed` tracks the one live closure.
+template <std::size_t Pad>
+struct Counted {
+  int* destroyed;
+  int* fired;
+  std::array<char, Pad> pad{};
+  Counted(int* d, int* f) : destroyed(d), fired(f) {}
+  Counted(Counted&& o) noexcept
+      : destroyed(std::exchange(o.destroyed, nullptr)), fired(o.fired) {}
+  Counted& operator=(Counted&&) = delete;
+  ~Counted() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+  void operator()() const { ++*fired; }
+};
+
+template <std::size_t Pad>
+void expect_destroyed_once() {
+  for (const QueueKind kind : {QueueKind::kTimerWheel, QueueKind::kBinaryHeap}) {
+    int destroyed = 0;
+    int fired = 0;
+    {
+      Engine e(kind);
+      e.schedule_at(1.0, Counted<Pad>(&destroyed, &fired));
+      e.run();
+      EXPECT_EQ(fired, 1);
+      EXPECT_EQ(destroyed, 1) << "on fire";
+
+      const EventId id = e.schedule_at(2.0, Counted<Pad>(&destroyed, &fired));
+      EXPECT_TRUE(e.cancel(id));
+      EXPECT_EQ(destroyed, 2) << "on cancel";
+      e.run();
+      EXPECT_EQ(destroyed, 2);
+
+      e.schedule_at(3.0, Counted<Pad>(&destroyed, &fired));
+      e.schedule_at(3.0 + 70000.0, Counted<Pad>(&destroyed, &fired));
+      EXPECT_EQ(destroyed, 2);
+    }
+    EXPECT_EQ(destroyed, 4) << "on engine destruction";
+    EXPECT_EQ(fired, 1);
+  }
+}
+
+TEST(EventFn, ClosureDestroyedExactlyOnce) {
+  static_assert(EventFn::stores_inline<Counted<0>>);
+  static_assert(!EventFn::stores_inline<Counted<16>>);
+  expect_destroyed_once<0>();   // inline
+  expect_destroyed_once<16>();  // heap
+}
+
+TEST(EventFn, EmptyCallablesAreRejected) {
+  Engine e;
+  const std::function<void()> empty;
+  void (*null_fn)() = nullptr;
+  EXPECT_TRUE(EventFn(empty) == nullptr);
+  EXPECT_TRUE(EventFn(null_fn) == nullptr);
+  EXPECT_THROW(e.schedule_at(1.0, empty), PreconditionError);
+  EXPECT_THROW(e.schedule_at(1.0, null_fn), PreconditionError);
+  EXPECT_THROW(e.schedule_after(1.0, std::function<void()>{}),
+               PreconditionError);
+  EXPECT_EQ(e.pending(), 0u);
+  int fired = 0;
+  const std::function<void()> full = [&fired] { ++fired; };
+  e.schedule_at(1.0, full);
+  e.run();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Network, OracleLatencyRequiresAFiniteUnreachableCost) {
+  topo::Graph g(3);
+  g.add_edge(0, 1, 2.0);  // vertex 2 is disconnected
+  topo::DistanceOracle oracle(g, 3);
+  EXPECT_THROW((void)oracle.latency(std::numeric_limits<double>::infinity()),
+               PreconditionError);
+  EXPECT_THROW((void)oracle.latency(std::nan("")), PreconditionError);
+  EXPECT_THROW((void)oracle.latency(-1.0), PreconditionError);
+  Engine e;
+  Network net(e, oracle.latency(50.0));
+  std::vector<Time> delivered;
+  net.send(0, 1, [&] { delivered.push_back(e.now()); });
+  net.send(0, 2, [&] { delivered.push_back(e.now()); });
+  e.run();
+  EXPECT_EQ(delivered, (std::vector<Time>{2.0, 50.0}));
 }
 
 TEST(Network, DeliversWithLatency) {
