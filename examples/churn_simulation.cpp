@@ -27,7 +27,7 @@
 //
 // With `--alerts rules.conf` (and optional `--windows W` /
 // `--alerts-out FILE`) an obs::AlertEngine watches the same windows
-// online: the CI alert-smoke job runs this scenario and requires the
+// online: the CI alert-smoke leg runs this scenario and requires the
 // imbalance rule to fire during the crash burst and resolve after
 // re-convergence.
 #include <algorithm>

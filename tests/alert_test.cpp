@@ -261,7 +261,7 @@ TEST(AlertEngine, AlertsFileRoundTripsInBothFormats) {
 }
 
 TEST(AlertEngine, ExportedStreamIsByteIdenticalAcrossRuns) {
-  // The determinism contract the CI alert-smoke job cmp-gates: the same
+  // The determinism contract the CI alert-smoke leg cmp-gates: the same
   // record sequence must serialize to the same bytes, run to run.
   const auto run = [] {
     WindowedAggregator w({10.0, 8});
