@@ -16,14 +16,6 @@ VsLatencyFn unit_latency(const chord::Ring& ring, sim::Time unit) {
   };
 }
 
-VsEndpointFn owner_endpoint(const chord::Ring& ring) {
-  return [&ring](chord::Key vs) -> sim::Endpoint {
-    const chord::NodeIndex owner = ring.server_owner(vs);
-    const std::uint32_t attachment = ring.node(owner).attachment;
-    return attachment != chord::Node::kNoAttachment ? attachment : owner;
-  };
-}
-
 namespace {
 
 /// Annotation context for a sweep instant: ties it to the
@@ -40,7 +32,7 @@ struct SweepState {
   const KTree* tree = nullptr;
   sim::Network* net = nullptr;
   NetSweepOptions opts;
-  std::vector<sim::Endpoint> host;     // per-KT-node endpoint snapshot
+  std::span<const sim::Endpoint> host;  // per KT node, owned by the caller
   std::vector<std::uint16_t> pending;  // bottom-up: children yet to report
   std::vector<bool> released;          // bottom-up: leaf already triggered
   std::size_t leaves_left = 0;         // top-down: leaves yet to receive
@@ -64,17 +56,16 @@ struct SweepState {
 };
 
 std::shared_ptr<SweepState> make_state(sim::Network& net, const KTree& tree,
-                                       const VsEndpointFn& endpoint,
+                                       std::span<const sim::Endpoint> host,
                                        NetSweepOptions options) {
-  P2PLB_REQUIRE(endpoint != nullptr);
+  P2PLB_REQUIRE_MSG(host.size() == tree.size(),
+                    "a sweep needs one endpoint per tree node");
   auto s = std::make_shared<SweepState>();
   s->tree = &tree;
   s->net = &net;
   s->opts = std::move(options);
   s->start = net.engine().now();
-  s->host.resize(tree.size());
-  for (KtIndex i = 0; i < tree.size(); ++i)
-    s->host[i] = endpoint(tree.node(i).host_vs);
+  s->host = host;
   return s;
 }
 
@@ -145,10 +136,10 @@ void deliver_down(const std::shared_ptr<SweepState>& s, KtIndex i) {
 }  // namespace
 
 std::function<void(KtIndex)> begin_aggregation(
-    sim::Network& net, const KTree& tree, const VsEndpointFn& endpoint,
-    NetSweepOptions options,
+    sim::Network& net, const KTree& tree,
+    std::span<const sim::Endpoint> host, NetSweepOptions options,
     std::function<void(const SweepResult&)> on_complete) {
-  auto s = make_state(net, tree, endpoint, std::move(options));
+  auto s = make_state(net, tree, host, std::move(options));
   s->on_complete = std::move(on_complete);
   s->pending.resize(tree.size());
   s->released.assign(tree.size(), false);
@@ -165,11 +156,11 @@ std::function<void(KtIndex)> begin_aggregation(
 }
 
 void begin_dissemination(sim::Network& net, const KTree& tree,
-                         const VsEndpointFn& endpoint,
+                         std::span<const sim::Endpoint> host,
                          NetSweepOptions options,
                          std::function<void(KtIndex)> on_leaf,
                          std::function<void(const SweepResult&)> on_complete) {
-  auto s = make_state(net, tree, endpoint, std::move(options));
+  auto s = make_state(net, tree, host, std::move(options));
   s->on_leaf = std::move(on_leaf);
   s->on_complete = std::move(on_complete);
   s->leaves_left = tree.leaf_count();
@@ -186,9 +177,13 @@ sim::LatencyFn wrap_vs_latency(const VsLatencyFn& latency) {
   };
 }
 
-constexpr auto kIdentityEndpoint = [](chord::Key vs) {
-  return static_cast<sim::Endpoint>(vs);
-};
+/// Endpoint of every KT node in the VS-id convention of
+/// wrap_vs_latency: its host VS id.
+std::vector<sim::Endpoint> host_vs_endpoints(const KTree& tree) {
+  std::vector<sim::Endpoint> host(tree.size());
+  for (KtIndex i = 0; i < tree.size(); ++i) host[i] = tree.node(i).host_vs;
+  return host;
+}
 
 }  // namespace
 
@@ -196,14 +191,14 @@ SweepResult simulate_aggregation(sim::Engine& engine, const KTree& tree,
                                  const VsLatencyFn& latency) {
   P2PLB_REQUIRE(latency != nullptr);
   sim::Network net(engine, wrap_vs_latency(latency));
+  const std::vector<sim::Endpoint> host = host_vs_endpoints(tree);
   SweepResult out;
   bool done = false;
-  const auto release =
-      begin_aggregation(net, tree, kIdentityEndpoint, {},
-                        [&](const SweepResult& r) {
-                          out = r;
-                          done = true;
-                        });
+  const auto release = begin_aggregation(net, tree, host, {},
+                                         [&](const SweepResult& r) {
+                                           out = r;
+                                           done = true;
+                                         });
   for (KtIndex i = 0; i < tree.size(); ++i)
     if (tree.node(i).is_leaf()) release(i);
   engine.run();
@@ -215,9 +210,10 @@ SweepResult simulate_dissemination(sim::Engine& engine, const KTree& tree,
                                    const VsLatencyFn& latency) {
   P2PLB_REQUIRE(latency != nullptr);
   sim::Network net(engine, wrap_vs_latency(latency));
+  const std::vector<sim::Endpoint> host = host_vs_endpoints(tree);
   SweepResult out;
   bool done = false;
-  begin_dissemination(net, tree, kIdentityEndpoint, {}, nullptr,
+  begin_dissemination(net, tree, host, {}, nullptr,
                       [&](const SweepResult& r) {
                         out = r;
                         done = true;

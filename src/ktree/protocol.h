@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,15 +51,6 @@ using VsLatencyFn =
 [[nodiscard]] VsLatencyFn unit_latency(const chord::Ring& ring,
                                        sim::Time unit = 1.0);
 
-/// Maps a virtual server to its sim::Network endpoint.  The convention
-/// used by the balancer is owner_endpoint(): the owner's topology
-/// attachment when it has one, otherwise the owner's node index.
-using VsEndpointFn = std::function<sim::Endpoint(chord::Key vs)>;
-
-/// The standard VS -> endpoint map (see VsEndpointFn).  Evaluated against
-/// the ring's state at call time; snapshot the results if the ring churns.
-[[nodiscard]] VsEndpointFn owner_endpoint(const chord::Ring& ring);
-
 /// Result of one simulated sweep.
 struct SweepResult {
   sim::Time completion_time = 0.0;  ///< when the root (or last leaf) fired
@@ -81,19 +73,21 @@ struct NetSweepOptions {
 /// report then climbs, and `on_complete(result)` fires from the engine
 /// once the root has folded every subtree.  Unlike simulate_aggregation
 /// this never drains the engine, so it composes with concurrent protocols
-/// (churn, maintenance, an in-flight balancing round).  `tree` and `net`
-/// must outlive the sweep; endpoints are snapshotted at this call.
+/// (churn, maintenance, an in-flight balancing round).  `host[i]` is the
+/// network endpoint of KT node i's host; it must hold tree.size()
+/// entries.  `tree`, `host` and `net` must outlive the sweep.
 [[nodiscard]] std::function<void(KtIndex)> begin_aggregation(
-    sim::Network& net, const KTree& tree, const VsEndpointFn& endpoint,
-    NetSweepOptions options,
+    sim::Network& net, const KTree& tree,
+    std::span<const sim::Endpoint> host, NetSweepOptions options,
     std::function<void(const SweepResult&)> on_complete);
 
 /// Top-down counterpart: delivery starts at the root immediately.
 /// `on_leaf(leaf)` fires as each leaf receives (the hand-off to the
 /// hosting node is the caller's concern); `on_complete` fires once every
-/// leaf has received.  Never drains the engine.
+/// leaf has received.  Never drains the engine.  `host` as for
+/// begin_aggregation.
 void begin_dissemination(sim::Network& net, const KTree& tree,
-                         const VsEndpointFn& endpoint,
+                         std::span<const sim::Endpoint> host,
                          NetSweepOptions options,
                          std::function<void(KtIndex)> on_leaf,
                          std::function<void(const SweepResult&)> on_complete);
@@ -101,7 +95,7 @@ void begin_dissemination(sim::Network& net, const KTree& tree,
 /// Simulate a bottom-up sweep (leaves start at t = now): each KT node
 /// reports to its parent once all children have reported.  Returns when
 /// the root completes.  Drains the engine; a thin wrapper over
-/// begin_aggregation with endpoint == VS id and a throwaway Network.
+/// begin_aggregation with endpoint == host VS id and a throwaway Network.
 [[nodiscard]] SweepResult simulate_aggregation(sim::Engine& engine,
                                                const KTree& tree,
                                                const VsLatencyFn& latency);

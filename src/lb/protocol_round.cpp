@@ -12,15 +12,6 @@ sim::Endpoint node_endpoint(const chord::Ring& ring, chord::NodeIndex node) {
   return attachment != chord::Node::kNoAttachment ? attachment : node;
 }
 
-sim::Endpoint ProtocolRound::host_endpoint_of(chord::Key vs) const {
-  const auto it = std::lower_bound(
-      host_by_vs_.begin(), host_by_vs_.end(), vs,
-      [](const auto& entry, chord::Key k) { return entry.first < k; });
-  P2PLB_ASSERT_MSG(it != host_by_vs_.end() && it->first == vs,
-                   "virtual server is not a tree host");
-  return it->second;
-}
-
 ProtocolRound::ProtocolRound(sim::Network& net, chord::Ring& ring,
                              const ProtocolRoundConfig& config, Rng& rng,
                              std::span<const chord::Key> node_keys)
@@ -55,22 +46,9 @@ ProtocolRound::ProtocolRound(sim::Network& net, chord::Ring& ring,
 
   // Endpoint snapshots: decisions survive churn during the round.
   host_ep_.resize(tree_.size());
-  host_by_vs_.reserve(tree_.size());
-  for (ktree::KtIndex i = 0; i < tree_.size(); ++i) {
-    const chord::Key vs = tree_.node(i).host_vs;
-    host_ep_[i] = node_endpoint(ring_, ring_.server_owner(vs));
-    host_by_vs_.emplace_back(vs, host_ep_[i]);
-  }
-  // A VS hosting several tree nodes appears once; every duplicate carries
-  // the same endpoint, so keeping the first is lossless.
-  std::sort(host_by_vs_.begin(), host_by_vs_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  host_by_vs_.erase(
-      std::unique(host_by_vs_.begin(), host_by_vs_.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.first == b.first;
-                  }),
-      host_by_vs_.end());
+  for (ktree::KtIndex i = 0; i < tree_.size(); ++i)
+    host_ep_[i] =
+        node_endpoint(ring_, ring_.server_owner(tree_.node(i).host_vs));
   node_ep_.resize(ring_.node_count(), 0);
   lbi_waits_.resize(tree_.size(), 0);
   vsa_waits_.resize(tree_.size(), 0);
@@ -164,9 +142,7 @@ void ProtocolRound::start(
 
 void ProtocolRound::start_aggregation() {
   release_leaf_ = ktree::begin_aggregation(
-      net_, tree_,
-      [this](chord::Key vs) { return host_endpoint_of(vs); },
-      {std::string(kTagAggregation), config_.wire.lbi},
+      net_, tree_, host_ep_, {std::string(kTagAggregation), config_.wire.lbi},
       [this](const ktree::SweepResult&) {
         end_phase(Phase::kAggregation);
         begin_phase(Phase::kDissemination);
@@ -192,8 +168,7 @@ void ProtocolRound::start_aggregation() {
 void ProtocolRound::start_dissemination() {
   handoffs_left_ = tree_.leaf_count();
   ktree::begin_dissemination(
-      net_, tree_,
-      [this](chord::Key vs) { return host_endpoint_of(vs); },
+      net_, tree_, host_ep_,
       {std::string(kTagDissemination), config_.wire.lbi},
       [this](ktree::KtIndex leaf) {
         // Leaf -> hosting-node handoff (zero distance, still a message).

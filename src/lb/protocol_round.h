@@ -145,22 +145,15 @@ class ProtocolRound {
   ProtocolRoundConfig config_;
   ktree::KTree tree_;
 
-  /// Endpoint of the node hosting virtual server `vs` (snapshot; binary
-  /// search over host_by_vs_).
-  [[nodiscard]] sim::Endpoint host_endpoint_of(chord::Key vs) const;
-
   // Decisions and snapshots, fixed at construction.  Lookups here sit on
   // the per-message hot path of a timed round, so they are dense arrays
-  // indexed by NodeIndex/KtIndex (or a sorted flat map), not hash maps.
+  // indexed by NodeIndex/KtIndex, not hash maps.
   BalanceReport report_;
   VsaEntries entries_;
   VsaTrace trace_;
   /// trace_'s entry per KtIndex (nullptr: the sweep did nothing there).
   std::vector<const VsaNodeTrace*> node_trace_;
   std::vector<sim::Endpoint> host_ep_;  // per KT node: its host's endpoint
-  /// (vs key, host endpoint), sorted by key; deduplicated (a VS hosting
-  /// several tree nodes maps to one endpoint).
-  std::vector<std::pair<chord::Key, sim::Endpoint>> host_by_vs_;
   std::vector<sim::Endpoint> node_ep_;  // per NodeIndex; live nodes only
   /// (entry leaf, reporting node) in live-node order.
   std::vector<std::pair<ktree::KtIndex, chord::NodeIndex>> report_plan_;

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "common/error.h"
@@ -14,20 +13,6 @@
 namespace p2plb::obs {
 
 namespace {
-
-double parse_number(std::string_view text, const std::string& context) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(std::string(text), &used);
-    P2PLB_REQUIRE_MSG(used == text.size(),
-                      "trailing garbage in number: " + context);
-    return v;
-  } catch (const std::invalid_argument&) {
-    throw PreconditionError("not a number: " + context);
-  } catch (const std::out_of_range&) {
-    throw PreconditionError("number out of range: " + context);
-  }
-}
 
 std::size_t parse_window(std::string_view text, const std::string& context) {
   const double v = parse_number(text, context);
@@ -115,6 +100,12 @@ bool compare(AlertOp op, double value, double threshold) noexcept {
 
 const char* event_name(bool fire) noexcept {
   return fire ? "fire" : "resolve";
+}
+
+bool parse_event(std::string_view text, const std::string& context) {
+  if (text == "fire") return true;
+  if (text == "resolve") return false;
+  throw PreconditionError("alert event must be fire|resolve: " + context);
 }
 
 }  // namespace
@@ -267,83 +258,22 @@ void AlertEngine::write_csv(std::ostream& os) const {
   }
 }
 
-void AlertEngine::write_jsonl(std::ostream& os) const {
-  for (const AlertEvent& e : events_) {
-    os << "{\"t\":" << json_number(e.t)
-       << ",\"rule\":" << json_string(e.rule) << ",\"event\":\""
-       << event_name(e.fire) << "\",\"value\":" << json_number(e.value)
-       << ",\"threshold\":" << json_number(e.threshold) << "}\n";
-  }
-}
-
 void write_alerts_file(const AlertEngine& engine, const std::string& path) {
   std::ofstream os(path);
   P2PLB_REQUIRE_MSG(os.good(), "cannot open alerts file: " + path);
-  if (path_has_extension(path, ".jsonl")) {
-    engine.write_jsonl(os);
-  } else {
-    engine.write_csv(os);
-  }
+  engine.write_csv(os);
 }
 
-namespace {
-
-/// Consume `expected` off the front of `rest` or die.
-void expect(std::string_view& rest, std::string_view expected,
-            const std::string& context) {
-  P2PLB_REQUIRE_MSG(rest.substr(0, expected.size()) == expected,
-                    "malformed alerts JSONL near: " + context);
-  rest.remove_prefix(expected.size());
-}
-
-double take_number(std::string_view& rest, const std::string& context) {
-  const std::size_t end = rest.find_first_of(",}");
-  P2PLB_REQUIRE_MSG(end != std::string_view::npos,
-                    "malformed alerts JSONL near: " + context);
-  const double v = parse_number(rest.substr(0, end), context);
-  rest.remove_prefix(end);
-  return v;
-}
-
-/// Parse a JSON string prefix (quotes included); alert writers only
-/// escape via json_string, and rule names are flag-safe tokens, so the
-/// simple backslash pairs cover everything we emit.
-std::string take_string(std::string_view& rest, const std::string& context) {
-  expect(rest, "\"", context);
-  std::string out;
-  while (!rest.empty()) {
-    const char ch = rest.front();
-    rest.remove_prefix(1);
-    if (ch == '"') return out;
-    if (ch != '\\') {
-      out += ch;
-      continue;
-    }
-    P2PLB_REQUIRE_MSG(!rest.empty(), "malformed alerts JSONL near: " + context);
-    out += rest.front();
-    rest.remove_prefix(1);
-  }
-  throw PreconditionError("unterminated string in alerts JSONL: " + context);
-}
-
-bool parse_event(std::string_view text, const std::string& context) {
-  if (text == "fire") return true;
-  if (text == "resolve") return false;
-  throw PreconditionError("alert event must be fire|resolve: " + context);
-}
-
-std::vector<AlertEvent> load_alerts_csv(std::istream& is) {
+std::vector<AlertEvent> load_alerts_file(const std::string& path) {
+  std::ifstream is(path);
+  P2PLB_REQUIRE_MSG(is.good(), "cannot open alerts file: " + path);
   std::vector<AlertEvent> out;
   std::string line;
   P2PLB_REQUIRE_MSG(std::getline(is, line), "empty alerts CSV");
-  {
-    const auto header = parse_csv_record(line);
-    P2PLB_REQUIRE_MSG(header == std::vector<std::string>(
-                                    {"time", "rule", "event", "value",
-                                     "threshold"}),
-                      "alerts CSV must start with a "
-                      "time,rule,event,value,threshold header");
-  }
+  // Raw text, like the series header: any other format fails here.
+  P2PLB_REQUIRE_MSG(line == "time,rule,event,value,threshold",
+                    "alerts CSV must start with a "
+                    "time,rule,event,value,threshold header");
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const auto fields = parse_csv_record(line);
@@ -355,39 +285,6 @@ std::vector<AlertEvent> load_alerts_csv(std::istream& is) {
                              parse_number(fields[4], line)});
   }
   return out;
-}
-
-std::vector<AlertEvent> load_alerts_jsonl(std::istream& is) {
-  std::vector<AlertEvent> out;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::string_view rest = line;
-    AlertEvent e;
-    expect(rest, "{\"t\":", line);
-    e.t = take_number(rest, line);
-    expect(rest, ",\"rule\":", line);
-    e.rule = take_string(rest, line);
-    expect(rest, ",\"event\":", line);
-    e.fire = parse_event(take_string(rest, line), line);
-    expect(rest, ",\"value\":", line);
-    e.value = take_number(rest, line);
-    expect(rest, ",\"threshold\":", line);
-    e.threshold = take_number(rest, line);
-    expect(rest, "}", line);
-    P2PLB_REQUIRE_MSG(rest.empty(), "malformed alerts JSONL near: " + line);
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<AlertEvent> load_alerts_file(const std::string& path) {
-  std::ifstream is(path);
-  P2PLB_REQUIRE_MSG(is.good(), "cannot open alerts file: " + path);
-  return path_has_extension(path, ".jsonl") ? load_alerts_jsonl(is)
-                                            : load_alerts_csv(is);
 }
 
 }  // namespace p2plb::obs

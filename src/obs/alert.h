@@ -7,7 +7,7 @@
 // timestamps (see obs/window.h) and rules are evaluated in file order
 // with no wall-clock, hashing or unordered iteration anywhere, the
 // fire/resolve stream is byte-identical across same-seed runs -- the
-// alert tests and the CI alert-smoke job cmp-gate exactly that.
+// alert tests and the alert-smoke leg of CI cmp-gate exactly that.
 //
 // Rule grammar (one rule per line; '#' starts a comment):
 //
@@ -27,7 +27,7 @@
 // (missing data never fires an alert).
 //
 // On fire and on resolve the engine emits, in this order: an AlertEvent
-// to its in-memory log (exported as `p2plb-alerts-1` CSV/JSONL), a
+// to its in-memory log (exported as `p2plb-alerts-1` CSV), a
 // trace instant on lane "alert" (no SpanContext, so no trace ids are
 // allocated and untraced schedules stay untouched), registry metrics
 // (`alert.fired{rule=...}` / `alert.resolved{rule=...}` counters and
@@ -119,11 +119,9 @@ class AlertEngine {
   /// True iff the named rule is currently firing.
   [[nodiscard]] bool firing(std::string_view rule) const;
 
-  // --- p2plb-alerts-1 export --------------------------------------------
-  /// CSV: header `time,rule,event,value,threshold`; event is fire|resolve.
+  /// The p2plb-alerts-1 export: CSV with header
+  /// `time,rule,event,value,threshold`; event is fire|resolve.
   void write_csv(std::ostream& os) const;
-  /// JSONL: {"t":..,"rule":..,"event":..,"value":..,"threshold":..}.
-  void write_jsonl(std::ostream& os) const;
 
  private:
   /// Per-rule sustained-for state machine.
@@ -149,12 +147,12 @@ class AlertEngine {
   std::function<void(const AlertEvent&)> callback_;
 };
 
-/// Write `engine`'s transitions to `path`: JSONL if it ends in .jsonl
-/// (case-insensitive), CSV otherwise.
+/// AlertEngine::write_csv to `path`, whatever its suffix.
 void write_alerts_file(const AlertEngine& engine, const std::string& path);
 
-/// Load a p2plb-alerts-1 file written by write_alerts_file (format by
-/// suffix, like the writer) -- the report tool's input.
+/// Load a p2plb-alerts-1 CSV file written by write_alerts_file -- the
+/// report tool's input.  Throws PreconditionError on malformed input,
+/// including a file that does not start with the CSV header.
 [[nodiscard]] std::vector<AlertEvent> load_alerts_file(
     const std::string& path);
 

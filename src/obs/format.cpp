@@ -1,6 +1,9 @@
 #include "obs/format.h"
 
 #include <cctype>
+#include <stdexcept>
+
+#include "common/error.h"
 
 namespace p2plb::obs {
 
@@ -16,6 +19,20 @@ bool path_has_extension(std::string_view path,
     if (a != b) return false;
   }
   return true;
+}
+
+double parse_number(std::string_view text, const std::string& context) {
+  try {
+    std::size_t used = 0;
+    const double v = std::stod(std::string(text), &used);
+    P2PLB_REQUIRE_MSG(used == text.size(),
+                      "trailing garbage in number: " + context);
+    return v;
+  } catch (const std::invalid_argument&) {
+    throw PreconditionError("not a number: " + context);
+  } catch (const std::out_of_range&) {
+    throw PreconditionError("number out of range: " + context);
+  }
 }
 
 }  // namespace p2plb::obs

@@ -1,42 +1,46 @@
 // Shared export-format plumbing for the obs file writers.
 //
-// Every exporter in this module picks its on-disk format from the output
-// path's suffix (".csv" -> CSV, ".jsonl" -> JSON lines, anything else ->
-// the writer's default).  The suffix match used to be re-implemented,
-// case-sensitively, in each writer; this header is the one shared,
-// case-insensitive implementation, used by write_trace_file,
-// write_metrics_file and write_series_file alike -- and exported so the
-// experiment binaries can document the rule without restating it.
+// Every artifact has one on-disk format: series, alerts and metrics are
+// CSV, profiles are p2plb-prof-1.  Traces are the one artifact with a
+// choice, picked from the output path's suffix (".jsonl" -> JSON lines,
+// ".btrace" -> binary, anything else -> Chrome trace_event JSON).  This
+// header holds the one case-insensitive suffix match write_trace_file
+// uses, the one strict number parser the CSV readers share, and the flag
+// documentation the experiment binaries print.
 #pragma once
 
+#include <string>
 #include <string_view>
 
 namespace p2plb::obs {
 
-/// True iff `path` ends in `extension` (e.g. ".csv"), compared
-/// case-insensitively, so "METRICS.CSV" and "metrics.csv" pick the same
+/// True iff `path` ends in `extension` (e.g. ".jsonl"), compared
+/// case-insensitively, so "TRACE.JSONL" and "trace.jsonl" pick the same
 /// format.  `extension` must include the leading dot.
 [[nodiscard]] bool path_has_extension(std::string_view path,
                                       std::string_view extension) noexcept;
 
+/// Parse all of `text` as a double.  Throws PreconditionError naming
+/// `context` (the offending line) when `text` is not a number, has
+/// trailing characters, or is out of range.
+[[nodiscard]] double parse_number(std::string_view text,
+                                  const std::string& context);
+
 /// Shared --trace / --metrics / --series flag documentation, so the
-/// binaries that expose the flags describe the one suffix rule
-/// identically instead of each paraphrasing it.
+/// binaries that expose the flags describe each format identically
+/// instead of each paraphrasing it.
 inline constexpr const char* kTraceFlagHelp =
     "write the structured trace here (Chrome trace_event JSON; JSONL if "
     "the name ends in .jsonl, compact binary p2plb-btrace-1 if it ends "
     "in .btrace, case-insensitive)";
 inline constexpr const char* kMetricsFlagHelp =
-    "write the metrics registry here (CSV if the name ends in .csv, "
-    "case-insensitive; aligned text otherwise)";
+    "write the metrics registry here as CSV (metric,value)";
 inline constexpr const char* kSeriesFlagHelp =
-    "write the closed window buckets here as a time series, one row "
-    "per series per bucket (JSONL if the name ends in .jsonl, "
-    "case-insensitive; CSV otherwise)";
+    "write the closed window buckets here as a CSV time series "
+    "(time,metric,value), one row per series per bucket";
 inline constexpr const char* kProfileFlagHelp =
-    "write the host-time profile here (collapsed flamegraph stacks if "
-    "the name ends in .folded, case-insensitive; p2plb-prof-1 text "
-    "otherwise)";
+    "write the host-time profile here as p2plb-prof-1 text (p2plb_prof "
+    "--folded derives flamegraph stacks from it)";
 inline constexpr const char* kWindowsFlagHelp =
     "bucket width for the online windowed-metrics plane (sim time; "
     "attaches a WindowedAggregator fed from the network, health and "
@@ -46,7 +50,7 @@ inline constexpr const char* kAlertsFlagHelp =
     "'<name> <metric> <agg>[:k[,k2]] <op> <threshold> [for <dur>]' per "
     "line; implies --windows)";
 inline constexpr const char* kAlertsOutFlagHelp =
-    "write fired/resolved alerts here (p2plb-alerts-1; JSONL if the "
-    "name ends in .jsonl, case-insensitive, CSV otherwise)";
+    "write fired/resolved alerts here as p2plb-alerts-1 CSV "
+    "(time,rule,event,value,threshold)";
 
 }  // namespace p2plb::obs

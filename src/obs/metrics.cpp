@@ -5,7 +5,6 @@
 
 #include "common/error.h"
 #include "common/table.h"
-#include "obs/format.h"
 
 namespace p2plb::obs {
 
@@ -111,10 +110,6 @@ Table MetricsRegistry::to_table() const {
   return table;
 }
 
-void MetricsRegistry::write_text(std::ostream& os) const {
-  to_table().print_text(os);
-}
-
 void MetricsRegistry::write_csv(std::ostream& os) const {
   to_table().print_csv(os);
 }
@@ -123,11 +118,7 @@ void write_metrics_file(const MetricsRegistry& registry,
                         const std::string& path) {
   std::ofstream os(path);
   P2PLB_REQUIRE_MSG(os.good(), "cannot open metrics file: " + path);
-  if (path_has_extension(path, ".csv")) {
-    registry.write_csv(os);
-  } else {
-    registry.write_text(os);
-  }
+  registry.write_csv(os);
 }
 
 }  // namespace p2plb::obs

@@ -141,8 +141,7 @@ class MetricsRegistry {
   /// Two-column ("metric", "value") table of everything the registry
   /// holds; histograms expand to count / weight / p50 / p90 / p99 rows.
   [[nodiscard]] Table to_table() const;
-  /// to_table() rendered as aligned text / CSV.
-  void write_text(std::ostream& os) const;
+  /// to_table() rendered as CSV.
   void write_csv(std::ostream& os) const;
 
   /// Canonical identity: `name` alone, or `name{k1=v1,k2=v2}` with label
@@ -157,9 +156,8 @@ class MetricsRegistry {
   std::map<std::string, HistogramMetric> histograms_;
 };
 
-/// Write the registry to `path`: CSV when the name ends in ".csv"
-/// (case-insensitive, see obs::path_has_extension), aligned text
-/// otherwise.  Throws PreconditionError on an unwritable path.
+/// write_csv to `path`, whatever its suffix.  Throws PreconditionError
+/// on an unwritable path.
 void write_metrics_file(const MetricsRegistry& registry,
                         const std::string& path);
 

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/format.h"
 
 namespace p2plb::obs {
 
@@ -119,25 +118,6 @@ std::vector<Profiler::FrameStat> Profiler::frame_table() const {
   return out;
 }
 
-void Profiler::write_collapsed(std::ostream& os) const {
-  std::vector<std::string_view> path;
-  for (std::size_t i = 1; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    if (n.self_ns == 0) continue;
-    path.clear();
-    for (StackId at{static_cast<std::uint32_t>(i)}; at != kRootStack;
-         at = node(at).parent)
-      path.push_back(frames_[node(at).frame].name);
-    for (std::size_t d = path.size(); d-- > 0;) {
-      os << path[d];
-      if (d != 0) os << ';';
-    }
-    // Folded counts are integer microseconds, rounded up so a hot-but-
-    // brief frame never vanishes from the graph.
-    os << ' ' << (n.self_ns + 999) / 1000 << '\n';
-  }
-}
-
 void Profiler::write_profile(std::ostream& os) const {
   os << "# p2plb-prof-1\n"
      << "total_ns " << total_ns_ << '\n';
@@ -159,10 +139,7 @@ void Profiler::write_profile(std::ostream& os) const {
 void Profiler::write_profile_file(const std::string& path) const {
   std::ofstream out(path);
   P2PLB_REQUIRE_MSG(out.is_open(), "cannot open profile output: " + path);
-  if (path_has_extension(path, ".folded"))
-    write_collapsed(out);
-  else
-    write_profile(out);
+  write_profile(out);
 }
 
 }  // namespace p2plb::obs

@@ -19,9 +19,10 @@
 // self-time telescopes -- a scope's self time is its elapsed time minus
 // the elapsed time of its direct children, so the self times of all trie
 // nodes sum to total_ns() with no residue.  Exports: a per-frame
-// self/total/count table, collapsed stacks for flamegraph.pl/speedscope,
-// and a "p2plb-prof-1" text profile (tools/prof parses it and joins the
-// sim-time spans noted via note_span into a sim x host crosstab).
+// self/total/count table and a "p2plb-prof-1" text profile (tools/prof
+// parses it, derives collapsed stacks for flamegraph.pl/speedscope, and
+// joins the sim-time spans noted via note_span into a sim x host
+// crosstab).
 //
 // Determinism contract (mirrors the stall detector and the null tracer):
 // the profiler observes the wall clock but never feeds the schedule --
@@ -157,19 +158,13 @@ class Profiler {
     return notes_;
   }
 
-  /// Collapsed stacks, one line per trie node with self time:
-  /// "frame;frame;...;frame <self_microseconds>" -- the folded format
-  /// flamegraph.pl and speedscope consume directly.  Nonzero self times
-  /// round up to at least 1us so no hot path vanishes.
-  void write_collapsed(std::ostream& os) const;
-
   /// The "p2plb-prof-1" text profile: total_ns, span notes, the frame
-  /// table and the stack trie (see tools/prof for the parser).
+  /// table and the stack trie (see tools/prof for the parser, which also
+  /// derives collapsed flamegraph stacks from it).
   void write_profile(std::ostream& os) const;
 
-  /// Write to `path`: collapsed stacks when the name ends in ".folded"
-  /// (case-insensitive), the p2plb-prof-1 text profile otherwise.
-  /// Throws PreconditionError on an unwritable path.
+  /// write_profile to `path`, whatever its suffix.  Throws
+  /// PreconditionError on an unwritable path.
   void write_profile_file(const std::string& path) const;
 
  private:

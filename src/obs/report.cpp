@@ -3,31 +3,13 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 
 #include "common/error.h"
 #include "common/table.h"
+#include "obs/format.h"
 
 namespace p2plb::obs {
-
-namespace {
-
-double parse_value(const std::string& text, const std::string& context) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(text, &used);
-    P2PLB_REQUIRE_MSG(used == text.size(),
-                      "trailing garbage in metrics value: " + context);
-    return v;
-  } catch (const std::invalid_argument&) {
-    throw PreconditionError("metrics value is not a number: " + context);
-  } catch (const std::out_of_range&) {
-    throw PreconditionError("metrics value out of range: " + context);
-  }
-}
-
-}  // namespace
 
 ExperimentReport analyze(const std::vector<Sample>& samples,
                          const ReportOptions& options) {
@@ -68,7 +50,7 @@ std::map<std::string, double> load_metrics_csv(std::istream& is) {
     const auto fields = parse_csv_record(line);
     P2PLB_REQUIRE_MSG(fields.size() == 2,
                       "metrics CSV row must have 2 fields: " + line);
-    out[fields[0]] = parse_value(fields[1], line);
+    out[fields[0]] = parse_number(fields[1], line);
   }
   return out;
 }

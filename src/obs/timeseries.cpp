@@ -5,7 +5,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 
 #include "common/error.h"
@@ -45,125 +44,21 @@ void write_series_csv(std::ostream& os, const std::vector<Sample>& samples) {
   }
 }
 
-void write_series_jsonl(std::ostream& os,
-                        const std::vector<Sample>& samples) {
-  for (const Sample& s : samples) {
-    os << "{\"t\":" << json_number(s.t)
-       << ",\"metric\":" << json_string(s.key)
-       << ",\"value\":" << json_number(s.value) << "}\n";
-  }
-}
-
 void write_series_file(const std::vector<Sample>& samples,
                        const std::string& path) {
   std::ofstream os(path);
   P2PLB_REQUIRE_MSG(os.good(), "cannot open series file: " + path);
-  if (path_has_extension(path, ".jsonl")) {
-    write_series_jsonl(os, samples);
-  } else {
-    write_series_csv(os, samples);
-  }
+  write_series_csv(os, samples);
 }
-
-namespace {
-
-double parse_number(std::string_view text, const std::string& context) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(std::string(text), &used);
-    P2PLB_REQUIRE_MSG(used == text.size(),
-                      "trailing garbage in number: " + context);
-    return v;
-  } catch (const std::invalid_argument&) {
-    throw PreconditionError("not a number: " + context);
-  } catch (const std::out_of_range&) {
-    throw PreconditionError("number out of range: " + context);
-  }
-}
-
-/// Consume `expected` off the front of `rest` or die.
-void expect(std::string_view& rest, std::string_view expected,
-            const std::string& context) {
-  P2PLB_REQUIRE_MSG(rest.substr(0, expected.size()) == expected,
-                    "malformed series JSONL near: " + context);
-  rest.remove_prefix(expected.size());
-}
-
-/// Parse a JSON number prefix (up to the next ',' or '}').
-double take_number(std::string_view& rest, const std::string& context) {
-  const std::size_t end = rest.find_first_of(",}");
-  P2PLB_REQUIRE_MSG(end != std::string_view::npos,
-                    "malformed series JSONL near: " + context);
-  const double v = parse_number(rest.substr(0, end), context);
-  rest.remove_prefix(end);
-  return v;
-}
-
-/// Parse a JSON string prefix (including both quotes), undoing
-/// json_string()'s escapes.
-std::string take_string(std::string_view& rest, const std::string& context) {
-  expect(rest, "\"", context);
-  std::string out;
-  while (!rest.empty()) {
-    const char ch = rest.front();
-    rest.remove_prefix(1);
-    if (ch == '"') return out;
-    if (ch != '\\') {
-      out += ch;
-      continue;
-    }
-    P2PLB_REQUIRE_MSG(!rest.empty(), "malformed series JSONL near: " + context);
-    const char esc = rest.front();
-    rest.remove_prefix(1);
-    switch (esc) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'u': {
-        P2PLB_REQUIRE_MSG(rest.size() >= 4,
-                          "malformed series JSONL near: " + context);
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = rest.front();
-          rest.remove_prefix(1);
-          code <<= 4;
-          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f')
-            code |= static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F')
-            code |= static_cast<unsigned>(h - 'A' + 10);
-          else
-            throw PreconditionError("malformed series JSONL near: " + context);
-        }
-        P2PLB_REQUIRE_MSG(code < 0x80,
-                          "non-ASCII escape in series JSONL: " + context);
-        out += static_cast<char>(code);
-        break;
-      }
-      default:
-        throw PreconditionError("malformed series JSONL near: " + context);
-    }
-  }
-  throw PreconditionError("unterminated string in series JSONL: " + context);
-}
-
-}  // namespace
 
 std::vector<Sample> load_series_csv(std::istream& is) {
   std::vector<Sample> out;
   std::string line;
   P2PLB_REQUIRE_MSG(std::getline(is, line), "empty series CSV");
-  {
-    const auto header = parse_csv_record(line);
-    P2PLB_REQUIRE_MSG(
-        header == std::vector<std::string>({"time", "metric", "value"}),
-        "series CSV must start with a time,metric,value header");
-  }
+  // Compared as raw text, so a file in any other format (say, JSON
+  // lines) fails here with this message, not deeper in the CSV parser.
+  P2PLB_REQUIRE_MSG(line == "time,metric,value",
+                    "series CSV must start with a time,metric,value header");
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const auto fields = parse_csv_record(line);
@@ -175,32 +70,10 @@ std::vector<Sample> load_series_csv(std::istream& is) {
   return out;
 }
 
-std::vector<Sample> load_series_jsonl(std::istream& is) {
-  std::vector<Sample> out;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::string_view rest = line;
-    Sample s;
-    expect(rest, "{\"t\":", line);
-    s.t = take_number(rest, line);
-    expect(rest, ",\"metric\":", line);
-    s.key = take_string(rest, line);
-    expect(rest, ",\"value\":", line);
-    s.value = take_number(rest, line);
-    expect(rest, "}", line);
-    P2PLB_REQUIRE_MSG(rest.empty(),
-                      "malformed series JSONL near: " + line);
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
 std::vector<Sample> load_series_file(const std::string& path) {
   std::ifstream is(path);
   P2PLB_REQUIRE_MSG(is.good(), "cannot open series file: " + path);
-  return path_has_extension(path, ".jsonl") ? load_series_jsonl(is)
-                                            : load_series_csv(is);
+  return load_series_csv(is);
 }
 
 std::vector<std::string> series_keys(const std::vector<Sample>& samples) {

@@ -10,13 +10,13 @@
 // bucket, stamped with the bucket's end time, so a series is a dump of
 // closed window buckets (lb::HealthProbe::register_windows supplies the
 // health gauges).  Drivers may append marker rows (`event.crash`) at
-// their exact time.  The writers export CSV or JSONL, and the loaders
-// read the files back so tools/p2plb_report (and the golden tests) can
-// compute convergence times from a finished run.
+// their exact time.  The writer exports CSV, and the loader reads the
+// file back so tools/p2plb_report (and the golden tests) can compute
+// convergence times from a finished run.
 //
 // Like the rest of obs, series are deterministic: rows are stored in
 // append order, timestamps come from the caller in sim::Time units, and
-// both exporters use the codebase's canonical number formatting -- a
+// the exporter uses the codebase's canonical number formatting -- a
 // (seed, scenario) pair always produces the identical series file.
 #pragma once
 
@@ -50,21 +50,17 @@ void record_series(WindowedAggregator& windows, std::vector<Sample>& samples);
 /// CSV export: header "time,metric,value", one sample per row, RFC 4180
 /// quoting (metric keys may contain commas via labels).
 void write_series_csv(std::ostream& os, const std::vector<Sample>& samples);
-/// JSONL export: {"t":...,"metric":"...","value":...} per line, stable
-/// field order.
-void write_series_jsonl(std::ostream& os, const std::vector<Sample>& samples);
 
-/// Write `samples` to `path`: JSONL when the name ends in ".jsonl"
-/// (case-insensitive), CSV otherwise.  Throws PreconditionError on an
-/// unwritable path.
+/// write_series_csv to `path`, whatever its suffix.  Throws
+/// PreconditionError on an unwritable path.
 void write_series_file(const std::vector<Sample>& samples,
                        const std::string& path);
 
-/// Parse a series back from its CSV / JSONL form (the exact inverses of
-/// the writers above).  Malformed input throws PreconditionError.
+/// Parse a series back from its CSV form (the exact inverse of
+/// write_series_csv).  Malformed input -- including a file that does not
+/// start with the CSV header -- throws PreconditionError.
 [[nodiscard]] std::vector<Sample> load_series_csv(std::istream& is);
-[[nodiscard]] std::vector<Sample> load_series_jsonl(std::istream& is);
-/// Format picked from the path suffix like write_series_file.
+/// load_series_csv over a file, whatever its suffix.
 [[nodiscard]] std::vector<Sample> load_series_file(const std::string& path);
 
 /// The distinct metric keys of a sample set, sorted.

@@ -5,8 +5,8 @@
 // boundaries closed in one advance, the shape a crash burst's quiet
 // period produces), the emission fan-out (trace instants with no span
 // ids, registry counters/gauge, subscriber callback), the p2plb-alerts-1
-// CSV/JSONL round-trip, and the byte-identity of the exported stream
-// across identical runs.
+// CSV round-trip, and the byte-identity of the exported stream across
+// identical runs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -235,7 +235,7 @@ TEST(AlertEngine, EmitsToTracerMetricsAndCallbackInOrder) {
   EXPECT_DOUBLE_EQ(snap.value("alert.active"), 0.0);
 }
 
-TEST(AlertEngine, AlertsFileRoundTripsInBothFormats) {
+TEST(AlertEngine, AlertsFileRoundTripsAsCsv) {
   WindowedAggregator w({10.0, 8});
   const SeriesId x = w.counter_series("x");
   AlertEngine alerts(w, obs::parse_alert_rules("hot x sum > 5\n"));
@@ -243,6 +243,7 @@ TEST(AlertEngine, AlertsFileRoundTripsInBothFormats) {
   w.advance_to(20.0);
   ASSERT_EQ(alerts.events().size(), 2u);
 
+  // The suffix selects nothing: both files are CSV.
   for (const char* name : {"alerts_rt.csv", "alerts_rt.jsonl"}) {
     const std::string path =
         testing::TempDir() + "/" + name;
@@ -256,8 +257,28 @@ TEST(AlertEngine, AlertsFileRoundTripsInBothFormats) {
       EXPECT_DOUBLE_EQ(loaded[i].value, alerts.events()[i].value);
       EXPECT_DOUBLE_EQ(loaded[i].threshold, alerts.events()[i].threshold);
     }
+    std::ifstream is(path);
+    std::string header;
+    ASSERT_TRUE(std::getline(is, header));
+    EXPECT_EQ(header, "time,rule,event,value,threshold") << path;
     std::remove(path.c_str());
   }
+
+  // A stale JSON-lines alerts file fails loudly instead of misparsing.
+  const std::string stale = testing::TempDir() + "/alerts_stale.jsonl";
+  std::ofstream(stale) << "{\"t\":10,\"rule\":\"hot\",\"event\":\"fire\","
+                          "\"value\":6.5,\"threshold\":5}\n";
+  try {
+    (void)obs::load_alerts_file(stale);
+    FAIL() << "a JSON-lines alerts file was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "alerts CSV must start with a "
+                  "time,rule,event,value,threshold header"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(stale.c_str());
 }
 
 TEST(AlertEngine, ExportedStreamIsByteIdenticalAcrossRuns) {
@@ -276,9 +297,7 @@ TEST(AlertEngine, ExportedStreamIsByteIdenticalAcrossRuns) {
     w.advance_to(50.0);
     std::ostringstream csv;
     alerts.write_csv(csv);
-    std::ostringstream jsonl;
-    alerts.write_jsonl(jsonl);
-    return csv.str() + "\x1f" + jsonl.str();
+    return csv.str();
   };
   const std::string first = run();
   EXPECT_FALSE(first.empty());

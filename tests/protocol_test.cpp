@@ -5,13 +5,16 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <vector>
 
 #include "chord/ring.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "ktree/protocol.h"
 #include "ktree/tree.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
+#include "sim/network.h"
 
 namespace p2plb::ktree {
 namespace {
@@ -95,6 +98,24 @@ TEST(SimulatedAggregation, LatencyGrowsLogarithmically) {
                    .completion_time;
   }
   EXPECT_LE(big_time, small_time + 8.0);  // ~log2(16) = 4 extra levels
+}
+
+TEST(NetworkSweeps, RequireOneEndpointPerTreeNode) {
+  const auto ring = make_ring(16, 2, 406);
+  const KTree tree(ring, 2);
+  ASSERT_GT(tree.size(), 1u);
+  sim::Engine engine;
+  sim::Network net(engine, sim::LatencyFn([](sim::Endpoint, sim::Endpoint) {
+                     return 1.0;
+                   }));
+  const std::vector<sim::Endpoint> short_span(tree.size() - 1, 0);
+  EXPECT_THROW((void)begin_aggregation(net, tree, short_span, {}, nullptr),
+               PreconditionError);
+  EXPECT_THROW(begin_dissemination(net, tree, short_span, {}, nullptr,
+                                   nullptr),
+               PreconditionError);
+  // Nothing was sent: the check fires before the sweep starts.
+  EXPECT_EQ(engine.pending(), 0u);
 }
 
 // --- MaintenanceProtocol -----------------------------------------------------

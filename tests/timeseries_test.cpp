@@ -1,5 +1,5 @@
-// Tests for the time-series observability layer: the series writers and
-// loaders, the closed-bucket series export (obs::record_series),
+// Tests for the time-series observability layer: the series CSV writer
+// and loader, the closed-bucket series export (obs::record_series),
 // re-convergence measurement, lb::HealthProbe gauges, and the report
 // generator.
 //
@@ -51,8 +51,23 @@ TEST(Format, PathHasExtensionIsCaseInsensitive) {
   EXPECT_FALSE(obs::path_has_extension("csv", ".csv"));  // shorter than ext
 }
 
+TEST(Format, ParseNumberAcceptsOnlyAWholeNumber) {
+  EXPECT_EQ(obs::parse_number("2.5", "ctx"), 2.5);
+  EXPECT_EQ(obs::parse_number("-1e3", "ctx"), -1000.0);
+  EXPECT_THROW((void)obs::parse_number("", "ctx"), PreconditionError);
+  EXPECT_THROW((void)obs::parse_number("abc", "ctx"), PreconditionError);
+  EXPECT_THROW((void)obs::parse_number("1.5x", "ctx"), PreconditionError);
+  EXPECT_THROW((void)obs::parse_number("1e999", "ctx"), PreconditionError);
+  try {
+    (void)obs::parse_number("7 ", "line 3: 7 ");
+    FAIL() << "trailing space accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3: 7 "), std::string::npos);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Series writers + loaders
+// Series writer + loader
 // ---------------------------------------------------------------------------
 
 /// A series whose keys exercise the escaping paths: a label value with a
@@ -73,38 +88,39 @@ TEST(TimeSeries, CsvExportIsGolden) {
             "10,\"quote\"\"y\",3\n");
 }
 
-TEST(TimeSeries, JsonlExportIsGolden) {
-  std::ostringstream os;
-  obs::write_series_jsonl(os, tricky_series());
-  EXPECT_EQ(os.str(),
-            "{\"t\":0,\"metric\":\"health.nodes\",\"value\":64}\n"
-            "{\"t\":2.5,\"metric\":\"m{tag=a,b}\",\"value\":0.125}\n"
-            "{\"t\":10,\"metric\":\"quote\\\"y\",\"value\":3}\n");
-}
-
 TEST(TimeSeries, LoadersInvertTheWriters) {
   const std::vector<obs::Sample> series = tricky_series();
-  std::ostringstream csv, jsonl;
+  std::ostringstream csv;
   obs::write_series_csv(csv, series);
-  obs::write_series_jsonl(jsonl, series);
-  std::istringstream csv_in(csv.str()), jsonl_in(jsonl.str());
+  std::istringstream csv_in(csv.str());
   EXPECT_EQ(obs::load_series_csv(csv_in), series);
-  EXPECT_EQ(obs::load_series_jsonl(jsonl_in), series);
 }
 
-TEST(TimeSeries, FileRoundTripPicksFormatBySuffixCaseInsensitive) {
+TEST(TimeSeries, FileRoundTripIsCsvWhateverTheSuffix) {
   const std::vector<obs::Sample> series = tricky_series();
-  const std::string jsonl_path = testing::TempDir() + "series.JSONL";
+  const std::string other_path = testing::TempDir() + "series.JSONL";
   const std::string csv_path = testing::TempDir() + "series.csv";
-  obs::write_series_file(series, jsonl_path);
+  obs::write_series_file(series, other_path);
   obs::write_series_file(series, csv_path);
-  EXPECT_EQ(obs::load_series_file(jsonl_path), series);
+  EXPECT_EQ(obs::load_series_file(other_path), series);
   EXPECT_EQ(obs::load_series_file(csv_path), series);
-  // The .JSONL file really is JSONL, not CSV.
-  std::ifstream is(jsonl_path);
+  // The suffix selects nothing: the .JSONL file is CSV too.
+  std::ifstream is(other_path);
   std::string first;
   ASSERT_TRUE(std::getline(is, first));
-  EXPECT_EQ(first.substr(0, 5), "{\"t\":");
+  EXPECT_EQ(first, "time,metric,value");
+  // ...and a stale JSON-lines series fails loudly instead of misparsing.
+  const std::string stale_path = testing::TempDir() + "stale_series.jsonl";
+  std::ofstream(stale_path) << "{\"t\":0,\"metric\":\"m\",\"value\":1}\n";
+  try {
+    (void)obs::load_series_file(stale_path);
+    FAIL() << "a JSON-lines series was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "series CSV must start with a time,metric,value header"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_THROW(obs::write_series_file(series, "/nonexistent-dir/s.csv"),
                PreconditionError);
   EXPECT_THROW((void)obs::load_series_file("/nonexistent-dir/s.csv"),
@@ -120,11 +136,6 @@ TEST(TimeSeries, LoadersRejectMalformedInput) {
   EXPECT_THROW((void)obs::load_series_csv(short_row), PreconditionError);
   std::istringstream bad_number("time,metric,value\n1,x,abc\n");
   EXPECT_THROW((void)obs::load_series_csv(bad_number), PreconditionError);
-  std::istringstream bad_json("{\"x\":1}\n");
-  EXPECT_THROW((void)obs::load_series_jsonl(bad_json), PreconditionError);
-  std::istringstream trailing(
-      "{\"t\":1,\"metric\":\"m\",\"value\":2}garbage\n");
-  EXPECT_THROW((void)obs::load_series_jsonl(trailing), PreconditionError);
 }
 
 TEST(TimeSeries, KeyAndSeriesExtraction) {
@@ -283,25 +294,18 @@ TEST(SeriesExport, RowsAreTimeOrderedAndRoundTrip) {
   EXPECT_DOUBLE_EQ(series.front().t, 10.0);
   // Values are written with 6 significant digits, so the round trip is
   // exact on the text: reload, rewrite, compare bytes.
-  std::ostringstream csv, jsonl;
+  std::ostringstream csv;
   obs::write_series_csv(csv, series);
-  obs::write_series_jsonl(jsonl, series);
-  std::istringstream csv_in(csv.str()), jsonl_in(jsonl.str());
+  std::istringstream csv_in(csv.str());
   const std::vector<obs::Sample> from_csv = obs::load_series_csv(csv_in);
-  const std::vector<obs::Sample> from_jsonl = obs::load_series_jsonl(jsonl_in);
   ASSERT_EQ(from_csv.size(), series.size());
-  ASSERT_EQ(from_jsonl.size(), series.size());
   for (std::size_t i = 0; i < series.size(); ++i) {
     EXPECT_EQ(from_csv[i].key, series[i].key);
     EXPECT_EQ(from_csv[i].t, series[i].t);
-    EXPECT_EQ(from_jsonl[i].key, series[i].key);
-    EXPECT_EQ(from_jsonl[i].t, series[i].t);
   }
-  std::ostringstream csv2, jsonl2;
+  std::ostringstream csv2;
   obs::write_series_csv(csv2, from_csv);
-  obs::write_series_jsonl(jsonl2, from_jsonl);
   EXPECT_EQ(csv2.str(), csv.str());
-  EXPECT_EQ(jsonl2.str(), jsonl.str());
 }
 
 TEST(SeriesExport, WindowTickParksAtEngineDrain) {

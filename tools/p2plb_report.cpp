@@ -1,11 +1,11 @@
 // p2plb_report -- experiment reports from recorded runs.
 //
-// Reads the time series a run exported (`--series`: its closed window
-// buckets plus event markers, CSV or JSONL by suffix, case-insensitive)
-// plus optionally the final metrics-registry CSV (`--metrics`), and
-// writes a self-contained Markdown report: series overview,
-// re-convergence after each recorded disturbance, before/after health
-// gauges, moved-load-by-distance quantiles and traffic totals.
+// Reads the CSV time series a run exported (`--series`: its closed
+// window buckets plus event markers) plus optionally the final
+// metrics-registry CSV (`--metrics`), and writes a self-contained
+// Markdown report: series overview, re-convergence after each recorded
+// disturbance, before/after health gauges, moved-load-by-distance
+// quantiles and traffic totals.
 //
 //   $ churn_simulation --windows 10 --series series.csv
 //   $ p2plb_report --series series.csv --out report.md
@@ -23,7 +23,6 @@
 
 #include "common/cli.h"
 #include "common/error.h"
-#include "obs/format.h"
 #include "obs/report.h"
 #include "obs/timeseries.h"
 
@@ -85,17 +84,15 @@ int run(const Cli& cli) {
 int main(int argc, char** argv) {
   Cli cli;
   cli.add_flag("series",
-               "time-series file to analyze (CSV, or JSONL if the name "
-               "ends in .jsonl, case-insensitive); required",
+               "time-series CSV to analyze (time,metric,value); required",
                "");
   cli.add_flag("metrics",
                "final metrics-registry CSV export (optional; adds the "
                "moved-load and traffic sections)",
                "");
   cli.add_flag("alerts",
-               "p2plb-alerts-1 export to render as an alert-timeline "
-               "section (optional; CSV, or JSONL if the name ends in "
-               ".jsonl, case-insensitive)",
+               "p2plb-alerts-1 CSV export to render as an alert-timeline "
+               "section (optional)",
                "");
   cli.add_flag("out", "write the Markdown report here (default: stdout)", "");
   cli.add_flag("title", "report title", "Experiment report");

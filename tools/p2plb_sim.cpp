@@ -14,14 +14,12 @@
 //
 // `--trace FILE` / `--metrics FILE` (they imply `--timed`) export the
 // run's structured trace (Chrome trace_event JSON, JSONL when FILE ends
-// in .jsonl, compact binary p2plb-btrace-1 when it ends in .btrace --
-// override with `--trace-format`) and the unified metrics registry (CSV
-// when FILE ends in .csv, aligned text otherwise; all suffix checks
-// case-insensitive).  JSONL and binary traces stream to disk as the run
-// goes; `--trace-sample K/M` keeps a deterministic hash-selected subset
-// of traces.  `--flight-recorder FILE` dumps the engine's recent-event
-// ring and queue introspection at exit and on anomalies (see also
-// `--stall-ms`).
+// in .jsonl, compact binary p2plb-btrace-1 when it ends in .btrace;
+// case-insensitive) and the unified metrics registry (CSV).  JSONL and
+// binary traces stream to disk as the run goes; `--trace-sample K/M`
+// keeps a deterministic hash-selected subset of traces.
+// `--flight-recorder FILE` dumps the engine's recent-event ring and
+// queue introspection at exit and on anomalies (see also `--stall-ms`).
 //
 //   $ p2plb_sim --topology ts5k-large --workload gaussian --mode aware
 //   $ p2plb_sim --nodes 1024 --workload zipf --zipf 1.1 --rounds 4
@@ -69,17 +67,6 @@
 namespace {
 
 using namespace p2plb;
-
-/// Resolve --trace-format: "auto" follows the path suffix (the
-/// write_trace_file rule), anything else forces the format.
-std::string resolve_trace_format(const std::string& format,
-                                 const std::string& path) {
-  if (format != "auto") return format;
-  if (obs::path_has_extension(path, ".jsonl")) return "jsonl";
-  if (obs::path_has_extension(path, obs::kBinaryTraceExtension))
-    return "binary";
-  return "chrome";
-}
 
 /// Parse --trace-sample "K/M" (e.g. "1/64").  Returns false on
 /// malformed input.
@@ -206,13 +193,6 @@ int run(const Cli& cli) {
   const std::string flight_path = cli.get_string("flight-recorder");
   const std::string profile_path = cli.get_string("profile");
   const double stall_ms = cli.get_double("stall-ms");
-  const std::string trace_format =
-      resolve_trace_format(cli.get_string("trace-format"), trace_path);
-  if (trace_format != "jsonl" && trace_format != "binary" &&
-      trace_format != "chrome") {
-    std::cerr << "unknown --trace-format (auto|jsonl|binary|chrome)\n";
-    return 1;
-  }
   std::uint64_t sample_keep = 1;
   std::uint64_t sample_of = 1;
   if (!trace_sample.empty() &&
@@ -267,9 +247,10 @@ int run(const Cli& cli) {
     std::optional<obs::JsonlTraceSink> jsonl_sink;
     std::optional<obs::BinaryTraceSink> binary_sink;
     if (!trace_path.empty()) {
-      if (trace_format == "jsonl") {
+      if (obs::path_has_extension(trace_path, ".jsonl")) {
         tracer.set_sink(&jsonl_sink.emplace(trace_path));
-      } else if (trace_format == "binary") {
+      } else if (obs::path_has_extension(trace_path,
+                                         obs::kBinaryTraceExtension)) {
         tracer.set_sink(&binary_sink.emplace(trace_path));
       }
       if (sample_of > 1)
@@ -544,12 +525,10 @@ int main(int argc, char** argv) {
   cli.add_flag("timed", "run rounds event-driven over simulated latencies",
                "false");
   cli.add_flag("trace",
-               std::string(p2plb::obs::kTraceFlagHelp) + "; implies --timed",
+               std::string(p2plb::obs::kTraceFlagHelp) +
+                   "; JSONL and binary stream to disk as the run goes; "
+                   "implies --timed",
                "");
-  cli.add_flag("trace-format",
-               "auto | jsonl | binary | chrome -- auto follows the --trace "
-               "suffix; jsonl and binary stream to disk as the run goes",
-               "auto");
   cli.add_flag("trace-sample",
                "deterministic per-trace sampling ratio K/M (e.g. 1/64): "
                "keep a trace iff hash(trace_id, --seed) mod M < K; empty "

@@ -11,9 +11,8 @@
 //
 // --check-coverage FRAC exits non-zero unless the top-K table attributes
 // at least that fraction of the measured wall time, so CI can gate on
-// the profiler staying honest.  (Writing --profile prof.folded from the
-// run emits collapsed stacks directly; this tool re-derives them from
-// the richer text profile.)
+// the profiler staying honest.  A run's --profile is always the text
+// profile; --folded is the one writer of collapsed flamegraph stacks.
 #include <cstddef>
 #include <exception>
 #include <fstream>
@@ -101,8 +100,9 @@ int main(int argc, char** argv) {
   cli.add_flag("in", "input p2plb-prof-1 profile (from --profile)", "");
   cli.add_flag("top", "rows in the hot-frame table", "20");
   cli.add_flag("folded",
-               "write collapsed flamegraph stacks here ('-' for stdout, "
-               "suppressing the tables)",
+               "write collapsed flamegraph stacks (flamegraph.pl / "
+               "speedscope input) here ('-' for stdout, suppressing the "
+               "tables)",
                "");
   cli.add_flag("crosstab", "also print the sim-time x host-time crosstab",
                "false");
