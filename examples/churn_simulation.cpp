@@ -169,8 +169,10 @@ int main(int argc, char** argv) {
   if (windowing) {
     // Online sensing: the aggregator is passive (it schedules nothing),
     // fed by the network's sends and the health probe's boundary
-    // sampling; the alert engine evaluates at every bucket close, and
-    // the series export appends each closed bucket.
+    // sampling, and the engine closes every bucket boundary on time --
+    // traffic-free stretches between rounds included; the alert engine
+    // evaluates at every bucket close, and the series export appends
+    // each closed bucket.
     windows.emplace(obs::WindowConfig{window_width, 64});
     net.attach_windows(&*windows);
     health.register_windows(*windows);
@@ -253,28 +255,23 @@ int main(int argc, char** argv) {
           ++crashed;
         }
         world.reassign_loads();
-        if (!series_path.empty()) {
-          // Mark the disturbance at its exact time, after every bucket
-          // that ended by now, so the series stays in time order.
-          windows->advance_to(engine.now());
+        // Mark the disturbance at its exact time.  The engine closed
+        // every bucket that ended by now before this event, so the
+        // series stays in time order.
+        if (!series_path.empty())
           series.push_back({engine.now(), "event.crash",
                             static_cast<double>(crashed)});
-        }
       });
       crashed_round = &round;
     }
     return rounds_started < intervals;
   });
 
-  // A series needs every boundary closed, but the stretches between
-  // rounds carry no traffic: tick the windows once per bucket while
-  // anything else is pending (the tick parks at an engine drain).
-  if (!series_path.empty()) sim::tick_windows(engine, *windows);
   // The churn processes reschedule themselves forever; run to a horizon
   // just past the last balancing sweep instead of draining the queue.
+  // run_until also closes every bucket the horizon passed, so trailing
+  // resolves land.
   engine.run_until(kBalanceInterval * (intervals + 0.5));
-  // Close every bucket the horizon passed, so trailing resolves land.
-  if (windows) windows->advance_to(engine.now());
   std::cout << "churn simulation: " << intervals << " balancing intervals, "
             << engine.events_executed() << " events, final membership "
             << world.ring.live_node_count() << " nodes, "

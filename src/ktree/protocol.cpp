@@ -258,7 +258,6 @@ void MaintenanceProtocol::start() {
     if (!instances_.contains(Region::whole()) &&
         ring_.virtual_server_count() > 0) {
       msg_reseed_->increment();  // the lookup that re-seeds the root
-      record_repair();
       // A reseed starts a fresh causal chain: nothing live caused it.
       const obs::SpanContext cause = trace_event(
           "maint.reseed", {}, Region::whole(),
@@ -306,7 +305,6 @@ void MaintenanceProtocol::check_instance(const Region& region) {
   const chord::Key proper = ring_.successor(region.midpoint()).id;
   if (it->second.host_vs != proper) {
     msg_replant_->increment();  // state handoff to the new host
-    record_repair();
     it->second.host_vs = proper;
     // The replant extends the instance's causal chain: later actions by
     // this instance parent to it.
@@ -330,7 +328,6 @@ void MaintenanceProtocol::check_instance(const Region& region) {
         continue;
       }
       msg_prune_->increment();  // prune notification
-      record_repair();
       trace_event("maint.prune", it->second.ctx, it2->first,
                   it2->second.host_vs);
       it2 = instances_.erase(it2);
@@ -342,10 +339,7 @@ void MaintenanceProtocol::check_instance(const Region& region) {
       if (child.len == 0 || instances_.contains(child)) continue;
       const chord::Key child_host = ring_.successor(child.midpoint()).id;
       const sim::Time lat = latency_(proper, child_host);
-      if (lat > 0.0) {
-        msg_create_->increment();
-        record_repair();
-      }
+      if (lat > 0.0) msg_create_->increment();
       // The child's creation is caused by this instance's check; capture
       // the parent context now so a replant in between doesn't rewrite
       // history.

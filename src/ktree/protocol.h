@@ -35,7 +35,6 @@
 #include "ktree/tree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/window.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 
@@ -139,17 +138,6 @@ class MaintenanceProtocol {
   /// ids and its schedule is unchanged.
   void attach_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
-  /// Feed every acting repair (reseed / replant / prune / create) into
-  /// `windows`'s `ktree.repairs` counter series (nullptr detaches), so
-  /// alert rules can watch the repair *rate* -- the online signal of
-  /// churn stress.  The aggregator is passive: attaching changes no
-  /// schedules.
-  void attach_windows(obs::WindowedAggregator* windows) {
-    windows_ = windows;
-    if (windows != nullptr)
-      win_repairs_ = windows->counter_series("ktree.repairs");
-  }
-
   /// Crash a node: removes it from the ring and destroys every KT-node
   /// instance hosted by one of its virtual servers.
   void crash_node(chord::NodeIndex node);
@@ -208,12 +196,6 @@ class MaintenanceProtocol {
                                const obs::SpanContext& parent,
                                const Region& region, chord::Key host);
 
-  /// Book one acting repair into the windowed repair-rate series.
-  void record_repair() {
-    if (windows_ != nullptr)
-      windows_->record(win_repairs_, engine_.now(), 1.0);
-  }
-
   void create_instance(const Region& region,
                        const obs::SpanContext& cause = {});
   void check_instance(const Region& region);
@@ -232,8 +214,6 @@ class MaintenanceProtocol {
   obs::Counter* msg_replant_ = nullptr;  ///< state handoffs to a new host
   obs::Counter* msg_prune_ = nullptr;    ///< prune notifications
   obs::Counter* msg_create_ = nullptr;   ///< remote child-create messages
-  obs::WindowedAggregator* windows_ = nullptr;
-  obs::SeriesId win_repairs_;  ///< resolved at attach_windows time
 };
 
 }  // namespace p2plb::ktree

@@ -165,11 +165,6 @@ void WindowedAggregator::apply(SeriesId id, double value) {
 }
 
 // p2plb: holds(window_shard_)
-void WindowedAggregator::roll_to(double t) {
-  while (bucket_end_ <= t) close_current_bucket();
-}
-
-// p2plb: holds(window_shard_)
 void WindowedAggregator::close_current_bucket() {
   const double boundary = bucket_end_;
   closing_ = true;
@@ -195,7 +190,8 @@ void WindowedAggregator::close_current_bucket() {
   }
   last_boundary_ = boundary;
   closed_ = std::min(closed_ + 1, config_.ring_buckets - 1);
-  bucket_end_ = boundary + config_.bucket_width;
+  // One product, not a running sum: W = 0.1 must not drift.
+  bucket_end_ = static_cast<double>(current_seq_ + 1) * config_.bucket_width;
   // 4. Hooks read the now-queryable closed window.
   for (const BoundaryHook& hook : hooks_) hook(boundary);
 }

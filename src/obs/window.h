@@ -13,10 +13,11 @@
 // Design rules:
 //
 //   * Passive advancement.  The aggregator schedules nothing.  Buckets
-//     close when a record (or an explicit advance_to from the driver)
-//     carries the clock past a boundary, so attaching one adds no
-//     events -- the schedule stays byte-identical, which the window
-//     tests and the CI alert-smoke cmp gates pin.
+//     close when advance_to (or, standalone, a record) carries the clock
+//     past a boundary.  In a simulation the sim::Engine closes them on
+//     time (Engine::attach_windows), so attaching one adds no events --
+//     the schedule stays byte-identical, which the window tests and the
+//     CI alert-smoke cmp gates pin.
 //   * Bounded memory.  Each series owns ring_buckets buckets, full stop.
 //     A 10^6-node run holds the same few kilobytes per series as a
 //     100-node run; only columns scale with N, as one dense double each.
@@ -29,8 +30,8 @@
 //     boundary probe and folded into a histogram series per bucket --
 //     cache-friendly at million-node scale, no per-node map entries.
 //   * Deterministic boundaries.  Buckets are aligned to t = 0 (bucket i
-//     covers [i*W, (i+1)*W)), so the closing sequence is a pure function
-//     of the record timestamps, which are themselves deterministic.
+//     covers [i*W, (i+1)*W), (i+1)*W computed as one product), so the
+//     closing sequence is a pure function of deterministic sim times.
 //
 // Boundary protocol, in order, per closed bucket:
 //   1. boundary probes run (stamped with the boundary time); they write
@@ -180,21 +181,24 @@ class WindowedAggregator {
   /// series keep last/min/max/mean, histogram series bucket the value.
   /// `t` must be >= every previously seen time (sim time is monotone).
   /// Boundary probes may call record(boundary_t, ...) re-entrantly: the
-  /// guard below parks the roll so their readings land in the closing
-  /// bucket instead of recursing.
+  /// guard in advance_to parks the roll so their readings land in the
+  /// closing bucket instead of recursing.
   // p2plb: holds(window_shard_)
   void record(SeriesId id, double t, double value) {
+    advance_to(t);
     const common::ShardGuard shard(window_shard_);
-    if (!closing_ && t >= bucket_end_) roll_to(t);
     apply(id, value);
   }
 
   /// Close every bucket whose end is <= t (probes + folds + hooks per
-  /// boundary, in time order).  The bucket containing t stays open.
+  /// boundary, in time order); true iff one closed.  The bucket
+  /// containing t stays open.
   // p2plb: holds(window_shard_)
-  void advance_to(double t) {
+  bool advance_to(double t) {
     const common::ShardGuard shard(window_shard_);
-    if (!closing_ && t >= bucket_end_) roll_to(t);
+    if (closing_ || t < bucket_end_) return false;
+    while (bucket_end_ <= t) close_current_bucket();
+    return true;
   }
 
   /// Resize-and-expose a column's dense storage (boundary probes write
@@ -259,9 +263,6 @@ class WindowedAggregator {
   SeriesId make_series(std::string_view name, SeriesKind kind);
   // p2plb: holds(window_shard_)
   void apply(SeriesId id, double value);
-  /// Close buckets until `t` lies inside the current one.
-  // p2plb: holds(window_shard_)
-  void roll_to(double t);
   // p2plb: holds(window_shard_)
   void close_current_bucket();
   /// Ring slot of the bucket `back` buckets before the current one

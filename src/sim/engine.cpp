@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/wallclock.h"
+#include "obs/window.h"
 
 namespace p2plb::sim {
 
@@ -181,9 +182,18 @@ void Engine::pop_front(const Front& front) {
   }
 }
 
+bool Engine::locate(Front& front, Time limit) {
+  while (find_front(front)) {
+    if (windows_ == nullptr ||
+        !windows_->advance_to(std::min(front.time, limit)))
+      return true;
+  }
+  return false;
+}
+
 bool Engine::step() {
   Front front;
-  if (!find_front(front)) return false;
+  if (!locate(front, core::kTimeLimit)) return false;
   fire(front);
   return true;
 }
@@ -320,9 +330,13 @@ std::uint64_t Engine::run_until(Time t_end) {
   P2PLB_REQUIRE(t_end >= now_);
   std::uint64_t n = 0;
   Front front;
-  while (find_front(front) && front.time <= t_end) {
-    fire(front);
-    ++n;
+  while (true) {
+    if (locate(front, t_end) && front.time <= t_end) {
+      fire(front);
+      ++n;
+    } else if (windows_ == nullptr || !windows_->advance_to(t_end)) {
+      break;  // nothing left to run or to close through t_end
+    }
   }
   now_ = t_end;
   return n;

@@ -23,6 +23,11 @@
 // choice is invisible to everything above step().  Firing times must be
 // finite and below 2^64 (core::kTimeLimit) on either queue.
 //
+// The engine closes an attached obs::WindowedAggregator's buckets: it
+// advances them to t before dispatching an event at time t, and to t_end
+// in run_until(t_end).  A boundary's probes read the state at the
+// boundary, and no event is added.
+//
 // Scheduling, moving and firing an event allocate nothing once the
 // arena and the wheel's buckets have grown to the working set, as long
 // as the callback's captures fit EventFn's inline buffer (24 bytes).
@@ -46,6 +51,7 @@
 namespace p2plb::obs {
 class MetricsRegistry;
 class Profiler;
+class WindowedAggregator;
 }
 
 namespace p2plb::sim {
@@ -130,8 +136,9 @@ class Engine {
   /// Returns the number of events executed by this call.
   std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
 
-  /// Run events with firing time <= t_end, then advance the clock to
-  /// exactly t_end.  Returns the number of events executed by this call.
+  /// Run events with firing time <= t_end, then advance the clock (and
+  /// the attached windows) to exactly t_end.  Returns the number of
+  /// events executed by this call.
   std::uint64_t run_until(Time t_end);  // p2plb: holds(engine_shard_)
 
   // --- Flight recorder & post-mortem hooks -------------------------------
@@ -170,6 +177,13 @@ class Engine {
   /// engine's use of it.
   void attach_profiler(obs::Profiler* profiler);
   [[nodiscard]] obs::Profiler* profiler() const noexcept { return profiler_; }
+
+  /// Close `windows`' buckets on time (see the file comment; nullptr
+  /// detaches).  Drivers call sim::Network::attach_windows, which also
+  /// lands here.  Caller-owned; must outlive the engine's use of it.
+  void attach_windows(obs::WindowedAggregator* windows) noexcept {
+    windows_ = windows;
+  }
 
   [[nodiscard]] EngineIntrospection introspection() const;
 
@@ -223,6 +237,10 @@ class Engine {
   /// Locate the next live event across early heap / batch / wheel (or
   /// the binary heap), releasing dead slots met on the way.
   bool find_front(Front& front);   // p2plb: holds(engine_shard_)
+  /// find_front after closing the attached windows through the front's
+  /// time, capped at `limit`.  A boundary hook may schedule or cancel
+  /// work, so the front is located again after every close.
+  bool locate(Front& front, Time limit);  // p2plb: holds(engine_shard_)
   void pop_front(const Front& front);  // p2plb: holds(engine_shard_)
   /// Pop a located front and run its callback (step() and run_until()).
   void fire(const Front& front);   // p2plb: holds(engine_shard_)
@@ -231,8 +249,8 @@ class Engine {
 
   /// Ownership domain of the whole event queue (clock, queues, arena,
   /// insert counters).  Every mutator below is annotated as holding it;
-  /// the attach-time configuration pointers (recorder_, hooks, profiler)
-  /// are setup-phase state and intentionally stay outside the shard.
+  /// the attach-time pointers (recorder_, hooks, profiler, windows) are
+  /// setup-phase state and intentionally stay outside the shard.
   common::ShardCapability engine_shard_;
 
   QueueKind kind_;
@@ -262,6 +280,7 @@ class Engine {
   double stall_wall_ms_ = 0.0;
   obs::Profiler* profiler_ = nullptr;
   std::uint32_t profile_frame_ = 0;  ///< interned "engine.event" frame
+  obs::WindowedAggregator* windows_ = nullptr;
   std::uint64_t wheel_inserts_ = 0;   // p2plb: shared(engine_shard_)
   std::uint64_t batch_splices_ = 0;   // p2plb: shared(engine_shard_)
   std::uint64_t early_inserts_ = 0;   // p2plb: shared(engine_shard_)

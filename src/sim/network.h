@@ -277,17 +277,16 @@ class Network {
   }
 
   /// Feed every send into `windows`'s net.messages / net.bytes counter
-  /// series (nullptr detaches).  Series ids resolve once here, so the
+  /// series, and hand it to the engine to close its buckets on time
+  /// (nullptr detaches both).  Series ids resolve once here, so the
   /// per-send cost is one pointer test plus two record()s.
   void attach_windows(obs::WindowedAggregator* windows) {  // p2plb: holds(net_shard_)
     windows_ = windows;
+    engine_.attach_windows(windows);
     if (windows != nullptr) {
       win_messages_ = windows->counter_series("net.messages");
       win_bytes_ = windows->counter_series("net.bytes");
     }
-  }
-  [[nodiscard]] obs::WindowedAggregator* windows() const noexcept {
-    return windows_;
   }
 
   /// The latency the next send between these endpoints would pay (no
@@ -366,17 +365,5 @@ class Network {
   obs::SeriesId win_messages_;  ///< resolved at attach_windows time
   obs::SeriesId win_bytes_;
 };
-
-/// Close `windows`' buckets on time through stretches with no sends:
-/// every bucket width, advance the aggregator to now, and stop
-/// rescheduling once nothing else is pending, so Engine::run() still
-/// returns.  Unlike the passive aggregator this adds one event per
-/// bucket to the schedule.
-inline EventId tick_windows(Engine& engine, obs::WindowedAggregator& windows) {
-  return engine.every(windows.config().bucket_width, [&engine, &windows] {
-    windows.advance_to(engine.now());
-    return engine.pending() > 0;
-  });
-}
 
 }  // namespace p2plb::sim

@@ -8,11 +8,15 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "obs/alert.h"
+#include "obs/trace.h"
+#include "obs/window.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "topo/distance_oracle.h"
@@ -456,6 +460,110 @@ TEST(Network, TagsInterleavedKeepSeparateMeans) {
   EXPECT_EQ(net.counters("beta").messages, 2u);
   EXPECT_DOUBLE_EQ(net.counters("beta").mean_latency(), 4.0);
   EXPECT_DOUBLE_EQ(net.totals().mean_latency(), 3.0);
+}
+
+// ---------------------------------------------------------------------------
+// Windows attached to the engine close every boundary on time
+// ---------------------------------------------------------------------------
+
+struct QuietRun {
+  std::uint64_t executed = 0;
+  std::vector<std::pair<double, double>> readings;  ///< (boundary, v)
+  double last_boundary = 0.0;
+};
+
+/// A gauge `v` that events change at t = 0.5, 1.5 and exactly on the
+/// boundary 7, with no event at all in (1.5, 7): five quiet buckets.
+/// With windows, a probe samples v into every closing 1-wide bucket.
+QuietRun run_quiet_stretch(bool with_windows) {
+  Engine e;
+  double v = 0.0;
+  obs::WindowedAggregator w({1.0, 16});
+  QuietRun out;
+  if (with_windows) {
+    const obs::SeriesId g = w.gauge_series("v");
+    w.add_boundary_probe([&w, &v, g](double t) { w.record(g, t, v); });
+    w.add_boundary_hook([&w, &out, g](double t) {
+      out.readings.emplace_back(t, w.last_over(g, 1));
+    });
+    e.attach_windows(&w);
+  }
+  e.schedule_at(0.5, [&v] { v = 1.0; });
+  e.schedule_at(1.5, [&v] { v = 2.0; });
+  e.schedule_at(7.0, [&v] { v = 3.0; });
+  e.run_until(9.0);
+  out.executed = e.events_executed();
+  out.last_boundary = w.last_boundary();
+  return out;
+}
+
+TEST(EngineWindows, EveryBoundaryReadsTheStateAtItsOwnTime) {
+  const QuietRun plain = run_quiet_stretch(false);
+  const QuietRun windowed = run_quiet_stretch(true);
+  // Closing a boundary is not an event.
+  EXPECT_EQ(windowed.executed, plain.executed);
+  EXPECT_EQ(windowed.executed, 3u);
+  // Boundaries 3..6 close in the quiet stretch with the value of their
+  // own time; boundary 7 closes before the event at 7 runs; run_until(9)
+  // closes 8 and 9 with no event left to pass them.
+  const std::vector<std::pair<double, double>> want{
+      {1.0, 1.0}, {2.0, 2.0}, {3.0, 2.0}, {4.0, 2.0}, {5.0, 2.0},
+      {6.0, 2.0}, {7.0, 2.0}, {8.0, 3.0}, {9.0, 3.0}};
+  EXPECT_EQ(windowed.readings, want);
+  EXPECT_EQ(windowed.last_boundary, 9.0);
+}
+
+TEST(EngineWindows, NetworkAttachHandsTheWindowsToItsEngine) {
+  // One message with a latency of five buckets: every boundary it
+  // crosses is closed before the delivery runs, not at the next send.
+  Engine e;
+  Network net(e, [](Endpoint, Endpoint) { return 5.0; });
+  obs::WindowedAggregator w({1.0, 16});
+  net.attach_windows(&w);
+  std::size_t closed_at_delivery = 0;
+  net.send(0, 1, [&] { closed_at_delivery = w.closed_buckets(); });
+  e.run();
+  EXPECT_EQ(closed_at_delivery, 5u);
+  EXPECT_EQ(w.last_boundary(), 5.0);
+  const obs::SeriesId messages = w.find_series("net.messages");
+  ASSERT_TRUE(messages.valid());
+  EXPECT_DOUBLE_EQ(w.sum_over(messages, 5), 1.0);
+}
+
+TEST(EngineWindows, AlertInstantsAreTimeOrderedInTheTrace) {
+  // Latency 5 over 1-wide buckets: each delivery crosses five
+  // boundaries, and the rule fires and resolves between deliveries.
+  Engine e;
+  Network net(e, [](Endpoint, Endpoint) { return 5.0; });
+  obs::Tracer tracer;
+  net.attach_tracer(&tracer);
+  obs::WindowedAggregator w({1.0, 16});
+  net.attach_windows(&w);
+  obs::AlertEngine alerts(
+      w, obs::parse_alert_rules("busy net.messages sum > 0\n"));
+  alerts.attach_tracer(&tracer);
+  // Four hops, sent at t = 0, 5, 10 and 15.
+  std::function<void(int)> hop = [&](int left) {
+    if (left > 0) net.send(0, 1, [&hop, left] { hop(left - 1); });
+  };
+  hop(4);
+  e.run();
+  ASSERT_EQ(alerts.events().size(), 8u);  // fire at 5k+1, resolve at 5k+2
+
+  std::ostringstream os;
+  tracer.write_jsonl(os);
+  std::istringstream in(os.str());
+  std::string line;
+  double prev = 0.0;
+  std::size_t alert_lines = 0;
+  while (std::getline(in, line)) {
+    ASSERT_EQ(line.rfind("{\"t\":", 0), 0u) << line;
+    const double t = std::stod(line.substr(5));
+    EXPECT_LE(prev, t) << line;
+    prev = t;
+    if (line.find("\"lane\":\"alert\"") != std::string::npos) ++alert_lines;
+  }
+  EXPECT_EQ(alert_lines, 8u);
 }
 
 }  // namespace

@@ -235,8 +235,8 @@ TEST(SeriesExport, OneRowPerSeriesPerClosedBucket) {
 
 /// Deterministic mini churn run: 64 nodes balancing every 100 time units,
 /// a burst of 8 crashes (plus a load redraw) at t = 350, with the health
-/// gauges exported from 10-wide window buckets.  A tick closes each
-/// boundary on time through the quiet stretches between rounds.
+/// gauges exported from 10-wide window buckets.  The engine closes each
+/// boundary on time, through the quiet stretches between rounds too.
 /// (Seed re-pinned when Node::servers became canonically sorted.)
 std::vector<obs::Sample> run_crash_burst_scenario() {
   Rng rng(2025);
@@ -251,6 +251,7 @@ std::vector<obs::Sample> run_crash_burst_scenario() {
     return a == b ? 0.0 : 1.0;
   });
   obs::WindowedAggregator windows({10.0, 64});
+  net.attach_windows(&windows);
   lb::HealthProbe health(ring, {0.1, "health"});
   health.register_windows(windows);
   std::vector<obs::Sample> series;
@@ -277,10 +278,8 @@ std::vector<obs::Sample> run_crash_burst_scenario() {
         workload::scaled_load_model(ring,
                                     workload::LoadDistribution::kGaussian),
         crng);
-    windows.advance_to(engine.now());
     series.push_back({engine.now(), "event.crash", 8.0});
   });
-  sim::tick_windows(engine, windows);
   engine.run_until(850.0);
   return series;
 }
@@ -306,27 +305,6 @@ TEST(SeriesExport, RowsAreTimeOrderedAndRoundTrip) {
   std::ostringstream csv2;
   obs::write_series_csv(csv2, from_csv);
   EXPECT_EQ(csv2.str(), csv.str());
-}
-
-TEST(SeriesExport, WindowTickParksAtEngineDrain) {
-  // sim::tick_windows, the churn driver's quiet-period tick: close each
-  // boundary on time while other work is pending, then stop so run()
-  // returns.
-  sim::Engine engine;
-  obs::WindowedAggregator w({1.0, 8});
-  const obs::SeriesId g = w.gauge_series("g");
-  w.add_boundary_probe([&](double t) { w.record(g, t, t); });
-  std::vector<obs::Sample> rows;
-  obs::record_series(w, rows);
-  engine.schedule_after(3.5, [] {});
-  sim::tick_windows(engine, w);
-  engine.run();  // must return: the tick parks once the engine is idle
-  // Ticks at 1, 2, 3 (work pending) and 4 (idle -> park).
-  EXPECT_DOUBLE_EQ(engine.now(), 4.0);
-  const std::vector<obs::Sample> want{
-      {1.0, "g", 1.0}, {2.0, "g", 2.0}, {3.0, "g", 3.0}, {4.0, "g", 4.0}};
-  EXPECT_EQ(rows, want);
-  EXPECT_EQ(engine.pending(), 0u);
 }
 
 TEST(SeriesExport, SharesBoundariesWithTheAlertEngine) {
@@ -407,6 +385,8 @@ TimedOutcome run_timed_controller(SeriesMode mode) {
   config.max_rounds = 3;
   Rng brng(7);
   (void)lb::balance_until_stable(net, ring, config, brng);
+  // The engine closed every boundary up to the last event; close the
+  // bucket holding the end time, as p2plb_sim does.
   if (windows) windows->advance_to(engine.now() + kWidth);
 
   out.events_executed = engine.events_executed();

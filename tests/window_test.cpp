@@ -97,6 +97,21 @@ TEST(Window, BucketsAlignToZeroAndCloseWhenTheClockPassesThem) {
   EXPECT_EQ(w.records(), 4u);
 }
 
+TEST(Window, BoundariesAreExactMultiplesOfTheWidth) {
+  // Bucket i ends at (i+1)*W computed as one product: summing W = 0.1
+  // bucket by bucket would put the 10th boundary at 0.9999999999999999
+  // and the 1000th at 99.9999999999986.
+  WindowedAggregator w({0.1, 8});
+  std::vector<double> boundaries;
+  w.add_boundary_hook([&](double t) { boundaries.push_back(t); });
+  w.advance_to(100.0);
+  ASSERT_EQ(boundaries.size(), 1000u);
+  EXPECT_EQ(boundaries[9], 1.0);
+  EXPECT_EQ(w.last_boundary(), 100.0);
+  for (std::size_t i = 0; i < boundaries.size(); ++i)
+    ASSERT_EQ(boundaries[i], static_cast<double>(i + 1) * 0.1) << i;
+}
+
 TEST(Window, SlidingWindowsEvictBeyondTheRing) {
   // ring_buckets = 4 keeps at most 3 closed buckets queryable.
   WindowedAggregator w({1.0, 4});

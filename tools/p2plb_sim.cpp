@@ -295,10 +295,10 @@ int run(const Cli& cli) {
       // The online metrics plane: passive (no events scheduled), fed
       // from the network's send path and the health probe's boundary
       // sampling; the alert engine evaluates at every bucket close, and
-      // the series export appends each closed bucket.  Each boundary
-      // closes at the first send past it and reads the state then; a
-      // stretch with no send longer than a bucket (a topology's long
-      // paths) closes several boundaries at once with one later state.
+      // the series export appends each closed bucket.  The engine closes
+      // each boundary on time, before the first event at or past it, so
+      // every boundary reads the state at its own time -- a stretch with
+      // no send longer than a bucket (a topology's long paths) included.
       windows.emplace(obs::WindowConfig{window_width, 64});
       net.attach_windows(&*windows);
       health.register_windows(*windows);
@@ -318,6 +318,13 @@ int run(const Cli& cli) {
           profiler ? &*profiler : nullptr,
           profiler ? profiler->intern("run", "driver") : 0);
       result = lb::balance_until_stable(net, ring, config, brng, keys);
+    }
+    if (windows) {
+      // The one end-of-run close: the engine closed every boundary up to
+      // the last event, and this closes the bucket holding the end time
+      // before anything reads the windows, so alerts, trace and series
+      // cover the same boundaries with or without --series.
+      windows->advance_to(engine.now() + window_width);
     }
     if (profiler) {
       // Sim-time axis for the crosstab: per-round phase windows (named
@@ -354,11 +361,6 @@ int run(const Cli& cli) {
         std::cerr << ", sampled " << sample_keep << "/" << sample_of;
       std::cerr << ")\n";
     }
-    if (windows) {
-      // Close every bucket the run's end time passed, so trailing
-      // resolves (and the final windows) are evaluated.
-      windows->advance_to(engine.now());
-    }
     if (alerts) {
       alert_events = alerts->events();
       if (!alerts_out.empty()) {
@@ -374,12 +376,6 @@ int run(const Cli& cli) {
       std::cerr << "metrics written to " << metrics_path << "\n";
     }
     if (!series_path.empty()) {
-      // Close the bucket holding the end time so the series covers it.
-      // This runs last, and the alert engine's trace lane is detached
-      // first: alerts, metrics and trace stop at engine.now(), as they
-      // do without a series.
-      if (alerts) alerts->attach_tracer(nullptr);
-      windows->advance_to(engine.now() + window_width);
       obs::write_series_file(series, series_path);
       std::cerr << "series written to " << series_path << " ("
                 << series.size() << " samples)\n";
