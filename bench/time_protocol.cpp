@@ -24,6 +24,7 @@
 #include <array>
 #include <chrono>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string_view>
 
@@ -31,6 +32,7 @@
 #include "ktree/protocol.h"
 #include "ktree/tree.h"
 #include "lb/protocol_round.h"
+#include "obs/binary_trace.h"
 #include "obs/format.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -156,6 +158,10 @@ int main(int argc, char** argv) {
   const auto servers = static_cast<std::size_t>(cli.get_int("servers"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const double crash_fraction = cli.get_double("crash-fraction");
+  // Open the trace file before the sweeps, so a bad name fails fast.
+  const std::string trace_path = cli.get_string("trace");
+  std::unique_ptr<obs::TraceSink> trace_sink;
+  if (!trace_path.empty()) trace_sink = obs::open_trace_sink(trace_path);
 
   print_heading(std::cout,
                 "simulated sweep latency and self-repair time vs N");
@@ -216,7 +222,7 @@ int main(int argc, char** argv) {
   // latencies: where the simulated time of one round actually goes, and
   // where the host time of building and running it goes.
   obs::Tracer tracer;
-  const std::string trace_path = cli.get_string("trace");
+  if (trace_sink) tracer.set_sink(trace_sink.get());
   const std::string metrics_path = cli.get_string("metrics");
   const std::string profile_path = cli.get_string("profile");
   std::optional<obs::Profiler> profiler;
@@ -280,8 +286,8 @@ int main(int argc, char** argv) {
               << "(phase 4 starts before phase 3 ends: transfers overlap "
                  "the sweep)\n";
   }
-  if (!trace_path.empty()) {
-    obs::write_trace_file(tracer, trace_path);
+  if (trace_sink) {
+    trace_sink->flush();
     std::cerr << "trace written to " << trace_path << " ("
               << tracer.event_count() << " events)\n";
   }

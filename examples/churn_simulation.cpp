@@ -42,6 +42,7 @@
 #include "lb/health.h"
 #include "lb/protocol_round.h"
 #include "obs/alert.h"
+#include "obs/binary_trace.h"
 #include "obs/format.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -153,7 +154,12 @@ int main(int argc, char** argv) {
   const std::string trace_path = cli.get_string("trace");
   const std::string metrics_path = cli.get_string("metrics");
   const std::string series_path = cli.get_string("series");
-  if (!trace_path.empty()) net.attach_tracer(&tracer);
+  std::unique_ptr<obs::TraceSink> trace_sink;
+  if (!trace_path.empty()) {
+    trace_sink = obs::open_trace_sink(trace_path);
+    tracer.set_sink(trace_sink.get());
+    net.attach_tracer(&tracer);
+  }
 
   constexpr double kEpsilon = 0.1;
   lb::HealthProbe health(world.ring, {kEpsilon, "health"});
@@ -289,8 +295,8 @@ int main(int argc, char** argv) {
                  "at delivery; the round still completed in "
               << Table::num(r.completion_time, 1) << " time units)\n";
   }
-  if (!trace_path.empty()) {
-    obs::write_trace_file(tracer, trace_path);
+  if (trace_sink) {
+    trace_sink->flush();
     std::cerr << "trace written to " << trace_path << " ("
               << tracer.event_count() << " events)\n";
   }

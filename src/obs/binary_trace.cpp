@@ -1,10 +1,12 @@
 #include "obs/binary_trace.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <istream>
 
 #include "common/error.h"
+#include "obs/format.h"
 
 namespace p2plb::obs {
 
@@ -61,6 +63,9 @@ struct Cursor {
   const unsigned char* end;
 
   [[nodiscard]] bool done() const noexcept { return p >= end; }
+  [[nodiscard]] std::uint64_t remaining() const noexcept {
+    return static_cast<std::uint64_t>(end - p);
+  }
 
   std::uint8_t u8() {
     P2PLB_REQUIRE_MSG(p < end, "btrace: truncated record");
@@ -91,8 +96,7 @@ struct Cursor {
   }
 
   std::string bytes(std::uint64_t n) {
-    P2PLB_REQUIRE_MSG(static_cast<std::uint64_t>(end - p) >= n,
-                      "btrace: truncated record");
+    P2PLB_REQUIRE_MSG(remaining() >= n, "btrace: truncated record");
     std::string s(reinterpret_cast<const char*>(p),
                   static_cast<std::size_t>(n));
     p += n;
@@ -101,6 +105,17 @@ struct Cursor {
 };
 
 }  // namespace
+
+std::unique_ptr<TraceSink> open_trace_sink(const std::string& path) {
+  if (path_has_extension(path, ".jsonl"))
+    return std::make_unique<JsonlTraceSink>(path);
+  if (path_has_extension(path, ".btrace"))
+    return std::make_unique<BinaryTraceSink>(path);
+  throw PreconditionError(
+      "trace file must end in .jsonl or .btrace, got " + path +
+      "; for Chrome trace_event JSON convert one of them with "
+      "p2plb_trace --in FILE.jsonl --out FILE.json");
+}
 
 JsonlTraceSink::JsonlTraceSink(const std::string& path)
     : owned_(path), os_(&owned_) {
@@ -231,11 +246,18 @@ std::uint64_t read_binary_trace(
       shift += 7;
       P2PLB_REQUIRE_MSG(shift < 64, "btrace: varint overflow");
     }
-    payload.resize(static_cast<std::size_t>(length));
-    is.read(payload.data(), static_cast<std::streamsize>(length));
-    P2PLB_REQUIRE_MSG(
-        static_cast<std::uint64_t>(is.gcount()) == length,
-        "btrace: truncated frame payload");
+    // Grow the payload only as its bytes arrive, so a corrupt length
+    // fails as a truncated frame instead of allocating it up front.
+    payload.clear();
+    while (payload.size() < length) {
+      const std::size_t have = payload.size();
+      const std::size_t chunk = static_cast<std::size_t>(
+          std::min<std::uint64_t>(length - have, kFrameTarget));
+      payload.resize(have + chunk);
+      is.read(payload.data() + have, static_cast<std::streamsize>(chunk));
+      P2PLB_REQUIRE_MSG(static_cast<std::size_t>(is.gcount()) == chunk,
+                        "btrace: truncated frame payload");
+    }
 
     Cursor cur{reinterpret_cast<const unsigned char*>(payload.data()),
                reinterpret_cast<const unsigned char*>(payload.data()) +
@@ -275,6 +297,9 @@ std::uint64_t read_binary_trace(
       }
       if ((head & kFlagArgs) != 0) {
         const std::uint64_t n = cur.varint();
+        // Each arg takes at least two bytes (key index, value length).
+        P2PLB_REQUIRE_MSG(n <= cur.remaining() / 2,
+                          "btrace: args count exceeds the record");
         e.args.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {
           const std::uint64_t key_index = cur.varint();

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -49,7 +50,6 @@
 namespace p2plb::obs {
 
 inline constexpr std::string_view kBinaryTraceMagic = "p2plbBT1";
-inline constexpr std::string_view kBinaryTraceExtension = ".btrace";
 
 /// Streaming JSONL sink: writes each event as one line, byte-identical
 /// to Tracer::write_jsonl over the same events (both use
@@ -117,10 +117,21 @@ class BinaryTraceSink final : public TraceSink {
   std::int64_t last_parent_ = 0;
 };
 
+/// The one way a driver opens its --trace file: a JsonlTraceSink for a
+/// name ending in ".jsonl", a BinaryTraceSink for ".btrace" (both
+/// case-insensitive, see obs::path_has_extension).  Throws
+/// PreconditionError on any other suffix -- Chrome trace_event JSON is
+/// a view `p2plb_trace --out FILE.json` derives from either file -- and
+/// on an unwritable path.
+[[nodiscard]] std::unique_ptr<TraceSink> open_trace_sink(
+    const std::string& path);
+
 /// Stream-decode a p2plb-btrace-1 file from `is`, invoking `fn` once
 /// per event in file order.  Memory is O(frame + string table), never
 /// O(file).  Returns the event count.  Throws PreconditionError on a
-/// missing magic, a bad frame marker or a truncated/corrupt record.
+/// missing magic, a bad frame marker or a truncated/corrupt record --
+/// a corrupt length or count included: nothing is allocated for bytes
+/// the input does not hold.
 std::uint64_t read_binary_trace(
     std::istream& is, const std::function<void(const TraceEvent&)>& fn);
 

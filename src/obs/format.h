@@ -2,10 +2,11 @@
 //
 // Every artifact has one on-disk format: series, alerts and metrics are
 // CSV, profiles are p2plb-prof-1.  Traces are the one artifact with a
-// choice, picked from the output path's suffix (".jsonl" -> JSON lines,
-// ".btrace" -> binary, anything else -> Chrome trace_event JSON).  This
-// header holds the one case-insensitive suffix match write_trace_file
-// uses, the one strict number parser the CSV readers share, and the flag
+// choice between two lossless encodings, picked from the output path's
+// suffix (".jsonl" -> JSON lines, ".btrace" -> binary; anything else is
+// rejected, see obs::open_trace_sink).  This header holds the one
+// case-insensitive suffix match open_trace_sink uses, the one strict
+// number parser the CSV and trace readers share, and the flag
 // documentation the experiment binaries print.
 #pragma once
 
@@ -30,9 +31,10 @@ namespace p2plb::obs {
 /// binaries that expose the flags describe each format identically
 /// instead of each paraphrasing it.
 inline constexpr const char* kTraceFlagHelp =
-    "write the structured trace here (Chrome trace_event JSON; JSONL if "
-    "the name ends in .jsonl, compact binary p2plb-btrace-1 if it ends "
-    "in .btrace, case-insensitive)";
+    "stream the structured trace here: JSONL if the name ends in .jsonl, "
+    "compact binary p2plb-btrace-1 if it ends in .btrace "
+    "(case-insensitive); p2plb_trace --out FILE.json converts either to "
+    "Chrome trace_event JSON";
 inline constexpr const char* kMetricsFlagHelp =
     "write the metrics registry here as CSV (metric,value)";
 inline constexpr const char* kSeriesFlagHelp =

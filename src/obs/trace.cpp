@@ -2,12 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 
 #include "common/error.h"
-#include "obs/binary_trace.h"
-#include "obs/format.h"
 
 namespace p2plb::obs {
 
@@ -23,6 +20,8 @@ bool is_flow(EventKind kind) noexcept {
   return kind == EventKind::kFlowStart || kind == EventKind::kFlowEnd;
 }
 
+}  // namespace
+
 void write_args_object(std::ostream& os, const std::vector<Arg>& args) {
   os << '{';
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -31,8 +30,6 @@ void write_args_object(std::ostream& os, const std::vector<Arg>& args) {
   }
   os << '}';
 }
-
-}  // namespace
 
 bool kind_has_id(EventKind kind) noexcept {
   return is_async(kind) || is_flow(kind);
@@ -185,21 +182,6 @@ void Tracer::flow_end(double t, std::string_view lane, std::string_view name,
   push(t, EventKind::kFlowEnd, lane, name, id, {}, {});
 }
 
-std::vector<std::string> Tracer::lanes() const {
-  std::vector<std::string> out;
-  for (const TraceEvent& e : events_) {
-    bool seen = false;
-    for (const std::string& lane : out) {
-      if (lane == e.lane) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) out.push_back(e.lane);
-  }
-  return out;
-}
-
 void write_jsonl_event(std::ostream& os, const TraceEvent& e) {
   os << "{\"t\":" << json_number(e.time) << ",\"ph\":\""
      << kPhaseLetter[static_cast<std::size_t>(e.kind)] << "\",\"lane\":"
@@ -217,70 +199,6 @@ void write_jsonl_event(std::ostream& os, const TraceEvent& e) {
 
 void Tracer::write_jsonl(std::ostream& os) const {
   for (const TraceEvent& e : events_) write_jsonl_event(os, e);
-}
-
-void Tracer::write_chrome_trace(std::ostream& os) const {
-  // Timestamps are exported in microseconds; one sim latency unit maps
-  // to 1 ms so sub-unit delays stay visible in the viewer.
-  constexpr double kTsScale = 1000.0;
-  const std::vector<std::string> lane_order = lanes();
-  const auto tid_of = [&lane_order](const std::string& lane) {
-    for (std::size_t i = 0; i < lane_order.size(); ++i)
-      if (lane_order[i] == lane) return i;
-    return std::size_t{0};  // unreachable: every event's lane is listed
-  };
-
-  os << "{\"traceEvents\":[\n";
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-        "\"args\":{\"name\":\"p2plb\"}}";
-  for (std::size_t i = 0; i < lane_order.size(); ++i) {
-    os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << i
-       << ",\"args\":{\"name\":" << json_string(lane_order[i]) << "}}";
-    os << ",\n{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,"
-          "\"tid\":"
-       << i << ",\"args\":{\"sort_index\":" << i << "}}";
-  }
-  for (const TraceEvent& e : events_) {
-    os << ",\n{\"name\":" << json_string(e.name)
-       << ",\"cat\":" << json_string(e.lane) << ",\"ph\":\""
-       << kPhaseLetter[static_cast<std::size_t>(e.kind)]
-       << "\",\"ts\":" << json_number(e.time * kTsScale)
-       << ",\"pid\":1,\"tid\":" << tid_of(e.lane);
-    if (kind_has_id(e.kind)) os << ",\"id\":" << e.id;
-    if (e.kind == EventKind::kInstant) os << ",\"s\":\"t\"";
-    // "f" binds the arrow head to the enclosing slice's end.
-    if (e.kind == EventKind::kFlowEnd) os << ",\"bp\":\"e\"";
-    // Causal ids ride in args so Perfetto's detail pane shows them.
-    std::vector<Arg> args = e.args;
-    if (e.ctx.trace != 0)
-      args.push_back(arg("trace", static_cast<double>(e.ctx.trace)));
-    if (e.ctx.span != 0)
-      args.push_back(arg("span", static_cast<double>(e.ctx.span)));
-    if (e.ctx.parent != 0)
-      args.push_back(arg("parent", static_cast<double>(e.ctx.parent)));
-    if (!args.empty()) {
-      os << ",\"args\":";
-      write_args_object(os, args);
-    }
-    os << '}';
-  }
-  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-void write_trace_file(const Tracer& tracer, const std::string& path) {
-  if (path_has_extension(path, kBinaryTraceExtension)) {
-    BinaryTraceSink sink(path);
-    for (const TraceEvent& e : tracer.events()) sink.on_event(e);
-    sink.flush();
-    return;
-  }
-  std::ofstream os(path);
-  P2PLB_REQUIRE_MSG(os.good(), "cannot open trace file: " + path);
-  if (path_has_extension(path, ".jsonl")) {
-    tracer.write_jsonl(os);
-  } else {
-    tracer.write_chrome_trace(os);
-  }
 }
 
 }  // namespace p2plb::obs

@@ -18,19 +18,13 @@
 // thread contexts through their message envelopes (see sim::Network);
 // tools/p2plb_trace reconstructs the DAGs and computes critical paths.
 //
-// Two exporters:
-//   * write_jsonl      -- one JSON object per line, stable field order;
-//                         the machine-diffable form golden tests pin and
-//                         the form p2plb_trace parses.  Causal ids export
-//                         as top-level "trace"/"span"/"parent" fields.
-//   * write_chrome_trace -- Chrome trace_event JSON ("traceEvents"), one
-//                         thread lane per trace lane, loadable directly
-//                         in Perfetto (ui.perfetto.dev) or
-//                         chrome://tracing.  Sync spans become B/E
-//                         events, async spans b/e events, instants i,
-//                         flows s/f (rendered as arrows between lanes);
-//                         causal ids are merged into the args object so
-//                         they show in the viewer's detail pane.
+// The one in-process exporter is write_jsonl: one JSON object per
+// line, stable field order; the machine-diffable form golden tests pin.
+// Causal ids export as top-level "trace"/"span"/"parent" fields.  Runs
+// that export a file attach a streaming sink instead (obs::open_trace_sink
+// in obs/binary_trace.h: JSONL or the compact p2plb-btrace-1), so trace
+// memory stays O(1) in run length.  The Chrome trace_event view for
+// Perfetto is derived from either file by `p2plb_trace --out FILE.json`.
 //
 // The null-tracer fast path is a null pointer at the instrumentation
 // site: every producer holds an `obs::Tracer*` that defaults to nullptr
@@ -115,6 +109,9 @@ struct TraceEvent {
 /// The JSONL / Chrome "ph" letter for `kind` (B E b e i s f).
 [[nodiscard]] char kind_phase_letter(EventKind kind) noexcept;
 
+/// Write `args` as one JSON object ({"key":value,...}), values verbatim.
+void write_args_object(std::ostream& os, const std::vector<Arg>& args);
+
 /// Write one event as a single JSONL line (trailing newline included).
 /// Tracer::write_jsonl, the streaming JSONL sink and the binary-trace
 /// decoder all share this writer, so every JSONL producer is
@@ -189,7 +186,6 @@ class Tracer {
   /// (nullptr restores buffering).  Already-buffered events stay put;
   /// events() sees nothing that arrives while a sink is attached.
   void set_sink(TraceSink* sink) noexcept { sink_ = sink; }  // p2plb: holds(trace_shard_)
-  [[nodiscard]] TraceSink* sink() const noexcept { return sink_; }
 
   /// Keep `keep` of every `of` traces, chosen by a seeded hash of the
   /// trace id -- a pure function, so the decision is identical at every
@@ -238,12 +234,7 @@ class Tracer {
     last_span_id_ = 0;
   }
 
-  /// Lanes in order of first appearance (the Chrome exporter's tid
-  /// assignment, exposed for tests).
-  [[nodiscard]] std::vector<std::string> lanes() const;
-
   void write_jsonl(std::ostream& os) const;
-  void write_chrome_trace(std::ostream& os) const;
 
  private:
   // p2plb: holds(trace_shard_)
@@ -265,12 +256,5 @@ class Tracer {
   std::uint64_t sample_of_ = 1;    // p2plb: shared(trace_shard_)
   std::uint64_t sample_seed_ = 0;  // p2plb: shared(trace_shard_)
 };
-
-/// Write the trace to `path`: JSONL when the name ends in ".jsonl",
-/// compact binary (p2plb-btrace-1, see obs/binary_trace.h) when it ends
-/// in ".btrace" (both case-insensitive, see obs::path_has_extension),
-/// Chrome trace_event JSON otherwise.  Throws PreconditionError on an
-/// unwritable path.
-void write_trace_file(const Tracer& tracer, const std::string& path);
 
 }  // namespace p2plb::obs

@@ -30,10 +30,11 @@
 // plumbing is needed: any send made from inside a delivery handler
 // parents to the delivering message, across every protocol layer.  The
 // msg.send / msg.deliver instants both carry the message's context (so
-// its span has a start and an end time), plus a flow arrow pair for the
-// Chrome export.  With no tracer attached nothing is allocated -- not
-// even ids -- and the schedule is byte-identical (the delivery wrapper
-// runs inside the same engine event as the payload).
+// its span has a start and an end time), plus a flow arrow pair that
+// the Chrome view (p2plb_trace --out FILE.json) draws as an arrow.  With
+// no tracer attached nothing is allocated -- not even ids -- and the
+// schedule is byte-identical (the delivery wrapper runs inside the same
+// engine event as the payload).
 #pragma once
 
 #include <algorithm>

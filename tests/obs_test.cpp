@@ -3,10 +3,11 @@
 // Three groups:
 //   * unit tests for the registry primitives (canonical keys, counters,
 //     gauges, histograms, snapshots, exports);
-//   * golden-file tests pinning the exact JSONL and Chrome trace_event
-//     output of one small deterministic balancing round -- any change to
-//     event ordering, field order or number formatting shows up as a
-//     byte-level diff here;
+//   * golden-file tests pinning the exact JSONL output of one small
+//     deterministic balancing round (tests/golden_trace.h) -- any change
+//     to event ordering, field order or number formatting shows up as a
+//     byte-level diff here (the Chrome trace_event view derived from it
+//     is pinned in trace_analysis_test);
 //   * null-tracer / registry-vs-legacy tests: tracing must not perturb
 //     the simulation, and the registry must agree exactly with the
 //     network's legacy TrafficCounters.
@@ -14,6 +15,8 @@
 
 #include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "obs/binary_trace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "golden_trace.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 
@@ -289,324 +293,18 @@ TEST(Trace, JsonlFieldOrderAndLanes) {
       "{\"t\":1.5,\"ph\":\"e\",\"lane\":\"lane\",\"name\":\"job\",\"id\":7}\n"
       "{\"t\":2,\"ph\":\"E\",\"lane\":\"lane\",\"name\":\"span\"}\n");
   EXPECT_EQ(tr.event_count(), 5u);
-  EXPECT_EQ(tr.lanes(), (std::vector<std::string>{"lane", "other"}));
   tr.clear();
   EXPECT_EQ(tr.event_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Golden round: two physical nodes, three virtual servers, one transfer.
+// Golden round (tests/golden_trace.h): the pinned JSONL export.
 // ---------------------------------------------------------------------------
 
-/// Node A (capacity 1) is overloaded by its 2.0-load server; node B
-/// (capacity 10) has room for exactly that one.  Deterministic: fixed
-/// keys, fixed seed, unit latency.
-chord::Ring golden_ring() {
-  chord::Ring ring;
-  const auto a = ring.add_node(1.0);
-  const auto b = ring.add_node(10.0);
-  ring.add_virtual_server(a, 0x40000000u);
-  ring.add_virtual_server(a, 0x80000000u);
-  ring.add_virtual_server(b, 0xC0000000u);
-  ring.set_load(0x40000000u, 2.0);
-  ring.set_load(0x80000000u, 0.4);
-  ring.set_load(0xC0000000u, 0.5);
-  return ring;
-}
-
-struct GoldenRun {
-  std::uint64_t events_executed = 0;
-  std::size_t transfers_applied = 0;
-  double completion_time = 0.0;
-};
-
-/// One timed round over the golden ring; `tracer` may be nullptr.
-GoldenRun run_golden_round(obs::Tracer* tracer) {
-  auto ring = golden_ring();
-  sim::Engine engine;
-  sim::Network net(engine, [](sim::Endpoint x, sim::Endpoint y) {
-    return x == y ? 0.0 : 1.0;
-  });
-  if (tracer != nullptr) net.attach_tracer(tracer);
-  Rng rng(7);
-  lb::ProtocolRound round(net, ring, {}, rng);
-  round.start();
-  engine.run();
-  EXPECT_TRUE(round.done());
-  return GoldenRun{engine.events_executed(),
-                   round.report().transfers_applied,
-                   round.report().completion_time};
-}
-
-// The pinned exports.  Regenerate by running the scenario above and
-// dumping write_jsonl / write_chrome_trace -- but treat any diff as a
-// breaking change to the trace format first.
-constexpr const char* kGoldenJsonl = R"gold({"t":0,"ph":"B","lane":"lb.round","name":"round","trace":1,"span":1,"args":{"nodes":2,"planned_transfers":1}}
-{"t":0,"ph":"B","lane":"lb.aggregation","name":"aggregation","trace":1,"span":2,"parent":1}
-{"t":0,"ph":"i","lane":"lb.aggregation","name":"sweep.fold","trace":1,"parent":1,"args":{"node":1,"parent":0,"latency":0}}
-{"t":0,"ph":"i","lane":"lb.aggregation","name":"msg.send","trace":1,"span":3,"parent":1,"args":{"from":0,"to":0,"bytes":24,"latency":0}}
-{"t":0,"ph":"s","lane":"lb.aggregation","name":"msg","id":3}
-{"t":0,"ph":"i","lane":"lb.aggregation","name":"sweep.fold","trace":1,"parent":1,"args":{"node":4,"parent":2,"latency":1}}
-{"t":0,"ph":"i","lane":"lb.aggregation","name":"msg.send","trace":1,"span":4,"parent":1,"args":{"from":0,"to":1,"bytes":24,"latency":1}}
-{"t":0,"ph":"s","lane":"lb.aggregation","name":"msg","id":4}
-{"t":0,"ph":"i","lane":"lb.aggregation","name":"msg.send","trace":1,"span":5,"parent":1,"args":{"from":0,"to":1,"bytes":24,"latency":1}}
-{"t":0,"ph":"s","lane":"lb.aggregation","name":"msg","id":5}
-{"t":0,"ph":"i","lane":"lb.aggregation","name":"msg.send","trace":1,"span":6,"parent":1,"args":{"from":1,"to":1,"bytes":24,"latency":0}}
-{"t":0,"ph":"s","lane":"lb.aggregation","name":"msg","id":6}
-{"t":0,"ph":"f","lane":"lb.aggregation","name":"msg","id":3}
-{"t":0,"ph":"i","lane":"lb.aggregation","name":"msg.deliver","trace":1,"span":3,"parent":1,"args":{"from":0,"to":0}}
-{"t":0,"ph":"f","lane":"lb.aggregation","name":"msg","id":6}
-{"t":0,"ph":"i","lane":"lb.aggregation","name":"msg.deliver","trace":1,"span":6,"parent":1,"args":{"from":1,"to":1}}
-{"t":1,"ph":"f","lane":"lb.aggregation","name":"msg","id":4}
-{"t":1,"ph":"i","lane":"lb.aggregation","name":"msg.deliver","trace":1,"span":4,"parent":1,"args":{"from":0,"to":1}}
-{"t":1,"ph":"f","lane":"lb.aggregation","name":"msg","id":5}
-{"t":1,"ph":"i","lane":"lb.aggregation","name":"msg.deliver","trace":1,"span":5,"parent":1,"args":{"from":0,"to":1}}
-{"t":1,"ph":"i","lane":"lb.aggregation","name":"sweep.fold","trace":1,"parent":5,"args":{"node":3,"parent":2,"latency":0}}
-{"t":1,"ph":"i","lane":"lb.aggregation","name":"msg.send","trace":1,"span":7,"parent":5,"args":{"from":1,"to":1,"bytes":24,"latency":0}}
-{"t":1,"ph":"s","lane":"lb.aggregation","name":"msg","id":7}
-{"t":1,"ph":"f","lane":"lb.aggregation","name":"msg","id":7}
-{"t":1,"ph":"i","lane":"lb.aggregation","name":"msg.deliver","trace":1,"span":7,"parent":5,"args":{"from":1,"to":1}}
-{"t":1,"ph":"i","lane":"lb.aggregation","name":"sweep.fold","trace":1,"parent":7,"args":{"node":2,"parent":0,"latency":1}}
-{"t":1,"ph":"i","lane":"lb.aggregation","name":"msg.send","trace":1,"span":8,"parent":7,"args":{"from":1,"to":0,"bytes":24,"latency":1}}
-{"t":1,"ph":"s","lane":"lb.aggregation","name":"msg","id":8}
-{"t":2,"ph":"f","lane":"lb.aggregation","name":"msg","id":8}
-{"t":2,"ph":"i","lane":"lb.aggregation","name":"msg.deliver","trace":1,"span":8,"parent":7,"args":{"from":1,"to":0}}
-{"t":2,"ph":"i","lane":"lb.aggregation","name":"sweep.root_folded","trace":1,"parent":8,"args":{"messages":2,"local_hops":2}}
-{"t":2,"ph":"E","lane":"lb.aggregation","name":"aggregation","trace":1,"span":2,"parent":1,"args":{"messages":6,"bytes":144}}
-{"t":2,"ph":"B","lane":"lb.dissemination","name":"dissemination","trace":1,"span":9,"parent":8}
-{"t":2,"ph":"i","lane":"lb.dissemination","name":"sweep.deliver","trace":1,"parent":8,"args":{"node":0,"child":1,"latency":0}}
-{"t":2,"ph":"i","lane":"lb.dissemination","name":"msg.send","trace":1,"span":10,"parent":8,"args":{"from":0,"to":0,"bytes":24,"latency":0}}
-{"t":2,"ph":"s","lane":"lb.dissemination","name":"msg","id":10}
-{"t":2,"ph":"i","lane":"lb.dissemination","name":"sweep.deliver","trace":1,"parent":8,"args":{"node":0,"child":2,"latency":1}}
-{"t":2,"ph":"i","lane":"lb.dissemination","name":"msg.send","trace":1,"span":11,"parent":8,"args":{"from":0,"to":1,"bytes":24,"latency":1}}
-{"t":2,"ph":"s","lane":"lb.dissemination","name":"msg","id":11}
-{"t":2,"ph":"f","lane":"lb.dissemination","name":"msg","id":10}
-{"t":2,"ph":"i","lane":"lb.dissemination","name":"msg.deliver","trace":1,"span":10,"parent":8,"args":{"from":0,"to":0}}
-{"t":2,"ph":"i","lane":"lb.dissemination","name":"sweep.leaf_reached","trace":1,"parent":10,"args":{"leaf":1,"leaves_left":2}}
-{"t":2,"ph":"i","lane":"lb.dissemination","name":"msg.send","trace":1,"span":12,"parent":10,"args":{"from":0,"to":0,"bytes":24,"latency":0}}
-{"t":2,"ph":"s","lane":"lb.dissemination","name":"msg","id":12}
-{"t":2,"ph":"f","lane":"lb.dissemination","name":"msg","id":12}
-{"t":2,"ph":"i","lane":"lb.dissemination","name":"msg.deliver","trace":1,"span":12,"parent":10,"args":{"from":0,"to":0}}
-{"t":3,"ph":"f","lane":"lb.dissemination","name":"msg","id":11}
-{"t":3,"ph":"i","lane":"lb.dissemination","name":"msg.deliver","trace":1,"span":11,"parent":8,"args":{"from":0,"to":1}}
-{"t":3,"ph":"i","lane":"lb.dissemination","name":"sweep.deliver","trace":1,"parent":11,"args":{"node":2,"child":3,"latency":0}}
-{"t":3,"ph":"i","lane":"lb.dissemination","name":"msg.send","trace":1,"span":13,"parent":11,"args":{"from":1,"to":1,"bytes":24,"latency":0}}
-{"t":3,"ph":"s","lane":"lb.dissemination","name":"msg","id":13}
-{"t":3,"ph":"i","lane":"lb.dissemination","name":"sweep.deliver","trace":1,"parent":11,"args":{"node":2,"child":4,"latency":1}}
-{"t":3,"ph":"i","lane":"lb.dissemination","name":"msg.send","trace":1,"span":14,"parent":11,"args":{"from":1,"to":0,"bytes":24,"latency":1}}
-{"t":3,"ph":"s","lane":"lb.dissemination","name":"msg","id":14}
-{"t":3,"ph":"f","lane":"lb.dissemination","name":"msg","id":13}
-{"t":3,"ph":"i","lane":"lb.dissemination","name":"msg.deliver","trace":1,"span":13,"parent":11,"args":{"from":1,"to":1}}
-{"t":3,"ph":"i","lane":"lb.dissemination","name":"sweep.leaf_reached","trace":1,"parent":13,"args":{"leaf":3,"leaves_left":1}}
-{"t":3,"ph":"i","lane":"lb.dissemination","name":"msg.send","trace":1,"span":15,"parent":13,"args":{"from":1,"to":1,"bytes":24,"latency":0}}
-{"t":3,"ph":"s","lane":"lb.dissemination","name":"msg","id":15}
-{"t":3,"ph":"f","lane":"lb.dissemination","name":"msg","id":15}
-{"t":3,"ph":"i","lane":"lb.dissemination","name":"msg.deliver","trace":1,"span":15,"parent":13,"args":{"from":1,"to":1}}
-{"t":4,"ph":"f","lane":"lb.dissemination","name":"msg","id":14}
-{"t":4,"ph":"i","lane":"lb.dissemination","name":"msg.deliver","trace":1,"span":14,"parent":11,"args":{"from":1,"to":0}}
-{"t":4,"ph":"i","lane":"lb.dissemination","name":"sweep.leaf_reached","trace":1,"parent":14,"args":{"leaf":4,"leaves_left":0}}
-{"t":4,"ph":"i","lane":"lb.dissemination","name":"msg.send","trace":1,"span":16,"parent":14,"args":{"from":0,"to":0,"bytes":24,"latency":0}}
-{"t":4,"ph":"s","lane":"lb.dissemination","name":"msg","id":16}
-{"t":4,"ph":"f","lane":"lb.dissemination","name":"msg","id":16}
-{"t":4,"ph":"i","lane":"lb.dissemination","name":"msg.deliver","trace":1,"span":16,"parent":14,"args":{"from":0,"to":0}}
-{"t":4,"ph":"E","lane":"lb.dissemination","name":"dissemination","trace":1,"span":9,"parent":8,"args":{"messages":7,"bytes":168}}
-{"t":4,"ph":"B","lane":"lb.vsa","name":"vsa","trace":1,"span":17,"parent":16}
-{"t":4,"ph":"i","lane":"lb.vsa","name":"msg.send","trace":1,"span":18,"parent":16,"args":{"from":0,"to":1,"bytes":32,"latency":1}}
-{"t":4,"ph":"s","lane":"lb.vsa","name":"msg","id":18}
-{"t":4,"ph":"i","lane":"lb.vsa","name":"msg.send","trace":1,"span":19,"parent":16,"args":{"from":0,"to":1,"bytes":32,"latency":1}}
-{"t":4,"ph":"s","lane":"lb.vsa","name":"msg","id":19}
-{"t":4,"ph":"i","lane":"lb.vsa","name":"msg.send","trace":1,"span":20,"parent":16,"args":{"from":1,"to":1,"bytes":32,"latency":0}}
-{"t":4,"ph":"s","lane":"lb.vsa","name":"msg","id":20}
-{"t":4,"ph":"f","lane":"lb.vsa","name":"msg","id":20}
-{"t":4,"ph":"i","lane":"lb.vsa","name":"msg.deliver","trace":1,"span":20,"parent":16,"args":{"from":1,"to":1}}
-{"t":5,"ph":"f","lane":"lb.vsa","name":"msg","id":18}
-{"t":5,"ph":"i","lane":"lb.vsa","name":"msg.deliver","trace":1,"span":18,"parent":16,"args":{"from":0,"to":1}}
-{"t":5,"ph":"f","lane":"lb.vsa","name":"msg","id":19}
-{"t":5,"ph":"i","lane":"lb.vsa","name":"msg.deliver","trace":1,"span":19,"parent":16,"args":{"from":0,"to":1}}
-{"t":5,"ph":"i","lane":"lb.vsa","name":"msg.send","trace":1,"span":21,"parent":19,"args":{"from":1,"to":1,"bytes":32,"latency":0}}
-{"t":5,"ph":"s","lane":"lb.vsa","name":"msg","id":21}
-{"t":5,"ph":"i","lane":"lb.vsa","name":"msg.send","trace":1,"span":22,"parent":19,"args":{"from":1,"to":1,"bytes":32,"latency":0}}
-{"t":5,"ph":"s","lane":"lb.vsa","name":"msg","id":22}
-{"t":5,"ph":"i","lane":"lb.vsa","name":"msg.send","trace":1,"span":23,"parent":19,"args":{"from":1,"to":1,"bytes":32,"latency":0}}
-{"t":5,"ph":"s","lane":"lb.vsa","name":"msg","id":23}
-{"t":5,"ph":"f","lane":"lb.vsa","name":"msg","id":21}
-{"t":5,"ph":"i","lane":"lb.vsa","name":"msg.deliver","trace":1,"span":21,"parent":19,"args":{"from":1,"to":1}}
-{"t":5,"ph":"f","lane":"lb.vsa","name":"msg","id":22}
-{"t":5,"ph":"i","lane":"lb.vsa","name":"msg.deliver","trace":1,"span":22,"parent":19,"args":{"from":1,"to":1}}
-{"t":5,"ph":"f","lane":"lb.vsa","name":"msg","id":23}
-{"t":5,"ph":"i","lane":"lb.vsa","name":"msg.deliver","trace":1,"span":23,"parent":19,"args":{"from":1,"to":1}}
-{"t":5,"ph":"i","lane":"lb.vsa","name":"msg.send","trace":1,"span":24,"parent":23,"args":{"from":1,"to":0,"bytes":32,"latency":1}}
-{"t":5,"ph":"s","lane":"lb.vsa","name":"msg","id":24}
-{"t":5,"ph":"i","lane":"lb.vsa","name":"msg.send","trace":1,"span":25,"parent":23,"args":{"from":1,"to":0,"bytes":32,"latency":1}}
-{"t":5,"ph":"s","lane":"lb.vsa","name":"msg","id":25}
-{"t":5,"ph":"i","lane":"lb.vsa","name":"msg.send","trace":1,"span":26,"parent":23,"args":{"from":1,"to":0,"bytes":32,"latency":1}}
-{"t":5,"ph":"s","lane":"lb.vsa","name":"msg","id":26}
-{"t":6,"ph":"f","lane":"lb.vsa","name":"msg","id":24}
-{"t":6,"ph":"i","lane":"lb.vsa","name":"msg.deliver","trace":1,"span":24,"parent":23,"args":{"from":1,"to":0}}
-{"t":6,"ph":"f","lane":"lb.vsa","name":"msg","id":25}
-{"t":6,"ph":"i","lane":"lb.vsa","name":"msg.deliver","trace":1,"span":25,"parent":23,"args":{"from":1,"to":0}}
-{"t":6,"ph":"f","lane":"lb.vsa","name":"msg","id":26}
-{"t":6,"ph":"i","lane":"lb.vsa","name":"msg.deliver","trace":1,"span":26,"parent":23,"args":{"from":1,"to":0}}
-{"t":6,"ph":"i","lane":"lb.vsa","name":"vsa.match","trace":1,"span":27,"parent":26,"args":{"vs":1073741824,"from":0,"to":1,"load":2,"depth":0}}
-{"t":6,"ph":"i","lane":"lb.vsa","name":"msg.send","trace":1,"span":28,"parent":27,"args":{"from":0,"to":0,"bytes":16,"latency":0}}
-{"t":6,"ph":"s","lane":"lb.vsa","name":"msg","id":28}
-{"t":6,"ph":"i","lane":"lb.vsa","name":"msg.send","trace":1,"span":29,"parent":27,"args":{"from":0,"to":1,"bytes":16,"latency":1}}
-{"t":6,"ph":"s","lane":"lb.vsa","name":"msg","id":29}
-{"t":6,"ph":"f","lane":"lb.vsa","name":"msg","id":28}
-{"t":6,"ph":"i","lane":"lb.vsa","name":"msg.deliver","trace":1,"span":28,"parent":27,"args":{"from":0,"to":0}}
-{"t":6,"ph":"B","lane":"lb.transfer","name":"transfer","trace":1,"span":30,"parent":28}
-{"t":6,"ph":"b","lane":"lb.transfer","name":"transfer","id":1,"trace":1,"span":31,"parent":28,"args":{"vs":1073741824,"from":0,"to":1,"load":2}}
-{"t":6,"ph":"i","lane":"lb.transfer","name":"msg.send","trace":1,"span":32,"parent":31,"args":{"from":0,"to":1,"bytes":2,"latency":1}}
-{"t":6,"ph":"s","lane":"lb.transfer","name":"msg","id":32}
-{"t":7,"ph":"f","lane":"lb.vsa","name":"msg","id":29}
-{"t":7,"ph":"i","lane":"lb.vsa","name":"msg.deliver","trace":1,"span":29,"parent":27,"args":{"from":0,"to":1}}
-{"t":7,"ph":"E","lane":"lb.vsa","name":"vsa","trace":1,"span":17,"parent":16,"args":{"messages":11,"bytes":320}}
-{"t":7,"ph":"f","lane":"lb.transfer","name":"msg","id":32}
-{"t":7,"ph":"i","lane":"lb.transfer","name":"msg.deliver","trace":1,"span":32,"parent":31,"args":{"from":0,"to":1}}
-{"t":7,"ph":"e","lane":"lb.transfer","name":"transfer","id":1,"trace":1,"span":31,"parent":28,"args":{"applied":1}}
-{"t":7,"ph":"E","lane":"lb.transfer","name":"transfer","trace":1,"span":30,"parent":28,"args":{"messages":1,"applied":1}}
-{"t":7,"ph":"E","lane":"lb.round","name":"round","trace":1,"span":1,"args":{"transfers_applied":1,"completion_time":7}}
-)gold";
-
-constexpr const char* kGoldenChrome = R"gold({"traceEvents":[
-{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"p2plb"}},
-{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"lb.round"}},
-{"name":"thread_sort_index","ph":"M","pid":1,"tid":0,"args":{"sort_index":0}},
-{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"lb.aggregation"}},
-{"name":"thread_sort_index","ph":"M","pid":1,"tid":1,"args":{"sort_index":1}},
-{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"lb.dissemination"}},
-{"name":"thread_sort_index","ph":"M","pid":1,"tid":2,"args":{"sort_index":2}},
-{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"lb.vsa"}},
-{"name":"thread_sort_index","ph":"M","pid":1,"tid":3,"args":{"sort_index":3}},
-{"name":"thread_name","ph":"M","pid":1,"tid":4,"args":{"name":"lb.transfer"}},
-{"name":"thread_sort_index","ph":"M","pid":1,"tid":4,"args":{"sort_index":4}},
-{"name":"round","cat":"lb.round","ph":"B","ts":0,"pid":1,"tid":0,"args":{"nodes":2,"planned_transfers":1,"trace":1,"span":1}},
-{"name":"aggregation","cat":"lb.aggregation","ph":"B","ts":0,"pid":1,"tid":1,"args":{"trace":1,"span":2,"parent":1}},
-{"name":"sweep.fold","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"node":1,"parent":0,"latency":0,"trace":1,"parent":1}},
-{"name":"msg.send","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"from":0,"to":0,"bytes":24,"latency":0,"trace":1,"span":3,"parent":1}},
-{"name":"msg","cat":"lb.aggregation","ph":"s","ts":0,"pid":1,"tid":1,"id":3},
-{"name":"sweep.fold","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"node":4,"parent":2,"latency":1,"trace":1,"parent":1}},
-{"name":"msg.send","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"from":0,"to":1,"bytes":24,"latency":1,"trace":1,"span":4,"parent":1}},
-{"name":"msg","cat":"lb.aggregation","ph":"s","ts":0,"pid":1,"tid":1,"id":4},
-{"name":"msg.send","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"from":0,"to":1,"bytes":24,"latency":1,"trace":1,"span":5,"parent":1}},
-{"name":"msg","cat":"lb.aggregation","ph":"s","ts":0,"pid":1,"tid":1,"id":5},
-{"name":"msg.send","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"from":1,"to":1,"bytes":24,"latency":0,"trace":1,"span":6,"parent":1}},
-{"name":"msg","cat":"lb.aggregation","ph":"s","ts":0,"pid":1,"tid":1,"id":6},
-{"name":"msg","cat":"lb.aggregation","ph":"f","ts":0,"pid":1,"tid":1,"id":3,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"from":0,"to":0,"trace":1,"span":3,"parent":1}},
-{"name":"msg","cat":"lb.aggregation","ph":"f","ts":0,"pid":1,"tid":1,"id":6,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"from":1,"to":1,"trace":1,"span":6,"parent":1}},
-{"name":"msg","cat":"lb.aggregation","ph":"f","ts":1000,"pid":1,"tid":1,"id":4,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"from":0,"to":1,"trace":1,"span":4,"parent":1}},
-{"name":"msg","cat":"lb.aggregation","ph":"f","ts":1000,"pid":1,"tid":1,"id":5,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"from":0,"to":1,"trace":1,"span":5,"parent":1}},
-{"name":"sweep.fold","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"node":3,"parent":2,"latency":0,"trace":1,"parent":5}},
-{"name":"msg.send","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"from":1,"to":1,"bytes":24,"latency":0,"trace":1,"span":7,"parent":5}},
-{"name":"msg","cat":"lb.aggregation","ph":"s","ts":1000,"pid":1,"tid":1,"id":7},
-{"name":"msg","cat":"lb.aggregation","ph":"f","ts":1000,"pid":1,"tid":1,"id":7,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"from":1,"to":1,"trace":1,"span":7,"parent":5}},
-{"name":"sweep.fold","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"node":2,"parent":0,"latency":1,"trace":1,"parent":7}},
-{"name":"msg.send","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"from":1,"to":0,"bytes":24,"latency":1,"trace":1,"span":8,"parent":7}},
-{"name":"msg","cat":"lb.aggregation","ph":"s","ts":1000,"pid":1,"tid":1,"id":8},
-{"name":"msg","cat":"lb.aggregation","ph":"f","ts":2000,"pid":1,"tid":1,"id":8,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.aggregation","ph":"i","ts":2000,"pid":1,"tid":1,"s":"t","args":{"from":1,"to":0,"trace":1,"span":8,"parent":7}},
-{"name":"sweep.root_folded","cat":"lb.aggregation","ph":"i","ts":2000,"pid":1,"tid":1,"s":"t","args":{"messages":2,"local_hops":2,"trace":1,"parent":8}},
-{"name":"aggregation","cat":"lb.aggregation","ph":"E","ts":2000,"pid":1,"tid":1,"args":{"messages":6,"bytes":144,"trace":1,"span":2,"parent":1}},
-{"name":"dissemination","cat":"lb.dissemination","ph":"B","ts":2000,"pid":1,"tid":2,"args":{"trace":1,"span":9,"parent":8}},
-{"name":"sweep.deliver","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"node":0,"child":1,"latency":0,"trace":1,"parent":8}},
-{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":0,"bytes":24,"latency":0,"trace":1,"span":10,"parent":8}},
-{"name":"msg","cat":"lb.dissemination","ph":"s","ts":2000,"pid":1,"tid":2,"id":10},
-{"name":"sweep.deliver","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"node":0,"child":2,"latency":1,"trace":1,"parent":8}},
-{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":1,"bytes":24,"latency":1,"trace":1,"span":11,"parent":8}},
-{"name":"msg","cat":"lb.dissemination","ph":"s","ts":2000,"pid":1,"tid":2,"id":11},
-{"name":"msg","cat":"lb.dissemination","ph":"f","ts":2000,"pid":1,"tid":2,"id":10,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":0,"trace":1,"span":10,"parent":8}},
-{"name":"sweep.leaf_reached","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"leaf":1,"leaves_left":2,"trace":1,"parent":10}},
-{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":0,"bytes":24,"latency":0,"trace":1,"span":12,"parent":10}},
-{"name":"msg","cat":"lb.dissemination","ph":"s","ts":2000,"pid":1,"tid":2,"id":12},
-{"name":"msg","cat":"lb.dissemination","ph":"f","ts":2000,"pid":1,"tid":2,"id":12,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":0,"trace":1,"span":12,"parent":10}},
-{"name":"msg","cat":"lb.dissemination","ph":"f","ts":3000,"pid":1,"tid":2,"id":11,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":1,"trace":1,"span":11,"parent":8}},
-{"name":"sweep.deliver","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"node":2,"child":3,"latency":0,"trace":1,"parent":11}},
-{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"from":1,"to":1,"bytes":24,"latency":0,"trace":1,"span":13,"parent":11}},
-{"name":"msg","cat":"lb.dissemination","ph":"s","ts":3000,"pid":1,"tid":2,"id":13},
-{"name":"sweep.deliver","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"node":2,"child":4,"latency":1,"trace":1,"parent":11}},
-{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"from":1,"to":0,"bytes":24,"latency":1,"trace":1,"span":14,"parent":11}},
-{"name":"msg","cat":"lb.dissemination","ph":"s","ts":3000,"pid":1,"tid":2,"id":14},
-{"name":"msg","cat":"lb.dissemination","ph":"f","ts":3000,"pid":1,"tid":2,"id":13,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"from":1,"to":1,"trace":1,"span":13,"parent":11}},
-{"name":"sweep.leaf_reached","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"leaf":3,"leaves_left":1,"trace":1,"parent":13}},
-{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"from":1,"to":1,"bytes":24,"latency":0,"trace":1,"span":15,"parent":13}},
-{"name":"msg","cat":"lb.dissemination","ph":"s","ts":3000,"pid":1,"tid":2,"id":15},
-{"name":"msg","cat":"lb.dissemination","ph":"f","ts":3000,"pid":1,"tid":2,"id":15,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"from":1,"to":1,"trace":1,"span":15,"parent":13}},
-{"name":"msg","cat":"lb.dissemination","ph":"f","ts":4000,"pid":1,"tid":2,"id":14,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":4000,"pid":1,"tid":2,"s":"t","args":{"from":1,"to":0,"trace":1,"span":14,"parent":11}},
-{"name":"sweep.leaf_reached","cat":"lb.dissemination","ph":"i","ts":4000,"pid":1,"tid":2,"s":"t","args":{"leaf":4,"leaves_left":0,"trace":1,"parent":14}},
-{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":4000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":0,"bytes":24,"latency":0,"trace":1,"span":16,"parent":14}},
-{"name":"msg","cat":"lb.dissemination","ph":"s","ts":4000,"pid":1,"tid":2,"id":16},
-{"name":"msg","cat":"lb.dissemination","ph":"f","ts":4000,"pid":1,"tid":2,"id":16,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":4000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":0,"trace":1,"span":16,"parent":14}},
-{"name":"dissemination","cat":"lb.dissemination","ph":"E","ts":4000,"pid":1,"tid":2,"args":{"messages":7,"bytes":168,"trace":1,"span":9,"parent":8}},
-{"name":"vsa","cat":"lb.vsa","ph":"B","ts":4000,"pid":1,"tid":3,"args":{"trace":1,"span":17,"parent":16}},
-{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":4000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":1,"bytes":32,"latency":1,"trace":1,"span":18,"parent":16}},
-{"name":"msg","cat":"lb.vsa","ph":"s","ts":4000,"pid":1,"tid":3,"id":18},
-{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":4000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":1,"bytes":32,"latency":1,"trace":1,"span":19,"parent":16}},
-{"name":"msg","cat":"lb.vsa","ph":"s","ts":4000,"pid":1,"tid":3,"id":19},
-{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":4000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"bytes":32,"latency":0,"trace":1,"span":20,"parent":16}},
-{"name":"msg","cat":"lb.vsa","ph":"s","ts":4000,"pid":1,"tid":3,"id":20},
-{"name":"msg","cat":"lb.vsa","ph":"f","ts":4000,"pid":1,"tid":3,"id":20,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":4000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"trace":1,"span":20,"parent":16}},
-{"name":"msg","cat":"lb.vsa","ph":"f","ts":5000,"pid":1,"tid":3,"id":18,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":1,"trace":1,"span":18,"parent":16}},
-{"name":"msg","cat":"lb.vsa","ph":"f","ts":5000,"pid":1,"tid":3,"id":19,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":1,"trace":1,"span":19,"parent":16}},
-{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"bytes":32,"latency":0,"trace":1,"span":21,"parent":19}},
-{"name":"msg","cat":"lb.vsa","ph":"s","ts":5000,"pid":1,"tid":3,"id":21},
-{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"bytes":32,"latency":0,"trace":1,"span":22,"parent":19}},
-{"name":"msg","cat":"lb.vsa","ph":"s","ts":5000,"pid":1,"tid":3,"id":22},
-{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"bytes":32,"latency":0,"trace":1,"span":23,"parent":19}},
-{"name":"msg","cat":"lb.vsa","ph":"s","ts":5000,"pid":1,"tid":3,"id":23},
-{"name":"msg","cat":"lb.vsa","ph":"f","ts":5000,"pid":1,"tid":3,"id":21,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"trace":1,"span":21,"parent":19}},
-{"name":"msg","cat":"lb.vsa","ph":"f","ts":5000,"pid":1,"tid":3,"id":22,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"trace":1,"span":22,"parent":19}},
-{"name":"msg","cat":"lb.vsa","ph":"f","ts":5000,"pid":1,"tid":3,"id":23,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"trace":1,"span":23,"parent":19}},
-{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":0,"bytes":32,"latency":1,"trace":1,"span":24,"parent":23}},
-{"name":"msg","cat":"lb.vsa","ph":"s","ts":5000,"pid":1,"tid":3,"id":24},
-{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":0,"bytes":32,"latency":1,"trace":1,"span":25,"parent":23}},
-{"name":"msg","cat":"lb.vsa","ph":"s","ts":5000,"pid":1,"tid":3,"id":25},
-{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":0,"bytes":32,"latency":1,"trace":1,"span":26,"parent":23}},
-{"name":"msg","cat":"lb.vsa","ph":"s","ts":5000,"pid":1,"tid":3,"id":26},
-{"name":"msg","cat":"lb.vsa","ph":"f","ts":6000,"pid":1,"tid":3,"id":24,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":0,"trace":1,"span":24,"parent":23}},
-{"name":"msg","cat":"lb.vsa","ph":"f","ts":6000,"pid":1,"tid":3,"id":25,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":0,"trace":1,"span":25,"parent":23}},
-{"name":"msg","cat":"lb.vsa","ph":"f","ts":6000,"pid":1,"tid":3,"id":26,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":0,"trace":1,"span":26,"parent":23}},
-{"name":"vsa.match","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"vs":1073741824,"from":0,"to":1,"load":2,"depth":0,"trace":1,"span":27,"parent":26}},
-{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":0,"bytes":16,"latency":0,"trace":1,"span":28,"parent":27}},
-{"name":"msg","cat":"lb.vsa","ph":"s","ts":6000,"pid":1,"tid":3,"id":28},
-{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":1,"bytes":16,"latency":1,"trace":1,"span":29,"parent":27}},
-{"name":"msg","cat":"lb.vsa","ph":"s","ts":6000,"pid":1,"tid":3,"id":29},
-{"name":"msg","cat":"lb.vsa","ph":"f","ts":6000,"pid":1,"tid":3,"id":28,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":0,"trace":1,"span":28,"parent":27}},
-{"name":"transfer","cat":"lb.transfer","ph":"B","ts":6000,"pid":1,"tid":4,"args":{"trace":1,"span":30,"parent":28}},
-{"name":"transfer","cat":"lb.transfer","ph":"b","ts":6000,"pid":1,"tid":4,"id":1,"args":{"vs":1073741824,"from":0,"to":1,"load":2,"trace":1,"span":31,"parent":28}},
-{"name":"msg.send","cat":"lb.transfer","ph":"i","ts":6000,"pid":1,"tid":4,"s":"t","args":{"from":0,"to":1,"bytes":2,"latency":1,"trace":1,"span":32,"parent":31}},
-{"name":"msg","cat":"lb.transfer","ph":"s","ts":6000,"pid":1,"tid":4,"id":32},
-{"name":"msg","cat":"lb.vsa","ph":"f","ts":7000,"pid":1,"tid":3,"id":29,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":7000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":1,"trace":1,"span":29,"parent":27}},
-{"name":"vsa","cat":"lb.vsa","ph":"E","ts":7000,"pid":1,"tid":3,"args":{"messages":11,"bytes":320,"trace":1,"span":17,"parent":16}},
-{"name":"msg","cat":"lb.transfer","ph":"f","ts":7000,"pid":1,"tid":4,"id":32,"bp":"e"},
-{"name":"msg.deliver","cat":"lb.transfer","ph":"i","ts":7000,"pid":1,"tid":4,"s":"t","args":{"from":0,"to":1,"trace":1,"span":32,"parent":31}},
-{"name":"transfer","cat":"lb.transfer","ph":"e","ts":7000,"pid":1,"tid":4,"id":1,"args":{"applied":1,"trace":1,"span":31,"parent":28}},
-{"name":"transfer","cat":"lb.transfer","ph":"E","ts":7000,"pid":1,"tid":4,"args":{"messages":1,"applied":1,"trace":1,"span":30,"parent":28}},
-{"name":"round","cat":"lb.round","ph":"E","ts":7000,"pid":1,"tid":0,"args":{"transfers_applied":1,"completion_time":7,"trace":1,"span":1}}
-],"displayTimeUnit":"ms"}
-)gold";
+using golden::kGoldenJsonl;
+using golden::run_golden_round;
+using golden::golden_ring;
+using golden::GoldenRun;
 
 TEST(TraceGolden, JsonlMatchesPinnedOutput) {
   obs::Tracer tracer;
@@ -672,18 +370,26 @@ TEST(TraceBinary, DecoderRejectsBadMagicAndBadFrames) {
   std::istringstream bad_frame(std::string(obs::kBinaryTraceMagic) + "\x01");
   EXPECT_THROW(obs::read_binary_trace(bad_frame, [](const obs::TraceEvent&) {}),
                PreconditionError);
-}
 
-TEST(TraceGolden, ChromeTraceMatchesPinnedOutput) {
-  obs::Tracer tracer;
-  run_golden_round(&tracer);
-  EXPECT_EQ(tracer.lanes(),
-            (std::vector<std::string>{"lb.round", "lb.aggregation",
-                                      "lb.dissemination", "lb.vsa",
-                                      "lb.transfer"}));
-  std::ostringstream os;
-  tracer.write_chrome_trace(os);
-  EXPECT_EQ(os.str(), kGoldenChrome);
+  // Corrupt lengths and counts fail before anything is allocated for
+  // them: a frame claiming 2^50 bytes, and (after defining string "l")
+  // an integral-time instant on lane/name 0 claiming 2^60 args.
+  const auto varint = [](std::uint64_t v) {
+    std::string out;
+    for (; v >= 0x80; v >>= 7) out.push_back(static_cast<char>(v | 0x80));
+    out.push_back(static_cast<char>(v));
+    return out;
+  };
+  const std::string head = std::string(obs::kBinaryTraceMagic) + "\xF5";
+  const std::string record = std::string("\x07\x01l\x2C\x00\x00\x00", 7) +
+                             varint(std::uint64_t{1} << 60) + "xy";
+  const auto rejects = [](const std::string& bytes) {
+    std::istringstream is(bytes);
+    EXPECT_THROW(obs::read_binary_trace(is, [](const obs::TraceEvent&) {}),
+                 PreconditionError);
+  };
+  rejects(head + varint(std::uint64_t{1} << 50) + "abc");
+  rejects(head + varint(record.size()) + record);
 }
 
 TEST(TraceGolden, TransferPhaseOverlapsVsaSweep) {
@@ -738,20 +444,39 @@ TEST(TraceGolden, NullTracerDoesNotPerturbTheRound) {
   EXPECT_EQ(detached.ids_allocated(), 0u);
 }
 
-TEST(TraceGolden, FileWriterPicksFormatBySuffix) {
-  obs::Tracer tracer;
-  run_golden_round(&tracer);
-  const std::string jsonl_path = testing::TempDir() + "obs_trace.jsonl";
-  const std::string chrome_path = testing::TempDir() + "obs_trace.json";
-  obs::write_trace_file(tracer, jsonl_path);
-  obs::write_trace_file(tracer, chrome_path);
-  std::ifstream jsonl(jsonl_path), chrome(chrome_path);
-  std::string jsonl_line, chrome_line;
-  ASSERT_TRUE(std::getline(jsonl, jsonl_line));
-  ASSERT_TRUE(std::getline(chrome, chrome_line));
-  EXPECT_EQ(jsonl_line.substr(0, 6), "{\"t\":0");
-  EXPECT_EQ(chrome_line, "{\"traceEvents\":[");
-  EXPECT_THROW(obs::write_trace_file(tracer, "/nonexistent-dir/t.json"),
+TEST(TraceGolden, SinkOpenerPicksFormatBySuffix) {
+  const std::string jsonl_path = testing::TempDir() + "obs_trace.JSONL";
+  const std::string binary_path = testing::TempDir() + "obs_trace.btrace";
+  for (const std::string& path : {jsonl_path, binary_path}) {
+    obs::Tracer tracer;
+    const std::unique_ptr<obs::TraceSink> sink = obs::open_trace_sink(path);
+    tracer.set_sink(sink.get());
+    run_golden_round(&tracer);
+    sink->flush();
+  }
+  std::ifstream jsonl(jsonl_path);
+  const std::string jsonl_text((std::istreambuf_iterator<char>(jsonl)),
+                               std::istreambuf_iterator<char>());
+  EXPECT_EQ(jsonl_text, kGoldenJsonl);
+  std::ifstream binary(binary_path, std::ios::binary);
+  EXPECT_TRUE(obs::sniff_binary_trace(binary));
+
+  // Chrome trace_event is a p2plb_trace view, not a sink: the message
+  // says which suffixes work and where Chrome output comes from.
+  try {
+    (void)obs::open_trace_sink(testing::TempDir() + "trace.json");
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(".jsonl"), std::string::npos) << what;
+    EXPECT_NE(what.find(".btrace"), std::string::npos) << what;
+    EXPECT_NE(what.find("p2plb_trace --in FILE.jsonl --out FILE.json"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_THROW((void)obs::open_trace_sink("/nonexistent-dir/t.jsonl"),
+               PreconditionError);
+  EXPECT_THROW((void)obs::open_trace_sink("/nonexistent-dir/t.btrace"),
                PreconditionError);
 }
 

@@ -1,12 +1,13 @@
 // Tests for the causal-trace analyzer (tools/trace).
 //
 // The golden half pins the full analysis of the deterministic 2-node
-// round also pinned by obs_test: exact critical path, exact per-phase
-// hop-depth histograms, perfect connectivity.  The property half runs
-// timed rounds over seeded random rings and checks the invariants the
-// analyzer is supposed to certify: the reconstructed critical path ends
-// exactly BalanceReport::completion_time after the round begins, and
-// every span connects to the round root.
+// round also pinned by obs_test (tests/golden_trace.h): exact critical
+// path, exact per-phase hop-depth histograms, perfect connectivity, the
+// reader's byte-exact JSONL round trip and the Chrome trace_event view.
+// The property half runs timed rounds over seeded random rings and
+// checks the invariants the analyzer is supposed to certify: the
+// reconstructed critical path ends exactly BalanceReport::completion_time
+// after the round begins, and every span connects to the round root.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "golden_trace.h"
 #include "lb/protocol_round.h"
 #include "obs/binary_trace.h"
 #include "obs/trace.h"
@@ -27,19 +29,14 @@
 namespace p2plb {
 namespace {
 
-/// The obs_test golden scenario: node A (capacity 1) overloaded by a
-/// 2.0-load server, node B (capacity 10) with room for exactly it.
-chord::Ring golden_ring() {
-  chord::Ring ring;
-  const auto a = ring.add_node(1.0);
-  const auto b = ring.add_node(10.0);
-  ring.add_virtual_server(a, 0x40000000u);
-  ring.add_virtual_server(a, 0x80000000u);
-  ring.add_virtual_server(b, 0xC0000000u);
-  ring.set_load(0x40000000u, 2.0);
-  ring.set_load(0x80000000u, 0.4);
-  ring.set_load(0xC0000000u, 0.5);
-  return ring;
+using golden::golden_ring;
+
+/// Every event of the trace in `is`, through the one reader.
+std::vector<obs::TraceEvent> read_all(std::istream& is) {
+  std::vector<obs::TraceEvent> events;
+  tracetool::read_trace(
+      is, [&events](const obs::TraceEvent& e) { events.push_back(e); });
+  return events;
 }
 
 /// Run one traced timed round over `ring`; returns the analyzer's view
@@ -63,8 +60,7 @@ TracedRound run_traced_round(chord::Ring& ring, std::uint64_t rng_seed) {
   EXPECT_TRUE(round.done());
   std::stringstream jsonl;
   tracer.write_jsonl(jsonl);
-  return TracedRound{tracetool::analyze(tracetool::parse_jsonl(jsonl)),
-                     round.report()};
+  return TracedRound{tracetool::analyze(read_all(jsonl)), round.report()};
 }
 
 chord::Ring make_ring(std::size_t nodes, std::uint64_t seed) {
@@ -185,24 +181,236 @@ TEST(TraceJsonlParser, SkipsBlankLinesAndUnknownFields) {
       "[1,{\"x\":true}],\"trace\":3,\"span\":4,\"parent\":2}\n"
       "\n"
       "{\"t\":2.5,\"ph\":\"s\",\"lane\":\"l\",\"name\":\"msg\",\"id\":9}\n");
-  const std::vector<tracetool::RawEvent> events = tracetool::parse_jsonl(is);
+  const std::vector<obs::TraceEvent> events = read_all(is);
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].trace, 3u);
-  EXPECT_EQ(events[0].span, 4u);
-  EXPECT_EQ(events[0].parent, 2u);
-  EXPECT_EQ(events[1].t, 2.5);
-  EXPECT_EQ(events[1].ph, 's');
+  EXPECT_EQ(events[0].ctx.trace, 3u);
+  EXPECT_EQ(events[0].ctx.span, 4u);
+  EXPECT_EQ(events[0].ctx.parent, 2u);
+  EXPECT_EQ(events[1].time, 2.5);
+  EXPECT_EQ(events[1].kind, obs::EventKind::kFlowStart);
   EXPECT_EQ(events[1].id, 9u);
 }
 
 TEST(TraceJsonlParser, RejectsMalformedLinesWithLineNumbers) {
-  std::stringstream is("{\"t\":1,\"ph\":\"i\"}\n{\"t\":nope}\n");
-  try {
-    (void)tracetool::parse_jsonl(is);
-    FAIL() << "expected PreconditionError";
-  } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  const char* const good = "{\"t\":1,\"ph\":\"i\"}\n";
+  // Each bad line is line 2; numbers must be whole tokens, ids unsigned
+  // integers, and "ph" one of the seven phase letters.
+  for (const char* bad :
+       {"{\"t\":nope}", "{\"t\":1-2,\"ph\":\"i\"}",
+        "{\"t\":1,\"ph\":\"i\",\"span\":-3}",
+        "{\"t\":1,\"ph\":\"i\",\"trace\":1.5}",
+        "{\"t\":1,\"ph\":\"b\",\"id\":+7}",
+        "{\"t\":1,\"ph\":\"i\",\"parent\":18446744073709551616}",
+        "{\"t\":1,\"lane\":\"l\"}", "{\"t\":1,\"ph\":\"x\"}",
+        "{\"t\":1,\"ph\":\"BE\"}"}) {
+    std::stringstream is;
+    is << good << bad << '\n';
+    try {
+      (void)read_all(is);
+      FAIL() << "expected PreconditionError for " << bad;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << bad << ": " << e.what();
+    }
   }
+}
+
+TEST(TraceJsonlParser, RewritingThePinnedJsonlIsByteIdentical) {
+  // The golden round plus one event whose string arg holds control
+  // characters (json_string writes them as \u00XX): reading and
+  // re-writing every line reproduces the input byte for byte.
+  obs::TraceEvent extra;
+  extra.time = 8.25;
+  extra.lane = "lane\twith\x01tab";
+  extra.name = "n";
+  extra.args = {obs::arg("note", std::string_view("bell\x07 esc\x1b")),
+                obs::arg("k", 0.5)};
+  std::ostringstream extra_line;
+  obs::write_jsonl_event(extra_line, extra);
+  ASSERT_NE(extra_line.str().find("\\u0007"), std::string::npos);
+  const std::string input = golden::kGoldenJsonl + extra_line.str();
+
+  std::stringstream is(input);
+  std::ostringstream rewritten;
+  std::vector<obs::TraceEvent> events;
+  tracetool::read_trace(is, [&](const obs::TraceEvent& e) {
+    obs::write_jsonl_event(rewritten, e);
+    events.push_back(e);
+  });
+  EXPECT_EQ(rewritten.str(), input);
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().lane, extra.lane);
+  EXPECT_EQ(events.back().args[0].json, extra.args[0].json);
+}
+
+// ---------------------------------------------------------------------------
+// Chrome trace_event: a view derived from either trace format.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kGoldenChrome = R"gold({"traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"p2plb"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"lb.round"}},
+{"name":"thread_sort_index","ph":"M","pid":1,"tid":0,"args":{"sort_index":0}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"lb.aggregation"}},
+{"name":"thread_sort_index","ph":"M","pid":1,"tid":1,"args":{"sort_index":1}},
+{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"lb.dissemination"}},
+{"name":"thread_sort_index","ph":"M","pid":1,"tid":2,"args":{"sort_index":2}},
+{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"lb.vsa"}},
+{"name":"thread_sort_index","ph":"M","pid":1,"tid":3,"args":{"sort_index":3}},
+{"name":"thread_name","ph":"M","pid":1,"tid":4,"args":{"name":"lb.transfer"}},
+{"name":"thread_sort_index","ph":"M","pid":1,"tid":4,"args":{"sort_index":4}},
+{"name":"round","cat":"lb.round","ph":"B","ts":0,"pid":1,"tid":0,"args":{"nodes":2,"planned_transfers":1,"trace":1,"span":1}},
+{"name":"aggregation","cat":"lb.aggregation","ph":"B","ts":0,"pid":1,"tid":1,"args":{"trace":1,"span":2,"parent":1}},
+{"name":"sweep.fold","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"node":1,"parent":0,"latency":0,"trace":1,"parent":1}},
+{"name":"msg.send","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"from":0,"to":0,"bytes":24,"latency":0,"trace":1,"span":3,"parent":1}},
+{"name":"msg","cat":"lb.aggregation","ph":"s","ts":0,"pid":1,"tid":1,"id":3},
+{"name":"sweep.fold","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"node":4,"parent":2,"latency":1,"trace":1,"parent":1}},
+{"name":"msg.send","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"from":0,"to":1,"bytes":24,"latency":1,"trace":1,"span":4,"parent":1}},
+{"name":"msg","cat":"lb.aggregation","ph":"s","ts":0,"pid":1,"tid":1,"id":4},
+{"name":"msg.send","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"from":0,"to":1,"bytes":24,"latency":1,"trace":1,"span":5,"parent":1}},
+{"name":"msg","cat":"lb.aggregation","ph":"s","ts":0,"pid":1,"tid":1,"id":5},
+{"name":"msg.send","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"from":1,"to":1,"bytes":24,"latency":0,"trace":1,"span":6,"parent":1}},
+{"name":"msg","cat":"lb.aggregation","ph":"s","ts":0,"pid":1,"tid":1,"id":6},
+{"name":"msg","cat":"lb.aggregation","ph":"f","ts":0,"pid":1,"tid":1,"id":3,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"from":0,"to":0,"trace":1,"span":3,"parent":1}},
+{"name":"msg","cat":"lb.aggregation","ph":"f","ts":0,"pid":1,"tid":1,"id":6,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.aggregation","ph":"i","ts":0,"pid":1,"tid":1,"s":"t","args":{"from":1,"to":1,"trace":1,"span":6,"parent":1}},
+{"name":"msg","cat":"lb.aggregation","ph":"f","ts":1000,"pid":1,"tid":1,"id":4,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"from":0,"to":1,"trace":1,"span":4,"parent":1}},
+{"name":"msg","cat":"lb.aggregation","ph":"f","ts":1000,"pid":1,"tid":1,"id":5,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"from":0,"to":1,"trace":1,"span":5,"parent":1}},
+{"name":"sweep.fold","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"node":3,"parent":2,"latency":0,"trace":1,"parent":5}},
+{"name":"msg.send","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"from":1,"to":1,"bytes":24,"latency":0,"trace":1,"span":7,"parent":5}},
+{"name":"msg","cat":"lb.aggregation","ph":"s","ts":1000,"pid":1,"tid":1,"id":7},
+{"name":"msg","cat":"lb.aggregation","ph":"f","ts":1000,"pid":1,"tid":1,"id":7,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"from":1,"to":1,"trace":1,"span":7,"parent":5}},
+{"name":"sweep.fold","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"node":2,"parent":0,"latency":1,"trace":1,"parent":7}},
+{"name":"msg.send","cat":"lb.aggregation","ph":"i","ts":1000,"pid":1,"tid":1,"s":"t","args":{"from":1,"to":0,"bytes":24,"latency":1,"trace":1,"span":8,"parent":7}},
+{"name":"msg","cat":"lb.aggregation","ph":"s","ts":1000,"pid":1,"tid":1,"id":8},
+{"name":"msg","cat":"lb.aggregation","ph":"f","ts":2000,"pid":1,"tid":1,"id":8,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.aggregation","ph":"i","ts":2000,"pid":1,"tid":1,"s":"t","args":{"from":1,"to":0,"trace":1,"span":8,"parent":7}},
+{"name":"sweep.root_folded","cat":"lb.aggregation","ph":"i","ts":2000,"pid":1,"tid":1,"s":"t","args":{"messages":2,"local_hops":2,"trace":1,"parent":8}},
+{"name":"aggregation","cat":"lb.aggregation","ph":"E","ts":2000,"pid":1,"tid":1,"args":{"messages":6,"bytes":144,"trace":1,"span":2,"parent":1}},
+{"name":"dissemination","cat":"lb.dissemination","ph":"B","ts":2000,"pid":1,"tid":2,"args":{"trace":1,"span":9,"parent":8}},
+{"name":"sweep.deliver","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"node":0,"child":1,"latency":0,"trace":1,"parent":8}},
+{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":0,"bytes":24,"latency":0,"trace":1,"span":10,"parent":8}},
+{"name":"msg","cat":"lb.dissemination","ph":"s","ts":2000,"pid":1,"tid":2,"id":10},
+{"name":"sweep.deliver","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"node":0,"child":2,"latency":1,"trace":1,"parent":8}},
+{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":1,"bytes":24,"latency":1,"trace":1,"span":11,"parent":8}},
+{"name":"msg","cat":"lb.dissemination","ph":"s","ts":2000,"pid":1,"tid":2,"id":11},
+{"name":"msg","cat":"lb.dissemination","ph":"f","ts":2000,"pid":1,"tid":2,"id":10,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":0,"trace":1,"span":10,"parent":8}},
+{"name":"sweep.leaf_reached","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"leaf":1,"leaves_left":2,"trace":1,"parent":10}},
+{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":0,"bytes":24,"latency":0,"trace":1,"span":12,"parent":10}},
+{"name":"msg","cat":"lb.dissemination","ph":"s","ts":2000,"pid":1,"tid":2,"id":12},
+{"name":"msg","cat":"lb.dissemination","ph":"f","ts":2000,"pid":1,"tid":2,"id":12,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":2000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":0,"trace":1,"span":12,"parent":10}},
+{"name":"msg","cat":"lb.dissemination","ph":"f","ts":3000,"pid":1,"tid":2,"id":11,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":1,"trace":1,"span":11,"parent":8}},
+{"name":"sweep.deliver","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"node":2,"child":3,"latency":0,"trace":1,"parent":11}},
+{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"from":1,"to":1,"bytes":24,"latency":0,"trace":1,"span":13,"parent":11}},
+{"name":"msg","cat":"lb.dissemination","ph":"s","ts":3000,"pid":1,"tid":2,"id":13},
+{"name":"sweep.deliver","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"node":2,"child":4,"latency":1,"trace":1,"parent":11}},
+{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"from":1,"to":0,"bytes":24,"latency":1,"trace":1,"span":14,"parent":11}},
+{"name":"msg","cat":"lb.dissemination","ph":"s","ts":3000,"pid":1,"tid":2,"id":14},
+{"name":"msg","cat":"lb.dissemination","ph":"f","ts":3000,"pid":1,"tid":2,"id":13,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"from":1,"to":1,"trace":1,"span":13,"parent":11}},
+{"name":"sweep.leaf_reached","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"leaf":3,"leaves_left":1,"trace":1,"parent":13}},
+{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"from":1,"to":1,"bytes":24,"latency":0,"trace":1,"span":15,"parent":13}},
+{"name":"msg","cat":"lb.dissemination","ph":"s","ts":3000,"pid":1,"tid":2,"id":15},
+{"name":"msg","cat":"lb.dissemination","ph":"f","ts":3000,"pid":1,"tid":2,"id":15,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":3000,"pid":1,"tid":2,"s":"t","args":{"from":1,"to":1,"trace":1,"span":15,"parent":13}},
+{"name":"msg","cat":"lb.dissemination","ph":"f","ts":4000,"pid":1,"tid":2,"id":14,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":4000,"pid":1,"tid":2,"s":"t","args":{"from":1,"to":0,"trace":1,"span":14,"parent":11}},
+{"name":"sweep.leaf_reached","cat":"lb.dissemination","ph":"i","ts":4000,"pid":1,"tid":2,"s":"t","args":{"leaf":4,"leaves_left":0,"trace":1,"parent":14}},
+{"name":"msg.send","cat":"lb.dissemination","ph":"i","ts":4000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":0,"bytes":24,"latency":0,"trace":1,"span":16,"parent":14}},
+{"name":"msg","cat":"lb.dissemination","ph":"s","ts":4000,"pid":1,"tid":2,"id":16},
+{"name":"msg","cat":"lb.dissemination","ph":"f","ts":4000,"pid":1,"tid":2,"id":16,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.dissemination","ph":"i","ts":4000,"pid":1,"tid":2,"s":"t","args":{"from":0,"to":0,"trace":1,"span":16,"parent":14}},
+{"name":"dissemination","cat":"lb.dissemination","ph":"E","ts":4000,"pid":1,"tid":2,"args":{"messages":7,"bytes":168,"trace":1,"span":9,"parent":8}},
+{"name":"vsa","cat":"lb.vsa","ph":"B","ts":4000,"pid":1,"tid":3,"args":{"trace":1,"span":17,"parent":16}},
+{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":4000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":1,"bytes":32,"latency":1,"trace":1,"span":18,"parent":16}},
+{"name":"msg","cat":"lb.vsa","ph":"s","ts":4000,"pid":1,"tid":3,"id":18},
+{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":4000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":1,"bytes":32,"latency":1,"trace":1,"span":19,"parent":16}},
+{"name":"msg","cat":"lb.vsa","ph":"s","ts":4000,"pid":1,"tid":3,"id":19},
+{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":4000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"bytes":32,"latency":0,"trace":1,"span":20,"parent":16}},
+{"name":"msg","cat":"lb.vsa","ph":"s","ts":4000,"pid":1,"tid":3,"id":20},
+{"name":"msg","cat":"lb.vsa","ph":"f","ts":4000,"pid":1,"tid":3,"id":20,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":4000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"trace":1,"span":20,"parent":16}},
+{"name":"msg","cat":"lb.vsa","ph":"f","ts":5000,"pid":1,"tid":3,"id":18,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":1,"trace":1,"span":18,"parent":16}},
+{"name":"msg","cat":"lb.vsa","ph":"f","ts":5000,"pid":1,"tid":3,"id":19,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":1,"trace":1,"span":19,"parent":16}},
+{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"bytes":32,"latency":0,"trace":1,"span":21,"parent":19}},
+{"name":"msg","cat":"lb.vsa","ph":"s","ts":5000,"pid":1,"tid":3,"id":21},
+{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"bytes":32,"latency":0,"trace":1,"span":22,"parent":19}},
+{"name":"msg","cat":"lb.vsa","ph":"s","ts":5000,"pid":1,"tid":3,"id":22},
+{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"bytes":32,"latency":0,"trace":1,"span":23,"parent":19}},
+{"name":"msg","cat":"lb.vsa","ph":"s","ts":5000,"pid":1,"tid":3,"id":23},
+{"name":"msg","cat":"lb.vsa","ph":"f","ts":5000,"pid":1,"tid":3,"id":21,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"trace":1,"span":21,"parent":19}},
+{"name":"msg","cat":"lb.vsa","ph":"f","ts":5000,"pid":1,"tid":3,"id":22,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"trace":1,"span":22,"parent":19}},
+{"name":"msg","cat":"lb.vsa","ph":"f","ts":5000,"pid":1,"tid":3,"id":23,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":1,"trace":1,"span":23,"parent":19}},
+{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":0,"bytes":32,"latency":1,"trace":1,"span":24,"parent":23}},
+{"name":"msg","cat":"lb.vsa","ph":"s","ts":5000,"pid":1,"tid":3,"id":24},
+{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":0,"bytes":32,"latency":1,"trace":1,"span":25,"parent":23}},
+{"name":"msg","cat":"lb.vsa","ph":"s","ts":5000,"pid":1,"tid":3,"id":25},
+{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":5000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":0,"bytes":32,"latency":1,"trace":1,"span":26,"parent":23}},
+{"name":"msg","cat":"lb.vsa","ph":"s","ts":5000,"pid":1,"tid":3,"id":26},
+{"name":"msg","cat":"lb.vsa","ph":"f","ts":6000,"pid":1,"tid":3,"id":24,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":0,"trace":1,"span":24,"parent":23}},
+{"name":"msg","cat":"lb.vsa","ph":"f","ts":6000,"pid":1,"tid":3,"id":25,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":0,"trace":1,"span":25,"parent":23}},
+{"name":"msg","cat":"lb.vsa","ph":"f","ts":6000,"pid":1,"tid":3,"id":26,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"from":1,"to":0,"trace":1,"span":26,"parent":23}},
+{"name":"vsa.match","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"vs":1073741824,"from":0,"to":1,"load":2,"depth":0,"trace":1,"span":27,"parent":26}},
+{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":0,"bytes":16,"latency":0,"trace":1,"span":28,"parent":27}},
+{"name":"msg","cat":"lb.vsa","ph":"s","ts":6000,"pid":1,"tid":3,"id":28},
+{"name":"msg.send","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":1,"bytes":16,"latency":1,"trace":1,"span":29,"parent":27}},
+{"name":"msg","cat":"lb.vsa","ph":"s","ts":6000,"pid":1,"tid":3,"id":29},
+{"name":"msg","cat":"lb.vsa","ph":"f","ts":6000,"pid":1,"tid":3,"id":28,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":6000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":0,"trace":1,"span":28,"parent":27}},
+{"name":"transfer","cat":"lb.transfer","ph":"B","ts":6000,"pid":1,"tid":4,"args":{"trace":1,"span":30,"parent":28}},
+{"name":"transfer","cat":"lb.transfer","ph":"b","ts":6000,"pid":1,"tid":4,"id":1,"args":{"vs":1073741824,"from":0,"to":1,"load":2,"trace":1,"span":31,"parent":28}},
+{"name":"msg.send","cat":"lb.transfer","ph":"i","ts":6000,"pid":1,"tid":4,"s":"t","args":{"from":0,"to":1,"bytes":2,"latency":1,"trace":1,"span":32,"parent":31}},
+{"name":"msg","cat":"lb.transfer","ph":"s","ts":6000,"pid":1,"tid":4,"id":32},
+{"name":"msg","cat":"lb.vsa","ph":"f","ts":7000,"pid":1,"tid":3,"id":29,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.vsa","ph":"i","ts":7000,"pid":1,"tid":3,"s":"t","args":{"from":0,"to":1,"trace":1,"span":29,"parent":27}},
+{"name":"vsa","cat":"lb.vsa","ph":"E","ts":7000,"pid":1,"tid":3,"args":{"messages":11,"bytes":320,"trace":1,"span":17,"parent":16}},
+{"name":"msg","cat":"lb.transfer","ph":"f","ts":7000,"pid":1,"tid":4,"id":32,"bp":"e"},
+{"name":"msg.deliver","cat":"lb.transfer","ph":"i","ts":7000,"pid":1,"tid":4,"s":"t","args":{"from":0,"to":1,"trace":1,"span":32,"parent":31}},
+{"name":"transfer","cat":"lb.transfer","ph":"e","ts":7000,"pid":1,"tid":4,"id":1,"args":{"applied":1,"trace":1,"span":31,"parent":28}},
+{"name":"transfer","cat":"lb.transfer","ph":"E","ts":7000,"pid":1,"tid":4,"args":{"messages":1,"applied":1,"trace":1,"span":30,"parent":28}},
+{"name":"round","cat":"lb.round","ph":"E","ts":7000,"pid":1,"tid":0,"args":{"transfers_applied":1,"completion_time":7,"trace":1,"span":1}}
+],"displayTimeUnit":"ms"}
+)gold";
+
+TEST(TraceGolden, ChromeTraceMatchesPinnedOutput) {
+  obs::Tracer tracer;
+  golden::run_golden_round(&tracer);
+  std::stringstream jsonl;
+  tracer.write_jsonl(jsonl);
+  EXPECT_EQ(tracetool::read_lanes(jsonl),
+            (std::vector<std::string>{"lb.round", "lb.aggregation",
+                                      "lb.dissemination", "lb.vsa",
+                                      "lb.transfer"}));
+  jsonl.clear();
+  jsonl.seekg(0);
+  std::ostringstream os;
+  EXPECT_EQ(tracetool::write_chrome_json(jsonl, os), tracer.events().size());
+  EXPECT_EQ(os.str(), kGoldenChrome);
+
+  // The binary encoding of the same round gives the identical view.
+  std::stringstream bin(std::ios::in | std::ios::out | std::ios::binary);
+  {
+    obs::BinaryTraceSink sink(bin);
+    for (const obs::TraceEvent& e : tracer.events()) sink.on_event(e);
+  }
+  std::ostringstream from_binary;
+  tracetool::write_chrome_json(bin, from_binary);
+  EXPECT_EQ(from_binary.str(), kGoldenChrome);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,23 +419,12 @@ TEST(TraceJsonlParser, RejectsMalformedLinesWithLineNumbers) {
 
 /// Two golden rounds traced into ONE tracer: a stream holding two
 /// complete causal traces back to back, ids continuing across them.
-std::vector<tracetool::RawEvent> two_golden_rounds() {
+std::vector<obs::TraceEvent> two_golden_rounds() {
   obs::Tracer tracer;
-  for (int i = 0; i < 2; ++i) {
-    auto ring = golden_ring();
-    sim::Engine engine;
-    sim::Network net(engine, [](sim::Endpoint x, sim::Endpoint y) {
-      return x == y ? 0.0 : 1.0;
-    });
-    net.attach_tracer(&tracer);
-    Rng rng(7);
-    lb::ProtocolRound round(net, ring, {}, rng);
-    round.start();
-    engine.run();
-  }
+  for (int i = 0; i < 2; ++i) golden::run_golden_round(&tracer);
   std::stringstream jsonl;
   tracer.write_jsonl(jsonl);
-  return tracetool::parse_jsonl(jsonl);
+  return read_all(jsonl);
 }
 
 void expect_rounds_equal(const tracetool::RoundAnalysis& a,
@@ -245,7 +442,7 @@ void expect_rounds_equal(const tracetool::RoundAnalysis& a,
 }
 
 TEST(StreamingAnalyzer, RetireModeMatchesBatchAnalysis) {
-  const std::vector<tracetool::RawEvent> events = two_golden_rounds();
+  const std::vector<obs::TraceEvent> events = two_golden_rounds();
   const tracetool::TraceAnalysis batch = tracetool::analyze(events);
   ASSERT_EQ(batch.rounds.size(), 2u);
 
@@ -253,7 +450,7 @@ TEST(StreamingAnalyzer, RetireModeMatchesBatchAnalysis) {
   std::size_t sink_calls = 0;
   streaming.set_round_sink(
       [&sink_calls](const tracetool::RoundAnalysis&) { ++sink_calls; });
-  for (const tracetool::RawEvent& e : events) streaming.feed(e);
+  for (const obs::TraceEvent& e : events) streaming.feed(e);
 
   // Both root spans closed inside the stream, so both rounds were
   // retired -- and their spans released -- before finish().
@@ -270,9 +467,9 @@ TEST(StreamingAnalyzer, RetireModeMatchesBatchAnalysis) {
 }
 
 TEST(StreamingAnalyzer, PeakMemoryIsOneRoundNotTheWholeStream) {
-  const std::vector<tracetool::RawEvent> events = two_golden_rounds();
+  const std::vector<obs::TraceEvent> events = two_golden_rounds();
   tracetool::StreamingAnalyzer streaming;
-  for (const tracetool::RawEvent& e : events) streaming.feed(e);
+  for (const obs::TraceEvent& e : events) streaming.feed(e);
   streaming.finish();
 
   // 32 spans per golden round, 64 total -- but with retirement at most
@@ -283,9 +480,9 @@ TEST(StreamingAnalyzer, PeakMemoryIsOneRoundNotTheWholeStream) {
 }
 
 TEST(StreamingAnalyzer, RetainModeFinalizesOnlyAtFinish) {
-  const std::vector<tracetool::RawEvent> events = two_golden_rounds();
+  const std::vector<obs::TraceEvent> events = two_golden_rounds();
   tracetool::StreamingAnalyzer retain(/*retire_completed=*/false);
-  for (const tracetool::RawEvent& e : events) retain.feed(e);
+  for (const obs::TraceEvent& e : events) retain.feed(e);
   // Nothing finalizes early in retain mode (this is what makes the
   // batch analyze() wrapper byte-equivalent to the old 3-pass code).
   EXPECT_TRUE(retain.rounds().empty());
@@ -305,24 +502,6 @@ TEST(StreamingAnalyzer, RetainModeFinalizesOnlyAtFinish) {
 // unsampled run -- sampling drops whole traces, never corrupts them.
 // ---------------------------------------------------------------------------
 
-/// Project a decoded TraceEvent into the analyzer's RawEvent exactly as
-/// the JSONL parser would (numeric args only).
-tracetool::RawEvent to_raw(const obs::TraceEvent& e) {
-  tracetool::RawEvent r;
-  r.t = e.time;
-  r.ph = obs::kind_phase_letter(e.kind);
-  r.lane = e.lane;
-  r.name = e.name;
-  r.id = e.id;
-  r.trace = e.ctx.trace;
-  r.span = e.ctx.span;
-  r.parent = e.ctx.parent;
-  for (const obs::Arg& a : e.args)
-    if (!a.json.empty() && a.json[0] != '"')
-      r.num_args.emplace_back(a.key, std::stod(a.json));
-  return r;
-}
-
 /// Four golden rounds streamed through a BinaryTraceSink under the given
 /// sampling policy, decoded back and folded by the streaming analyzer.
 std::vector<tracetool::RoundAnalysis> analyze_sampled_binary(
@@ -333,23 +512,11 @@ std::vector<tracetool::RoundAnalysis> analyze_sampled_binary(
   {
     obs::BinaryTraceSink sink(bin);
     tracer.set_sink(&sink);
-    for (int i = 0; i < 4; ++i) {
-      auto ring = golden_ring();
-      sim::Engine engine;
-      sim::Network net(engine, [](sim::Endpoint x, sim::Endpoint y) {
-        return x == y ? 0.0 : 1.0;
-      });
-      net.attach_tracer(&tracer);
-      Rng rng(7);
-      lb::ProtocolRound round(net, ring, {}, rng);
-      round.start();
-      engine.run();
-    }
+    for (int i = 0; i < 4; ++i) golden::run_golden_round(&tracer);
   }  // sink destructor frames out the tail
   tracetool::StreamingAnalyzer streaming;
-  bin.seekg(0);
-  (void)obs::read_binary_trace(
-      bin, [&](const obs::TraceEvent& e) { streaming.feed(to_raw(e)); });
+  tracetool::read_trace(
+      bin, [&](const obs::TraceEvent& e) { streaming.feed(e); });
   streaming.finish();
   return streaming.rounds();
 }
@@ -394,16 +561,14 @@ TEST(StreamingAnalyzer, SampledBinaryTraceKeepsRoundsIntact) {
 
 TEST(StreamingAnalyzer, RejectsASpanClaimedByTwoTraces) {
   tracetool::StreamingAnalyzer streaming;
-  tracetool::RawEvent first;
-  first.t = 0.0;
-  first.ph = 'B';
+  obs::TraceEvent first;
+  first.kind = obs::EventKind::kBegin;
   first.lane = "lb.round";
   first.name = "round";
-  first.trace = 1;
-  first.span = 5;
+  first.ctx = obs::SpanContext{1, 5, 0};
   streaming.feed(first);
-  tracetool::RawEvent second = first;
-  second.trace = 2;
+  obs::TraceEvent second = first;
+  second.ctx.trace = 2;
   EXPECT_THROW(streaming.feed(second), PreconditionError);
 }
 

@@ -13,11 +13,12 @@
 // a completion-time column plus a per-phase timing breakdown.
 //
 // `--trace FILE` / `--metrics FILE` (they imply `--timed`) export the
-// run's structured trace (Chrome trace_event JSON, JSONL when FILE ends
-// in .jsonl, compact binary p2plb-btrace-1 when it ends in .btrace;
-// case-insensitive) and the unified metrics registry (CSV).  JSONL and
-// binary traces stream to disk as the run goes; `--trace-sample K/M`
-// keeps a deterministic hash-selected subset of traces.
+// run's structured trace (JSONL when FILE ends in .jsonl, compact binary
+// p2plb-btrace-1 when it ends in .btrace; case-insensitive) and the
+// unified metrics registry (CSV).  The trace streams to disk as the run
+// goes; `p2plb_trace --out FILE.json` converts it to Chrome trace_event
+// JSON for Perfetto.  `--trace-sample K/M` keeps a deterministic
+// hash-selected subset of traces.
 // `--flight-recorder FILE` dumps the engine's recent-event ring and
 // queue introspection at exit and on anomalies (see also `--stall-ms`).
 //
@@ -34,7 +35,7 @@
 // `net.*` send counts -- as a time series for tools/p2plb_report.  It
 // schedules nothing: the trace stays byte-identical.
 //
-//   $ p2plb_sim --timed --trace trace.json --metrics metrics.csv
+//   $ p2plb_sim --timed --trace trace.jsonl --metrics metrics.csv
 //   $ p2plb_sim --windows 5 --series series.csv
 //   $ p2plb_sim --alerts examples/alerts.conf --alerts-out alerts.csv
 #include <algorithm>
@@ -43,6 +44,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "bench_util.h"
@@ -200,6 +202,9 @@ int run(const Cli& cli) {
     std::cerr << "--trace-sample must be K/M with 1 <= K <= M (e.g. 1/64)\n";
     return 1;
   }
+  // Open the trace file before any work, so a bad name fails fast.
+  std::unique_ptr<obs::TraceSink> trace_sink;
+  if (!trace_path.empty()) trace_sink = obs::open_trace_sink(trace_path);
   double window_width = cli.get_double("windows");
   const std::string alerts_path = cli.get_string("alerts");
   const std::string alerts_out = cli.get_string("alerts-out");
@@ -241,18 +246,10 @@ int run(const Cli& cli) {
     }
     sim::Network net(engine, latency);
     obs::Tracer tracer;
-    // Streaming sinks (jsonl / binary) keep trace memory O(1) in run
-    // length: events go straight to disk instead of the tracer buffer.
-    // Chrome output needs the whole buffer (one JSON document).
-    std::optional<obs::JsonlTraceSink> jsonl_sink;
-    std::optional<obs::BinaryTraceSink> binary_sink;
-    if (!trace_path.empty()) {
-      if (obs::path_has_extension(trace_path, ".jsonl")) {
-        tracer.set_sink(&jsonl_sink.emplace(trace_path));
-      } else if (obs::path_has_extension(trace_path,
-                                         obs::kBinaryTraceExtension)) {
-        tracer.set_sink(&binary_sink.emplace(trace_path));
-      }
+    // The sink keeps trace memory O(1) in run length: events go straight
+    // to disk instead of the tracer buffer.
+    if (trace_sink) {
+      tracer.set_sink(trace_sink.get());
       if (sample_of > 1)
         tracer.set_trace_sampling(sample_keep, sample_of, seed);
       net.attach_tracer(&tracer);
@@ -349,12 +346,8 @@ int run(const Cli& cli) {
                        static_cast<double>(profiler->total_ns()) / 1e6, 1)
                 << " ms measured)\n";
     }
-    if (!trace_path.empty()) {
-      if (tracer.sink() != nullptr) {
-        tracer.sink()->flush();
-      } else {
-        obs::write_trace_file(tracer, trace_path);
-      }
+    if (trace_sink) {
+      trace_sink->flush();
       std::cerr << "trace written to " << trace_path << " ("
                 << tracer.event_count() << " events";
       if (sample_of > 1)
@@ -521,9 +514,7 @@ int main(int argc, char** argv) {
   cli.add_flag("timed", "run rounds event-driven over simulated latencies",
                "false");
   cli.add_flag("trace",
-               std::string(p2plb::obs::kTraceFlagHelp) +
-                   "; JSONL and binary stream to disk as the run goes; "
-                   "implies --timed",
+               std::string(p2plb::obs::kTraceFlagHelp) + "; implies --timed",
                "");
   cli.add_flag("trace-sample",
                "deterministic per-trace sampling ratio K/M (e.g. 1/64): "

@@ -21,10 +21,11 @@
 // root -- and exits non-zero on any violation, so CI can gate on a
 // healthy causal DAG.
 //
-// --jsonl OUT instead decodes a binary trace losslessly back to the
-// JSONL the same run would have written directly (byte-identical; both
-// paths share obs::write_jsonl_event) and exits without analyzing.
-#include <cstdlib>
+// --out OUT instead converts the trace and exits: OUT ending in .jsonl
+// gets the JSONL the run would have written directly (byte-identical),
+// OUT ending in .json the Chrome trace_event view for Perfetto:
+//
+//   $ p2plb_trace --in trace.btrace --out trace.json
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -33,6 +34,7 @@
 #include "common/cli.h"
 #include "common/error.h"
 #include "obs/binary_trace.h"
+#include "obs/format.h"
 #include "obs/trace.h"
 #include "trace_analysis.h"
 
@@ -40,23 +42,25 @@ namespace {
 
 using namespace p2plb;
 
-/// Lift a decoded binary event into the analyzer's parsed-line shape
-/// (the same projection parse_jsonl applies: numeric args only).
-tracetool::RawEvent to_raw(const obs::TraceEvent& e) {
-  tracetool::RawEvent r;
-  r.t = e.time;
-  r.ph = obs::kind_phase_letter(e.kind);
-  r.lane = e.lane;
-  r.name = e.name;
-  r.id = e.id;
-  r.trace = e.ctx.trace;
-  r.span = e.ctx.span;
-  r.parent = e.ctx.parent;
-  for (const obs::Arg& a : e.args) {
-    if (!a.json.empty() && a.json.front() != '"')
-      r.num_args.emplace_back(a.key, std::strtod(a.json.c_str(), nullptr));
+/// --out: convert the trace in `is` to `out_path` by its suffix.
+int convert(std::istream& is, const std::string& out_path) {
+  const bool chrome = obs::path_has_extension(out_path, ".json");
+  if (!chrome && !obs::path_has_extension(out_path, ".jsonl")) {
+    std::cerr << "p2plb_trace: --out must end in .jsonl (JSONL) or .json "
+                 "(Chrome trace_event), got "
+              << out_path << "\n";
+    return 1;
   }
-  return r;
+  std::ofstream os(out_path);
+  P2PLB_REQUIRE_MSG(os.good(), "cannot open " + out_path);
+  const std::uint64_t n =
+      chrome ? tracetool::write_chrome_json(is, os)
+             : tracetool::read_trace(is, [&os](const obs::TraceEvent& e) {
+                 obs::write_jsonl_event(os, e);
+               });
+  std::cout << "p2plb_trace: wrote " << n << " events to " << out_path
+            << "\n";
+  return 0;
 }
 
 int run(const Cli& cli) {
@@ -70,23 +74,9 @@ int run(const Cli& cli) {
     std::cerr << "p2plb_trace: cannot open " << in_path << "\n";
     return 1;
   }
+  const std::string out_path = cli.get_string("out");
+  if (!out_path.empty()) return convert(is, out_path);
   const bool binary = obs::sniff_binary_trace(is);
-
-  const std::string jsonl_path = cli.get_string("jsonl");
-  if (!jsonl_path.empty()) {
-    if (!binary) {
-      std::cerr << "p2plb_trace: --jsonl decodes binary traces, but "
-                << in_path << " is not p2plb-btrace-1\n";
-      return 1;
-    }
-    std::ofstream os(jsonl_path);
-    P2PLB_REQUIRE_MSG(os.good(), "cannot open " + jsonl_path);
-    const std::uint64_t n = obs::read_binary_trace(
-        is, [&os](const obs::TraceEvent& e) { obs::write_jsonl_event(os, e); });
-    std::cout << "p2plb_trace: decoded " << n << " events to " << jsonl_path
-              << "\n";
-    return 0;
-  }
 
   // Streaming analysis: per-round report sections are rendered the
   // moment the round finalizes, then its spans are retired.
@@ -116,14 +106,8 @@ int run(const Cli& cli) {
       tracetool::write_round_csv(r, analyzer.spans(), index, csv_file);
   });
 
-  if (binary) {
-    obs::read_binary_trace(
-        is, [&analyzer](const obs::TraceEvent& e) { analyzer.feed(to_raw(e)); });
-  } else {
-    tracetool::parse_jsonl(is, [&analyzer](const tracetool::RawEvent& e) {
-      analyzer.feed(e);
-    });
-  }
+  tracetool::read_trace(
+      is, [&analyzer](const obs::TraceEvent& e) { analyzer.feed(e); });
   analyzer.finish();
 
   md << "\n## Totals\n\n";
@@ -170,9 +154,10 @@ int main(int argc, char** argv) {
                "");
   cli.add_flag("md", "write the Markdown report here (default: stdout)", "");
   cli.add_flag("csv", "write the span-level CSV here", "");
-  cli.add_flag("jsonl",
-               "decode a binary trace losslessly to JSONL here and exit "
-               "(no analysis)",
+  cli.add_flag("out",
+               "convert the trace and exit (no analysis): JSONL if the "
+               "name ends in .jsonl, Chrome trace_event JSON if it ends in "
+               ".json",
                "");
   cli.add_flag("min-connectivity",
                "fail unless this fraction of each round's spans connects "

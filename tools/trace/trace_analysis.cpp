@@ -1,18 +1,21 @@
 #include "trace_analysis.h"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 #include <unordered_map>
 
 #include "common/error.h"
+#include "obs/binary_trace.h"
+#include "obs/format.h"
 
 namespace p2plb::tracetool {
+
+using obs::json_number;
 
 namespace {
 
@@ -20,7 +23,7 @@ namespace {
 // JSONL line parser.  The tracer's output is flat -- one object per line,
 // string and number values, plus one optional single-level "args" object
 // -- but unknown keys and value shapes are skipped, not rejected, so the
-// analyzer keeps working when the format grows new fields.
+// reader keeps working when the format grows new fields.
 // ---------------------------------------------------------------------------
 
 class LineParser {
@@ -28,8 +31,9 @@ class LineParser {
   LineParser(std::string_view s, std::size_t line_no)
       : s_(s), line_no_(line_no) {}
 
-  RawEvent parse() {
-    RawEvent e;
+  obs::TraceEvent parse() {
+    obs::TraceEvent e;
+    bool has_phase = false;
     expect('{');
     bool first = true;
     while (!at('}')) {
@@ -38,11 +42,10 @@ class LineParser {
       const std::string key = parse_string();
       expect(':');
       if (key == "t") {
-        e.t = parse_number();
+        e.time = parse_double();
       } else if (key == "ph") {
-        const std::string v = parse_string();
-        if (v.size() != 1) fail("\"ph\" must be a single phase letter");
-        e.ph = v[0];
+        e.kind = parse_phase();
+        has_phase = true;
       } else if (key == "lane") {
         e.lane = parse_string();
       } else if (key == "name") {
@@ -50,19 +53,20 @@ class LineParser {
       } else if (key == "id") {
         e.id = parse_uint();
       } else if (key == "trace") {
-        e.trace = parse_uint();
+        e.ctx.trace = parse_uint();
       } else if (key == "span") {
-        e.span = parse_uint();
+        e.ctx.span = parse_uint();
       } else if (key == "parent") {
-        e.parent = parse_uint();
+        e.ctx.parent = parse_uint();
       } else if (key == "args") {
-        parse_args(e);
+        parse_args(e.args);
       } else {
         skip_value();
       }
     }
     expect('}');
     if (pos_ != s_.size()) fail("trailing characters after object");
+    if (!has_phase) fail("missing \"ph\"");
     return e;
   }
 
@@ -98,13 +102,17 @@ class LineParser {
           case 'r': c = '\r'; break;
           case 'b': c = '\b'; break;
           case 'f': c = '\f'; break;
-          case 'u':
-            // Keep the raw \uXXXX text: no analysis reads escaped names.
-            if (s_.size() - pos_ < 4) fail("truncated \\u escape");
-            out += "\\u";
-            out += s_.substr(pos_, 4);
+          case 'u': {  // obs::json_string's \u00XX control characters
+            const char* hex = s_.data() + pos_;
+            unsigned code = 0;
+            if (s_.size() - pos_ < 4 ||
+                std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4 ||
+                code > 0x7F)
+              fail("unsupported \\u escape");
             pos_ += 4;
-            continue;
+            c = static_cast<char>(code);
+            break;
+          }
           default: fail("unknown escape");
         }
       }
@@ -112,6 +120,17 @@ class LineParser {
     }
     expect('"');
     return out;
+  }
+
+  obs::EventKind parse_phase() {
+    const std::string letter = parse_string();
+    for (std::uint8_t k = 0;
+         k <= static_cast<std::uint8_t>(obs::EventKind::kFlowEnd); ++k) {
+      const auto kind = static_cast<obs::EventKind>(k);
+      if (letter.size() == 1 && obs::kind_phase_letter(kind) == letter[0])
+        return kind;
+    }
+    fail("unknown \"ph\" \"" + letter + "\"");
   }
 
   [[nodiscard]] std::string_view number_token() {
@@ -125,15 +144,27 @@ class LineParser {
     return s_.substr(start, pos_ - start);
   }
 
-  double parse_number() {
-    return std::strtod(std::string(number_token()).c_str(), nullptr);
+  double parse_double() {
+    const std::string_view token = number_token();
+    try {
+      return obs::parse_number(token, std::string(token));
+    } catch (const PreconditionError& error) {
+      fail(error.what());
+    }
   }
 
   std::uint64_t parse_uint() {
-    return std::strtoull(std::string(number_token()).c_str(), nullptr, 10);
+    const std::string_view token = number_token();
+    std::uint64_t v = 0;
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), v);
+    if (ec != std::errc() || end != token.data() + token.size())
+      fail("expected an unsigned integer, got " + std::string(token));
+    return v;
   }
 
-  void parse_args(RawEvent& e) {
+  /// Keys decode; each value keeps its exact JSON text.
+  void parse_args(std::vector<obs::Arg>& args) {
     expect('{');
     bool first = true;
     while (!at('}')) {
@@ -141,11 +172,10 @@ class LineParser {
       first = false;
       std::string key = parse_string();
       expect(':');
-      if (at('"')) {
-        (void)parse_string();  // string args carry no analyzed quantity
-      } else {
-        e.num_args.emplace_back(std::move(key), parse_number());
-      }
+      const std::size_t start = pos_;
+      skip_value();
+      std::string value(s_.substr(start, pos_ - start));
+      args.push_back(obs::Arg{std::move(key), std::move(value)});
     }
     expect('}');
   }
@@ -187,22 +217,6 @@ class LineParser {
   std::size_t line_no_;
 };
 
-/// json_number twin (src/obs/trace.cpp): integers print bare, fractions
-/// with up to six decimals, trailing zeros trimmed.
-std::string fmt_num(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  std::string s = buf;
-  while (!s.empty() && s.back() == '0') s.pop_back();
-  if (!s.empty() && s.back() == '.') s.pop_back();
-  return s;
-}
-
 std::string fmt_histogram(const Histogram& h) {
   std::string out;
   for (const auto& [value, count] : h) {
@@ -216,17 +230,12 @@ constexpr double kTimeTolerance = 1e-9;
 
 }  // namespace
 
-std::vector<RawEvent> parse_jsonl(std::istream& is) {
-  std::vector<RawEvent> events;
-  parse_jsonl(is, [&events](const RawEvent& e) { events.push_back(e); });
-  return events;
-}
-
-std::size_t parse_jsonl(std::istream& is,
-                        const std::function<void(const RawEvent&)>& fn) {
+std::uint64_t read_trace(
+    std::istream& is, const std::function<void(const obs::TraceEvent&)>& fn) {
+  if (obs::sniff_binary_trace(is)) return obs::read_binary_trace(is, fn);
   std::string line;
   std::size_t line_no = 0;
-  std::size_t parsed = 0;
+  std::uint64_t parsed = 0;
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
@@ -236,40 +245,103 @@ std::size_t parse_jsonl(std::istream& is,
   return parsed;
 }
 
+std::vector<std::string> read_lanes(std::istream& is) {
+  std::vector<std::string> lanes;
+  (void)read_trace(is, [&lanes](const obs::TraceEvent& e) {
+    if (std::find(lanes.begin(), lanes.end(), e.lane) == lanes.end())
+      lanes.push_back(e.lane);
+  });
+  return lanes;
+}
+
+std::uint64_t write_chrome_json(std::istream& is, std::ostream& os) {
+  // Timestamps are exported in microseconds; one sim latency unit maps
+  // to 1 ms so sub-unit delays stay visible in the viewer.
+  constexpr double kTsScale = 1000.0;
+  const std::vector<std::string> lane_order = read_lanes(is);
+  is.clear();
+  is.seekg(0);
+  const auto tid_of = [&lane_order](const std::string& lane) {
+    for (std::size_t i = 0; i < lane_order.size(); ++i)
+      if (lane_order[i] == lane) return i;
+    return std::size_t{0};  // unreachable: every event's lane is listed
+  };
+
+  os << "{\"traceEvents\":[\n";
+  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+        "\"args\":{\"name\":\"p2plb\"}}";
+  for (std::size_t i = 0; i < lane_order.size(); ++i) {
+    os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << i
+       << ",\"args\":{\"name\":" << obs::json_string(lane_order[i]) << "}}";
+    os << ",\n{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,"
+          "\"tid\":"
+       << i << ",\"args\":{\"sort_index\":" << i << "}}";
+  }
+  const std::uint64_t n = read_trace(is, [&](const obs::TraceEvent& e) {
+    os << ",\n{\"name\":" << obs::json_string(e.name)
+       << ",\"cat\":" << obs::json_string(e.lane) << ",\"ph\":\""
+       << obs::kind_phase_letter(e.kind)
+       << "\",\"ts\":" << json_number(e.time * kTsScale)
+       << ",\"pid\":1,\"tid\":" << tid_of(e.lane);
+    if (obs::kind_has_id(e.kind)) os << ",\"id\":" << e.id;
+    if (e.kind == obs::EventKind::kInstant) os << ",\"s\":\"t\"";
+    // "f" binds the arrow head to the enclosing slice's end.
+    if (e.kind == obs::EventKind::kFlowEnd) os << ",\"bp\":\"e\"";
+    // Causal ids ride in args so Perfetto's detail pane shows them.
+    std::vector<obs::Arg> args = e.args;
+    if (e.ctx.trace != 0)
+      args.push_back(obs::arg("trace", static_cast<double>(e.ctx.trace)));
+    if (e.ctx.span != 0)
+      args.push_back(obs::arg("span", static_cast<double>(e.ctx.span)));
+    if (e.ctx.parent != 0)
+      args.push_back(obs::arg("parent", static_cast<double>(e.ctx.parent)));
+    if (!args.empty()) {
+      os << ",\"args\":";
+      obs::write_args_object(os, args);
+    }
+    os << '}';
+  });
+  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
+  return n;
+}
+
 StreamingAnalyzer::StreamingAnalyzer(bool retire_completed)
     : retire_(retire_completed) {}
 
-void StreamingAnalyzer::feed(const RawEvent& e) {
+void StreamingAnalyzer::feed(const obs::TraceEvent& e) {
   ++total_events_;
+  const obs::SpanContext& ctx = e.ctx;
   bool root_closed = false;
-  if (e.name == "round" && e.ph == 'E') {
-    for (const auto& [key, value] : e.num_args)
-      if (key == "completion_time") completion_by_trace_[e.trace] = value;
+  if (e.name == "round" && e.kind == obs::EventKind::kEnd) {
+    for (const obs::Arg& a : e.args)
+      if (a.key == "completion_time")
+        completion_by_trace_[ctx.trace] = obs::parse_number(
+            a.json, "completion_time of trace " + std::to_string(ctx.trace));
     // The root "round" span closing is the retirement signal: a
     // well-formed round emits it after its last delivery.
-    root_closed = e.trace != 0 && e.parent == 0;
+    root_closed = ctx.trace != 0 && ctx.parent == 0;
   }
-  if (e.trace != 0 && e.span != 0) {  // else annotation / flow / plain
-    auto [it, inserted] = spans_.try_emplace(e.span);
+  if (ctx.trace != 0 && ctx.span != 0) {  // else annotation / flow / plain
+    auto [it, inserted] = spans_.try_emplace(ctx.span);
     Span& s = it->second;
     if (inserted) {
-      s.id = e.span;
-      s.trace = e.trace;
-      s.parent = e.parent;
+      s.id = ctx.span;
+      s.trace = ctx.trace;
+      s.parent = ctx.parent;
       s.lane = e.lane;
-      s.start = e.t;
-      s.end = e.t;
+      s.start = e.time;
+      s.end = e.time;
       ++spans_created_;
-      ids_by_trace_[e.trace].push_back(e.span);
+      ids_by_trace_[ctx.trace].push_back(ctx.span);
       if (spans_.size() > peak_spans_) peak_spans_ = spans_.size();
       if (ids_by_trace_.size() > peak_traces_)
         peak_traces_ = ids_by_trace_.size();
     } else {
-      P2PLB_REQUIRE_MSG(s.trace == e.trace,
-                        "span " + std::to_string(e.span) +
+      P2PLB_REQUIRE_MSG(s.trace == ctx.trace,
+                        "span " + std::to_string(ctx.span) +
                             " appears in two traces");
-      s.start = std::min(s.start, e.t);
-      s.end = std::max(s.end, e.t);
+      s.start = std::min(s.start, e.time);
+      s.end = std::max(s.end, e.time);
     }
     if (e.name.rfind("msg.", 0) == 0) {
       s.is_message = true;
@@ -279,12 +351,12 @@ void StreamingAnalyzer::feed(const RawEvent& e) {
     }
   }
   if (root_closed && retire_) {
-    const auto it = ids_by_trace_.find(e.trace);
+    const auto it = ids_by_trace_.find(ctx.trace);
     if (it != ids_by_trace_.end()) {
-      finalize_trace(e.trace, it->second);
+      finalize_trace(ctx.trace, it->second);
       for (const std::uint64_t id : it->second) spans_.erase(id);
       ids_by_trace_.erase(it);
-      completion_by_trace_.erase(e.trace);
+      completion_by_trace_.erase(ctx.trace);
     }
   }
 }
@@ -391,12 +463,12 @@ void StreamingAnalyzer::finalize_trace(std::uint64_t trace,
   if (sink_) sink_(rounds_.back());
 }
 
-TraceAnalysis analyze(const std::vector<RawEvent>& events) {
+TraceAnalysis analyze(const std::vector<obs::TraceEvent>& events) {
   // Retain-everything mode folds the whole file before any per-round
   // pass, which is what makes the result independent of where round
   // roots close in the stream.
   StreamingAnalyzer sa(/*retire_completed=*/false);
-  for (const RawEvent& e : events) sa.feed(e);
+  for (const obs::TraceEvent& e : events) sa.feed(e);
   sa.finish();
 
   TraceAnalysis out;
@@ -425,13 +497,13 @@ std::vector<std::string> validate(const std::vector<RoundAnalysis>& rounds,
             kTimeTolerance) {
       violations.push_back(
           label + ": critical path ends at +" +
-          fmt_num(r.critical_path_end - r.start) +
+          json_number(r.critical_path_end - r.start) +
           " but the round reported completion_time " +
-          fmt_num(r.completion_time));
+          json_number(r.completion_time));
     }
     if (r.connectivity() < min_connectivity) {
       violations.push_back(label + ": only " +
-                           fmt_num(100.0 * r.connectivity()) +
+                           json_number(100.0 * r.connectivity()) +
                            "% of spans connect to the round root");
     }
   }
@@ -448,16 +520,16 @@ void write_round_markdown(const RoundAnalysis& r,
                           std::size_t index, std::ostream& os) {
   os << "\n## Round " << (index + 1) << " (trace " << r.trace << ")\n\n";
   os << "| metric | value |\n|---|---|\n";
-  os << "| interval | " << fmt_num(r.start) << " .. " << fmt_num(r.end)
+  os << "| interval | " << json_number(r.start) << " .. " << json_number(r.end)
      << " |\n";
   os << "| completion_time | "
      << (r.completion_time < 0.0 ? std::string("(unfinished)")
-                                 : fmt_num(r.completion_time))
+                                 : json_number(r.completion_time))
      << " |\n";
-  os << "| critical path end | +" << fmt_num(r.critical_path_end - r.start)
+  os << "| critical path end | +" << json_number(r.critical_path_end - r.start)
      << " |\n";
   os << "| spans | " << r.span_count << " |\n";
-  os << "| connected | " << fmt_num(100.0 * r.connectivity()) << "% |\n";
+  os << "| connected | " << json_number(100.0 * r.connectivity()) << "% |\n";
   os << "| messages | " << r.message_count << " |\n";
 
   os << "\n### Critical path\n\n";
@@ -467,7 +539,7 @@ void write_round_markdown(const RoundAnalysis& r,
   for (std::size_t k = 0; k < r.critical_path.size(); ++k) {
     const Span& s = spans.at(r.critical_path[k]);
     os << "| " << (k + 1) << " | " << s.lane << " | " << s.name << " | "
-       << s.id << " | " << fmt_num(s.start) << " | " << fmt_num(s.end)
+       << s.id << " | " << json_number(s.start) << " | " << json_number(s.end)
        << " | ";
     // The root span encloses the whole round; what it contributes to
     // the path is its start, so its row shows no wait and the per-hop
@@ -476,7 +548,7 @@ void write_round_markdown(const RoundAnalysis& r,
       os << "-";
       prev_end = s.start;
     } else {
-      os << "+" << fmt_num(s.end - prev_end);
+      os << "+" << json_number(s.end - prev_end);
       prev_end = s.end;
     }
     os << " |\n";
@@ -517,9 +589,10 @@ void write_round_csv(const RoundAnalysis& r,
   for (const auto& [id, s] : spans) {
     if (s.trace != r.trace) continue;
     os << (index + 1) << ',' << r.trace << ',' << s.id << ',' << s.parent
-       << ',' << s.lane << ',' << s.name << ',' << fmt_num(s.start) << ','
-       << fmt_num(s.end) << ',' << fmt_num(s.slack) << ',' << s.hop_depth
-       << ',' << s.fan_out << ',' << (s.on_critical_path ? 1 : 0) << '\n';
+       << ',' << s.lane << ',' << s.name << ',' << json_number(s.start)
+       << ',' << json_number(s.end) << ',' << json_number(s.slack) << ','
+       << s.hop_depth << ',' << s.fan_out << ','
+       << (s.on_critical_path ? 1 : 0) << '\n';
   }
 }
 

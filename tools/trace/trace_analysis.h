@@ -1,11 +1,11 @@
-// Causal trace analysis: reconstruct per-round span DAGs from a JSONL
-// trace and explain where the round's latency came from.
+// Causal trace analysis: reconstruct per-round span DAGs from a trace
+// and explain where the round's latency came from.
 //
-// Input is the flat JSONL emitted by obs::Tracer::write_jsonl with a
-// tracer attached to the network (see src/sim/network.h "Causal
-// envelopes"): every span-carrying event holds top-level "trace", "span"
-// and "parent" fields, where the parent edge records the one input whose
-// arrival actually enabled the work.  That makes each trace a DAG (in
+// Input is the trace of a run with a tracer attached to the network
+// (see src/sim/network.h "Causal envelopes"), read by read_trace():
+// every span-carrying event holds a causal context (trace, span,
+// parent), where the parent edge records the one input whose arrival
+// actually enabled the work.  That makes each trace a DAG (in
 // fact a tree over spans) whose longest root-to-leaf chain *is* the
 // round's critical path:
 //
@@ -35,30 +35,29 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
+
 namespace p2plb::tracetool {
 
-/// One parsed JSONL trace line.  Only the numeric args survive parsing
-/// (string args exist in the format but no analysis needs them).
-struct RawEvent {
-  double t = 0.0;
-  char ph = '?';  ///< B E b e i s f -- see obs::EventKind
-  std::string lane;
-  std::string name;
-  std::uint64_t id = 0;      ///< async/flow correlation id
-  std::uint64_t trace = 0;   ///< causal context (0 = none)
-  std::uint64_t span = 0;
-  std::uint64_t parent = 0;
-  std::vector<std::pair<std::string, double>> num_args;
-};
+/// The one trace reader: call `fn` per event of the trace in `is`, in
+/// file order; returns the count.  p2plb-btrace-1 (sniffed by magic, so
+/// `is` must be seekable) goes to obs::read_binary_trace, anything else
+/// parses as JSONL: arg values keep their exact JSON text, so JSONL ->
+/// obs::write_jsonl_event round-trips byte for byte, and unknown keys
+/// are skipped.  Throws PreconditionError naming the line on a missing
+/// or unknown "ph", a non-number "t" or an id that is not unsigned.
+std::uint64_t read_trace(
+    std::istream& is, const std::function<void(const obs::TraceEvent&)>& fn);
 
-/// Parse a whole JSONL stream; throws PreconditionError (with the line
-/// number) on malformed input.  Lines are independent, order preserved.
-[[nodiscard]] std::vector<RawEvent> parse_jsonl(std::istream& is);
+/// Lanes of the trace in `is` in order of first appearance: the Chrome
+/// view's thread ids.
+[[nodiscard]] std::vector<std::string> read_lanes(std::istream& is);
 
-/// Streaming variant: invoke `fn` per parsed line without materializing
-/// the file.  Returns the number of events parsed.
-std::size_t parse_jsonl(std::istream& is,
-                        const std::function<void(const RawEvent&)>& fn);
+/// Write the trace in `is` as Chrome trace_event JSON for Perfetto or
+/// chrome://tracing: one thread per lane, causal ids folded into args.
+/// Reads `is` twice (lanes, then events), so memory stays O(lanes);
+/// returns the event count.
+std::uint64_t write_chrome_json(std::istream& is, std::ostream& os);
 
 /// One reconstructed span: every event sharing a (trace, span) pair.
 /// For a message this is its send and its delivery, so [start, end] is
@@ -138,7 +137,7 @@ class StreamingAnalyzer {
     sink_ = std::move(sink);
   }
 
-  void feed(const RawEvent& e);
+  void feed(const obs::TraceEvent& e);
 
   /// Finalize every still-open trace (a round whose root never closed
   /// keeps completion_time = -1).  Call exactly once, after the last
@@ -178,7 +177,7 @@ class StreamingAnalyzer {
   }
 
  private:
-  friend TraceAnalysis analyze(const std::vector<RawEvent>& events);
+  friend TraceAnalysis analyze(const std::vector<obs::TraceEvent>& events);
 
   void finalize_trace(std::uint64_t trace, std::vector<std::uint64_t>& ids);
 
@@ -198,7 +197,8 @@ class StreamingAnalyzer {
 };
 
 /// Build spans, connectivity, critical paths, slack and histograms.
-[[nodiscard]] TraceAnalysis analyze(const std::vector<RawEvent>& events);
+[[nodiscard]] TraceAnalysis analyze(
+    const std::vector<obs::TraceEvent>& events);
 
 /// Consistency checks; returns human-readable violations (empty = ok):
 ///   * each finished round's critical path ends exactly completion_time
