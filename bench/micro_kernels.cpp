@@ -114,7 +114,7 @@ void BM_KTreeBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(tree.size());
   }
 }
-BENCHMARK(BM_KTreeBuild)->Arg(256)->Arg(1024)->Arg(4096)
+BENCHMARK(BM_KTreeBuild)->Arg(256)->Arg(1024)->Arg(4096)->Arg(32768)
     ->Unit(benchmark::kMillisecond);
 
 void BM_BalanceRound(benchmark::State& state) {
@@ -139,6 +139,7 @@ BENCHMARK(BM_BalanceRound)->Arg(512)->Arg(2048)
 void BM_VsaSweep(benchmark::State& state) {
   // The pairing sweep alone: entries are rebuilt outside the timed loop,
   // run_vsa (classification -> rendezvous -> leftover forwarding) inside.
+  // The second argument asks for the VsaTrace, as every timed round does.
   Rng rng(10);
   auto ring = workload::build_ring(
       static_cast<std::size_t>(state.range(0)), 5,
@@ -154,11 +155,15 @@ void BM_VsaSweep(benchmark::State& state) {
       lb::build_entries_ignorant(tree, before, agg.reporter_vs);
   lb::VsaParams params;
   params.min_load = agg.system.min_load;
+  lb::VsaTrace trace;
+  if (state.range(1) != 0) params.trace = &trace;
   for (auto _ : state) {
     benchmark::DoNotOptimize(lb::run_vsa(tree, entries, params));
   }
 }
-BENCHMARK(BM_VsaSweep)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VsaSweep)
+    ->ArgsProduct({{1024, 4096, 32768}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_OracleLookup(benchmark::State& state) {
   // Cached source-row lookups (the per-send latency path): pre-warm every

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 namespace p2plb::ktree {
 
@@ -17,14 +18,32 @@ void KTree::rebuild() {
                     "cannot build a K-nary tree over an empty ring");
   nodes_.clear();
   levels_.clear();
-  leaves_by_vs_.clear();
   leaf_count_ = 0;
+
+  // One sorted id snapshot serves every node: a single lower_bound over
+  // contiguous keys gives the VS a key is planted in (Ring::successor),
+  // and the previous id gives that VS's arc (Ring::arc_size).
+  server_ids_ = ring_.server_ids();
+  const auto server_count = static_cast<std::uint32_t>(server_ids_.size());
+  std::vector<std::uint32_t> host_pos;  // per node: its host's snapshot slot
+  const auto plant = [&](chord::Key key) {
+    const auto it =
+        std::lower_bound(server_ids_.begin(), server_ids_.end(), key);
+    const auto pos = static_cast<std::uint32_t>(it - server_ids_.begin());
+    host_pos.push_back(pos == server_count ? 0 : pos);
+    return server_ids_[host_pos.back()];
+  };
+  const auto host_arc = [&](std::uint32_t pos) -> std::uint64_t {
+    if (server_count == 1) return chord::kSpaceSize;
+    const chord::Key pred = server_ids_[pos == 0 ? server_count - 1 : pos - 1];
+    return chord::distance_cw(pred, server_ids_[pos]);
+  };
 
   // BFS construction: process one level at a time so children of a node
   // are contiguous and levels_ ranges are exact.
   const Region whole = Region::whole();
-  nodes_.push_back(KtNode{whole, ring_.successor(whole.midpoint()).id,
-                          kNoKtNode, kNoKtNode, 0, 0});
+  nodes_.push_back(
+      KtNode{whole, plant(whole.midpoint()), kNoKtNode, kNoKtNode, 0, 0});
   KtIndex level_begin = 0;
   std::uint16_t depth = 0;
   while (level_begin < nodes_.size()) {
@@ -35,7 +54,7 @@ void KTree::rebuild() {
       // Leaf iff the region is no larger than the hosting VS's arc (the
       // paper's size check; see the class comment).
       const Region region = nodes_[i].region;
-      if (region.len <= ring_.arc_size(nodes_[i].host_vs)) {
+      if (region.len <= host_arc(host_pos[i])) {
         continue;  // leaf: no children
       }
       P2PLB_ASSERT_MSG(region.len >= 2,
@@ -47,9 +66,8 @@ void KTree::rebuild() {
         if (child.len == 0) continue;  // region smaller than the degree
         P2PLB_ASSERT(nodes_.size() <
                      std::numeric_limits<KtIndex>::max() - 1);
-        nodes_.push_back(KtNode{child, ring_.successor(child.midpoint()).id,
-                                i, kNoKtNode, 0,
-                                static_cast<std::uint16_t>(depth + 1)});
+        nodes_.push_back(KtNode{child, plant(child.midpoint()), i, kNoKtNode,
+                                0, static_cast<std::uint16_t>(depth + 1)});
         ++created;
       }
       nodes_[i].child_count = created;
@@ -59,8 +77,10 @@ void KTree::rebuild() {
   }
 
   // Effective (communication) depth: count host changes along each path.
+  // Leaves are counted per host slot on the way, for the CSR below.
   std::vector<std::uint16_t> eff(nodes_.size(), 0);
   effective_height_ = 0;
+  leaf_offsets_.assign(static_cast<std::size_t>(server_count) + 1, 0);
   for (KtIndex i = 0; i < nodes_.size(); ++i) {
     if (i != root()) {
       const KtNode& parent = nodes_[nodes_[i].parent];
@@ -70,10 +90,18 @@ void KTree::rebuild() {
       effective_height_ = std::max(effective_height_, eff[i]);
     }
     if (nodes_[i].is_leaf()) {
-      leaves_by_vs_[nodes_[i].host_vs].push_back(i);
+      ++leaf_offsets_[host_pos[i] + 1];
       ++leaf_count_;
     }
   }
+  // Leaves grouped by host in ring order, ascending KtIndex per host.
+  std::partial_sum(leaf_offsets_.begin(), leaf_offsets_.end(),
+                   leaf_offsets_.begin());
+  std::vector<std::uint32_t> cursor(leaf_offsets_.begin(),
+                                    leaf_offsets_.end() - 1);
+  leaves_by_vs_.resize(leaf_count_);
+  for (KtIndex i = 0; i < nodes_.size(); ++i)
+    if (nodes_[i].is_leaf()) leaves_by_vs_[cursor[host_pos[i]]++] = i;
 }
 
 std::span<const KtNode> KTree::children(KtIndex i) const {
@@ -88,9 +116,11 @@ KTree::LevelRange KTree::level(std::uint16_t depth) const {
 }
 
 std::span<const KtIndex> KTree::leaves_of(chord::Key vs) const {
-  const auto it = leaves_by_vs_.find(vs);
-  if (it == leaves_by_vs_.end()) return {};
-  return it->second;
+  const auto it = std::lower_bound(server_ids_.begin(), server_ids_.end(), vs);
+  if (it == server_ids_.end() || *it != vs) return {};
+  const auto pos = static_cast<std::size_t>(it - server_ids_.begin());
+  return std::span<const KtIndex>(leaves_by_vs_)
+      .subspan(leaf_offsets_[pos], leaf_offsets_[pos + 1] - leaf_offsets_[pos]);
 }
 
 KtIndex KTree::primary_leaf_of(chord::Key vs) const {

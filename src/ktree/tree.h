@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "chord/ring.h"
@@ -92,9 +91,12 @@ class KTree {
   };
   [[nodiscard]] LevelRange level(std::uint16_t depth) const;
 
-  /// Leaves planted in the given virtual server, ascending by index.
-  /// May be empty for servers with unusually small arcs (see the class
-  /// comment); use entry_leaf_for() when a leaf is always required.
+  /// Leaves planted in the given virtual server, ascending by index: a
+  /// span into one flat array grouped by host, found by a binary search
+  /// of the id snapshot taken at the last rebuild().  May be empty for
+  /// servers with unusually small arcs (see the class comment) and for
+  /// ids that were not servers then; use entry_leaf_for() when a leaf is
+  /// always required.
   [[nodiscard]] std::span<const KtIndex> leaves_of(chord::Key vs) const;
 
   /// The designated leaf a virtual server reports through (the paper has
@@ -124,7 +126,12 @@ class KTree {
   std::uint32_t degree_;
   std::vector<KtNode> nodes_;
   std::vector<LevelRange> levels_;
-  std::unordered_map<chord::Key, std::vector<KtIndex>> leaves_by_vs_;
+  /// The ring's sorted server ids at the last rebuild().
+  std::vector<chord::Key> server_ids_;
+  /// CSR over server_ids_: the leaves planted in server_ids_[p] are
+  /// leaves_by_vs_[leaf_offsets_[p], leaf_offsets_[p + 1]), ascending.
+  std::vector<std::uint32_t> leaf_offsets_;
+  std::vector<KtIndex> leaves_by_vs_;
   std::uint16_t height_ = 0;
   std::uint16_t effective_height_ = 0;
   std::size_t leaf_count_ = 0;

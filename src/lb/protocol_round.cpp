@@ -41,8 +41,6 @@ ProtocolRound::ProtocolRound(sim::Network& net, chord::Ring& ring,
                    bal.key_local_rendezvous};
   params.trace = &trace_;
   report_.vsa = run_vsa(tree_, entries_, params);
-  node_trace_.assign(tree_.size(), nullptr);
-  for (const auto& [i, node_trace] : trace_) node_trace_[i] = &node_trace;
 
   // Endpoint snapshots: decisions survive churn during the round.
   host_ep_.resize(tree_.size());
@@ -210,9 +208,9 @@ void ProtocolRound::start_vsa() {
     vsa_waits_[leaf] += static_cast<std::uint32_t>(records.size());
   for (const auto& [leaf, records] : entries_.light)
     vsa_waits_[leaf] += static_cast<std::uint32_t>(records.size());
-  for (const auto& [i, node_trace] : trace_)
-    if (node_trace.forwarded_up > 0)
-      vsa_waits_[tree_.node(i).parent] += node_trace.forwarded_up;
+  for (ktree::KtIndex i = 0; i < tree_.size(); ++i)
+    if (trace_.forwarded_up[i] > 0)
+      vsa_waits_[tree_.node(i).parent] += trace_.forwarded_up[i];
 
   for (const auto& [leaf, records] : entries_.heavy)
     for (const ShedCandidate& r : records)
@@ -233,36 +231,32 @@ void ProtocolRound::vsa_record_arrival(ktree::KtIndex node) {
 
 void ProtocolRound::vsa_process(ktree::KtIndex node) {
   const double phase_now = net_.engine().now() - metrics(Phase::kVsa).start;
-  const VsaNodeTrace* node_trace = node_trace_[node];
 
   // Rendezvous: re-stamp the precomputed pairings with the simulated time
   // they fired, then notify both endpoints of each pair.
-  if (node_trace != nullptr) {
-    for (const std::uint32_t idx : node_trace->assignments) {
-      Assignment& a = report_.vsa.assignments[idx];
-      a.available_at = phase_now;
-      // The match is a DAG node between the last-arriving record and the
-      // pair notifications: scope it so the notify sends parent to it.
-      obs::SpanContext match_ctx = net_.current_context();
-      if (obs::Tracer* tr = net_.tracer()) {
-        match_ctx = tr->child_of(match_ctx);
-        tr->instant(net_.engine().now(), kTagVsa, "vsa.match", match_ctx,
-                    {obs::arg("vs", a.vs), obs::arg("from", a.from),
-                     obs::arg("to", a.to), obs::arg("load", a.load),
-                     obs::arg("depth", a.rendezvous_depth)});
-      }
-      const sim::Network::ContextScope scope(net_, match_ctx);
-      obs::Profiler* const prof = net_.profiler();
-      const obs::Profiler::Scope prof_scope(
-          prof, prof != nullptr ? prof->intern("vsa.match", "lb") : 0);
-      vsa_send(host_ep_[node], node_ep_[a.from], config_.wire.notify,
-               [this, idx] { begin_transfer(idx); });
-      vsa_send(host_ep_[node], node_ep_[a.to], config_.wire.notify, [] {});
+  for (const std::uint32_t idx : trace_.assignments_of(node)) {
+    Assignment& a = report_.vsa.assignments[idx];
+    a.available_at = phase_now;
+    // The match is a DAG node between the last-arriving record and the
+    // pair notifications: scope it so the notify sends parent to it.
+    obs::SpanContext match_ctx = net_.current_context();
+    if (obs::Tracer* tr = net_.tracer()) {
+      match_ctx = tr->child_of(match_ctx);
+      tr->instant(net_.engine().now(), kTagVsa, "vsa.match", match_ctx,
+                  {obs::arg("vs", a.vs), obs::arg("from", a.from),
+                   obs::arg("to", a.to), obs::arg("load", a.load),
+                   obs::arg("depth", a.rendezvous_depth)});
     }
+    const sim::Network::ContextScope scope(net_, match_ctx);
+    obs::Profiler* const prof = net_.profiler();
+    const obs::Profiler::Scope prof_scope(
+        prof, prof != nullptr ? prof->intern("vsa.match", "lb") : 0);
+    vsa_send(host_ep_[node], node_ep_[a.from], config_.wire.notify,
+             [this, idx] { begin_transfer(idx); });
+    vsa_send(host_ep_[node], node_ep_[a.to], config_.wire.notify, [] {});
   }
 
-  const std::uint32_t forwarded =
-      node_trace == nullptr ? 0 : node_trace->forwarded_up;
+  const std::uint32_t forwarded = trace_.forwarded_up[node];
   if (node == tree_.root() || forwarded == 0) {
     // The record flow ends here: the sweep is done once the last such
     // terminus has fired.

@@ -21,15 +21,17 @@
 // What to transfer is decided from a ring snapshot at construction using
 // the same oracle pipeline as run_balance_round -- aggregate_lbi,
 // classify_all, build_entries_*, run_vsa -- and the events replay that
-// dataflow (via the VsaTrace) with real latencies.  The refactor changes
-// *when*, never *what*: for equal rng state the timed round and the
-// synchronous wrapper produce identical pairings and identical
-// post-transfer classifications.  Every remote hop passes through
-// sim::Network::send under a per-phase tag, so message/byte/latency
-// accounting lives in exactly one place; the per-phase counters are
-// emitted as BalanceReport::phases and the legacy analytic counters
-// (LbiAggregation/LbiDissemination/VsaResult::messages) are overwritten
-// from the network's tallies (tests assert the two always agree).
+// dataflow with real latencies: VsaEntries gives each leaf's records, the
+// dense VsaTrace each KT node's forwarded count and assignment range, and
+// nothing is re-decided.  The refactor changes *when*, never *what*: for
+// equal rng state the timed round and the synchronous wrapper produce
+// identical pairings and identical post-transfer classifications.  Every
+// remote hop passes through sim::Network::send under a per-phase tag, so
+// message/byte/latency accounting lives in exactly one place; the
+// per-phase counters are emitted as BalanceReport::phases and the legacy
+// analytic counters (LbiAggregation/LbiDissemination/VsaResult::messages)
+// are overwritten from the network's tallies (tests assert the two always
+// agree).
 //
 // The ring may churn while a round is in flight: decisions were
 // snapshotted, endpoints were snapshotted, and a transfer whose server
@@ -147,12 +149,11 @@ class ProtocolRound {
 
   // Decisions and snapshots, fixed at construction.  Lookups here sit on
   // the per-message hot path of a timed round, so they are dense arrays
-  // indexed by NodeIndex/KtIndex, not hash maps.
+  // indexed by NodeIndex/KtIndex, not hash maps (trace_ included: vsa
+  // events read trace_.forwarded_up and trace_.assignments_of directly).
   BalanceReport report_;
   VsaEntries entries_;
   VsaTrace trace_;
-  /// trace_'s entry per KtIndex (nullptr: the sweep did nothing there).
-  std::vector<const VsaNodeTrace*> node_trace_;
   std::vector<sim::Endpoint> host_ep_;  // per KT node: its host's endpoint
   std::vector<sim::Endpoint> node_ep_;  // per NodeIndex; live nodes only
   /// (entry leaf, reporting node) in live-node order.

@@ -47,11 +47,13 @@ VsaEntries build_entries_ignorant(
           chord::Key& origin_key) {
         const auto it = reporter_vs.find(a.node);
         if (it == reporter_vs.end()) return false;
-        // Server-less nodes report under a hashed key (see aggregate_lbi);
-        // for them the reporting key is not a live VS id.
-        leaf = tree.ring().has_server(it->second)
-                   ? tree.entry_leaf_for(it->second)
-                   : tree.leaf_containing(it->second);
+        // Server-less nodes report under a hashed key (see aggregate_lbi),
+        // which may even collide with some other node's VS id: pick the
+        // leaf by the node, exactly as aggregate_lbi does, so a node's
+        // LBI triple and its records enter at the same leaf.
+        leaf = tree.ring().node(a.node).servers.empty()
+                   ? tree.leaf_containing(it->second)
+                   : tree.entry_leaf_for(it->second);
         origin_key = it->second;  // per-node unique: no key-local pairing
         return true;
       });

@@ -1,7 +1,8 @@
 #include "lb/vsa.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
+#include <span>
 
 #include "common/error.h"
 
@@ -27,50 +28,321 @@ double VsaResult::assigned_load() const {
 
 namespace {
 
-/// Working lists of one KT node during the sweep.  Both are ordered maps
-/// so the best-fit rule ("smallest delta >= load") and the "heaviest
-/// first" rule are O(log n) each.
-struct Lists {
-  std::multimap<double, SpareCapacity> lights;   // keyed by delta
-  std::multimap<double, ShedCandidate> heavies;  // keyed by load
+bool load_less(const ShedCandidate& a, const ShedCandidate& b) {
+  return a.load < b.load;
+}
 
-  [[nodiscard]] std::size_t total() const {
-    return lights.size() + heavies.size();
-  }
+bool delta_less(const SpareCapacity& a, const SpareCapacity& b) {
+  return a.delta < b.delta;
+}
+
+/// One KT node's records, as index ranges into its Level's buffers.
+struct Inbox {
+  ktree::KtIndex node = 0;
+  std::size_t heavy_begin = 0;
+  std::size_t heavy_end = 0;
+  std::size_t light_begin = 0;
+  std::size_t light_end = 0;
 };
 
-/// The rendezvous pairing loop (Section 3.4).  `now` is the simulated
-/// time the rendezvous fired (0 without a latency model).
-void pair_at(Lists& lists, std::uint16_t depth, double min_load, double now,
-             VsaResult& out) {
-  // Candidates that found no light stay parked for the parent; lighter
-  // candidates may still pair, so the loop continues past them.
-  std::vector<ShedCandidate> parked;
-  while (!lists.heavies.empty()) {
-    // Heaviest candidate first.
-    const auto heaviest = std::prev(lists.heavies.end());
-    const ShedCandidate candidate = heaviest->second;
-    lists.heavies.erase(heaviest);
-    // Best fit: the light node with the smallest delta >= load.
-    const auto light_it = lists.lights.lower_bound(candidate.load);
-    if (light_it == lists.lights.end()) {
-      parked.push_back(candidate);
-      continue;
-    }
-    const SpareCapacity spare = light_it->second;
-    lists.lights.erase(light_it);
-    out.assignments.push_back({candidate.vs, candidate.from, spare.node,
-                               candidate.load, depth, now});
-    if (depth >= out.pairs_per_depth.size())
-      out.pairs_per_depth.resize(static_cast<std::size_t>(depth) + 1, 0);
-    ++out.pairs_per_depth[depth];
-    out.messages += 2;  // notify both endpoints directly
-    const double residual = spare.delta - candidate.load;
-    if (residual > 0.0 && residual >= min_load)
-      lists.lights.emplace(residual, SpareCapacity{residual, spare.node});
-  }
-  for (const ShedCandidate& c : parked) lists.heavies.emplace(c.load, c);
+/// Records waiting at one tree depth.  The first `seeded` inboxes are the
+/// level's leaves (ascending KtIndex); the rest are the level's interior
+/// nodes, appended as their children forward leftovers.  BFS layout makes
+/// a level's parents non-decreasing, so a parent's records arrive
+/// contiguous and its inboxes arrive in ascending KtIndex too.
+struct Level {
+  std::vector<ShedCandidate> heavies;
+  std::vector<SpareCapacity> lights;
+  std::vector<Inbox> inboxes;
+  std::size_t seeded = 0;
+};
+
+/// What a rendezvous leaves behind: parked heavies and unpaired lights
+/// (residuals included), both still sorted.
+struct Leftovers {
+  std::span<ShedCandidate> heavies;
+  std::span<SpareCapacity> lights;
+};
+
+/// Move `from` down to start at `to` (to <= from.data()); returns the
+/// end of the moved range.
+template <typename Record>
+Record* slide_to(std::span<Record> from, Record* to) {
+  if (to != from.data()) std::move(from.begin(), from.end(), to);
+  return to + from.size();
 }
+
+/// The bottom-up sweep over dense per-level storage (see the total order
+/// in vsa.h).
+class Sweep {
+ public:
+  Sweep(const ktree::KTree& tree, const VsaParams& params, VsaResult& out)
+      : tree_(tree),
+        params_(params),
+        out_(out),
+        levels_(static_cast<std::size_t>(tree.height()) + 1) {
+    if (params_.latency) ready_.assign(tree_.size(), 0.0);
+    if (params_.trace) forwarded_up_.assign(tree_.size(), 0);
+  }
+
+  /// Enter every record at its leaf, ascending by leaf, running the
+  /// key-local rendezvous as each leaf fills.
+  void seed(const VsaEntries& entries) {
+    auto h = entries.heavy.begin();
+    auto l = entries.light.begin();
+    while (h != entries.heavy.end() || l != entries.light.end()) {
+      const ktree::KtIndex leaf =
+          l == entries.light.end() ||
+                  (h != entries.heavy.end() && h->first <= l->first)
+              ? h->first
+              : l->first;
+      P2PLB_REQUIRE(leaf < tree_.size());
+      P2PLB_REQUIRE_MSG(tree_.node(leaf).is_leaf(),
+                        "VSA records must enter at leaves");
+      const std::uint16_t depth = tree_.node(leaf).depth;
+      Level& level = levels_[depth];
+      Inbox box{leaf, level.heavies.size(), level.heavies.size(),
+                level.lights.size(), level.lights.size()};
+      if (h != entries.heavy.end() && h->first == leaf) {
+        level.heavies.insert(level.heavies.end(), h->second.begin(),
+                             h->second.end());
+        ++h;
+      }
+      if (l != entries.light.end() && l->first == leaf) {
+        level.lights.insert(level.lights.end(), l->second.begin(),
+                            l->second.end());
+        ++l;
+      }
+      box.heavy_end = level.heavies.size();
+      box.light_end = level.lights.size();
+      // node -> leaf reports
+      out_.messages += (box.heavy_end - box.heavy_begin) +
+                       (box.light_end - box.light_begin);
+      if (params_.key_local_rendezvous) key_local(box, depth, level);
+      level.inboxes.push_back(box);
+    }
+    for (Level& level : levels_) level.seeded = level.inboxes.size();
+  }
+
+  /// Deepest level first; within a level, ascending KtIndex.
+  void run() {
+    for (std::size_t d = levels_.size(); d-- > 0;) {
+      Level& level = levels_[d];
+      std::inplace_merge(level.inboxes.begin(),
+                         level.inboxes.begin() +
+                             static_cast<std::ptrdiff_t>(level.seeded),
+                         level.inboxes.end(),
+                         [](const Inbox& a, const Inbox& b) {
+                           return a.node < b.node;
+                         });
+      for (const Inbox& box : level.inboxes)
+        process(box, static_cast<std::uint16_t>(d), level);
+      level = Level{};  // release the buffers as the sweep climbs
+    }
+  }
+
+  /// Move the per-node dataflow into `trace`.
+  void fill_trace(VsaTrace& trace) {
+    trace.forwarded_up = std::move(forwarded_up_);
+    trace.offsets.assign(tree_.size() + 1, 0);
+    for (const ktree::KtIndex node : paired_at_) ++trace.offsets[node + 1];
+    std::partial_sum(trace.offsets.begin(), trace.offsets.end(),
+                     trace.offsets.begin());
+    std::vector<std::uint32_t> cursor(trace.offsets.begin(),
+                                      trace.offsets.end() - 1);
+    trace.assignments.resize(paired_at_.size());
+    for (std::size_t a = 0; a < paired_at_.size(); ++a)
+      trace.assignments[cursor[paired_at_[a]]++] =
+          static_cast<std::uint32_t>(a);
+  }
+
+ private:
+  /// Finest-level rendezvous: within a leaf, records published under
+  /// identical DHT keys pair first (see VsaParams::key_local_rendezvous).
+  /// This happens at the leaf's host, so it costs no extra messages.
+  void key_local(Inbox& box, std::uint16_t depth, Level& level) {
+    const std::span<ShedCandidate> heavies(
+        level.heavies.data() + box.heavy_begin,
+        box.heavy_end - box.heavy_begin);
+    const std::span<SpareCapacity> lights(
+        level.lights.data() + box.light_begin,
+        box.light_end - box.light_begin);
+    std::stable_sort(heavies.begin(), heavies.end(),
+                     [](const ShedCandidate& a, const ShedCandidate& b) {
+                       return a.origin_key != b.origin_key
+                                  ? a.origin_key < b.origin_key
+                                  : a.load < b.load;
+                     });
+    std::stable_sort(lights.begin(), lights.end(),
+                     [](const SpareCapacity& a, const SpareCapacity& b) {
+                       return a.origin_key != b.origin_key
+                                  ? a.origin_key < b.origin_key
+                                  : a.delta < b.delta;
+                     });
+    // Walk the key groups in ascending key, compacting each group's
+    // leftovers to the front of the leaf's ranges.
+    std::size_t h = 0;
+    std::size_t l = 0;
+    ShedCandidate* heavy_out = heavies.data();
+    SpareCapacity* light_out = lights.data();
+    while (h < heavies.size() || l < lights.size()) {
+      const chord::Key key =
+          l == lights.size() || (h < heavies.size() &&
+                                 heavies[h].origin_key <= lights[l].origin_key)
+              ? heavies[h].origin_key
+              : lights[l].origin_key;
+      std::size_t h_end = h;
+      while (h_end < heavies.size() && heavies[h_end].origin_key == key)
+        ++h_end;
+      std::size_t l_end = l;
+      while (l_end < lights.size() && lights[l_end].origin_key == key)
+        ++l_end;
+      Leftovers group{heavies.subspan(h, h_end - h),
+                      lights.subspan(l, l_end - l)};
+      if (!group.heavies.empty() && !group.lights.empty() &&
+          group.heavies.size() + group.lights.size() >=
+              params_.rendezvous_threshold)
+        group = pair_node(box.node, depth, 0.0, group.heavies, group.lights);
+      heavy_out = slide_to(group.heavies, heavy_out);
+      light_out = slide_to(group.lights, light_out);
+      h = h_end;
+      l = l_end;
+    }
+    box.heavy_end = box.heavy_begin +
+                    static_cast<std::size_t>(heavy_out - heavies.data());
+    box.light_end = box.light_begin +
+                    static_cast<std::size_t>(light_out - lights.data());
+    std::stable_sort(heavies.data(), heavy_out, load_less);
+    std::stable_sort(lights.data(), light_out, delta_less);
+  }
+
+  /// One KT node of the sweep: pair if it is the root or reaches the
+  /// threshold, then forward what is left to the parent.
+  void process(const Inbox& box, std::uint16_t depth, Level& level) {
+    const ktree::KtIndex i = box.node;
+    const double now = ready_.empty() ? 0.0 : ready_[i];
+    const bool is_root = (i == tree_.root());
+    Leftovers left{
+        {level.heavies.data() + box.heavy_begin,
+         box.heavy_end - box.heavy_begin},
+        {level.lights.data() + box.light_begin,
+         box.light_end - box.light_begin}};
+    const std::size_t inbox_size = left.heavies.size() + left.lights.size();
+    if (is_root || inbox_size >= params_.rendezvous_threshold) {
+      std::stable_sort(left.heavies.begin(), left.heavies.end(), load_less);
+      std::stable_sort(left.lights.begin(), left.lights.end(), delta_less);
+      left = pair_node(i, depth, now, left.heavies, left.lights);
+    }
+    const std::size_t total = left.heavies.size() + left.lights.size();
+    if (is_root || total == 0) {
+      // The record flow ends here.
+      out_.sweep_completion_time = std::max(out_.sweep_completion_time, now);
+      if (is_root) {
+        out_.unassigned_heavy.assign(left.heavies.begin(),
+                                     left.heavies.end());
+        out_.unassigned_light.assign(left.lights.begin(), left.lights.end());
+      }
+      return;
+    }
+    // Push leftovers to the parent (one message per record).
+    const ktree::KtIndex parent = tree_.node(i).parent;
+    Level& up = levels_[depth - 1];
+    if (up.inboxes.empty() || up.inboxes.back().node != parent)
+      up.inboxes.push_back({parent, up.heavies.size(), up.heavies.size(),
+                            up.lights.size(), up.lights.size()});
+    up.heavies.insert(up.heavies.end(), left.heavies.begin(),
+                      left.heavies.end());
+    up.lights.insert(up.lights.end(), left.lights.begin(), left.lights.end());
+    up.inboxes.back().heavy_end = up.heavies.size();
+    up.inboxes.back().light_end = up.lights.size();
+    out_.messages += total;
+    if (params_.trace)
+      forwarded_up_[i] = static_cast<std::uint32_t>(total);
+    if (params_.latency) {
+      const double arrive =
+          now + (*params_.latency)(tree_.node(i).host_vs,
+                                   tree_.node(parent).host_vs);
+      ready_[parent] = std::max(ready_[parent], arrive);
+    }
+  }
+
+  /// The rendezvous step (Section 3.4) over sorted records, in place.
+  /// `now` is the simulated time it fired (0 without a latency model).
+  Leftovers pair_node(ktree::KtIndex node, std::uint16_t depth, double now,
+                      std::span<ShedCandidate> heavies,
+                      std::span<SpareCapacity> lights) {
+    // heavies[parked, end) collects the candidates that found no light,
+    // last popped first; lights[0, live) are still unpaired.
+    std::size_t parked = heavies.size();
+    std::size_t live = lights.size();
+    for (std::size_t c = heavies.size(); c-- > 0;) {
+      // Heaviest candidate first.
+      const ShedCandidate candidate = heavies[c];
+      const auto end = lights.begin() + static_cast<std::ptrdiff_t>(live);
+      // Best fit: the light node with the smallest delta >= load.
+      const auto fit = std::lower_bound(
+          lights.begin(), end, candidate.load,
+          [](const SpareCapacity& s, double load) { return s.delta < load; });
+      if (fit == end) {
+        // Lighter candidates may still pair, so the loop continues.
+        heavies[--parked] = candidate;
+        continue;
+      }
+      const SpareCapacity spare = *fit;
+      out_.assignments.push_back({candidate.vs, candidate.from, spare.node,
+                                  candidate.load, depth, now});
+      if (params_.trace) paired_at_.push_back(node);
+      if (depth >= out_.pairs_per_depth.size())
+        out_.pairs_per_depth.resize(static_cast<std::size_t>(depth) + 1, 0);
+      ++out_.pairs_per_depth[depth];
+      out_.messages += 2;  // notify both endpoints directly
+      const double residual = spare.delta - candidate.load;
+      if (!(residual > 0.0 && residual >= params_.min_load)) {
+        std::move(fit + 1, end, fit);
+        --live;
+        continue;
+      }
+      // Re-insert the residual after every light of equal delta: rotate
+      // the matched slot there, then overwrite it.
+      const auto after = [](double delta, const SpareCapacity& s) {
+        return delta < s.delta;
+      };
+      auto slot = std::upper_bound(lights.begin(), fit, residual, after);
+      if (slot != fit) {
+        std::rotate(slot, fit, fit + 1);
+      } else {
+        // Nothing before the matched light is larger, so the residual's
+        // slot is the matched one -- or past it, if a zero-load candidate
+        // left the delta unchanged.
+        slot = std::upper_bound(fit + 1, end, residual, after) - 1;
+        std::rotate(fit, fit + 1, slot + 1);
+      }
+      *slot = SpareCapacity{residual, spare.node};
+    }
+    // The parked candidates sit in ascending load, but equal loads must
+    // stay in popped order: reverse each run of ties.
+    const std::span<ShedCandidate> rest = heavies.subspan(parked);
+    for (auto run = rest.begin(); run != rest.end();) {
+      const auto run_end =
+          std::find_if(run, rest.end(), [&](const ShedCandidate& x) {
+            return x.load != run->load;
+          });
+      std::reverse(run, run_end);
+      run = run_end;
+    }
+    return {rest, lights.first(live)};
+  }
+
+  const ktree::KTree& tree_;
+  const VsaParams& params_;
+  VsaResult& out_;
+  std::vector<Level> levels_;
+  /// Record-arrival time per KT node (latency model only).
+  std::vector<double> ready_;
+  /// Trace only: per KtIndex, and the node of each assignment.
+  std::vector<std::uint32_t> forwarded_up_;
+  std::vector<ktree::KtIndex> paired_at_;
+};
 
 }  // namespace
 
@@ -78,128 +350,10 @@ VsaResult run_vsa(const ktree::KTree& tree, const VsaEntries& entries,
                   const VsaParams& params) {
   VsaResult result;
   result.rounds = static_cast<std::uint32_t>(tree.height()) + 1;
-
-  // Scratch lists exist only for touched KT nodes.  Ordered: the
-  // key-local rendezvous below iterates this map, and its iteration
-  // order fixes the order of result.assignments.
-  std::map<ktree::KtIndex, Lists> scratch;
-  // Record-arrival times per touched node (latency model only).
-  std::map<ktree::KtIndex, double> ready;
-  auto seed_entries = [&](ktree::KtIndex leaf, const auto& records,
-                          auto member) {
-    Lists& lists = scratch[leaf];
-    for (const auto& r : records) {
-      double key_value;
-      if constexpr (std::is_same_v<std::decay_t<decltype(r)>,
-                                   ShedCandidate>) {
-        key_value = r.load;
-      } else {
-        key_value = r.delta;
-      }
-      (lists.*member).emplace(key_value, r);
-      ++result.messages;  // node -> leaf report
-    }
-  };
-  for (const auto& [leaf, records] : entries.heavy) {
-    P2PLB_REQUIRE(leaf < tree.size());
-    P2PLB_REQUIRE_MSG(tree.node(leaf).is_leaf(),
-                      "VSA records must enter at leaves");
-    seed_entries(leaf, records, &Lists::heavies);
-  }
-  for (const auto& [leaf, records] : entries.light) {
-    P2PLB_REQUIRE(leaf < tree.size());
-    P2PLB_REQUIRE_MSG(tree.node(leaf).is_leaf(),
-                      "VSA records must enter at leaves");
-    seed_entries(leaf, records, &Lists::lights);
-  }
-
-  // Finest-level rendezvous: within each leaf, records published under
-  // identical DHT keys pair first (see VsaParams::key_local_rendezvous).
-  // This happens at the leaf's host, so it costs no extra messages.
-  if (params.key_local_rendezvous) {
-    for (auto& [leaf, lists] : scratch) {
-      const std::uint16_t depth = tree.node(leaf).depth;
-      const std::size_t first_pair = result.assignments.size();
-      // Ordered: pairing order and the merge order of leftovers back
-      // into the leaf lists (equal-key multimap ties!) follow this walk.
-      std::map<chord::Key, Lists> by_key;
-      for (auto& [load, record] : lists.heavies)
-        by_key[record.origin_key].heavies.emplace(load, record);
-      for (auto& [delta, record] : lists.lights)
-        by_key[record.origin_key].lights.emplace(delta, record);
-      lists.heavies.clear();
-      lists.lights.clear();
-      for (auto& [key, group] : by_key) {
-        if (!group.heavies.empty() && !group.lights.empty() &&
-            group.total() >= params.rendezvous_threshold) {
-          pair_at(group, depth, params.min_load, 0.0, result);
-        }
-        lists.heavies.merge(group.heavies);
-        lists.lights.merge(group.lights);
-      }
-      if (params.trace) {
-        for (std::size_t a = first_pair; a < result.assignments.size(); ++a)
-          (*params.trace)[leaf].assignments.push_back(
-              static_cast<std::uint32_t>(a));
-      }
-    }
-  }
-
-  // Bottom-up sweep: deepest level first.  Children at level d+1 have
-  // already pushed their leftovers into the parent's scratch by the time
-  // level d is processed (leaves can exist at any depth).
-  for (std::uint16_t d = static_cast<std::uint16_t>(tree.height() + 1);
-       d-- > 0;) {
-    const auto range = tree.level(d);
-    for (ktree::KtIndex i = range.begin; i < range.end; ++i) {
-      const auto it = scratch.find(i);
-      if (it == scratch.end()) continue;
-      // Move the lists out before touching the map again: creating the
-      // parent's scratch entry below must not alias this node's entry.
-      Lists lists = std::move(it->second);
-      scratch.erase(it);
-      const double now = params.latency ? ready[i] : 0.0;
-      const bool is_root = (i == tree.root());
-      const std::size_t first_pair = result.assignments.size();
-      if (is_root || lists.total() >= params.rendezvous_threshold)
-        pair_at(lists, d, params.min_load, now, result);
-      if (params.trace) {
-        for (std::size_t a = first_pair; a < result.assignments.size(); ++a)
-          (*params.trace)[i].assignments.push_back(
-              static_cast<std::uint32_t>(a));
-      }
-      if (is_root) {
-        result.sweep_completion_time =
-            std::max(result.sweep_completion_time, now);
-        for (auto& [k, r] : lists.heavies)
-          result.unassigned_heavy.push_back(r);
-        for (auto& [k, r] : lists.lights)
-          result.unassigned_light.push_back(r);
-        continue;
-      }
-      // Push leftovers to the parent (one message per record).
-      if (lists.total() > 0) {
-        const ktree::KtIndex parent_index = tree.node(i).parent;
-        Lists& parent = scratch[parent_index];
-        result.messages += lists.total();
-        if (params.trace)
-          (*params.trace)[i].forwarded_up =
-              static_cast<std::uint32_t>(lists.total());
-        parent.heavies.merge(lists.heavies);
-        parent.lights.merge(lists.lights);
-        if (params.latency) {
-          const double arrive =
-              now + (*params.latency)(tree.node(i).host_vs,
-                                      tree.node(parent_index).host_vs);
-          ready[parent_index] = std::max(ready[parent_index], arrive);
-        }
-      } else {
-        // Nothing moved up, but the sweep still "finished" here.
-        result.sweep_completion_time =
-            std::max(result.sweep_completion_time, now);
-      }
-    }
-  }
+  Sweep sweep(tree, params, result);
+  sweep.seed(entries);
+  sweep.run();
+  if (params.trace) sweep.fill_trace(*params.trace);
   return result;
 }
 

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "chord/ring.h"
@@ -63,10 +64,11 @@ struct Assignment {
 
 /// Where each record enters the tree: leaf index -> records.
 ///
-/// Ordered maps on purpose: both the sweep and lb::ProtocolRound iterate
-/// these, and the iteration order fixes the order of assignments, trace
-/// events and network sends.  Hash order would make all of that
-/// standard-library-dependent (see the no-unordered-iteration lint rule).
+/// Ordered maps on purpose: the sweep seeds its leaves, and
+/// lb::ProtocolRound sends its entry records, by walking these maps, so
+/// their order fixes the order of assignments, trace events and network
+/// sends.  Hash order would make all of that standard-library-dependent
+/// (see the no-unordered-iteration lint rule).
 struct VsaEntries {
   std::map<ktree::KtIndex, std::vector<ShedCandidate>> heavy;
   std::map<ktree::KtIndex, std::vector<SpareCapacity>> light;
@@ -75,21 +77,54 @@ struct VsaEntries {
   [[nodiscard]] std::size_t light_count() const;
 };
 
-/// Per-KT-node record of what the sweep did there: which assignments the
-/// node's rendezvous produced and how many leftover records it pushed to
-/// its parent.  Together with VsaEntries this is the sweep's complete
-/// dataflow, which is what lb::ProtocolRound replays as scheduled events
-/// on the sim engine -- the replay re-times the sweep without re-deciding
-/// anything, so the timed and synchronous paths pair identically.
-struct VsaNodeTrace {
-  /// Indices into VsaResult::assignments, in pairing order.
+/// What the sweep did at each KT node, dense over KtIndex: which
+/// assignments the node's rendezvous produced and how many leftover
+/// records it pushed to its parent.  Together with VsaEntries this is the
+/// sweep's complete dataflow, which lb::ProtocolRound replays as scheduled
+/// events on the sim engine -- the replay re-times the sweep without
+/// re-deciding anything, so the timed and synchronous paths pair
+/// identically.
+struct VsaTrace {
+  /// Leftover records each KT node forwarded to its parent (one message
+  /// each); 0 for the root and for untouched nodes.
+  std::vector<std::uint32_t> forwarded_up;
+  /// CSR over KtIndex: node i's assignments are
+  /// assignments[offsets[i], offsets[i + 1]).
+  std::vector<std::uint32_t> offsets;
+  /// Indices into VsaResult::assignments, grouped by node, each node's in
+  /// pairing order.
   std::vector<std::uint32_t> assignments;
-  /// Leftover records forwarded to the parent (one message each).
-  std::uint32_t forwarded_up = 0;
+
+  /// Assignments made at KT node i, in pairing order.
+  [[nodiscard]] std::span<const std::uint32_t> assignments_of(
+      ktree::KtIndex i) const {
+    return std::span<const std::uint32_t>(assignments)
+        .subspan(offsets[i], offsets[i + 1] - offsets[i]);
+  }
 };
-/// Ordered for the same reason as VsaEntries: ProtocolRound derives its
-/// send schedule from a walk over this map.
-using VsaTrace = std::map<ktree::KtIndex, VsaNodeTrace>;
+
+/// Total order of the sweep.  Assignment order is observable (it numbers
+/// ProtocolRound's transfers and orders its sends), so every tie-break
+/// below is part of the contract; VsaTieBreak.PinnedUnderTies pins it.
+///
+///  - Inbox.  A leaf's records arrive in VsaEntries order; an interior
+///    node's are its children's leftovers, children in ascending KtIndex,
+///    each child's in the order it left.  A node below the threshold
+///    forwards its inbox as it is; a pairing node first sorts heavies by
+///    load and lights by delta, stably, so equal keys keep inbox order.
+///  - Key-local rendezvous (before the sweep, leaves in ascending
+///    KtIndex).  A leaf groups its records by origin_key, ascending; each
+///    group sorts as above and pairs if it holds both kinds and reaches
+///    the threshold.  The leaf then holds its groups' leftovers sorted by
+///    load (delta), so equal loads are ordered by origin_key first.
+///  - Pairing.  The heaviest candidate goes first, the last inserted
+///    among equal loads.  Best fit takes the first light among equal
+///    deltas.  A residual goes after the existing equal deltas.
+///  - Parking.  Heavies that found no light leave in the order they were
+///    popped, so equal loads leave a pairing node reversed.
+///  - Numbering.  Assignments are numbered in pairing order: key-local
+///    pairs first, then the sweep, deepest level first and ascending
+///    KtIndex within a level.
 
 /// Sweep parameters.
 struct VsaParams {
@@ -115,8 +150,8 @@ struct VsaParams {
   /// every Assignment with the simulated time its rendezvous fired.
   /// Must outlive the run_vsa call.
   const ktree::VsLatencyFn* latency = nullptr;
-  /// When set, filled with the per-node dataflow of the sweep (see
-  /// VsaNodeTrace).  Must outlive the run_vsa call.
+  /// When set, overwritten with the per-node dataflow of the sweep (see
+  /// VsaTrace), sized to the tree.  Must outlive the run_vsa call.
   VsaTrace* trace = nullptr;
 };
 

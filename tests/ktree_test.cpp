@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 #include <tuple>
 
@@ -237,6 +238,79 @@ TEST(KTree, HigherDegreeIsShallower) {
   EXPECT_LT(k8.height(), k2.height());
   k8.check_invariants();
 }
+
+// --- Sorted id snapshot edge cases ------------------------------------------
+//
+// rebuild() plants nodes and sizes arcs from one sorted snapshot of the
+// ring's ids; check_invariants() re-derives both through Ring::successor
+// and Ring::arc_size, and leaves_of() is compared with a brute-force scan.
+
+void expect_snapshot_consistent(const chord::Ring& ring, const KTree& tree) {
+  tree.check_invariants();
+  std::map<chord::Key, std::vector<KtIndex>> scan;
+  for (KtIndex i = 0; i < tree.size(); ++i)
+    if (tree.node(i).is_leaf()) scan[tree.node(i).host_vs].push_back(i);
+  std::size_t listed = 0;
+  for (const chord::Key id : ring.server_ids()) {
+    const auto leaves = tree.leaves_of(id);
+    const auto it = scan.find(id);
+    EXPECT_EQ(std::vector<KtIndex>(leaves.begin(), leaves.end()),
+              it == scan.end() ? std::vector<KtIndex>{} : it->second)
+        << "server " << id;
+    listed += leaves.size();
+  }
+  EXPECT_EQ(listed, tree.leaf_count());
+}
+
+class KTreeSnapshot : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(KTreeSnapshot, ServersAtBothEndsOfTheIdSpace) {
+  chord::Ring ring = make_ring(6, 3, 70);
+  const auto n = ring.add_node(1.0);
+  ring.add_virtual_server(n, 0);
+  ring.add_virtual_server(n, 0xFFFFFFFFu);
+  const KTree tree(ring, GetParam());
+  expect_snapshot_consistent(ring, tree);
+  // The wrap-around arc (0xFFFFFFFF, 0] is a single key.
+  EXPECT_EQ(ring.arc_size(0), 1u);
+  EXPECT_TRUE(tree.leaves_of(1).empty());  // not a server
+}
+
+TEST_P(KTreeSnapshot, TwoServerRing) {
+  chord::Ring ring;
+  const auto a = ring.add_node(1.0);
+  const auto b = ring.add_node(1.0);
+  ring.add_virtual_server(a, 0x10000000u);
+  ring.add_virtual_server(b, 0x30000000u);
+  const KTree tree(ring, GetParam());
+  expect_snapshot_consistent(ring, tree);
+  EXPECT_FALSE(tree.node(tree.root()).is_leaf());
+}
+
+TEST_P(KTreeSnapshot, OneServerRingOwnsTheWholeSpace) {
+  chord::Ring ring;
+  ring.add_virtual_server(ring.add_node(1.0), 0x12345678u);
+  const KTree tree(ring, GetParam());
+  expect_snapshot_consistent(ring, tree);
+  EXPECT_EQ(tree.size(), 1u);
+}
+
+TEST_P(KTreeSnapshot, RebuildAfterRemoveAndAdd) {
+  chord::Ring ring = make_ring(16, 4, 71);
+  KTree tree(ring, GetParam());
+  expect_snapshot_consistent(ring, tree);
+  // Both mutations leave the ring's sorted order stale until the next
+  // ordered query, which rebuild() is.
+  const auto ids = ring.server_ids();
+  ring.remove_virtual_server(ids[3]);
+  ring.add_virtual_server(ring.server(ids[0]).owner, ids[3] + 1);
+  tree.rebuild();
+  expect_snapshot_consistent(ring, tree);
+  EXPECT_TRUE(tree.leaves_of(ids[3]).empty());
+  EXPECT_EQ(tree.size(), KTree(ring, GetParam()).size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Degrees, KTreeSnapshot, ::testing::Values(2u, 8u));
 
 }  // namespace
 }  // namespace p2plb::ktree

@@ -373,6 +373,41 @@ TEST(Reporting, ProximityUsesNodeKeys) {
     EXPECT_EQ(leaf, expected_leaf);
 }
 
+TEST(Reporting, ServerlessNodeEntersWhereItsLbiDid) {
+  // A server-less node publishes under a hashed key; put a live VS of
+  // another node exactly at that key.  aggregate_lbi picks the node's
+  // leaf by the node (it has no servers), so its light record must enter
+  // at that same leaf, not at the colliding VS's entry leaf.
+  auto ring = random_loaded_ring(16, 2, 134);
+  const chord::NodeIndex serverless = ring.add_node(1.0);
+  chord::Key key = 0;
+  {
+    const ktree::KTree tree(ring, 2);
+    Rng rng(135);
+    key = aggregate_lbi(tree, rng).reporter_vs.at(serverless);
+  }
+  ASSERT_FALSE(ring.has_server(key));
+  ring.add_virtual_server(0, key);
+  ring.set_load(key, 0.1);
+
+  const ktree::KTree tree(ring, 2);
+  Rng rng(135);
+  const auto agg = aggregate_lbi(tree, rng);
+  ASSERT_EQ(agg.reporter_vs.at(serverless), key);
+  const ktree::KtIndex lbi_leaf = tree.leaf_containing(key);
+  // The fixture is not vacuous: the two rules pick different leaves.
+  ASSERT_NE(lbi_leaf, tree.entry_leaf_for(key));
+
+  const auto classification = classify_all(ring, agg.system, 0.0);
+  const auto entries =
+      build_entries_ignorant(tree, classification, agg.reporter_vs);
+  std::vector<ktree::KtIndex> at;
+  for (const auto& [leaf, records] : entries.light)
+    for (const SpareCapacity& r : records)
+      if (r.node == serverless) at.push_back(leaf);
+  EXPECT_EQ(at, std::vector<ktree::KtIndex>{lbi_leaf});
+}
+
 // --- VST -------------------------------------------------------------------------------
 
 TEST(Vst, AppliesAndSkipsStaleAssignments) {
