@@ -6,18 +6,18 @@
 // the moment its rendezvous decides it, while a sequential one waits for
 // the whole VSA phase.  This bench quantifies the saving: total time to
 // finish all transfers, sequential vs overlapped, across transfer
-// bandwidths (load units moved per simulated time unit; message latency
-// is 1 unit per remote hop).
+// bandwidths (load units moved per simulated time unit).  The pairing
+// times come from one event-driven round (lb::ProtocolRound) on a
+// unit-latency network -- 1 unit per remote hop, a hop within one
+// physical node free -- measured from the start of its VSA phase, so they
+// include each record's trip to its entry leaf.
 #include <algorithm>
 #include <iostream>
 
 #include "bench_util.h"
-#include "ktree/protocol.h"
-#include "ktree/tree.h"
-#include "lb/classify.h"
-#include "lb/lbi.h"
-#include "lb/reporting.h"
-#include "lb/vsa.h"
+#include "lb/protocol_round.h"
+#include "sim/engine.h"
+#include "sim/network.h"
 
 int main(int argc, char** argv) {
   using namespace p2plb;
@@ -31,18 +31,19 @@ int main(int argc, char** argv) {
 
   Rng rng(params.seed);
   auto ring = bench::build_loaded_ring(params, rng);
-  const ktree::KTree tree(ring, 2);
+  lb::ProtocolRoundConfig config;
+  config.balancer.tree_degree = 2;
+  config.balancer.epsilon = 0.05;
+  config.balancer.apply_transfers = false;  // only the pairing times matter
+  sim::Engine engine;
+  sim::Network net(engine, [](sim::Endpoint a, sim::Endpoint b) {
+    return a == b ? 0.0 : 1.0;
+  });
   Rng arng(params.seed + 1);
-  const auto agg = lb::aggregate_lbi(tree, arng);
-  const auto classification = lb::classify_all(ring, agg.system, 0.05);
-  const auto entries =
-      lb::build_entries_ignorant(tree, classification, agg.reporter_vs);
-
-  const auto latency = ktree::unit_latency(ring);
-  lb::VsaParams vsa_params;
-  vsa_params.min_load = agg.system.min_load;
-  vsa_params.latency = &latency;
-  const auto vsa = lb::run_vsa(tree, entries, vsa_params);
+  lb::ProtocolRound round(net, ring, config, arng);
+  round.start();
+  engine.run();
+  const lb::VsaResult& vsa = round.report().vsa;
 
   print_heading(std::cout, "VSA sweep timeline");
   Table info({"metric", "value"});

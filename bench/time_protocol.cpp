@@ -27,6 +27,8 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
 #include "ktree/protocol.h"
@@ -121,6 +123,29 @@ TimedRoundResult run_timed_round(std::size_t nodes, std::size_t servers,
   return r;
 }
 
+/// Aggregation and dissemination over `tree` on a unit-latency network:
+/// one unit per remote hop, and a hop between KT nodes hosted on the same
+/// physical node is free.
+std::pair<ktree::SweepResult, ktree::SweepResult> run_sweeps(
+    const ktree::KTree& tree) {
+  sim::Engine engine;
+  sim::Network net(engine, [](sim::Endpoint a, sim::Endpoint b) {
+    return a == b ? 0.0 : 1.0;
+  });
+  const std::vector<sim::Endpoint> host = lb::host_endpoints(tree);
+  ktree::SweepResult up;
+  ktree::SweepResult down;
+  const auto release = ktree::begin_aggregation(
+      net, tree, host, {}, [&](const ktree::SweepResult& r) { up = r; });
+  for (ktree::KtIndex i = 0; i < tree.size(); ++i)
+    if (tree.node(i).is_leaf()) release(i);
+  engine.run();
+  ktree::begin_dissemination(net, tree, host, {}, nullptr,
+                             [&](const ktree::SweepResult& r) { down = r; });
+  engine.run();
+  return {up, down};
+}
+
 /// Binary-search the reconvergence instant to one check period.
 sim::Time measure_recovery(sim::Engine& engine,
                            ktree::MaintenanceProtocol& protocol,
@@ -179,11 +204,7 @@ int main(int argc, char** argv) {
           (void)ring.add_random_virtual_server(node, rng);
       }
       const ktree::KTree tree(ring, degree);
-      sim::Engine up_engine, down_engine;
-      const auto up = ktree::simulate_aggregation(
-          up_engine, tree, ktree::unit_latency(ring));
-      const auto down = ktree::simulate_dissemination(
-          down_engine, tree, ktree::unit_latency(ring));
+      const auto [up, down] = run_sweeps(tree);
 
       // --- self-repair after a correlated crash ------------------------
       sim::Engine engine;

@@ -167,62 +167,6 @@ void begin_dissemination(sim::Network& net, const KTree& tree,
   deliver_down(s, tree.root());
 }
 
-namespace {
-
-/// Endpoint-identity network for the draining wrappers: endpoints *are*
-/// VS ids, so the VsLatencyFn applies unchanged.
-sim::LatencyFn wrap_vs_latency(const VsLatencyFn& latency) {
-  return [&latency](sim::Endpoint a, sim::Endpoint b) {
-    return latency(static_cast<chord::Key>(a), static_cast<chord::Key>(b));
-  };
-}
-
-/// Endpoint of every KT node in the VS-id convention of
-/// wrap_vs_latency: its host VS id.
-std::vector<sim::Endpoint> host_vs_endpoints(const KTree& tree) {
-  std::vector<sim::Endpoint> host(tree.size());
-  for (KtIndex i = 0; i < tree.size(); ++i) host[i] = tree.node(i).host_vs;
-  return host;
-}
-
-}  // namespace
-
-SweepResult simulate_aggregation(sim::Engine& engine, const KTree& tree,
-                                 const VsLatencyFn& latency) {
-  P2PLB_REQUIRE(latency != nullptr);
-  sim::Network net(engine, wrap_vs_latency(latency));
-  const std::vector<sim::Endpoint> host = host_vs_endpoints(tree);
-  SweepResult out;
-  bool done = false;
-  const auto release = begin_aggregation(net, tree, host, {},
-                                         [&](const SweepResult& r) {
-                                           out = r;
-                                           done = true;
-                                         });
-  for (KtIndex i = 0; i < tree.size(); ++i)
-    if (tree.node(i).is_leaf()) release(i);
-  engine.run();
-  P2PLB_ASSERT_MSG(done, "aggregation sweep did not complete");
-  return out;
-}
-
-SweepResult simulate_dissemination(sim::Engine& engine, const KTree& tree,
-                                   const VsLatencyFn& latency) {
-  P2PLB_REQUIRE(latency != nullptr);
-  sim::Network net(engine, wrap_vs_latency(latency));
-  const std::vector<sim::Endpoint> host = host_vs_endpoints(tree);
-  SweepResult out;
-  bool done = false;
-  begin_dissemination(net, tree, host, {}, nullptr,
-                      [&](const SweepResult& r) {
-                        out = r;
-                        done = true;
-                      });
-  engine.run();
-  P2PLB_ASSERT_MSG(done, "dissemination sweep did not complete");
-  return out;
-}
-
 MaintenanceProtocol::MaintenanceProtocol(sim::Engine& engine,
                                          chord::Ring& ring,
                                          std::uint32_t degree,

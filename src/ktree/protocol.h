@@ -3,13 +3,14 @@
 // The KTree class materializes the *converged* tree; this module models
 // the protocol that reaches and maintains it:
 //
-//   * simulate_sweep -- a bottom-up aggregation (or, symmetrically, a
-//     top-down dissemination) over the converged tree with real message
-//     latencies: a child forwards to its parent as soon as its own
-//     subtree is complete; parent-child edges between KT nodes hosted on
-//     the same virtual server cost nothing (they are local state).  The
-//     completion time is the paper's "LBI aggregation is bound in
-//     O(log_K N) time" quantity.
+//   * begin_aggregation / begin_dissemination -- a bottom-up fold (or,
+//     symmetrically, a top-down delivery) over the converged tree as
+//     sends on a sim::Network: a child forwards to its parent as soon as
+//     its own subtree is complete; a hop the network charges no latency
+//     (both KT nodes hosted on one physical node, under the usual latency
+//     models) counts as a local hop, not a message.  The completion time
+//     is the paper's "LBI aggregation is bound in O(log_K N) time"
+//     quantity.
 //
 //   * MaintenanceProtocol -- soft-state tree maintenance: every KT-node
 //     instance periodically re-checks its planting (host = successor of
@@ -70,9 +71,10 @@ struct NetSweepOptions {
 /// current simulated time.  Returns a release function: calling it marks
 /// the given leaf's input complete (each leaf exactly once); the leaf's
 /// report then climbs, and `on_complete(result)` fires from the engine
-/// once the root has folded every subtree.  Unlike simulate_aggregation
-/// this never drains the engine, so it composes with concurrent protocols
-/// (churn, maintenance, an in-flight balancing round).  `host[i]` is the
+/// once the root has folded every subtree.  It never drains the engine,
+/// so it composes with concurrent protocols (churn, maintenance, an
+/// in-flight balancing round); a caller that wants the sweep alone runs
+/// the engine itself.  `host[i]` is the
 /// network endpoint of KT node i's host; it must hold tree.size()
 /// entries.  `tree`, `host` and `net` must outlive the sweep.
 [[nodiscard]] std::function<void(KtIndex)> begin_aggregation(
@@ -90,21 +92,6 @@ void begin_dissemination(sim::Network& net, const KTree& tree,
                          NetSweepOptions options,
                          std::function<void(KtIndex)> on_leaf,
                          std::function<void(const SweepResult&)> on_complete);
-
-/// Simulate a bottom-up sweep (leaves start at t = now): each KT node
-/// reports to its parent once all children have reported.  Returns when
-/// the root completes.  Drains the engine; a thin wrapper over
-/// begin_aggregation with endpoint == host VS id and a throwaway Network.
-[[nodiscard]] SweepResult simulate_aggregation(sim::Engine& engine,
-                                               const KTree& tree,
-                                               const VsLatencyFn& latency);
-
-/// Simulate a top-down dissemination (root starts at t = now): each node
-/// forwards to its children on receipt.  Returns when the last leaf has
-/// received.  Drains the engine (see simulate_aggregation).
-[[nodiscard]] SweepResult simulate_dissemination(sim::Engine& engine,
-                                                 const KTree& tree,
-                                                 const VsLatencyFn& latency);
 
 /// Soft-state maintenance protocol over a (mutable) ring.
 ///

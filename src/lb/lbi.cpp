@@ -9,28 +9,27 @@ LbiAggregation aggregate_lbi(const ktree::KTree& tree, Rng& rng) {
   // Phase 1: every node picks one reporting VS and delivers its triple to
   // that VS's designated leaf (one message per reporting node).
   std::vector<Lbi> scratch(tree.size());
+  result.reporter_vs.resize(ring.node_count());
   for (const chord::NodeIndex i : ring.live_nodes()) {
     const chord::Node& n = ring.node(i);
     Lbi lbi;
     lbi.load = ring.node_load(i);
     lbi.capacity = n.capacity;
-    ktree::KtIndex leaf;
+    Reporter& r = result.reporter_vs[i];
     if (n.servers.empty()) {
       // No identity of its own: publish at a hash of the node index.
       std::uint64_t h = 0xB10C0DE5ULL + i;
-      const auto key = static_cast<chord::Key>(splitmix64(h) >> 32);
-      result.reporter_vs.emplace(i, key);
-      leaf = tree.leaf_containing(key);
+      r.key = static_cast<chord::Key>(splitmix64(h) >> 32);
+      r.leaf = tree.leaf_containing(r.key);
       // min_load stays +inf: the node contributes no server to L_min.
     } else {
       const std::size_t pick = static_cast<std::size_t>(
           rng.below(n.servers.size()));
-      const chord::Key vs = n.servers[pick];
-      result.reporter_vs.emplace(i, vs);
+      r.key = n.servers[pick];
+      r.leaf = tree.entry_leaf_for(r.key);
       lbi.min_load = *ring.node_min_server_load(i);
-      leaf = tree.entry_leaf_for(vs);
     }
-    scratch[leaf].merge(lbi);
+    scratch[r.leaf].merge(lbi);
     ++result.messages;
   }
 

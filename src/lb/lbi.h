@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "chord/ring.h"
@@ -35,6 +34,19 @@ struct Lbi {
   }
 };
 
+/// Where one node reports, decided once by aggregate_lbi and reused by
+/// the VSA phase, so a node reports both phases through the same channel.
+struct Reporter {
+  /// The id of the node's randomly chosen reporting VS.  A node that hosts
+  /// none (it shed everything) still participates by publishing at a
+  /// hashed key -- any DHT node can route a message to a key owner, it
+  /// does not need an identity of its own.
+  chord::Key key = 0;
+  /// The leaf its LBI triple and VSA records enter at; kNoKtNode for a
+  /// node that did not report (a dead one).
+  ktree::KtIndex leaf = ktree::kNoKtNode;
+};
+
 /// Result of one aggregation sweep.
 struct LbiAggregation {
   /// The system-wide triple held by the KT root after the sweep.
@@ -44,22 +56,18 @@ struct LbiAggregation {
   std::uint32_t rounds = 0;
   /// Messages exchanged (leaf reports + child->parent transfers).
   std::uint64_t messages = 0;
-  /// Each live node's reporting key, reused by the VSA phase so a node
-  /// reports both phases through the same channel.  For a node hosting
-  /// servers this is the id of its randomly chosen reporting VS; a node
-  /// that currently hosts none (it shed everything) still participates
-  /// by publishing at a hashed key -- any DHT node can route a message
-  /// to a key owner, it does not need an identity of its own.
-  std::unordered_map<chord::NodeIndex, chord::Key> reporter_vs;
+  /// Each node's Reporter, indexed by NodeIndex.
+  std::vector<Reporter> reporter_vs;
 };
 
 /// Run one LBI aggregation sweep over the converged tree.
 ///
 /// `rng` picks each node's reporting virtual server (the paper's "randomly
-/// chooses one of its virtual servers").  A node hosting no servers (it
-/// shed them all in earlier rounds) reports through the leaf covering a
-/// hash of its identity instead, so its capacity still counts toward C
-/// and it can still volunteer as a transfer destination.
+/// chooses one of its virtual servers") and the node enters at its entry
+/// leaf.  A node hosting no servers (it shed them all in earlier rounds)
+/// reports through the leaf covering a hash of its identity instead, so
+/// its capacity still counts toward C and it can still volunteer as a
+/// transfer destination.
 [[nodiscard]] LbiAggregation aggregate_lbi(const ktree::KTree& tree, Rng& rng);
 
 /// Dissemination (Section 3.3): the root triple travels top-down to every

@@ -12,6 +12,14 @@ sim::Endpoint node_endpoint(const chord::Ring& ring, chord::NodeIndex node) {
   return attachment != chord::Node::kNoAttachment ? attachment : node;
 }
 
+std::vector<sim::Endpoint> host_endpoints(const ktree::KTree& tree) {
+  const chord::Ring& ring = tree.ring();
+  std::vector<sim::Endpoint> host(tree.size());
+  for (ktree::KtIndex i = 0; i < tree.size(); ++i)
+    host[i] = node_endpoint(ring, ring.server_owner(tree.node(i).host_vs));
+  return host;
+}
+
 ProtocolRound::ProtocolRound(sim::Network& net, chord::Ring& ring,
                              const ProtocolRoundConfig& config, Rng& rng,
                              std::span<const chord::Key> node_keys)
@@ -43,22 +51,12 @@ ProtocolRound::ProtocolRound(sim::Network& net, chord::Ring& ring,
   report_.vsa = run_vsa(tree_, entries_, params);
 
   // Endpoint snapshots: decisions survive churn during the round.
-  host_ep_.resize(tree_.size());
-  for (ktree::KtIndex i = 0; i < tree_.size(); ++i)
-    host_ep_[i] =
-        node_endpoint(ring_, ring_.server_owner(tree_.node(i).host_vs));
+  host_ep_ = host_endpoints(tree_);
   node_ep_.resize(ring_.node_count(), 0);
   lbi_waits_.resize(tree_.size(), 0);
   vsa_waits_.resize(tree_.size(), 0);
-  for (const chord::NodeIndex i : ring_.live_nodes()) {
+  for (const chord::NodeIndex i : ring_.live_nodes())
     node_ep_[i] = node_endpoint(ring_, i);
-    // Reporting plan mirrors aggregate_lbi's leaf choice per node.
-    const chord::Key key = report_.aggregation.reporter_vs.at(i);
-    const ktree::KtIndex leaf = ring_.node(i).servers.empty()
-                                    ? tree_.leaf_containing(key)
-                                    : tree_.entry_leaf_for(key);
-    report_plan_.emplace_back(leaf, i);
-  }
 
   // Round outcomes (lb.*) are published into the network's registry.
   registry_ = &net_.metrics();
@@ -122,7 +120,7 @@ void ProtocolRound::start(
     // -- phases, messages, matches, transfers -- descends from it.
     round_ctx_ = obs::SpanContext{tr->new_trace_id(), tr->new_span_id(), 0};
     tr->begin(t0_, "lb.round", "round", round_ctx_,
-              {obs::arg("nodes", report_plan_.size()),
+              {obs::arg("nodes", report_.before.nodes.size()),
                obs::arg("planned_transfers", report_.vsa.assignments.size())});
   }
   // Ambient for the synchronous fan-out below: phase 1's report sends
@@ -147,15 +145,20 @@ void ProtocolRound::start_aggregation() {
         start_dissemination();
       });
 
-  // A leaf joins the fold only after every node reporting through it has
+  // Each node reports at the leaf aggregate_lbi chose for it.  A leaf
+  // joins the fold only after every node reporting through it has
   // delivered its triple; reporter-less leaves fold immediately.
-  for (const auto& [leaf, node] : report_plan_) ++lbi_waits_[leaf];
+  const std::vector<Reporter>& reporters = report_.aggregation.reporter_vs;
+  for (const Reporter& r : reporters)
+    if (r.leaf != ktree::kNoKtNode) ++lbi_waits_[r.leaf];
   for (ktree::KtIndex i = 0; i < tree_.size(); ++i)
     if (tree_.node(i).is_leaf() && lbi_waits_[i] == 0) release_leaf_(i);
-  for (const auto& [leaf, node] : report_plan_) {
+  for (chord::NodeIndex node = 0; node < reporters.size(); ++node) {
+    const ktree::KtIndex leaf = reporters[node].leaf;
+    if (leaf == ktree::kNoKtNode) continue;
     net_.send(
         node_ep_[node], host_ep_[leaf],
-        [this, leaf = leaf] {
+        [this, leaf] {
           P2PLB_ASSERT(lbi_waits_[leaf] > 0);
           if (--lbi_waits_[leaf] == 0) release_leaf_(leaf);
         },

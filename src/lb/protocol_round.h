@@ -21,11 +21,14 @@
 // What to transfer is decided from a ring snapshot at construction using
 // the same oracle pipeline as run_balance_round -- aggregate_lbi,
 // classify_all, build_entries_*, run_vsa -- and the events replay that
-// dataflow with real latencies: VsaEntries gives each leaf's records, the
-// dense VsaTrace each KT node's forwarded count and assignment range, and
-// nothing is re-decided.  The refactor changes *when*, never *what*: for
-// equal rng state the timed round and the synchronous wrapper produce
-// identical pairings and identical post-transfer classifications.  Every
+// dataflow with real latencies: Reporter gives each node's entry leaf,
+// VsaEntries each leaf's records, the dense VsaTrace each KT node's
+// forwarded count and assignment range, and nothing is re-decided.  The
+// events are the only clock: they stamp Assignment::available_at and
+// VsaResult::sweep_completion_time, which run_vsa leaves at 0.  Latency
+// changes *when*, never *what*: for equal rng state the timed round and
+// the synchronous wrapper produce identical pairings and identical
+// post-transfer classifications.  Every
 // remote hop passes through sim::Network::send under a per-phase tag, so
 // message/byte/latency accounting lives in exactly one place; the
 // per-phase counters are emitted as BalanceReport::phases and the legacy
@@ -83,6 +86,11 @@ struct ProtocolRoundConfig {
 /// vertices).
 [[nodiscard]] sim::Endpoint node_endpoint(const chord::Ring& ring,
                                           chord::NodeIndex node);
+
+/// One endpoint per KT node, indexed by KtIndex: the node_endpoint of the
+/// node hosting it.  This is the `host` span the ktree sweeps take.
+[[nodiscard]] std::vector<sim::Endpoint> host_endpoints(
+    const ktree::KTree& tree);
 
 /// One balancing round as a protocol over simulated time.
 ///
@@ -156,8 +164,6 @@ class ProtocolRound {
   VsaTrace trace_;
   std::vector<sim::Endpoint> host_ep_;  // per KT node: its host's endpoint
   std::vector<sim::Endpoint> node_ep_;  // per NodeIndex; live nodes only
-  /// (entry leaf, reporting node) in live-node order.
-  std::vector<std::pair<ktree::KtIndex, chord::NodeIndex>> report_plan_;
 
   // Observability.  PhaseMetrics are deltas of the network's per-tag
   // tallies (see balancer.h); round outcomes (lb.*) go to the registry

@@ -11,22 +11,22 @@
 #pragma once
 
 #include <span>
-#include <unordered_map>
 
 #include "common/rng.h"
 #include "ktree/tree.h"
 #include "lb/classify.h"
+#include "lb/lbi.h"
 #include "lb/selection.h"
 #include "lb/vsa.h"
 
 namespace p2plb::lb {
 
 /// Build entries for the proximity-ignorant scheme.  `reporter_vs` (from
-/// the LBI sweep) supplies each node's random reporting VS; nodes missing
-/// from it (e.g. hosting no servers) cannot report and are skipped.
+/// the LBI sweep) supplies each node's reporting key and entry leaf, so a
+/// node's records enter where its LBI triple did.
 [[nodiscard]] VsaEntries build_entries_ignorant(
     const ktree::KTree& tree, const Classification& classification,
-    const std::unordered_map<chord::NodeIndex, chord::Key>& reporter_vs,
+    std::span<const Reporter> reporter_vs,
     SelectionPolicy policy = SelectionPolicy::kExact);
 
 /// Build entries for the proximity-aware scheme.  `node_keys[i]` is the

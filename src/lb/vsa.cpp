@@ -81,7 +81,6 @@ class Sweep {
         params_(params),
         out_(out),
         levels_(static_cast<std::size_t>(tree.height()) + 1) {
-    if (params_.latency) ready_.assign(tree_.size(), 0.0);
     if (params_.trace) forwarded_up_.assign(tree_.size(), 0);
   }
 
@@ -202,7 +201,7 @@ class Sweep {
       if (!group.heavies.empty() && !group.lights.empty() &&
           group.heavies.size() + group.lights.size() >=
               params_.rendezvous_threshold)
-        group = pair_node(box.node, depth, 0.0, group.heavies, group.lights);
+        group = pair_node(box.node, depth, group.heavies, group.lights);
       heavy_out = slide_to(group.heavies, heavy_out);
       light_out = slide_to(group.lights, light_out);
       h = h_end;
@@ -220,7 +219,6 @@ class Sweep {
   /// threshold, then forward what is left to the parent.
   void process(const Inbox& box, std::uint16_t depth, Level& level) {
     const ktree::KtIndex i = box.node;
-    const double now = ready_.empty() ? 0.0 : ready_[i];
     const bool is_root = (i == tree_.root());
     Leftovers left{
         {level.heavies.data() + box.heavy_begin,
@@ -231,19 +229,15 @@ class Sweep {
     if (is_root || inbox_size >= params_.rendezvous_threshold) {
       std::stable_sort(left.heavies.begin(), left.heavies.end(), load_less);
       std::stable_sort(left.lights.begin(), left.lights.end(), delta_less);
-      left = pair_node(i, depth, now, left.heavies, left.lights);
+      left = pair_node(i, depth, left.heavies, left.lights);
     }
     const std::size_t total = left.heavies.size() + left.lights.size();
-    if (is_root || total == 0) {
-      // The record flow ends here.
-      out_.sweep_completion_time = std::max(out_.sweep_completion_time, now);
-      if (is_root) {
-        out_.unassigned_heavy.assign(left.heavies.begin(),
-                                     left.heavies.end());
-        out_.unassigned_light.assign(left.lights.begin(), left.lights.end());
-      }
+    if (is_root) {
+      out_.unassigned_heavy.assign(left.heavies.begin(), left.heavies.end());
+      out_.unassigned_light.assign(left.lights.begin(), left.lights.end());
       return;
     }
+    if (total == 0) return;  // the record flow ends here
     // Push leftovers to the parent (one message per record).
     const ktree::KtIndex parent = tree_.node(i).parent;
     Level& up = levels_[depth - 1];
@@ -258,17 +252,10 @@ class Sweep {
     out_.messages += total;
     if (params_.trace)
       forwarded_up_[i] = static_cast<std::uint32_t>(total);
-    if (params_.latency) {
-      const double arrive =
-          now + (*params_.latency)(tree_.node(i).host_vs,
-                                   tree_.node(parent).host_vs);
-      ready_[parent] = std::max(ready_[parent], arrive);
-    }
   }
 
   /// The rendezvous step (Section 3.4) over sorted records, in place.
-  /// `now` is the simulated time it fired (0 without a latency model).
-  Leftovers pair_node(ktree::KtIndex node, std::uint16_t depth, double now,
+  Leftovers pair_node(ktree::KtIndex node, std::uint16_t depth,
                       std::span<ShedCandidate> heavies,
                       std::span<SpareCapacity> lights) {
     // heavies[parked, end) collects the candidates that found no light,
@@ -290,7 +277,7 @@ class Sweep {
       }
       const SpareCapacity spare = *fit;
       out_.assignments.push_back({candidate.vs, candidate.from, spare.node,
-                                  candidate.load, depth, now});
+                                  candidate.load, depth});
       if (params_.trace) paired_at_.push_back(node);
       if (depth >= out_.pairs_per_depth.size())
         out_.pairs_per_depth.resize(static_cast<std::size_t>(depth) + 1, 0);
@@ -337,8 +324,6 @@ class Sweep {
   const VsaParams& params_;
   VsaResult& out_;
   std::vector<Level> levels_;
-  /// Record-arrival time per KT node (latency model only).
-  std::vector<double> ready_;
   /// Trace only: per KtIndex, and the node of each assignment.
   std::vector<std::uint32_t> forwarded_up_;
   std::vector<ktree::KtIndex> paired_at_;

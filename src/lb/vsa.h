@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "chord/ring.h"
-#include "ktree/protocol.h"
 #include "ktree/tree.h"
 
 namespace p2plb::lb {
@@ -56,9 +55,10 @@ struct Assignment {
   double load = 0.0;
   /// Tree depth of the rendezvous KT node that made the pairing (root=0).
   std::uint16_t rendezvous_depth = 0;
-  /// Simulated time at which the rendezvous fired (0 unless the sweep
-  /// ran with a latency model; see VsaParams::latency).  Deep rendezvous
-  /// fire early -- this is what lets VST overlap VSA (Section 3.5).
+  /// When the rendezvous fired, relative to the start of the VSA phase:
+  /// set by lb::ProtocolRound as it runs, 0 from run_vsa.  Deep
+  /// rendezvous fire early -- this is what lets VST overlap VSA
+  /// (Section 3.5).
   double available_at = 0.0;
 };
 
@@ -144,12 +144,6 @@ struct VsaParams {
   /// the leaf would mix nearby-but-distinct clusters.  No effect on the
   /// proximity-ignorant scheme, whose origin keys are per-node unique.
   bool key_local_rendezvous = true;
-  /// Optional sweep latency model.  When set, the sweep computes each
-  /// KT node's record-arrival time (leaves at 0; an interior node is
-  /// ready when its last contributing child's records arrive) and stamps
-  /// every Assignment with the simulated time its rendezvous fired.
-  /// Must outlive the run_vsa call.
-  const ktree::VsLatencyFn* latency = nullptr;
   /// When set, overwritten with the per-node dataflow of the sweep (see
   /// VsaTrace), sized to the tree.  Must outlive the run_vsa call.
   VsaTrace* trace = nullptr;
@@ -167,8 +161,8 @@ struct VsaResult {
   std::uint64_t messages = 0;
   /// assignments-per-rendezvous-depth histogram (index = depth).
   std::vector<std::uint32_t> pairs_per_depth;
-  /// With a latency model: time the whole bottom-up sweep completed
-  /// (records that climbed to the root arrived there).
+  /// When the last KT node ending the record flow fired, relative to the
+  /// start of the VSA phase: set by lb::ProtocolRound, 0 from run_vsa.
   double sweep_completion_time = 0.0;
 
   [[nodiscard]] double assigned_load() const;

@@ -50,7 +50,10 @@ TEST_P(LbiSweep, AggregationMatchesGroundTruth) {
   EXPECT_NEAR(agg.system.load, truth.load, 1e-6 * truth.load);
   EXPECT_NEAR(agg.system.capacity, truth.capacity, 1e-9 * truth.capacity);
   EXPECT_DOUBLE_EQ(agg.system.min_load, truth.min_load);
-  EXPECT_EQ(agg.reporter_vs.size(), ring.live_node_count());
+  // One Reporter per node, and every live node reported.
+  ASSERT_EQ(agg.reporter_vs.size(), ring.node_count());
+  for (const chord::NodeIndex i : ring.live_nodes())
+    EXPECT_TRUE(tree.node(agg.reporter_vs[i].leaf).is_leaf());
   EXPECT_EQ(agg.rounds, static_cast<std::uint32_t>(tree.height()) + 1);
   // Each node reports once; each non-root tree node forwards once.
   EXPECT_EQ(agg.messages, ring.live_node_count() + tree.size() - 1);
@@ -73,9 +76,12 @@ TEST(Lbi, ReporterVsBelongsToNode) {
   const ktree::KTree tree(ring, 2);
   Rng rng(106);
   const auto agg = aggregate_lbi(tree, rng);
-  for (const auto& [node, vs] : agg.reporter_vs) {
+  for (const chord::NodeIndex node : ring.live_nodes()) {
+    const Reporter& r = agg.reporter_vs[node];
     const auto& servers = ring.node(node).servers;
-    EXPECT_NE(std::find(servers.begin(), servers.end(), vs), servers.end());
+    EXPECT_NE(std::find(servers.begin(), servers.end(), r.key),
+              servers.end());
+    EXPECT_EQ(r.leaf, tree.entry_leaf_for(r.key));
   }
 }
 
@@ -384,7 +390,7 @@ TEST(Reporting, ServerlessNodeEntersWhereItsLbiDid) {
   {
     const ktree::KTree tree(ring, 2);
     Rng rng(135);
-    key = aggregate_lbi(tree, rng).reporter_vs.at(serverless);
+    key = aggregate_lbi(tree, rng).reporter_vs.at(serverless).key;
   }
   ASSERT_FALSE(ring.has_server(key));
   ring.add_virtual_server(0, key);
@@ -393,8 +399,9 @@ TEST(Reporting, ServerlessNodeEntersWhereItsLbiDid) {
   const ktree::KTree tree(ring, 2);
   Rng rng(135);
   const auto agg = aggregate_lbi(tree, rng);
-  ASSERT_EQ(agg.reporter_vs.at(serverless), key);
+  ASSERT_EQ(agg.reporter_vs.at(serverless).key, key);
   const ktree::KtIndex lbi_leaf = tree.leaf_containing(key);
+  EXPECT_EQ(agg.reporter_vs.at(serverless).leaf, lbi_leaf);
   // The fixture is not vacuous: the two rules pick different leaves.
   ASSERT_NE(lbi_leaf, tree.entry_leaf_for(key));
 

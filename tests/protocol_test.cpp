@@ -1,5 +1,5 @@
-// Tests for the event-driven K-nary tree protocols: simulated sweep
-// latency and soft-state maintenance / self-repair under churn.
+// Tests for the event-driven K-nary tree protocols: sweep latency on a
+// sim::Network and soft-state maintenance / self-repair under churn.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "ktree/protocol.h"
 #include "ktree/tree.h"
+#include "lb/protocol_round.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/network.h"
@@ -41,13 +42,39 @@ TEST(UnitLatency, LocalIsFreeRemoteCostsUnit) {
   EXPECT_DOUBLE_EQ(latency(a[0], b[0]), 2.5);
 }
 
+/// Run one sweep alone over `tree` on a unit-latency network: one unit
+/// per remote hop, a hop between KT nodes on one physical node free.
+SweepResult run_sweep(const KTree& tree, bool aggregate) {
+  sim::Engine engine;
+  sim::Network net(engine, sim::LatencyFn([](sim::Endpoint a,
+                                             sim::Endpoint b) {
+                     return a == b ? 0.0 : 1.0;
+                   }));
+  const std::vector<sim::Endpoint> host = lb::host_endpoints(tree);
+  SweepResult out;
+  bool done = false;
+  const auto on_complete = [&](const SweepResult& r) {
+    out = r;
+    done = true;
+  };
+  if (aggregate) {
+    const auto release = begin_aggregation(net, tree, host, {}, on_complete);
+    for (KtIndex i = 0; i < tree.size(); ++i)
+      if (tree.node(i).is_leaf()) release(i);
+  } else {
+    begin_dissemination(net, tree, host, {}, nullptr, on_complete);
+  }
+  engine.run();
+  EXPECT_TRUE(done);
+  return out;
+}
+
 TEST(SimulatedAggregation, SingleLeafIsInstant) {
   chord::Ring ring;
   const auto n = ring.add_node(1.0);
   ring.add_virtual_server(n, 77);
   const KTree tree(ring, 2);
-  sim::Engine engine;
-  const auto r = simulate_aggregation(engine, tree, unit_latency(ring));
+  const auto r = run_sweep(tree, /*aggregate=*/true);
   EXPECT_DOUBLE_EQ(r.completion_time, 0.0);
   EXPECT_EQ(r.messages, 0u);
 }
@@ -55,8 +82,7 @@ TEST(SimulatedAggregation, SingleLeafIsInstant) {
 TEST(SimulatedAggregation, CompletionTimeIsBoundedByEffectiveHeight) {
   const auto ring = make_ring(64, 4, 402);
   const KTree tree(ring, 2);
-  sim::Engine engine;
-  const auto r = simulate_aggregation(engine, tree, unit_latency(ring));
+  const auto r = run_sweep(tree, /*aggregate=*/true);
   // The critical path pays one unit per host change on some root-leaf
   // path: at most effective_height, at least 1 (some edge is remote).
   EXPECT_LE(r.completion_time,
@@ -68,9 +94,8 @@ TEST(SimulatedAggregation, CompletionTimeIsBoundedByEffectiveHeight) {
 TEST(SimulatedDissemination, MirrorsAggregation) {
   const auto ring = make_ring(64, 4, 403);
   const KTree tree(ring, 2);
-  sim::Engine e1, e2;
-  const auto up = simulate_aggregation(e1, tree, unit_latency(ring));
-  const auto down = simulate_dissemination(e2, tree, unit_latency(ring));
+  const auto up = run_sweep(tree, /*aggregate=*/true);
+  const auto down = run_sweep(tree, /*aggregate=*/false);
   // Same edges traversed in opposite directions: identical counts and
   // identical critical-path length.
   EXPECT_EQ(up.messages, down.messages);
@@ -81,22 +106,12 @@ TEST(SimulatedDissemination, MirrorsAggregation) {
 TEST(SimulatedAggregation, LatencyGrowsLogarithmically) {
   // Completion time across a 16x size increase grows by only a few
   // units (log), not multiplicatively.
-  double small_time = 0.0, big_time = 0.0;
-  {
-    const auto ring = make_ring(32, 4, 404);
-    const KTree tree(ring, 2);
-    sim::Engine engine;
-    small_time =
-        simulate_aggregation(engine, tree, unit_latency(ring))
-            .completion_time;
-  }
-  {
-    const auto ring = make_ring(512, 4, 405);
-    const KTree tree(ring, 2);
-    sim::Engine engine;
-    big_time = simulate_aggregation(engine, tree, unit_latency(ring))
-                   .completion_time;
-  }
+  const auto small_ring = make_ring(32, 4, 404);
+  const auto big_ring = make_ring(512, 4, 405);
+  const double small_time =
+      run_sweep(KTree(small_ring, 2), /*aggregate=*/true).completion_time;
+  const double big_time =
+      run_sweep(KTree(big_ring, 2), /*aggregate=*/true).completion_time;
   EXPECT_LE(big_time, small_time + 8.0);  // ~log2(16) = 4 extra levels
 }
 

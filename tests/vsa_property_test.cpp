@@ -1,5 +1,6 @@
-// Property (fuzz) tests for the VSA rendezvous sweep: conservation,
-// capacity safety, and timing invariants over randomized inputs.
+// Property (fuzz) tests for the VSA rendezvous sweep: conservation and
+// capacity safety over randomized inputs, plus the timing invariants of
+// the pairings a unit-latency lb::ProtocolRound stamps.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -7,9 +8,13 @@
 
 #include "chord/ring.h"
 #include "common/rng.h"
-#include "ktree/protocol.h"
 #include "ktree/tree.h"
+#include "lb/protocol_round.h"
 #include "lb/vsa.h"
+#include "sim/engine.h"
+#include "sim/network.h"
+#include "workload/capacity.h"
+#include "workload/scenario.h"
 
 namespace p2plb::lb {
 namespace {
@@ -121,48 +126,68 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VsaFuzz,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
                                            11, 12, 13, 14, 15, 16));
 
+/// One balancing round drained on a unit-latency network (one unit per
+/// remote hop), with transfers off: only the pairing times matter.
+BalanceReport timed_round(std::uint64_t seed, std::size_t threshold,
+                          std::uint16_t& effective_height) {
+  Rng rng(seed);
+  chord::Ring ring = workload::build_ring(
+      256, 5, workload::CapacityProfile::gnutella_like(), rng);
+  workload::assign_loads(
+      ring,
+      workload::scaled_load_model(ring, workload::LoadDistribution::kGaussian,
+                                  0.25, 1.0),
+      rng);
+  ProtocolRoundConfig config;
+  config.balancer.rendezvous_threshold = threshold;
+  config.balancer.apply_transfers = false;
+  sim::Engine engine;
+  sim::Network net(engine, sim::LatencyFn([](sim::Endpoint a,
+                                             sim::Endpoint b) {
+                     return a == b ? 0.0 : 1.0;
+                   }));
+  ProtocolRound round(net, ring, config, rng);
+  round.start();
+  engine.run();
+  effective_height = round.tree().effective_height();
+  return round.report();
+}
+
 TEST(VsaTiming, AssignmentsAvailableBeforeSweepCompletes) {
-  const ktree::KTree* tree = nullptr;
-  std::unique_ptr<ktree::KTree> holder;
-  Fuzzed f = make_fuzzed(99, tree, holder);
-  const auto latency = ktree::unit_latency(f.ring);
-  VsaParams params;
-  params.min_load = 0.5;
-  params.rendezvous_threshold = 0;  // pair as deep as possible
-  params.latency = &latency;
-  const VsaResult r = run_vsa(*tree, f.entries, params);
-  for (const Assignment& a : r.assignments) {
-    EXPECT_GE(a.available_at, 0.0);
-    EXPECT_LE(a.available_at, r.sweep_completion_time + 1e-9);
+  std::uint16_t effective_height = 0;
+  const BalanceReport r =
+      timed_round(99, /*threshold=*/0, effective_height);  // pair deep
+  ASSERT_FALSE(r.vsa.assignments.empty());
+  for (const Assignment& a : r.vsa.assignments) {
+    // A pair joins two nodes' records, so one of them crossed a remote hop.
+    EXPECT_GE(a.available_at, 1.0);
+    EXPECT_LE(a.available_at, r.vsa.sweep_completion_time);
   }
-  // With unit latencies the sweep cannot exceed one unit per tree level.
-  EXPECT_LE(r.sweep_completion_time,
-            static_cast<double>(tree->height()) + 1.0);
+  // One unit for a record to reach its entry leaf, then one per host
+  // change on the way up.
+  EXPECT_LE(r.vsa.sweep_completion_time,
+            static_cast<double>(effective_height) + 1.0);
 }
 
 TEST(VsaTiming, RootPairingsAreLatest) {
-  const ktree::KTree* tree = nullptr;
-  std::unique_ptr<ktree::KTree> holder;
-  Fuzzed f = make_fuzzed(123, tree, holder);
-  const auto latency = ktree::unit_latency(f.ring);
-  VsaParams params;
-  params.min_load = 0.5;
-  params.rendezvous_threshold = 1000000;  // force everything to the root
-  params.latency = &latency;
-  const VsaResult r = run_vsa(*tree, f.entries, params);
-  for (const Assignment& a : r.assignments) {
+  std::uint16_t effective_height = 0;
+  const BalanceReport r = timed_round(
+      123, /*threshold=*/1000000, effective_height);  // all at the root
+  ASSERT_FALSE(r.vsa.assignments.empty());
+  for (const Assignment& a : r.vsa.assignments) {
     EXPECT_EQ(a.rendezvous_depth, 0u);
-    EXPECT_DOUBLE_EQ(a.available_at, r.sweep_completion_time);
+    EXPECT_DOUBLE_EQ(a.available_at, r.vsa.sweep_completion_time);
   }
 }
 
-TEST(VsaTiming, NoLatencyModelMeansZeroTimes) {
+TEST(VsaTiming, RunVsaLeavesTimesZero) {
   const ktree::KTree* tree = nullptr;
   std::unique_ptr<ktree::KTree> holder;
   Fuzzed f = make_fuzzed(321, tree, holder);
   VsaParams params;
   params.min_load = 0.5;
   const VsaResult r = run_vsa(*tree, f.entries, params);
+  ASSERT_FALSE(r.assignments.empty());
   for (const Assignment& a : r.assignments)
     EXPECT_DOUBLE_EQ(a.available_at, 0.0);
   EXPECT_DOUBLE_EQ(r.sweep_completion_time, 0.0);

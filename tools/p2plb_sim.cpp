@@ -40,12 +40,13 @@
 //   $ p2plb_sim --alerts examples/alerts.conf --alerts-out alerts.csv
 #include <algorithm>
 #include <array>
-#include <cstdio>
+#include <charconv>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
+#include <string_view>
+#include <system_error>
 
 #include "bench_util.h"
 #include "common/stats.h"
@@ -70,18 +71,22 @@ namespace {
 
 using namespace p2plb;
 
-/// Parse --trace-sample "K/M" (e.g. "1/64").  Returns false on
-/// malformed input.
-bool parse_sample_ratio(const std::string& s, std::uint64_t* keep,
+/// Parse one unsigned decimal field: digits only, no sign, no spaces.
+bool parse_decimal(std::string_view s, std::uint64_t* out) {
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return !s.empty() && ec == std::errc() && ptr == end;
+}
+
+/// Parse --trace-sample "K/M" (e.g. "1/64") with 1 <= K <= M.  Returns
+/// false on anything else.
+bool parse_sample_ratio(std::string_view s, std::uint64_t* keep,
                         std::uint64_t* of) {
-  unsigned long long k = 0;
-  unsigned long long m = 0;
-  char tail = '\0';
-  if (std::sscanf(s.c_str(), "%llu/%llu%c", &k, &m, &tail) != 2) return false;
-  if (m == 0 || k > m) return false;
-  *keep = k;
-  *of = m;
-  return true;
+  const std::size_t slash = s.find('/');
+  if (slash == std::string_view::npos) return false;
+  return parse_decimal(s.substr(0, slash), keep) &&
+         parse_decimal(s.substr(slash + 1), of) && *keep >= 1 &&
+         *keep <= *of;
 }
 
 int run(const Cli& cli) {
@@ -412,48 +417,9 @@ int run(const Cli& cli) {
     bench::emit(phases, csv);
   }
 
-  if (profiler) {
-    // Where the host's wall clock went, and the sim x host crosstab
-    // (p2plb_prof renders the same reports from the profile file).
-    print_heading(std::cout, "host-time hot frames");
-    std::vector<obs::Profiler::FrameStat> stats = profiler->frame_table();
-    std::sort(stats.begin(), stats.end(),
-              [](const obs::Profiler::FrameStat& a,
-                 const obs::Profiler::FrameStat& b) {
-                if (a.self_ns != b.self_ns) return a.self_ns > b.self_ns;
-                return a.name < b.name;
-              });
-    const double total_ns = profiler->total_ns() == 0
-                                ? 1.0
-                                : static_cast<double>(profiler->total_ns());
-    Table hot({"frame", "layer", "count", "self_ms", "total_ms", "self_pct"});
-    for (const obs::Profiler::FrameStat& r : stats)
-      hot.add_row({r.name, r.layer.empty() ? "-" : r.layer, r.count,
-                   Table::num(static_cast<double>(r.self_ns) / 1e6, 3),
-                   Table::num(static_cast<double>(r.total_ns) / 1e6, 3),
-                   Table::num(
-                       100.0 * static_cast<double>(r.self_ns) / total_ns, 2)});
-    bench::emit(hot, csv);
-
-    print_heading(std::cout, "sim-time x host-time crosstab");
-    std::map<std::string, double> sim_axis;
-    for (const obs::Profiler::SpanNote& n : profiler->notes())
-      sim_axis[n.name] += n.sim_end - n.sim_start;
-    Table cross({"span", "sim_time", "host_ms", "host_pct"});
-    for (const auto& [name, sim_time] : sim_axis) {
-      std::uint64_t host = 0;
-      for (const obs::Profiler::FrameStat& r : stats)
-        if (r.name == name) {
-          host = r.total_ns;
-          break;
-        }
-      cross.add_row(
-          {name, Table::num(sim_time, 1),
-           Table::num(static_cast<double>(host) / 1e6, 3),
-           Table::num(100.0 * static_cast<double>(host) / total_ns, 2)});
-    }
-    bench::emit(cross, csv);
-  }
+  if (profiler)
+    std::cout << "\nhost-time profile: p2plb_prof --in " << profile_path
+              << " --crosstab true\n";
 
   if (alerting) {
     print_heading(std::cout, "alert transitions");
