@@ -21,12 +21,10 @@
 // bench_e2e/run.py.  The exact counts of the 1024- and 4096-node rows
 // are pinned by ctest (bench/CMakeLists.txt).
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -67,8 +65,9 @@ struct TimedRoundResult {
 /// ts5k-small latencies, timing each stage on the host clock.  The
 /// oracle's rows for every attachment are filled (and timed) before the
 /// round, so no Dijkstra runs inside the event loop.  A non-null
-/// `tracer`/`profiler` is attached to the network (and engine) so the
-/// caller can export the round's trace or profile.
+/// `tracer`/`profiler` is attached to the network (which hands the
+/// profiler to the engine) so the caller can export the round's trace or
+/// profile; the round notes its own phase spans into the profiler.
 TimedRoundResult run_timed_round(std::size_t nodes, std::size_t servers,
                                  std::uint64_t seed, obs::Tracer* tracer,
                                  obs::Profiler* profiler,
@@ -101,10 +100,7 @@ TimedRoundResult run_timed_round(std::size_t nodes, std::size_t servers,
   sim::Engine engine;
   sim::Network net(engine, oracle.latency());
   if (tracer != nullptr) net.attach_tracer(tracer);
-  if (profiler != nullptr) {
-    engine.attach_profiler(profiler);
-    net.attach_profiler(profiler);
-  }
+  if (profiler != nullptr) net.attach_profiler(profiler);
   const auto ctor0 = Clock::now();
   lb::ProtocolRound round(net, d.ring, {}, round_rng);
   r.constructor_seconds = seconds_since(ctor0);
@@ -256,20 +252,6 @@ int main(int argc, char** argv) {
         capture && profiler ? &*profiler : nullptr,
         capture ? metrics_path : std::string());
     const lb::BalanceReport& report = r.report;
-    if (capture && profiler) {
-      // Sim-time axis for the crosstab: phase windows named after the
-      // network tags so they join the matching frames.
-      constexpr std::array<std::string_view, lb::kPhaseCount> kPhaseTags = {
-          lb::kTagAggregation, lb::kTagDissemination, lb::kTagVsa,
-          lb::kTagTransfer};
-      double round_end = report.phases[0].start;
-      for (std::size_t p = 0; p < lb::kPhaseCount; ++p) {
-        const lb::PhaseMetrics& m = report.phases[p];
-        profiler->note_span(kPhaseTags[p], m.start, m.end);
-        round_end = std::max(round_end, m.end);
-      }
-      profiler->note_span("round", report.phases[0].start, round_end);
-    }
     capture = false;
 
     print_heading(std::cout,

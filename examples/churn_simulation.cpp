@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   }
 
   constexpr double kEpsilon = 0.1;
-  lb::HealthProbe health(world.ring, {kEpsilon, "health"});
+  lb::HealthProbe health(world.ring, kEpsilon);
   double window_width = cli.get_double("windows");
   const std::string alerts_path = cli.get_string("alerts");
   const std::string alerts_out = cli.get_string("alerts-out");

@@ -1,5 +1,6 @@
 #include "common/cli.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -60,9 +61,11 @@ std::string Cli::get_string(const std::string& name) const {
 std::int64_t Cli::get_int(const std::string& name) const {
   const std::string& v = find(name).value;
   char* end = nullptr;
+  errno = 0;
   const long long out = std::strtoll(v.c_str(), &end, 10);
-  P2PLB_REQUIRE_MSG(end && *end == '\0' && !v.empty(),
-                    "flag --" + name + " expects an integer, got '" + v + "'");
+  P2PLB_REQUIRE_MSG(end && *end == '\0' && !v.empty() && errno != ERANGE,
+                    "flag --" + name + " expects a 64-bit integer, got '" +
+                        v + "'");
   return out;
 }
 
@@ -91,8 +94,9 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& name) const {
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
     char* end = nullptr;
+    errno = 0;
     const long long v = std::strtoll(item.c_str(), &end, 10);
-    P2PLB_REQUIRE_MSG(end && *end == '\0',
+    P2PLB_REQUIRE_MSG(end && *end == '\0' && errno != ERANGE,
                       "flag --" + name + ": bad integer '" + item + "'");
     out.push_back(v);
   }

@@ -15,7 +15,7 @@ BalanceReport run_balance_round(chord::Ring& ring,
   // real message/byte counts but zero times.
   sim::Engine engine;
   sim::Network net(engine, [](sim::Endpoint, sim::Endpoint) { return 0.0; });
-  ProtocolRound round(net, ring, {config, WireModel{}}, rng, node_keys);
+  ProtocolRound round(net, ring, {config}, rng, node_keys);
   round.start();
   engine.run();
   P2PLB_ASSERT_MSG(round.done(), "zero-latency round did not drain");

@@ -29,7 +29,7 @@ ControllerResult run_until_stable(const ControllerConfig& config,
   for (std::uint32_t round = 0; round < config.max_rounds; ++round) {
     const BalanceReport report = run_round();
     result.rounds.push_back(stats_of(report));
-    if (report.after.heavy_count <= config.target_heavy_count) {
+    if (report.after.heavy_count == 0) {
       result.converged = true;
       break;
     }
@@ -54,8 +54,7 @@ ControllerResult balance_until_stable(sim::Network& net, chord::Ring& ring,
                                       Rng& rng,
                                       std::span<const chord::Key> node_keys) {
   return run_until_stable(config, [&] {
-    ProtocolRound round(net, ring, {config.balancer, WireModel{}}, rng,
-                        node_keys);
+    ProtocolRound round(net, ring, {config.balancer}, rng, node_keys);
     round.start();
     net.engine().run();
     P2PLB_ASSERT_MSG(round.done(), "timed round did not drain");

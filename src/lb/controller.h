@@ -20,8 +20,6 @@ struct ControllerConfig {
   BalancerConfig balancer;
   /// Hard cap on rounds.
   std::uint32_t max_rounds = 8;
-  /// Stop when the heavy count after a round is <= this.
-  std::size_t target_heavy_count = 0;
 };
 
 /// One round's footprint in the time series.
@@ -41,7 +39,7 @@ struct RoundStats {
 /// Outcome of a controller run.
 struct ControllerResult {
   std::vector<RoundStats> rounds;
-  /// True iff the final round reached target_heavy_count.
+  /// True iff the final round left no heavy node.
   bool converged = false;
 
   [[nodiscard]] double total_moved() const {
@@ -56,8 +54,9 @@ struct ControllerResult {
   }
 };
 
-/// Run balancing rounds until convergence, stagnation (a round performs
-/// no transfers), or the round cap.  `node_keys` as in run_balance_round.
+/// Run balancing rounds until convergence (no heavy node is left),
+/// stagnation (a round performs no transfers), or the round cap.
+/// `node_keys` as in run_balance_round.
 [[nodiscard]] ControllerResult balance_until_stable(
     chord::Ring& ring, const ControllerConfig& config, Rng& rng,
     std::span<const chord::Key> node_keys = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -11,6 +12,9 @@
 namespace p2plb::lb {
 
 namespace {
+
+// Every reading is emitted as `health.<gauge>`.
+constexpr std::string_view kPrefix = "health.";
 
 /// Approximate depth of a tree instance from its region length: how many
 /// K-way splits of the whole space reach a region this small.  Children
@@ -25,16 +29,14 @@ std::uint32_t region_depth(std::uint64_t len, std::uint32_t degree) {
 
 }  // namespace
 
-HealthProbe::HealthProbe(const chord::Ring& ring, HealthProbeConfig config)
-    : ring_(ring), config_(std::move(config)) {
-  P2PLB_REQUIRE(config_.epsilon >= 0.0);
-  P2PLB_REQUIRE_MSG(!config_.prefix.empty(), "health prefix must be non-empty");
+HealthProbe::HealthProbe(const chord::Ring& ring, double epsilon)
+    : ring_(ring), epsilon_(epsilon) {
+  P2PLB_REQUIRE(epsilon_ >= 0.0);
 }
 
 void HealthProbe::register_windows(obs::WindowedAggregator& windows) const {
-  const std::string p = config_.prefix + ".";
   auto gauge = [&](std::string_view name) {
-    return windows.gauge_series(p + std::string(name));
+    return windows.gauge_series(std::string(kPrefix) + std::string(name));
   };
   const obs::SeriesId nodes = gauge("nodes");
   const obs::SeriesId heavy = gauge("heavy_fraction");
@@ -61,7 +63,8 @@ void HealthProbe::register_windows(obs::WindowedAggregator& windows) const {
     tree_instances = gauge("ktree_instances");
     tree_depth = gauge("ktree_depth");
   }
-  const obs::ColumnId units = windows.column_series(p + "unit_load");
+  const obs::ColumnId units =
+      windows.column_series(std::string(kPrefix) + "unit_load");
   // The sort buffers live in the probe, so a steady-state boundary
   // reuses them instead of allocating.
   windows.add_boundary_probe([=, this, &windows, sorted = std::vector<double>(),
@@ -73,14 +76,14 @@ void HealthProbe::register_windows(obs::WindowedAggregator& windows) const {
     const std::vector<chord::NodeIndex> live = ring_.live_nodes();
     record(nodes, static_cast<double>(live.size()));
     const Lbi truth = ground_truth_lbi(ring_);
-    const Classification cls = classify_all(ring_, truth, config_.epsilon);
+    const Classification cls = classify_all(ring_, truth, epsilon_);
     record(heavy, cls.heavy_fraction());
 
     // Unit loads: load_i / ((L / C) * C_i).  With no load (or no
     // capacity) every node is exactly at its share of nothing; report
     // all-zero gauges rather than dividing by zero.  They land in the SoA
     // column (one dense double per node -- the only state that scales
-    // with N) and fold into the `<prefix>.unit_load` histogram when this
+    // with N) and fold into the `health.unit_load` histogram when this
     // bucket closes.
     std::vector<double>& col = windows.column_data(units, live.size());
     const double fair =

@@ -14,8 +14,6 @@
 // heavy above (1 + epsilon) x share) reads directly off the same scale.
 #pragma once
 
-#include <string>
-
 #include "chord/ring.h"
 #include "ktree/protocol.h"
 #include "lb/continuous.h"
@@ -23,20 +21,12 @@
 
 namespace p2plb::lb {
 
-/// What the probe measures and how it names the result.
-struct HealthProbeConfig {
-  /// Heaviness threshold: node i is heavy iff load > (1 + epsilon) x
-  /// fair share (matches classify_node).
-  double epsilon = 0.1;
-  /// Metric-name prefix; readings are emitted as `<prefix>.<gauge>`.
-  std::string prefix = "health";
-};
-
 /// Point-in-time health gauges over a ring (and optional attachments).
 class HealthProbe {
  public:
-  /// `ring` must outlive the probe.
-  explicit HealthProbe(const chord::Ring& ring, HealthProbeConfig config = {});
+  /// `ring` must outlive the probe.  Node i is heavy iff its load exceeds
+  /// (1 + epsilon) x its fair share (matches classify_node).
+  explicit HealthProbe(const chord::Ring& ring, double epsilon = 0.1);
 
   /// Also report the continuous aggregator's root accuracy and staleness
   /// (`clbi_root_error`, `clbi_staleness`).  Must outlive the probe;
@@ -52,24 +42,20 @@ class HealthProbe {
   }
 
   /// Publish into the online metrics plane.  Registers gauge series
-  /// `<prefix>.<gauge>` -- always nodes, heavy_fraction, mean/max/p99
+  /// `health.<gauge>` -- always nodes, heavy_fraction, mean/max/p99
   /// unit load, imbalance (max unit load / mean unit load),
   /// gini_unit_load and vs_per_node{q=max|p50|p99}; the attachments'
   /// gauges when attached -- plus a per-node
-  /// `<prefix>.unit_load` SoA column folded into a histogram each
+  /// `health.unit_load` SoA column folded into a histogram each
   /// bucket.  A boundary probe samples them all into every closing
   /// bucket, stamped with the boundary time: the signals the alert
   /// rules read and obs::record_series exports.  The probe and
   /// `windows` must outlive each other's use; call once per aggregator.
   void register_windows(obs::WindowedAggregator& windows) const;
 
-  [[nodiscard]] const HealthProbeConfig& config() const noexcept {
-    return config_;
-  }
-
  private:
   const chord::Ring& ring_;
-  HealthProbeConfig config_;
+  double epsilon_;
   const ContinuousLbi* clbi_ = nullptr;
   const ktree::MaintenanceProtocol* tree_ = nullptr;
 };

@@ -7,6 +7,18 @@
 
 namespace p2plb::lb {
 
+namespace {
+
+// Wire sizes (bytes per message class) for the byte accounting.
+constexpr double kLbiBytes = 24.0;     // one <L, C, L_min> triple
+constexpr double kRecordBytes = 32.0;  // one heavy/light VSA record
+constexpr double kNotifyBytes = 16.0;  // rendezvous -> endpoint notification
+// Phase-4 payload per unit of load moved: a transfer's bytes are its
+// assignment's load times this.
+constexpr double kTransferBytesPerLoad = 1.0;
+
+}  // namespace
+
 sim::Endpoint node_endpoint(const chord::Ring& ring, chord::NodeIndex node) {
   const std::uint32_t attachment = ring.node(node).attachment;
   return attachment != chord::Node::kNoAttachment ? attachment : node;
@@ -138,7 +150,7 @@ void ProtocolRound::start(
 
 void ProtocolRound::start_aggregation() {
   release_leaf_ = ktree::begin_aggregation(
-      net_, tree_, host_ep_, {std::string(kTagAggregation), config_.wire.lbi},
+      net_, tree_, host_ep_, {std::string(kTagAggregation), kLbiBytes},
       [this](const ktree::SweepResult&) {
         end_phase(Phase::kAggregation);
         begin_phase(Phase::kDissemination);
@@ -162,7 +174,7 @@ void ProtocolRound::start_aggregation() {
           P2PLB_ASSERT(lbi_waits_[leaf] > 0);
           if (--lbi_waits_[leaf] == 0) release_leaf_(leaf);
         },
-        config_.wire.lbi, 0.0, kTagAggregation);
+        kLbiBytes, 0.0, kTagAggregation);
   }
 }
 
@@ -170,7 +182,7 @@ void ProtocolRound::start_dissemination() {
   handoffs_left_ = tree_.leaf_count();
   ktree::begin_dissemination(
       net_, tree_, host_ep_,
-      {std::string(kTagDissemination), config_.wire.lbi},
+      {std::string(kTagDissemination), kLbiBytes},
       [this](ktree::KtIndex leaf) {
         // Leaf -> hosting-node handoff (zero distance, still a message).
         net_.send(
@@ -183,7 +195,7 @@ void ProtocolRound::start_dissemination() {
                 start_vsa();
               }
             },
-            config_.wire.lbi, 0.0, kTagDissemination);
+            kLbiBytes, 0.0, kTagDissemination);
       },
       nullptr);
 }
@@ -217,11 +229,11 @@ void ProtocolRound::start_vsa() {
 
   for (const auto& [leaf, records] : entries_.heavy)
     for (const ShedCandidate& r : records)
-      vsa_send(node_ep_[r.from], host_ep_[leaf], config_.wire.record,
+      vsa_send(node_ep_[r.from], host_ep_[leaf], kRecordBytes,
                [this, leaf = leaf] { vsa_record_arrival(leaf); });
   for (const auto& [leaf, records] : entries_.light)
     for (const SpareCapacity& r : records)
-      vsa_send(node_ep_[r.node], host_ep_[leaf], config_.wire.record,
+      vsa_send(node_ep_[r.node], host_ep_[leaf], kRecordBytes,
                [this, leaf = leaf] { vsa_record_arrival(leaf); });
 
   if (vsa_outstanding_ == 0) finish_vsa();  // no records at all
@@ -254,9 +266,9 @@ void ProtocolRound::vsa_process(ktree::KtIndex node) {
     obs::Profiler* const prof = net_.profiler();
     const obs::Profiler::Scope prof_scope(
         prof, prof != nullptr ? prof->intern("vsa.match", "lb") : 0);
-    vsa_send(host_ep_[node], node_ep_[a.from], config_.wire.notify,
+    vsa_send(host_ep_[node], node_ep_[a.from], kNotifyBytes,
              [this, idx] { begin_transfer(idx); });
-    vsa_send(host_ep_[node], node_ep_[a.to], config_.wire.notify, [] {});
+    vsa_send(host_ep_[node], node_ep_[a.to], kNotifyBytes, [] {});
   }
 
   const std::uint32_t forwarded = trace_.forwarded_up[node];
@@ -269,7 +281,7 @@ void ProtocolRound::vsa_process(ktree::KtIndex node) {
   if (node == tree_.root()) return;
   const ktree::KtIndex parent = tree_.node(node).parent;
   for (std::uint32_t r = 0; r < forwarded; ++r)
-    vsa_send(host_ep_[node], host_ep_[parent], config_.wire.record,
+    vsa_send(host_ep_[node], host_ep_[parent], kRecordBytes,
              [this, parent] { vsa_record_arrival(parent); });
 }
 
@@ -327,7 +339,7 @@ void ProtocolRound::begin_transfer(std::size_t assignment_index) {
         end_phase(Phase::kTransfer);  // re-stamped per delivery: last wins
         maybe_finish();
       },
-      config_.wire.transfer_per_load * a.load, 0.0, kTagTransfer);
+      kTransferBytesPerLoad * a.load, 0.0, kTagTransfer);
 }
 
 void ProtocolRound::maybe_finish() {
@@ -375,6 +387,19 @@ void ProtocolRound::maybe_finish() {
     tr->end(now, "lb.round", "round", round_ctx_,
             {obs::arg("transfers_applied", report_.transfers_applied),
              obs::arg("completion_time", report_.completion_time)});
+  }
+
+  if (obs::Profiler* const prof = net_.profiler()) {
+    // Sim-time axis for the profiler's crosstab: each phase window, named
+    // after its network tag so it joins the matching frame, then the
+    // round window.
+    double round_end = metrics(Phase::kAggregation).start;
+    for (std::size_t i = 0; i < kPhaseCount; ++i) {
+      const Phase p = static_cast<Phase>(i);
+      prof->note_span(tag_of(p), metrics(p).start, metrics(p).end);
+      round_end = std::max(round_end, metrics(p).end);
+    }
+    prof->note_span("round", metrics(Phase::kAggregation).start, round_end);
   }
 
   done_ = true;

@@ -64,20 +64,9 @@ inline constexpr std::string_view kTagDissemination = "lb.dissemination";
 inline constexpr std::string_view kTagVsa = "lb.vsa";
 inline constexpr std::string_view kTagTransfer = "lb.transfer";
 
-/// Wire-size model (bytes per message class) for the byte accounting.
-struct WireModel {
-  double lbi = 24.0;     ///< one <L, C, L_min> triple
-  double record = 32.0;  ///< one heavy/light VSA record
-  double notify = 16.0;  ///< rendezvous -> endpoint pair notification
-  /// Phase-4 payload per unit of load moved (a transfer's bytes are its
-  /// assignment's load times this).
-  double transfer_per_load = 1.0;
-};
-
 /// Timed-round configuration.
 struct ProtocolRoundConfig {
   BalancerConfig balancer;
-  WireModel wire;
 };
 
 /// A node's network endpoint: its topology attachment when it has one,

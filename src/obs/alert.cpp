@@ -235,7 +235,7 @@ void AlertEngine::transition(const AlertRule& rule, RuleState& state,
     // No SpanContext: alert instants allocate no trace ids, so the id
     // sequence of the surrounding run stays untouched (the byte-identity
     // gate filters lane "alert" and expects everything else unchanged).
-    tracer_->instant(boundary, "alert", rule.name,
+    tracer_->instant(boundary, "alert", rule.name, {},
                      {arg("event", event_name(fire)), arg("value", value),
                       arg("threshold", rule.threshold)});
   }

@@ -51,9 +51,9 @@ namespace p2plb::obs {
 
 inline constexpr std::string_view kBinaryTraceMagic = "p2plbBT1";
 
-/// Streaming JSONL sink: writes each event as one line, byte-identical
-/// to Tracer::write_jsonl over the same events (both use
-/// write_jsonl_event).
+/// Streaming JSONL sink: writes each event as one line with
+/// write_jsonl_event, the writer the binary decoder's JSONL output uses
+/// too.
 class JsonlTraceSink final : public TraceSink {
  public:
   /// Write to a caller-owned stream.

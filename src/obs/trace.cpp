@@ -100,13 +100,9 @@ void Tracer::push(double t, EventKind kind, std::string_view lane,
                   const SpanContext& ctx, std::vector<Arg> args) {
   if (ctx.trace != 0 && !keeps(ctx.trace)) return;
   ++recorded_;
-  TraceEvent e{t, kind, std::string(lane), std::string(name),
-               id, ctx, std::move(args)};
-  if (sink_ != nullptr) {
-    sink_->on_event(e);
-    return;
-  }
-  events_.push_back(std::move(e));
+  if (sink_ == nullptr) return;
+  sink_->on_event(TraceEvent{t, kind, std::string(lane), std::string(name),
+                             id, ctx, std::move(args)});
 }
 
 void Tracer::set_trace_sampling(std::uint64_t keep, std::uint64_t of,
@@ -120,18 +116,8 @@ void Tracer::set_trace_sampling(std::uint64_t keep, std::uint64_t of,
 }
 
 void Tracer::begin(double t, std::string_view lane, std::string_view name,
-                   std::vector<Arg> args) {
-  push(t, EventKind::kBegin, lane, name, 0, {}, std::move(args));
-}
-
-void Tracer::begin(double t, std::string_view lane, std::string_view name,
                    const SpanContext& ctx, std::vector<Arg> args) {
   push(t, EventKind::kBegin, lane, name, 0, ctx, std::move(args));
-}
-
-void Tracer::end(double t, std::string_view lane, std::string_view name,
-                 std::vector<Arg> args) {
-  push(t, EventKind::kEnd, lane, name, 0, {}, std::move(args));
 }
 
 void Tracer::end(double t, std::string_view lane, std::string_view name,
@@ -141,30 +127,14 @@ void Tracer::end(double t, std::string_view lane, std::string_view name,
 
 void Tracer::async_begin(double t, std::string_view lane,
                          std::string_view name, std::uint64_t id,
-                         std::vector<Arg> args) {
-  push(t, EventKind::kAsyncBegin, lane, name, id, {}, std::move(args));
-}
-
-void Tracer::async_begin(double t, std::string_view lane,
-                         std::string_view name, std::uint64_t id,
                          const SpanContext& ctx, std::vector<Arg> args) {
   push(t, EventKind::kAsyncBegin, lane, name, id, ctx, std::move(args));
-}
-
-void Tracer::async_end(double t, std::string_view lane, std::string_view name,
-                       std::uint64_t id, std::vector<Arg> args) {
-  push(t, EventKind::kAsyncEnd, lane, name, id, {}, std::move(args));
 }
 
 void Tracer::async_end(double t, std::string_view lane, std::string_view name,
                        std::uint64_t id, const SpanContext& ctx,
                        std::vector<Arg> args) {
   push(t, EventKind::kAsyncEnd, lane, name, id, ctx, std::move(args));
-}
-
-void Tracer::instant(double t, std::string_view lane, std::string_view name,
-                     std::vector<Arg> args) {
-  push(t, EventKind::kInstant, lane, name, 0, {}, std::move(args));
 }
 
 void Tracer::instant(double t, std::string_view lane, std::string_view name,
@@ -195,10 +165,6 @@ void write_jsonl_event(std::ostream& os, const TraceEvent& e) {
     write_args_object(os, e.args);
   }
   os << "}\n";
-}
-
-void Tracer::write_jsonl(std::ostream& os) const {
-  for (const TraceEvent& e : events_) write_jsonl_event(os, e);
 }
 
 }  // namespace p2plb::obs

@@ -18,13 +18,15 @@
 // thread contexts through their message envelopes (see sim::Network);
 // tools/p2plb_trace reconstructs the DAGs and computes critical paths.
 //
-// The one in-process exporter is write_jsonl: one JSON object per
-// line, stable field order; the machine-diffable form golden tests pin.
-// Causal ids export as top-level "trace"/"span"/"parent" fields.  Runs
-// that export a file attach a streaming sink instead (obs::open_trace_sink
-// in obs/binary_trace.h: JSONL or the compact p2plb-btrace-1), so trace
-// memory stays O(1) in run length.  The Chrome trace_event view for
-// Perfetto is derived from either file by `p2plb_trace --out FILE.json`.
+// The Tracer keeps no events: it samples, counts and forwards each one
+// to its TraceSink as it happens, so trace memory stays O(1) in run
+// length, and with no sink attached events are counted and dropped.
+// Drivers open their sink with obs::open_trace_sink (obs/binary_trace.h:
+// JSONL -- one JSON object per line, stable field order, causal ids as
+// top-level "trace"/"span"/"parent" fields; the form golden tests pin --
+// or the compact p2plb-btrace-1); tests read through a sink too.  The
+// Chrome trace_event view for Perfetto is derived from either file by
+// `p2plb_trace --out FILE.json`.
 //
 // The null-tracer fast path is a null pointer at the instrumentation
 // site: every producer holds an `obs::Tracer*` that defaults to nullptr
@@ -113,14 +115,12 @@ struct TraceEvent {
 void write_args_object(std::ostream& os, const std::vector<Arg>& args);
 
 /// Write one event as a single JSONL line (trailing newline included).
-/// Tracer::write_jsonl, the streaming JSONL sink and the binary-trace
-/// decoder all share this writer, so every JSONL producer is
-/// byte-identical by construction.
+/// The streaming JSONL sink and the binary-trace decoder share this
+/// writer, so every JSONL producer is byte-identical by construction.
 void write_jsonl_event(std::ostream& os, const TraceEvent& e);
 
-/// Streaming consumer of trace events.  When a sink is attached to a
-/// Tracer, events are forwarded as they happen instead of being
-/// buffered, so trace memory stays O(1) in run length.
+/// Streaming consumer of trace events: a Tracer forwards each event to
+/// its sink as it happens.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -128,29 +128,21 @@ class TraceSink {
   virtual void flush() {}
 };
 
-/// Event recorder.  Not thread-safe (the simulator is single-threaded).
+/// Event emitter: one member per event kind, each taking the event's
+/// causal context (`{}` for an uncausal event).  Not thread-safe (the
+/// simulator is single-threaded).
 class Tracer {
  public:
   void begin(double t, std::string_view lane, std::string_view name,
-             std::vector<Arg> args = {});
-  void begin(double t, std::string_view lane, std::string_view name,
              const SpanContext& ctx, std::vector<Arg> args = {});
   void end(double t, std::string_view lane, std::string_view name,
-           std::vector<Arg> args = {});
-  void end(double t, std::string_view lane, std::string_view name,
            const SpanContext& ctx, std::vector<Arg> args = {});
-  void async_begin(double t, std::string_view lane, std::string_view name,
-                   std::uint64_t id, std::vector<Arg> args = {});
   void async_begin(double t, std::string_view lane, std::string_view name,
                    std::uint64_t id, const SpanContext& ctx,
                    std::vector<Arg> args = {});
   void async_end(double t, std::string_view lane, std::string_view name,
-                 std::uint64_t id, std::vector<Arg> args = {});
-  void async_end(double t, std::string_view lane, std::string_view name,
                  std::uint64_t id, const SpanContext& ctx,
                  std::vector<Arg> args = {});
-  void instant(double t, std::string_view lane, std::string_view name,
-               std::vector<Arg> args = {});
   void instant(double t, std::string_view lane, std::string_view name,
                const SpanContext& ctx, std::vector<Arg> args = {});
   /// Flow arrow from (t, lane of flow_start) to (t, lane of flow_end),
@@ -182,9 +174,8 @@ class Tracer {
     return last_trace_id_ + last_span_id_;
   }
 
-  /// Forward events to `sink` as they happen instead of buffering them
-  /// (nullptr restores buffering).  Already-buffered events stay put;
-  /// events() sees nothing that arrives while a sink is attached.
+  /// Forward events to `sink` as they happen (nullptr drops them; they
+  /// are still counted).
   void set_sink(TraceSink* sink) noexcept { sink_ = sink; }  // p2plb: holds(trace_shard_)
 
   /// Keep `keep` of every `of` traces, chosen by a seeded hash of the
@@ -219,22 +210,11 @@ class Tracer {
     return h % sample_of_ < sample_keep_;
   }
 
-  /// Events recorded (buffered or forwarded) since the last clear(),
-  /// after sampling.  Equals events().size() while no sink is attached.
+  /// Events emitted (forwarded or, with no sink, dropped), after
+  /// sampling.
   [[nodiscard]] std::size_t event_count() const noexcept {
     return recorded_;
   }
-  [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
-    return events_;
-  }
-  void clear() noexcept {  // p2plb: holds(trace_shard_)
-    events_.clear();
-    recorded_ = 0;
-    last_trace_id_ = 0;
-    last_span_id_ = 0;
-  }
-
-  void write_jsonl(std::ostream& os) const;
 
  private:
   // p2plb: holds(trace_shard_)
@@ -242,12 +222,11 @@ class Tracer {
             std::string_view name, std::uint64_t id, const SpanContext& ctx,
             std::vector<Arg> args);
 
-  /// Ownership domain of the event buffer, the id allocators and the
-  /// sampling policy; a sharded run gives each shard its own Tracer and
+  /// Ownership domain of the sink, the id allocators and the sampling
+  /// policy; a sharded run gives each shard its own Tracer and
   /// merges afterwards, so nothing here may be written cross-shard.
   common::ShardCapability trace_shard_;
 
-  std::vector<TraceEvent> events_;  // p2plb: shared(trace_shard_)
   TraceSink* sink_ = nullptr;       // p2plb: shared(trace_shard_)
   std::size_t recorded_ = 0;        // p2plb: shared(trace_shard_)
   std::uint64_t last_trace_id_ = 0;  // p2plb: shared(trace_shard_)

@@ -27,7 +27,7 @@
 
 namespace p2plb::sim::core {
 
-/// Ring buffer of recent event records with interned tag names.
+/// Ring buffer of recent event records with a tag-name table.
 /// Not thread-safe (the simulator is single-threaded).
 class FlightRecorder {
  public:
@@ -37,34 +37,33 @@ class FlightRecorder {
     kSend = 1,     ///< the network sent a message
   };
 
-  /// One recorded moment; `tag` indexes the interned tag table
-  /// (intern("") == 0, pre-seeded, for tagless records).
+  /// One recorded moment; `tag` indexes the tag-name table (0 for
+  /// tagless records).
   struct Record {
     double time = 0.0;        ///< sim time at the record
     std::uint64_t seq = 0;    ///< engine schedule seq (execute records)
     std::uint64_t trace = 0;  ///< causal trace id, 0 when untraced
     std::uint32_t src = 0;    ///< sender node (send records)
     std::uint32_t dst = 0;    ///< receiver node (send records)
-    std::uint16_t tag = 0;    ///< interned message tag index
+    std::uint16_t tag = 0;    ///< message tag index (see name_tag)
     std::uint8_t kind = kExecute;
   };
 
   explicit FlightRecorder(std::size_t capacity = 4096)
       : ring_(capacity) {
     P2PLB_REQUIRE_MSG(capacity > 0, "flight recorder capacity must be > 0");
-    (void)intern("");  // index 0 = no tag
   }
 
-  /// Map a tag string to its stable record index, creating on first use.
-  std::uint16_t intern(std::string_view tag) {
-    const auto it = index_.find(tag);
-    if (it != index_.end()) return it->second;
-    P2PLB_REQUIRE_MSG(names_.size() < 0xFFFF,
-                      "flight recorder tag table overflow");
-    const auto index = static_cast<std::uint16_t>(names_.size());
-    names_.emplace_back(tag);
-    index_.emplace(std::string(tag), index);
-    return index;
+  /// Name tag index `index` (>= 1; 0 means no tag).  The indices belong
+  /// to whoever stamps the records -- sim::Network uses its tag-slot
+  /// index + 1 -- so naming an index twice must repeat the same name.
+  void name_tag(std::uint16_t index, std::string_view name) {
+    P2PLB_REQUIRE_MSG(index != 0 && !name.empty(),
+                      "flight recorder tags need an index >= 1 and a name");
+    if (index >= names_.size()) names_.resize(std::size_t{index} + 1);
+    P2PLB_REQUIRE_MSG(names_[index].empty() || names_[index] == name,
+                      "flight recorder tag index renamed");
+    names_[index] = name;
   }
 
   void record(const Record& r) noexcept {
@@ -83,8 +82,9 @@ class FlightRecorder {
   }
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
 
-  [[nodiscard]] const std::string& tag_name(std::uint16_t index) const {
-    return names_.at(index);
+  /// The name given to `index` ("" for 0 and for unnamed indices).
+  [[nodiscard]] std::string_view tag_name(std::uint16_t index) const {
+    return index < names_.size() ? std::string_view(names_[index]) : "";
   }
 
   /// Attach a free-form run-context note (trace-sampling policy, seed,
@@ -127,7 +127,7 @@ class FlightRecorder {
          << r.time;
       if (r.kind == kSend)
         os << ' ' << r.src << ' ' << r.dst << ' '
-           << (r.tag == 0 ? "-" : tag_name(r.tag).c_str());
+           << (r.tag == 0 ? std::string_view("-") : tag_name(r.tag));
       else
         os << " - - -";
       os << ' ' << r.trace << "\n";
@@ -138,10 +138,7 @@ class FlightRecorder {
   std::vector<Record> ring_;
   std::size_t next_ = 0;
   std::uint64_t total_ = 0;
-  std::vector<std::string> names_;
-  // Lookup/insert only, never iterated; ordered map for transparent
-  // string_view lookup.
-  std::map<std::string, std::uint16_t, std::less<>> index_;
+  std::vector<std::string> names_ = std::vector<std::string>(1);  // [0]: none
   // Ordered so dump() prints notes deterministically.
   std::map<std::string, std::string, std::less<>> notes_;
 };

@@ -173,8 +173,8 @@ class Engine {
   /// "engine.event" frame (layer "sim"); nullptr detaches.  Like the
   /// stall detector, the profiler observes the monotonic clock but never
   /// feeds the schedule -- attaching one leaves every trace byte
-  /// identical.  The profiler is caller-owned and must outlive the
-  /// engine's use of it.
+  /// identical.  Caller-owned; must outlive the engine's use of it.
+  /// sim::Network::attach_profiler also lands here.
   void attach_profiler(obs::Profiler* profiler);
   [[nodiscard]] obs::Profiler* profiler() const noexcept { return profiler_; }
 

@@ -15,10 +15,11 @@
 // a {tag=...} labelled set per tag) when a caller asks, so the send path
 // never touches a registry.
 //
-// Observability: attach_tracer() records a msg.send instant at scheduling
-// time and a msg.deliver instant at delivery time, on the lane named
-// after the tag ("net" for untagged sends).  The sink defaults to
-// detached and costs one pointer test per send when unset.
+// Observability: a tag lives in one slot -- its tally, its profiler
+// frame, its trace lane ("net" for untagged sends) and its flight
+// recorder index (slot index + 1; 0 = untagged) -- so a send looks its
+// tag up once.  The tracer, profiler, flight recorder and windows each
+// cost one pointer test per send when unset.
 //
 // Causal envelopes: when a tracer is attached, every message carries an
 // obs::SpanContext.  The network holds an *ambient* context -- set by
@@ -32,9 +33,9 @@
 // msg.send / msg.deliver instants both carry the message's context (so
 // its span has a start and an end time), plus a flow arrow pair that
 // the Chrome view (p2plb_trace --out FILE.json) draws as an arrow.  With
-// no tracer attached nothing is allocated -- not even ids -- and the
-// schedule is byte-identical (the delivery wrapper runs inside the same
-// engine event as the payload).
+// no tracer attached nothing is allocated -- not even ids.  A traced or
+// profiled send wraps its handler once, and the wrapper runs inside the
+// payload's engine event, so the schedule is byte-identical either way.
 #pragma once
 
 #include <algorithm>
@@ -159,78 +160,66 @@ class Network {
     const Time lat = latency_(from, to);
     P2PLB_ASSERT_MSG(lat >= 0.0, "latency function returned negative delay");
     account(totals_, lat, bytes);
-    TagSlot* const slot = tag.empty() ? nullptr : &tag_slot(tag);
+    const std::uint32_t tag_id = tag.empty() ? 0 : tag_slot(tag) + 1;
+    TagSlot* const slot = tag_id != 0 ? &tags_[tag_id - 1] : nullptr;
     if (slot != nullptr) account(slot->counters, lat, bytes);
     if (windows_ != nullptr) {
-      // The aggregator is passive (it schedules nothing) and the series
-      // ids were resolved at attach time, so this is pure arithmetic:
-      // no allocation, no lookups, no new events -- the schedule stays
-      // byte-identical with windows attached.
+      // Passive, with series ids resolved at attach time: no allocation,
+      // no lookups, no new events.
       windows_->record(win_messages_, engine_.now(), 1.0);
       windows_->record(win_bytes_, engine_.now(), bytes);
     }
-    std::uint64_t trace_id = 0;
+    obs::SpanContext ctx;  // trace 0: the send is not traced
     if (tracer_ != nullptr) {
-      const std::string_view lane = tag.empty() ? std::string_view("net") : tag;
-      // The message's causal envelope: a child span of whatever context
-      // is ambient at scheduling time (the delivering message, or a
-      // protocol root's ContextScope).  Ids are allocated whether or not
-      // the trace is sampled in -- sampling must never perturb the id
-      // sequence -- but event construction is skipped for sampled-out
-      // traces (the keeps() decision is a pure function of the trace id,
-      // so send and delivery always agree).
-      const obs::SpanContext ctx = tracer_->child_of(ambient_);
-      trace_id = ctx.trace;
+      // A child span of whatever context is ambient now.  Ids are
+      // allocated whether or not the trace is sampled in -- sampling
+      // never perturbs the id sequence -- and keeps() is a pure function
+      // of the trace id, so send and delivery always agree.
+      ctx = tracer_->child_of(ambient_);
       if (tracer_->keeps(ctx.trace)) {
-        tracer_->instant(engine_.now(), lane, "msg.send", ctx,
+        tracer_->instant(engine_.now(), lane_of(tag_id), "msg.send", ctx,
                          {obs::arg("from", from), obs::arg("to", to),
                           obs::arg("bytes", bytes), obs::arg("latency", lat)});
-        tracer_->flow_start(engine_.now(), lane, "msg", ctx.span);
+        tracer_->flow_start(engine_.now(), lane_of(tag_id), "msg", ctx.span);
       }
-      // Re-check tracer_ at delivery time: the sink may detach while the
-      // message is in flight.  The wrapper fires inside the same engine
-      // event as the payload, so tracing adds no events to the schedule.
-      on_receive = [this, lane = std::string(lane), from, to, ctx,
-                    inner = std::move(on_receive)]() mutable {
-        if (tracer_ != nullptr && tracer_->keeps(ctx.trace)) {
-          tracer_->flow_end(engine_.now(), lane, "msg", ctx.span);
-          tracer_->instant(engine_.now(), lane, "msg.deliver", ctx,
-                           {obs::arg("from", from), obs::arg("to", to)});
-        }
-        // Everything the handler sends is caused by this delivery.
-        const ContextScope scope(*this, ctx);
-        inner();
-      };
     }
-    if (profiler_ != nullptr) {
-      // The profiler's analogue of the causal envelope above: capture the
-      // ambient stack extended by the message's tag frame now, and
-      // re-enter it around the delivery, so the handler's wall time lands
-      // under the chain of phases that caused it.  Outermost wrapper:
-      // the tracer's deliver instants are attributed to the message too.
-      // Runs inside the same engine event as the payload -- nothing is
-      // scheduled and no ids are allocated, so the schedule and every
-      // trace byte stay identical.
-      const obs::Profiler::StackId carried = profiler_->push(
-          profiler_->current(), slot != nullptr ? slot->frame : net_frame_);
-      on_receive = [this, carried, inner = std::move(on_receive)]() mutable {
-        const obs::Profiler::Scope scope(profiler_, carried);
-        inner();
-      };
+    // The profiler's causal envelope: the ambient stack extended by the
+    // tag frame, re-entered around the delivery (the root stack when the
+    // send is not profiled).
+    const obs::Profiler::StackId carried =
+        profiler_ == nullptr ? obs::Profiler::kRootStack
+                             : profiler_->push(profiler_->current(),
+                                               slot ? slot->frame : net_frame_);
+    if (core::FlightRecorder* fr = engine_.flight_recorder(); fr != nullptr) {
+      if (slot != nullptr && slot->recorder != fr) {
+        fr->name_tag(static_cast<std::uint16_t>(tag_id), slot->name);
+        slot->recorder = fr;
+      }
+      fr->record({engine_.now(), 0, ctx.trace, from, to,
+                  static_cast<std::uint16_t>(tag_id),
+                  core::FlightRecorder::kSend});
     }
-    if (core::FlightRecorder* fr = engine_.flight_recorder();
-        fr != nullptr) {
-      core::FlightRecorder::Record r;
-      r.time = engine_.now();
-      r.trace = trace_id;
-      r.src = from;
-      r.dst = to;
-      r.tag = tag.empty() ? std::uint16_t{0} : fr->intern(tag);
-      r.kind = core::FlightRecorder::kSend;
-      fr->record(r);
-    }
-    return engine_.schedule_after(lat + processing_delay,
-                                  std::move(on_receive));
+    const Time delay = lat + processing_delay;
+    if (ctx.trace == 0 && carried == obs::Profiler::kRootStack)
+      return engine_.schedule_after(delay, std::move(on_receive));
+    // The one delivery wrapper.  The tracer and profiler are re-read at
+    // delivery: either may detach while the message is in flight.
+    return engine_.schedule_after(
+        delay, [this, ctx, from, to, tag_id, carried,
+                inner = std::move(on_receive)]() mutable {
+          // Outermost, so the deliver instants count under the message.
+          const obs::Profiler::Scope prof_scope(
+              carried != obs::Profiler::kRootStack ? profiler_ : nullptr,
+              carried);
+          if (ctx.trace == 0) return inner();
+          if (tracer_ != nullptr && tracer_->keeps(ctx.trace)) {
+            tracer_->flow_end(engine_.now(), lane_of(tag_id), "msg", ctx.span);
+            tracer_->instant(engine_.now(), lane_of(tag_id), "msg.deliver",
+                             ctx, {obs::arg("from", from), obs::arg("to", to)});
+          }
+          const ContextScope scope(*this, ctx);  // its sends descend from it
+          inner();
+        });
   }
 
   [[nodiscard]] Engine& engine() noexcept { return engine_; }
@@ -241,10 +230,13 @@ class Network {
 
   /// Attribute every delivery's wall time to `profiler` under the
   /// message's tag frame, nested in the causal stack that was ambient at
-  /// send time (nullptr detaches).  Tag frames are interned as
-  /// (tag, layer-prefix); untagged sends use ("net", "net").  Tags already
-  /// in use are re-interned here, later ones on their first send.
+  /// send time, and hand it to the engine to time every event (nullptr
+  /// detaches both).  The engine interns its frame first, then tag
+  /// frames follow as (tag, layer-prefix); untagged sends use ("net",
+  /// "net").  Tags already in use are re-interned here, later ones on
+  /// their first send.
   void attach_profiler(obs::Profiler* profiler) {  // p2plb: holds(net_shard_)
+    engine_.attach_profiler(profiler);
     profiler_ = profiler;
     net_frame_ = profiler != nullptr ? profiler->intern("net", "net") : 0;
     for (TagSlot& s : tags_) s.frame = tag_frame(s.name);
@@ -308,13 +300,20 @@ class Network {
   }
 
  private:
-  /// One tag's tally and its profiler frame (0 when no profiler is
-  /// attached).
+  /// The one place a tag lives: its name (also its trace lane), tally,
+  /// profiler frame (0 when no profiler is attached), and the flight
+  /// recorder its index has been named in.
   struct TagSlot {
     std::string name;
     TrafficCounters counters;
     obs::Profiler::FrameId frame = 0;
+    const core::FlightRecorder* recorder = nullptr;
   };
+
+  /// The trace lane of a tag id: the tag itself, "net" when untagged.
+  [[nodiscard]] std::string_view lane_of(std::uint32_t tag_id) const {
+    return tag_id == 0 ? "net" : std::string_view(tags_[tag_id - 1].name);
+  }
 
   static void account(TrafficCounters& c, Time lat, double bytes) noexcept {
     ++c.messages;
@@ -327,20 +326,22 @@ class Network {
                                 : 0;
   }
 
-  /// The slot for `tag`, created on its first send.  Sends come in long
-  /// same-tag bursts (one protocol phase at a time), so the last slot hit
-  /// is checked first; a miss scans the few tags in use.
+  /// The index of the slot for `tag`, created on its first send.  Sends
+  /// come in long same-tag bursts (one protocol phase at a time), so the
+  /// last slot hit is checked first; a miss scans the few tags in use.
   // p2plb: holds(net_shard_)
-  TagSlot& tag_slot(std::string_view tag) {
+  std::uint32_t tag_slot(std::string_view tag) {
     if (last_slot_ < tags_.size() && tags_[last_slot_].name == tag)
-      return tags_[last_slot_];
+      return last_slot_;
     const auto it =
         std::find_if(tags_.begin(), tags_.end(),
                      [tag](const TagSlot& s) { return s.name == tag; });
-    last_slot_ = static_cast<std::size_t>(it - tags_.begin());
-    if (it == tags_.end())
+    last_slot_ = static_cast<std::uint32_t>(it - tags_.begin());
+    if (it == tags_.end()) {
+      P2PLB_REQUIRE_MSG(tags_.size() < 0xFFFF, "too many network tags");
       tags_.push_back({std::string(tag), TrafficCounters{}, tag_frame(tag)});
-    return tags_[last_slot_];
+    }
+    return last_slot_;
   }
 
   /// Ownership domain of the accounting and causal-envelope state every
@@ -355,7 +356,7 @@ class Network {
   // Per-tag tallies in first-use order, and the index of the last slot
   // hit (sends burst per tag).
   std::vector<TagSlot> tags_;  // p2plb: shared(net_shard_)
-  std::size_t last_slot_ = 0;  // p2plb: shared(net_shard_)
+  std::uint32_t last_slot_ = 0;  // p2plb: shared(net_shard_)
 
   obs::Tracer* tracer_ = nullptr;
   obs::SpanContext ambient_ P2PLB_GUARDED_BY(net_shard_);

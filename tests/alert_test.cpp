@@ -20,6 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/window.h"
+#include "trace_capture.h"
 
 namespace p2plb {
 namespace {
@@ -204,6 +205,8 @@ TEST(AlertEngine, EmitsToTracerMetricsAndCallbackInOrder) {
   const SeriesId x = w.counter_series("x");
   AlertEngine alerts(w, obs::parse_alert_rules("hot x sum > 5\n"));
   obs::Tracer tracer;
+  test::CaptureSink captured;
+  tracer.set_sink(&captured);
   obs::MetricsRegistry registry;
   alerts.attach_tracer(&tracer);
   alerts.attach_metrics(&registry);
@@ -218,8 +221,8 @@ TEST(AlertEngine, EmitsToTracerMetricsAndCallbackInOrder) {
   EXPECT_TRUE(seen[0].fire);
   EXPECT_FALSE(seen[1].fire);
 
-  ASSERT_EQ(tracer.events().size(), 2u);
-  const obs::TraceEvent& fire = tracer.events()[0];
+  ASSERT_EQ(captured.events.size(), 2u);
+  const obs::TraceEvent& fire = captured.events[0];
   EXPECT_EQ(fire.kind, obs::EventKind::kInstant);
   EXPECT_EQ(fire.lane, "alert");
   EXPECT_EQ(fire.name, "hot");

@@ -4,10 +4,10 @@
 //
 // Three claims are pinned here:
 //   * lossless round-trip -- encoding a multi-round trace to binary and
-//     decoding it back reproduces the buffered JSONL byte-for-byte;
+//     decoding it back reproduces the captured JSONL byte-for-byte;
 //   * streaming equivalence -- a BinaryTraceSink attached while the
 //     simulation runs emits the identical bytes a post-hoc encode of the
-//     buffered events produces, so "stream to disk" and "buffer then
+//     captured events produces, so "stream to disk" and "capture then
 //     write" are interchangeable;
 //   * sampling purity -- the keep/drop decision is a pure function of
 //     (trace id, seed): the kept set matches Tracer::keeps exactly, two
@@ -28,6 +28,7 @@
 #include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/network.h"
+#include "trace_capture.h"
 #include "workload/capacity.h"
 #include "workload/scenario.h"
 
@@ -87,20 +88,23 @@ std::string decode_to_jsonl(const std::string& binary) {
 
 TEST(BinaryTrace, MultiRoundTripIsByteIdenticalAndCompact) {
   obs::Tracer tracer;
+  test::CaptureSink captured;
+  tracer.set_sink(&captured);
   for (std::uint64_t seed = 1; seed <= 3; ++seed) run_round(&tracer, seed);
-  ASSERT_GT(tracer.events().size(), 1000u);
+  ASSERT_GT(captured.events.size(), 1000u);
 
-  std::ostringstream buffered;
-  tracer.write_jsonl(buffered);
-  const std::string binary = encode_events(tracer.events());
-  EXPECT_EQ(decode_to_jsonl(binary), buffered.str());
+  const std::string jsonl = captured.jsonl();
+  const std::string binary = encode_events(captured.events);
+  EXPECT_EQ(decode_to_jsonl(binary), jsonl);
   // The >= 5x shrink the scale-smoke relies on holds already at 32 nodes.
-  EXPECT_LE(binary.size() * 5, buffered.str().size());
+  EXPECT_LE(binary.size() * 5, jsonl.size());
 }
 
 TEST(BinaryTrace, SinkAttachedDuringTheRunMatchesPostHocEncode) {
-  obs::Tracer buffered_tracer;
-  run_round(&buffered_tracer, 7);
+  obs::Tracer capturing_tracer;
+  test::CaptureSink captured;
+  capturing_tracer.set_sink(&captured);
+  run_round(&capturing_tracer, 7);
 
   obs::Tracer streaming_tracer;
   std::ostringstream streamed;
@@ -109,11 +113,10 @@ TEST(BinaryTrace, SinkAttachedDuringTheRunMatchesPostHocEncode) {
     streaming_tracer.set_sink(&sink);
     run_round(&streaming_tracer, 7);
     sink.flush();
-    EXPECT_EQ(sink.events_encoded(), buffered_tracer.events().size());
+    EXPECT_EQ(sink.events_encoded(), captured.events.size());
   }
-  EXPECT_TRUE(streaming_tracer.events().empty());  // nothing retained
-  EXPECT_EQ(streaming_tracer.event_count(), buffered_tracer.event_count());
-  EXPECT_EQ(streamed.str(), encode_events(buffered_tracer.events()));
+  EXPECT_EQ(streaming_tracer.event_count(), capturing_tracer.event_count());
+  EXPECT_EQ(streamed.str(), encode_events(captured.events));
 }
 
 TEST(TraceSampling, KeptSetMatchesTheHashAndIsSeedStable) {
@@ -130,21 +133,23 @@ TEST(TraceSampling, KeptSetMatchesTheHashAndIsSeedStable) {
   }();
   const auto sampled_jsonl = [kSeed] {
     obs::Tracer tracer;
+    test::CaptureSink captured;
+    tracer.set_sink(&captured);
     tracer.set_trace_sampling(1, 4, kSeed);
     for (std::uint64_t seed = 1; seed <= 8; ++seed) run_round(&tracer, seed);
-    std::ostringstream os;
-    tracer.write_jsonl(os);
-    return os.str();
+    return captured.jsonl();
   };
 
   obs::Tracer tracer;
+  test::CaptureSink captured;
+  tracer.set_sink(&captured);
   tracer.set_trace_sampling(1, 4, kSeed);
   for (std::uint64_t seed = 1; seed <= 8; ++seed) run_round(&tracer, seed);
 
   // One trace per round; the emitted traces are exactly those keeps()
   // admits -- the decision is the same pure function at every call site.
   std::set<std::uint64_t> kept;
-  for (const obs::TraceEvent& e : tracer.events())
+  for (const obs::TraceEvent& e : captured.events)
     if (e.ctx.trace != 0) kept.insert(e.ctx.trace);
   std::set<std::uint64_t> predicted;
   for (std::uint64_t t = 1; t <= 8; ++t)
@@ -154,9 +159,7 @@ TEST(TraceSampling, KeptSetMatchesTheHashAndIsSeedStable) {
   EXPECT_FALSE(kept.empty());   // ...but not everything
 
   // Same seed, fresh tracer: byte-identical output.
-  std::ostringstream first;
-  tracer.write_jsonl(first);
-  EXPECT_EQ(sampled_jsonl(), first.str());
+  EXPECT_EQ(sampled_jsonl(), captured.jsonl());
 
   // Id allocation is identical with sampling off: dropping emission must
   // never perturb the deterministic id sequence.

@@ -488,6 +488,22 @@ TEST(Cli, ParsesLists) {
   EXPECT_EQ(cli.get_double_list("eps"), (std::vector<double>{0.0, 0.1}));
 }
 
+TEST(Cli, RejectsOutOfRangeIntegers) {
+  // strtoll clamps a value past 64 bits (ERANGE); the flag must not
+  // silently read as INT64_MAX/MIN.
+  Cli cli;
+  cli.add_flag("n", "count", "99999999999999999999");
+  cli.add_flag("m", "negative", "-99999999999999999999");
+  cli.add_flag("ns", "counts", "1,99999999999999999999");
+  cli.add_flag("edge", "largest", "9223372036854775807");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(cli.parse(1, argv));
+  EXPECT_THROW((void)cli.get_int("n"), PreconditionError);
+  EXPECT_THROW((void)cli.get_int("m"), PreconditionError);
+  EXPECT_THROW((void)cli.get_int_list("ns"), PreconditionError);
+  EXPECT_EQ(cli.get_int("edge"), INT64_MAX);
+}
+
 TEST(Cli, HelpReturnsFalse) {
   Cli cli;
   cli.add_flag("k", "degree", "2");

@@ -23,6 +23,7 @@
 
 #include "common/rng.h"
 #include "lb/protocol_round.h"
+#include "obs/binary_trace.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/network.h"
@@ -212,6 +213,9 @@ std::string run_traced_scenario(sim::QueueKind kind) {
                      return a == b ? 0.0 : 1.0;
                    }});
   obs::Tracer tracer;
+  std::ostringstream out;
+  obs::JsonlTraceSink sink(out);
+  tracer.set_sink(&sink);
   net.attach_tracer(&tracer);
   Rng round_rng(32);
   for (int r = 0; r < 3; ++r) {
@@ -220,8 +224,6 @@ std::string run_traced_scenario(sim::QueueKind kind) {
     engine.run();
     EXPECT_TRUE(round.done());
   }
-  std::ostringstream out;
-  tracer.write_jsonl(out);
   return out.str();
 }
 

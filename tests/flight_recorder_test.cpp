@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "common/error.h"
+#include "golden_trace.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/core/flight_recorder.h"
 #include "sim/engine.h"
 #include "sim/network.h"
@@ -21,6 +23,83 @@ namespace p2plb {
 namespace {
 
 using sim::core::FlightRecorder;
+
+// The golden round (tests/golden_trace.h) traced, with a recorder
+// attached.  Pinned before sends stamped their network tag slot instead
+// of a recorder-interned index: the dump prints names, so it must not
+// move.
+constexpr const char* kGoldenFlightDump = R"(# p2plb engine flight dump
+now 7
+executed 25
+pending 0
+wheel_inserts 25
+batch_splices 0
+early_inserts 0
+heap_inserts 0
+batch_refills 17
+wheel_occupancy_l0 0
+wheel_occupancy_l1 0
+wheel_occupancy_l2 0
+wheel_occupancy_l3 0
+far_pending 0
+far_inserts 0
+arena_high_water 4
+arena_capacity 4
+# recent events (oldest first)
+records_total 50
+records_kept 50
+seq kind time src dst tag trace
+0 send 0 0 0 lb.aggregation 1
+0 send 0 0 1 lb.aggregation 1
+0 send 0 0 1 lb.aggregation 1
+0 send 0 1 1 lb.aggregation 1
+0 exec 0 - - - 0
+3 exec 0 - - - 0
+1 exec 1 - - - 0
+2 exec 1 - - - 0
+0 send 1 1 1 lb.aggregation 1
+4 exec 1 - - - 0
+0 send 1 1 0 lb.aggregation 1
+5 exec 2 - - - 0
+0 send 2 0 0 lb.dissemination 1
+0 send 2 0 1 lb.dissemination 1
+6 exec 2 - - - 0
+0 send 2 0 0 lb.dissemination 1
+8 exec 2 - - - 0
+7 exec 3 - - - 0
+0 send 3 1 1 lb.dissemination 1
+0 send 3 1 0 lb.dissemination 1
+9 exec 3 - - - 0
+0 send 3 1 1 lb.dissemination 1
+11 exec 3 - - - 0
+10 exec 4 - - - 0
+0 send 4 0 0 lb.dissemination 1
+12 exec 4 - - - 0
+0 send 4 0 1 lb.vsa 1
+0 send 4 0 1 lb.vsa 1
+0 send 4 1 1 lb.vsa 1
+15 exec 4 - - - 0
+13 exec 5 - - - 0
+14 exec 5 - - - 0
+0 send 5 1 1 lb.vsa 1
+0 send 5 1 1 lb.vsa 1
+0 send 5 1 1 lb.vsa 1
+16 exec 5 - - - 0
+17 exec 5 - - - 0
+18 exec 5 - - - 0
+0 send 5 1 0 lb.vsa 1
+0 send 5 1 0 lb.vsa 1
+0 send 5 1 0 lb.vsa 1
+19 exec 6 - - - 0
+20 exec 6 - - - 0
+21 exec 6 - - - 0
+0 send 6 0 0 lb.vsa 1
+0 send 6 0 1 lb.vsa 1
+22 exec 6 - - - 0
+0 send 6 0 1 lb.transfer 1
+23 exec 7 - - - 0
+24 exec 7 - - - 0
+)";
 
 TEST(FlightRecorder, RingKeepsOnlyTheNewestRecords) {
   FlightRecorder fr(4);
@@ -40,16 +119,22 @@ TEST(FlightRecorder, RingKeepsOnlyTheNewestRecords) {
   EXPECT_THROW(FlightRecorder(0), PreconditionError);
 }
 
-TEST(FlightRecorder, InternIsStableAndZeroMeansNoTag) {
+TEST(FlightRecorder, NameTagIsStableAndZeroMeansNoTag) {
   FlightRecorder fr;
-  EXPECT_EQ(fr.intern(""), 0u);  // pre-seeded
-  const std::uint16_t a = fr.intern("lb.vsa");
-  EXPECT_EQ(fr.intern("lb.vsa"), a);
-  const std::uint16_t b = fr.intern("lb.transfer");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(fr.tag_name(a), "lb.vsa");
-  EXPECT_EQ(fr.tag_name(b), "lb.transfer");
-  EXPECT_EQ(fr.tag_name(0), "");
+  EXPECT_EQ(fr.tag_name(0), "");  // 0 = no tag
+  fr.name_tag(3, "lb.transfer");  // indices may be named out of order
+  fr.name_tag(1, "lb.vsa");
+  fr.name_tag(1, "lb.vsa");  // naming again with the same name is a no-op
+  EXPECT_EQ(fr.tag_name(1), "lb.vsa");
+  EXPECT_EQ(fr.tag_name(3), "lb.transfer");
+  EXPECT_EQ(fr.tag_name(2), "");  // unnamed
+  EXPECT_EQ(fr.tag_name(9), "");  // past the table
+  // One stamper owns the indices: a different name for a named index,
+  // index 0 and an empty name are all rejected.
+  EXPECT_THROW(fr.name_tag(1, "lb.transfer"), PreconditionError);
+  EXPECT_THROW(fr.name_tag(0, "lb.vsa"), PreconditionError);
+  EXPECT_THROW(fr.name_tag(2, ""), PreconditionError);
+  EXPECT_EQ(fr.tag_name(1), "lb.vsa");
 }
 
 TEST(FlightRecorder, DumpListsRecordsOldestFirst) {
@@ -63,7 +148,8 @@ TEST(FlightRecorder, DumpListsRecordsOldestFirst) {
   send.kind = FlightRecorder::kSend;
   send.src = 3;
   send.dst = 9;
-  send.tag = fr.intern("lb.vsa");
+  fr.name_tag(1, "lb.vsa");
+  send.tag = 1;
   send.trace = 7;
   fr.record(send);
 
@@ -142,7 +228,48 @@ TEST(EngineFlightRecorder, NetworkStampsSendsWithTagAndTrace) {
   EXPECT_EQ(sends[0].dst, 1u);
   EXPECT_EQ(fr.tag_name(sends[0].tag), "lb.vsa");
   EXPECT_NE(sends[0].trace, 0u);  // traced send carries its trace id
-  EXPECT_EQ(sends[1].tag, 0u);    // untagged send interns nothing
+  EXPECT_EQ(sends[1].tag, 0u);    // untagged send names nothing
+}
+
+TEST(EngineFlightRecorder, RecordTagIsTheNetworkTagSlot) {
+  sim::Engine engine;
+  sim::Network net(engine, [](sim::Endpoint, sim::Endpoint) { return 1.0; });
+  // A tag sent before any recorder is attached still gets its slot's
+  // index (slot + 1) once a recorder sees it.
+  net.send(0, 1, [] {}, 0.0, 0.0, "lb.aggregation");
+  FlightRecorder first(16);
+  engine.attach_flight_recorder(&first);
+  net.send(0, 1, [] {}, 0.0, 0.0, "lb.vsa");
+  net.send(0, 1, [] {}, 0.0, 0.0, "lb.aggregation");
+  net.send(0, 1, [] {}, 0.0, 0.0, "lb.vsa");
+  // A second recorder is named afresh on its first send of each tag.
+  FlightRecorder second(16);
+  engine.attach_flight_recorder(&second);
+  net.send(0, 1, [] {}, 0.0, 0.0, "lb.vsa");
+
+  std::vector<std::uint16_t> tags;
+  for (const FlightRecorder::Record& r : first.recent()) tags.push_back(r.tag);
+  EXPECT_EQ(tags, (std::vector<std::uint16_t>{2, 1, 2}));
+  EXPECT_EQ(first.tag_name(1), "lb.aggregation");
+  EXPECT_EQ(first.tag_name(2), "lb.vsa");
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second.recent()[0].tag, 2u);
+  EXPECT_EQ(second.tag_name(2), "lb.vsa");
+  EXPECT_EQ(second.tag_name(1), "");
+
+  // One Network stamps a given recorder: a second network's first tag
+  // takes index 1 too, under another name.
+  sim::Network other(engine, [](sim::Endpoint, sim::Endpoint) { return 1.0; });
+  engine.attach_flight_recorder(&first);
+  EXPECT_THROW(other.send(0, 1, [] {}, 0.0, 0.0, "lb.transfer"),
+               PreconditionError);
+}
+
+TEST(EngineFlightRecorder, GoldenRoundDumpMatchesPinnedOutput) {
+  obs::Tracer tracer;
+  FlightRecorder fr;
+  const golden::GoldenRun run = golden::run_golden_round(&tracer, &fr);
+  EXPECT_EQ(run.flight_dump, kGoldenFlightDump);
 }
 
 TEST(EngineFlightRecorder, UntracedSendsRecordTraceZero) {

@@ -1,17 +1,23 @@
 // The golden balancing round shared by the trace tests: two physical
 // nodes, three virtual servers, one transfer, and its pinned JSONL.
-// obs_test pins the tracer's exports against it; trace_analysis_test
-// pins the analyzer, the trace reader and the Chrome trace_event view.
+// obs_test pins the JSONL and binary sinks against it;
+// trace_analysis_test pins the analyzer, the trace reader and the Chrome
+// trace_event view; flight_recorder_test and profiler_test pin the
+// flight dump and the profile of the same round.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 
 #include "chord/ring.h"
 #include "common/rng.h"
 #include "lb/protocol_round.h"
+#include "obs/profiler.h"
 #include "obs/trace.h"
+#include "sim/core/flight_recorder.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 
@@ -37,29 +43,36 @@ struct GoldenRun {
   std::uint64_t events_executed = 0;
   std::size_t transfers_applied = 0;
   double completion_time = 0.0;
+  std::string flight_dump;  ///< Engine::write_flight_dump, when recorded
 };
 
-/// One timed round over the golden ring; `tracer` may be nullptr.
-inline GoldenRun run_golden_round(obs::Tracer* tracer) {
+/// One timed round over the golden ring; any of the sinks may be nullptr.
+inline GoldenRun run_golden_round(obs::Tracer* tracer,
+                                  sim::core::FlightRecorder* recorder = nullptr,
+                                  obs::Profiler* profiler = nullptr) {
   auto ring = golden_ring();
   sim::Engine engine;
   sim::Network net(engine, [](sim::Endpoint x, sim::Endpoint y) {
     return x == y ? 0.0 : 1.0;
   });
   if (tracer != nullptr) net.attach_tracer(tracer);
+  if (recorder != nullptr) engine.attach_flight_recorder(recorder);
+  if (profiler != nullptr) net.attach_profiler(profiler);
   Rng rng(7);
   lb::ProtocolRound round(net, ring, {}, rng);
   round.start();
   engine.run();
   EXPECT_TRUE(round.done());
+  std::ostringstream dump;
+  if (recorder != nullptr) engine.write_flight_dump(dump);
   return GoldenRun{engine.events_executed(),
                    round.report().transfers_applied,
-                   round.report().completion_time};
+                   round.report().completion_time, dump.str()};
 }
 
-// The pinned export.  Regenerate by running the scenario above and
-// dumping write_jsonl -- but treat any diff as a breaking change to the
-// trace format first.
+// The pinned export.  Regenerate by running the scenario above with a
+// JsonlTraceSink attached -- but treat any diff as a breaking change to
+// the trace format first.
 inline constexpr const char* kGoldenJsonl = R"gold({"t":0,"ph":"B","lane":"lb.round","name":"round","trace":1,"span":1,"args":{"nodes":2,"planned_transfers":1}}
 {"t":0,"ph":"B","lane":"lb.aggregation","name":"aggregation","trace":1,"span":2,"parent":1}
 {"t":0,"ph":"i","lane":"lb.aggregation","name":"sweep.fold","trace":1,"parent":1,"args":{"node":1,"parent":0,"latency":0}}

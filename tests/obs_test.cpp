@@ -27,6 +27,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "golden_trace.h"
+#include "trace_capture.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 
@@ -276,13 +277,14 @@ TEST(Trace, JsonScalars) {
 
 TEST(Trace, JsonlFieldOrderAndLanes) {
   obs::Tracer tr;
-  tr.begin(0.0, "lane", "span", {obs::arg("k", 1)});
-  tr.async_begin(0.5, "lane", "job", 7, {obs::arg("s", "a\"b")});
-  tr.instant(1.0, "other", "mark");
-  tr.async_end(1.5, "lane", "job", 7);
-  tr.end(2.0, "lane", "span");
   std::ostringstream os;
-  tr.write_jsonl(os);
+  obs::JsonlTraceSink sink(os);
+  tr.set_sink(&sink);
+  tr.begin(0.0, "lane", "span", {}, {obs::arg("k", 1)});
+  tr.async_begin(0.5, "lane", "job", 7, {}, {obs::arg("s", "a\"b")});
+  tr.instant(1.0, "other", "mark", {});
+  tr.async_end(1.5, "lane", "job", 7, {});
+  tr.end(2.0, "lane", "span", {});
   EXPECT_EQ(
       os.str(),
       "{\"t\":0,\"ph\":\"B\",\"lane\":\"lane\",\"name\":\"span\","
@@ -293,8 +295,14 @@ TEST(Trace, JsonlFieldOrderAndLanes) {
       "{\"t\":1.5,\"ph\":\"e\",\"lane\":\"lane\",\"name\":\"job\",\"id\":7}\n"
       "{\"t\":2,\"ph\":\"E\",\"lane\":\"lane\",\"name\":\"span\"}\n");
   EXPECT_EQ(tr.event_count(), 5u);
-  tr.clear();
-  EXPECT_EQ(tr.event_count(), 0u);
+  EXPECT_EQ(sink.events_written(), 5u);
+
+  // With no sink, events are counted and dropped: nothing more reaches
+  // the detached sink.
+  tr.set_sink(nullptr);
+  tr.instant(3.0, "other", "dropped", {});
+  EXPECT_EQ(tr.event_count(), 6u);
+  EXPECT_EQ(sink.events_written(), 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -308,24 +316,27 @@ using golden::GoldenRun;
 
 TEST(TraceGolden, JsonlMatchesPinnedOutput) {
   obs::Tracer tracer;
+  std::ostringstream os;
+  obs::JsonlTraceSink sink(os);
+  tracer.set_sink(&sink);
   const GoldenRun run = run_golden_round(&tracer);
   EXPECT_EQ(run.transfers_applied, 1u);
   EXPECT_EQ(run.completion_time, 7.0);
-  std::ostringstream os;
-  tracer.write_jsonl(os);
   EXPECT_EQ(os.str(), kGoldenJsonl);
 }
 
 TEST(TraceGolden, BinaryRoundTripReproducesPinnedJsonlExactly) {
   obs::Tracer tracer;
+  test::CaptureSink captured;
+  tracer.set_sink(&captured);
   run_golden_round(&tracer);
 
   std::ostringstream encoded;
   {
     obs::BinaryTraceSink sink(encoded);
-    for (const obs::TraceEvent& e : tracer.events()) sink.on_event(e);
+    for (const obs::TraceEvent& e : captured.events) sink.on_event(e);
     sink.flush();
-    EXPECT_EQ(sink.events_encoded(), tracer.events().size());
+    EXPECT_EQ(sink.events_encoded(), captured.events.size());
     EXPECT_EQ(sink.bytes_framed(), encoded.str().size());
   }
 
@@ -336,24 +347,30 @@ TEST(TraceGolden, BinaryRoundTripReproducesPinnedJsonlExactly) {
       is, [&decoded](const obs::TraceEvent& e) {
         obs::write_jsonl_event(decoded, e);
       });
-  EXPECT_EQ(n, tracer.events().size());
+  EXPECT_EQ(n, captured.events.size());
   EXPECT_EQ(decoded.str(), kGoldenJsonl);
   // Even this tiny trace compresses: the binary form must beat JSONL.
   EXPECT_LT(encoded.str().size(), decoded.str().size() / 2);
 }
 
 TEST(TraceGolden, StreamingJsonlSinkMatchesBufferedWriter) {
-  // A sink attached before the round sees the identical byte stream the
-  // buffered exporter produces, while the tracer itself retains nothing.
+  // Streaming each event as JSONL while the round runs gives the bytes
+  // of capturing the events and writing them afterwards.
+  obs::Tracer captured_tracer;
+  test::CaptureSink captured;
+  captured_tracer.set_sink(&captured);
+  run_golden_round(&captured_tracer);
+
   obs::Tracer tracer;
   std::ostringstream os;
   obs::JsonlTraceSink sink(os);
   tracer.set_sink(&sink);
   run_golden_round(&tracer);
   sink.flush();
+  EXPECT_EQ(os.str(), captured.jsonl());
   EXPECT_EQ(os.str(), kGoldenJsonl);
-  EXPECT_TRUE(tracer.events().empty());
   EXPECT_EQ(tracer.event_count(), sink.events_written());
+  EXPECT_EQ(captured.events.size(), sink.events_written());
   EXPECT_GT(sink.events_written(), 0u);
 }
 
@@ -396,9 +413,11 @@ TEST(TraceGolden, TransferPhaseOverlapsVsaSweep) {
   // The paper's Section 3.5 pipelining claim, read off the trace itself:
   // the first transfer span opens before the vsa span closes.
   obs::Tracer tracer;
+  test::CaptureSink captured;
+  tracer.set_sink(&captured);
   run_golden_round(&tracer);
   double transfer_begin = -1.0, vsa_end = -1.0;
-  for (const obs::TraceEvent& e : tracer.events()) {
+  for (const obs::TraceEvent& e : captured.events) {
     if (e.lane == "lb.transfer" && e.kind == obs::EventKind::kAsyncBegin &&
         transfer_begin < 0.0)
       transfer_begin = e.time;
@@ -421,8 +440,6 @@ TEST(TraceGolden, NullTracerDoesNotPerturbTheRound) {
   EXPECT_EQ(traced.completion_time, untraced.completion_time);
   EXPECT_GT(tracer.event_count(), 0u);
   EXPECT_GT(tracer.ids_allocated(), 0u);
-  tracer.clear();
-  EXPECT_EQ(tracer.ids_allocated(), 0u);
 
   // Zero-cost when off: a tracer detached before the round runs is never
   // consulted -- no events recorded and no trace/span ids allocated, and

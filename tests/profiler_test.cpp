@@ -12,6 +12,7 @@
 // profiler is attached or never constructed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -19,7 +20,9 @@
 #include <vector>
 
 #include "common/error.h"
+#include "golden_trace.h"
 #include "lb/protocol_round.h"
+#include "obs/binary_trace.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "prof_analysis.h"
@@ -280,21 +283,18 @@ TracedRun run_traced_round(bool with_profiler) {
     return x == y ? 0.0 : 1.0;
   });
   obs::Tracer tracer;
+  std::ostringstream jsonl;
+  obs::JsonlTraceSink sink(jsonl);
+  tracer.set_sink(&sink);
   net.attach_tracer(&tracer);
   std::optional<Profiler> profiler;
-  if (with_profiler) {
-    profiler.emplace();
-    engine.attach_profiler(&*profiler);
-    net.attach_profiler(&*profiler);
-  }
+  if (with_profiler) net.attach_profiler(&profiler.emplace());
   Rng rng(23);
   lb::ProtocolRound round(net, ring, {}, rng);
   round.start();
   engine.run();
   EXPECT_TRUE(round.done());
   TracedRun out;
-  std::ostringstream jsonl;
-  tracer.write_jsonl(jsonl);
   out.jsonl = jsonl.str();
   out.ids = tracer.ids_allocated();
   out.completion = round.report().completion_time;
@@ -312,6 +312,109 @@ TEST(ProfilerDeterminism, TracedRoundIsByteIdenticalWithAndWithout) {
   // And the profiled run actually measured something: the engine frame,
   // the net/tag frames and the lb span frames all appear.
   EXPECT_GE(with.profiled_frames, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// The golden round (tests/golden_trace.h), profiled under a ticking clock:
+// every Scope entry and exit reads the clock once, so the nanosecond
+// columns count clock reads and the whole profile is a pure function of
+// the scopes the engine and the network open.
+// ---------------------------------------------------------------------------
+
+std::uint64_t g_ticks = 0;
+std::uint64_t tick_clock() { return ++g_ticks; }
+
+/// The frame and stack lines of the golden round's p2plb-prof-1 profile.
+std::string golden_frames_and_stacks(bool traced) {
+  g_ticks = 0;
+  Profiler p(&tick_clock);
+  obs::Tracer tracer;
+  golden::run_golden_round(traced ? &tracer : nullptr, nullptr, &p);
+  std::ostringstream profile;
+  p.write_profile(profile);
+  std::istringstream in(profile.str());
+  std::string out;
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("frame ", 0) == 0 || line.rfind("stack ", 0) == 0)
+      out += line + "\n";
+  return out;
+}
+
+// Pinned before the send path moved to one delivery wrapper per message;
+// the frame ids, the causal stacks and every count must not move.
+constexpr const char* kGoldenFramesAndStacks = R"(frame 0 sim engine.event
+frame 1 net net
+frame 2 lb round
+frame 3 lb lb.aggregation
+frame 4 lb lb.dissemination
+frame 5 lb lb.vsa
+frame 6 lb vsa.match
+frame 7 lb transfer
+frame 8 lb lb.transfer
+stack 1 0 2 1 1
+stack 2 1 3 6 6
+stack 3 0 0 25 50
+stack 4 2 4 7 7
+stack 5 4 5 9 10
+stack 6 5 6 1 1
+stack 7 6 5 2 3
+stack 8 7 7 1 1
+stack 9 8 8 1 1
+)";
+
+TEST(ProfilerGolden, FramesAndStacksMatchPinnedOutput) {
+  EXPECT_EQ(golden_frames_and_stacks(false), kGoldenFramesAndStacks);
+  // Tracing reads no clock: the traced round profiles identically.
+  EXPECT_EQ(golden_frames_and_stacks(true), kGoldenFramesAndStacks);
+}
+
+TEST(ProfilerAttach, NetworkHandsItsProfilerToTheEngine) {
+  sim::Engine engine;
+  sim::Network net(engine, [](sim::Endpoint, sim::Endpoint) { return 1.0; });
+  Profiler p(&fake_clock);
+  net.attach_profiler(&p);
+  EXPECT_EQ(engine.profiler(), &p);
+  EXPECT_EQ(p.frame_table().front().name, "engine.event");  // frame 0
+  net.attach_profiler(&p);  // attaching twice is harmless
+  engine.attach_profiler(&p);
+  EXPECT_EQ(p.frame_count(), 2u);  // engine.event, net
+  net.attach_profiler(nullptr);
+  EXPECT_EQ(engine.profiler(), nullptr);
+  EXPECT_EQ(net.profiler(), nullptr);
+}
+
+TEST(ProfilerGolden, ProfiledRoundNotesItsPhaseAndRoundSpans) {
+  auto ring = golden::golden_ring();
+  sim::Engine engine;
+  sim::Network net(engine, [](sim::Endpoint x, sim::Endpoint y) {
+    return x == y ? 0.0 : 1.0;
+  });
+  engine.schedule_at(3.0, [] {});
+  engine.run();  // the round starts at t = 3, not 0
+  Profiler p(&fake_clock);
+  net.attach_profiler(&p);
+  Rng rng(7);
+  lb::ProtocolRound round(net, ring, {}, rng);
+  round.start();
+  engine.run();
+  ASSERT_TRUE(round.done());
+
+  const auto& phases = round.report().phases;
+  const std::vector<Profiler::SpanNote>& notes = p.notes();
+  ASSERT_EQ(notes.size(), 5u);
+  const char* const kNames[lb::kPhaseCount] = {
+      "lb.aggregation", "lb.dissemination", "lb.vsa", "lb.transfer"};
+  double round_end = phases[0].start;
+  for (std::size_t i = 0; i < lb::kPhaseCount; ++i) {
+    EXPECT_EQ(notes[i].name, kNames[i]);
+    EXPECT_EQ(notes[i].sim_start, phases[i].start);
+    EXPECT_EQ(notes[i].sim_end, phases[i].end);
+    round_end = std::max(round_end, phases[i].end);
+  }
+  EXPECT_EQ(notes[4].name, "round");
+  EXPECT_EQ(notes[4].sim_start, 3.0);
+  EXPECT_EQ(notes[4].sim_end, round_end);
+  EXPECT_EQ(round_end - 3.0, round.report().completion_time);
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ lb::BalanceReport run_timed(chord::Ring& ring,
   sim::Engine engine;
   sim::Network net(engine, unit_latency());
   Rng rng(rng_seed);
-  lb::ProtocolRound round(net, ring, {config, lb::WireModel{}}, rng,
+  lb::ProtocolRound round(net, ring, {config}, rng,
                           node_keys);
   round.start();
   engine.run();

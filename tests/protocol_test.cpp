@@ -16,6 +16,7 @@
 #include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/network.h"
+#include "trace_capture.h"
 
 namespace p2plb::ktree {
 namespace {
@@ -180,6 +181,8 @@ TEST(Maintenance, CausalRepairChainIsConnectedAndQuietWhenIdle) {
   sim::Engine engine;
   MaintenanceProtocol protocol(engine, ring, 2, 1.0, unit_latency(ring));
   obs::Tracer tracer;
+  test::CaptureSink captured;
+  tracer.set_sink(&captured);
   protocol.attach_tracer(&tracer);
   protocol.start();
   engine.run_until(40.0);
@@ -191,7 +194,7 @@ TEST(Maintenance, CausalRepairChainIsConnectedAndQuietWhenIdle) {
   ASSERT_GT(tracer.event_count(), 0u);
   std::set<std::uint64_t> seen_spans;
   std::size_t roots = 0;
-  for (const obs::TraceEvent& e : tracer.events()) {
+  for (const obs::TraceEvent& e : captured.events) {
     EXPECT_EQ(e.lane, "ktree.maintenance");
     EXPECT_NE(e.ctx.trace, 0u);
     ASSERT_NE(e.ctx.span, 0u);
@@ -220,7 +223,7 @@ TEST(Maintenance, CausalRepairChainIsConnectedAndQuietWhenIdle) {
   ASSERT_TRUE(protocol.converged());
   EXPECT_GT(tracer.event_count(), converged_count);
   seen_spans.clear();
-  for (const obs::TraceEvent& e : tracer.events()) {
+  for (const obs::TraceEvent& e : captured.events) {
     if (e.ctx.parent != 0) {
       EXPECT_TRUE(seen_spans.contains(e.ctx.parent)) << e.name;
     }

@@ -15,6 +15,7 @@
 
 #include "common/error.h"
 #include "obs/alert.h"
+#include "obs/binary_trace.h"
 #include "obs/trace.h"
 #include "obs/window.h"
 #include "sim/engine.h"
@@ -536,6 +537,9 @@ TEST(EngineWindows, AlertInstantsAreTimeOrderedInTheTrace) {
   Engine e;
   Network net(e, [](Endpoint, Endpoint) { return 5.0; });
   obs::Tracer tracer;
+  std::ostringstream os;
+  obs::JsonlTraceSink sink(os);
+  tracer.set_sink(&sink);
   net.attach_tracer(&tracer);
   obs::WindowedAggregator w({1.0, 16});
   net.attach_windows(&w);
@@ -550,8 +554,6 @@ TEST(EngineWindows, AlertInstantsAreTimeOrderedInTheTrace) {
   e.run();
   ASSERT_EQ(alerts.events().size(), 8u);  // fire at 5k+1, resolve at 5k+2
 
-  std::ostringstream os;
-  tracer.write_jsonl(os);
   std::istringstream in(os.str());
   std::string line;
   double prev = 0.0;

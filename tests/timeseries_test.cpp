@@ -26,6 +26,7 @@
 #include "lb/protocol_round.h"
 #include "obs/format.h"
 #include "obs/alert.h"
+#include "obs/binary_trace.h"
 #include "obs/report.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -252,7 +253,7 @@ std::vector<obs::Sample> run_crash_burst_scenario() {
   });
   obs::WindowedAggregator windows({10.0, 64});
   net.attach_windows(&windows);
-  lb::HealthProbe health(ring, {0.1, "health"});
+  lb::HealthProbe health(ring, 0.1);
   health.register_windows(windows);
   std::vector<obs::Sample> series;
   obs::record_series(windows, series);
@@ -369,9 +370,12 @@ TimedOutcome run_timed_controller(SeriesMode mode) {
     return a == b ? 0.0 : 1.0;
   });
   obs::Tracer tracer;
+  std::ostringstream os;
+  obs::JsonlTraceSink sink(os);
+  tracer.set_sink(&sink);
   net.attach_tracer(&tracer);
   constexpr double kWidth = 2.0;
-  lb::HealthProbe health(ring, {0.1, "health"});
+  lb::HealthProbe health(ring, 0.1);
   std::optional<obs::WindowedAggregator> windows;
   TimedOutcome out;
   if (mode != SeriesMode::kNone) {
@@ -391,8 +395,6 @@ TimedOutcome run_timed_controller(SeriesMode mode) {
 
   out.events_executed = engine.events_executed();
   out.end_time = engine.now();
-  std::ostringstream os;
-  tracer.write_jsonl(os);
   out.trace_jsonl = os.str();
   for (const chord::NodeIndex i : ring.live_nodes())
     out.node_loads.push_back(ring.node_load(i));
@@ -461,7 +463,7 @@ TEST(HealthProbe, ComputesExactGaugesOnAHandBuiltRing) {
   ring.set_load(0x80000000u, 0.5);
   ring.set_load(0xC0000000u, 0.5);
   // L = 3, C = 4, fair = 0.75; unit_a = 2 / 0.75, unit_b = 1 / 2.25.
-  lb::HealthProbe probe(ring, {0.1, "health"});
+  lb::HealthProbe probe(ring, 0.1);
   const std::map<std::string, double> g = gauges_at(probe, 5.0);
   EXPECT_DOUBLE_EQ(g.at("health.nodes"), 2.0);
   EXPECT_DOUBLE_EQ(g.at("health.heavy_fraction"), 0.5);  // only node a

@@ -23,6 +23,7 @@
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "trace_analysis.h"
+#include "trace_capture.h"
 #include "workload/capacity.h"
 #include "workload/scenario.h"
 
@@ -52,14 +53,15 @@ TracedRound run_traced_round(chord::Ring& ring, std::uint64_t rng_seed) {
     return x == y ? 0.0 : 1.0;
   });
   obs::Tracer tracer;
+  std::stringstream jsonl;
+  obs::JsonlTraceSink sink(jsonl);
+  tracer.set_sink(&sink);
   net.attach_tracer(&tracer);
   Rng rng(rng_seed);
   lb::ProtocolRound round(net, ring, {}, rng);
   round.start();
   engine.run();
   EXPECT_TRUE(round.done());
-  std::stringstream jsonl;
-  tracer.write_jsonl(jsonl);
   return TracedRound{tracetool::analyze(read_all(jsonl)), round.report()};
 }
 
@@ -389,9 +391,10 @@ constexpr const char* kGoldenChrome = R"gold({"traceEvents":[
 
 TEST(TraceGolden, ChromeTraceMatchesPinnedOutput) {
   obs::Tracer tracer;
+  test::CaptureSink captured;
+  tracer.set_sink(&captured);
   golden::run_golden_round(&tracer);
-  std::stringstream jsonl;
-  tracer.write_jsonl(jsonl);
+  std::stringstream jsonl(captured.jsonl());
   EXPECT_EQ(tracetool::read_lanes(jsonl),
             (std::vector<std::string>{"lb.round", "lb.aggregation",
                                       "lb.dissemination", "lb.vsa",
@@ -399,14 +402,14 @@ TEST(TraceGolden, ChromeTraceMatchesPinnedOutput) {
   jsonl.clear();
   jsonl.seekg(0);
   std::ostringstream os;
-  EXPECT_EQ(tracetool::write_chrome_json(jsonl, os), tracer.events().size());
+  EXPECT_EQ(tracetool::write_chrome_json(jsonl, os), captured.events.size());
   EXPECT_EQ(os.str(), kGoldenChrome);
 
   // The binary encoding of the same round gives the identical view.
   std::stringstream bin(std::ios::in | std::ios::out | std::ios::binary);
   {
     obs::BinaryTraceSink sink(bin);
-    for (const obs::TraceEvent& e : tracer.events()) sink.on_event(e);
+    for (const obs::TraceEvent& e : captured.events) sink.on_event(e);
   }
   std::ostringstream from_binary;
   tracetool::write_chrome_json(bin, from_binary);
@@ -421,9 +424,10 @@ TEST(TraceGolden, ChromeTraceMatchesPinnedOutput) {
 /// complete causal traces back to back, ids continuing across them.
 std::vector<obs::TraceEvent> two_golden_rounds() {
   obs::Tracer tracer;
+  test::CaptureSink captured;
+  tracer.set_sink(&captured);
   for (int i = 0; i < 2; ++i) golden::run_golden_round(&tracer);
-  std::stringstream jsonl;
-  tracer.write_jsonl(jsonl);
+  std::stringstream jsonl(captured.jsonl());
   return read_all(jsonl);
 }
 

@@ -39,10 +39,10 @@
 //   $ p2plb_sim --windows 5 --series series.csv
 //   $ p2plb_sim --alerts examples/alerts.conf --alerts-out alerts.csv
 #include <algorithm>
-#include <array>
 #include <charconv>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -89,11 +89,33 @@ bool parse_sample_ratio(std::string_view s, std::uint64_t* keep,
          *keep <= *of;
 }
 
+/// Read the count flag `name`: decimal digits only, at most `max`.  On
+/// anything else -- a sign, a value past 64 bits or past `max` -- names
+/// the flag and returns false, so a negative or overflowing count never
+/// wraps into a huge size.
+bool read_count(const Cli& cli, const std::string& name, std::uint64_t max,
+                std::uint64_t* out) {
+  if (parse_decimal(cli.get_string(name), out) && *out <= max) return true;
+  std::cerr << "--" << name << " must be a decimal count <= " << max << "\n";
+  return false;
+}
+
 int run(const Cli& cli) {
   const bool csv = cli.get_bool("csv");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes"));
-  const auto servers = static_cast<std::size_t>(cli.get_int("servers"));
+  constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
+  std::uint64_t nodes = 0, servers = 0, objects = 0, max_rounds = 0, degree = 0,
+                threshold = 0, landmarks = 0, bits = 0;
+  if (!read_count(cli, "nodes", kMaxSize, &nodes) ||
+      !read_count(cli, "servers", kMaxSize, &servers) ||
+      !read_count(cli, "objects", kMaxSize, &objects) ||
+      !read_count(cli, "rounds", kMax32, &max_rounds) ||
+      !read_count(cli, "degree", kMax32, &degree) ||
+      !read_count(cli, "threshold", kMaxSize, &threshold) ||
+      !read_count(cli, "landmarks", kMaxSize, &landmarks) ||
+      !read_count(cli, "bits", kMax32, &bits))
+    return 1;
   const std::string topology_name = cli.get_string("topology");
   const std::string workload_name = cli.get_string("workload");
   const std::string mode = cli.get_string("mode");
@@ -134,8 +156,7 @@ int run(const Cli& cli) {
         ring, workload::scaled_load_model(ring, dist, utilization), rng);
   } else if (workload_name == "zipf") {
     workload::ObjectWorkloadParams oparams;
-    oparams.object_count =
-        static_cast<std::size_t>(cli.get_int("objects"));
+    oparams.object_count = objects;
     oparams.zipf_exponent = cli.get_double("zipf");
     oparams.total_load = utilization * ring.total_capacity();
     workload::assign_object_loads(ring,
@@ -148,22 +169,18 @@ int run(const Cli& cli) {
   // --- proximity keys --------------------------------------------------------
   std::vector<chord::Key> keys;
   lb::ControllerConfig config;
-  config.max_rounds = static_cast<std::uint32_t>(cli.get_int("rounds"));
+  config.max_rounds = static_cast<std::uint32_t>(max_rounds);
   config.balancer.epsilon = cli.get_double("epsilon");
-  config.balancer.tree_degree =
-      static_cast<std::uint32_t>(cli.get_int("degree"));
-  config.balancer.rendezvous_threshold =
-      static_cast<std::size_t>(cli.get_int("threshold"));
+  config.balancer.tree_degree = static_cast<std::uint32_t>(degree);
+  config.balancer.rendezvous_threshold = threshold;
   if (mode == "aware") {
     if (!topology) {
       std::cerr << "--mode aware requires a --topology\n";
       return 1;
     }
     lb::ProximityConfig pconfig;
-    pconfig.landmark_count =
-        static_cast<std::size_t>(cli.get_int("landmarks"));
-    pconfig.bits_per_dimension =
-        static_cast<std::uint32_t>(cli.get_int("bits"));
+    pconfig.landmark_count = landmarks;
+    pconfig.bits_per_dimension = static_cast<std::uint32_t>(bits);
     Rng prng(seed + 1);
     keys = lb::build_proximity_map(ring, *topology, pconfig, prng)
                .node_keys;
@@ -286,10 +303,9 @@ int run(const Cli& cli) {
       // carries causal stacks through deliveries.  Observes the wall
       // clock only -- the schedule and every trace byte stay identical.
       profiler.emplace();
-      engine.attach_profiler(&*profiler);
       net.attach_profiler(&*profiler);
     }
-    lb::HealthProbe health(ring, {config.balancer.epsilon, "health"});
+    lb::HealthProbe health(ring, config.balancer.epsilon);
     std::optional<obs::WindowedAggregator> windows;
     std::optional<obs::AlertEngine> alerts;
     std::vector<obs::Sample> series;
@@ -329,21 +345,8 @@ int run(const Cli& cli) {
       windows->advance_to(engine.now() + window_width);
     }
     if (profiler) {
-      // Sim-time axis for the crosstab: per-round phase windows (named
-      // after the network tags so they join the matching frames) plus
-      // the whole-run window.
-      constexpr std::array<std::string_view, lb::kPhaseCount> kPhaseTags = {
-          lb::kTagAggregation, lb::kTagDissemination, lb::kTagVsa,
-          lb::kTagTransfer};
-      for (const lb::RoundStats& s : result.rounds) {
-        double round_end = s.phases[0].start;
-        for (std::size_t p = 0; p < lb::kPhaseCount; ++p) {
-          const lb::PhaseMetrics& m = s.phases[p];
-          profiler->note_span(kPhaseTags[p], m.start, m.end);
-          round_end = std::max(round_end, m.end);
-        }
-        profiler->note_span("round", s.phases[0].start, round_end);
-      }
+      // Each round noted its phase and round windows as it completed;
+      // the whole-run window closes the crosstab's sim-time axis.
       profiler->note_span("run", 0.0, engine.now());
       profiler->write_profile_file(profile_path);
       std::cerr << "profile written to " << profile_path << " ("
