@@ -8,7 +8,7 @@
 #include "ktree/tree.h"
 #include "lb/balancer.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace p2plb;
   Cli cli;
   bench::add_common_flags(cli);
@@ -37,9 +37,13 @@ int main(int argc, char** argv) {
                std::to_string(report.before.heavy_count),
                std::to_string(report.after.heavy_count),
                Table::num(report.vsa.assigned_load(), 0),
-               std::to_string(report.aggregation.messages),
-               std::to_string(report.vsa.messages)});
+               std::to_string(
+                   report.phase(lb::Phase::kAggregation).messages),
+               std::to_string(report.phase(lb::Phase::kVsa).messages)});
   }
   bench::emit(t, csv);
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -13,7 +13,7 @@
 #include "common/stats.h"
 #include "lb/balancer.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace p2plb;
   Cli cli;
   bench::add_common_flags(cli);
@@ -52,4 +52,7 @@ int main(int argc, char** argv) {
   }
   bench::emit(t, csv);
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

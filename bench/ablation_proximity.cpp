@@ -28,14 +28,14 @@ struct Variant {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli;
   bench::add_common_flags(cli);
   cli.add_flag("graphs", "topology graphs to aggregate", "2");
   if (!cli.parse(argc, argv)) return 0;
   const bool csv = cli.get_bool("csv");
   const auto params = bench::params_from_cli(cli);
-  const auto graphs = static_cast<std::uint64_t>(cli.get_int("graphs"));
+  const auto graphs = cli.get_count("graphs");
   const auto topo_params = topo::TransitStubParams::ts5k_large();
 
   std::vector<Variant> variants;
@@ -106,4 +106,7 @@ int main(int argc, char** argv) {
   }
   bench::emit(t, csv);
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -11,7 +11,7 @@
 
 #include "bench_util.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace p2plb;
   Cli cli;
   bench::add_common_flags(cli);
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
   const bool csv = cli.get_bool("csv");
   const auto params = bench::params_from_cli(cli);
-  const auto graphs = static_cast<std::uint64_t>(cli.get_int("graphs"));
+  const auto graphs = cli.get_count("graphs");
   const auto topo_params = topo::TransitStubParams::ts5k_large();
 
   print_heading(std::cout, "rendezvous threshold ablation, ts5k-large, "
@@ -59,4 +59,7 @@ int main(int argc, char** argv) {
   }
   bench::emit(t, csv);
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -43,9 +43,16 @@ double mean_distance_of(const chord::Ring& ring,
   return moved == 0.0 ? 0.0 : weighted / moved;
 }
 
+/// Aggregation + VSA traffic of a tree round (what the directory schemes
+/// below also pay: registrations, queries and notifications).
+std::uint64_t tree_messages(const lb::BalanceReport& report) {
+  return report.phase(lb::Phase::kAggregation).messages +
+         report.phase(lb::Phase::kVsa).messages;
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli;
   bench::add_common_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
@@ -75,7 +82,7 @@ int main(int argc, char** argv) {
                     report.before.heavy_count, report.after.heavy_count,
                     report.vsa.assigned_load(),
                     mean_distance_of(d.ring, report.vsa.assignments, oracle),
-                    report.aggregation.messages + report.vsa.messages, 0});
+                    tree_messages(report), 0});
   }
 
   // --- proximity-ignorant variant ---------------------------------------
@@ -89,7 +96,7 @@ int main(int argc, char** argv) {
                     report.before.heavy_count, report.after.heavy_count,
                     report.vsa.assigned_load(),
                     mean_distance_of(d.ring, report.vsa.assignments, oracle),
-                    report.aggregation.messages + report.vsa.messages, 0});
+                    tree_messages(report), 0});
   }
 
   // --- many-to-many central directory (threshold = infinity) -------------
@@ -104,7 +111,7 @@ int main(int argc, char** argv) {
                     report.before.heavy_count, report.after.heavy_count,
                     report.vsa.assigned_load(),
                     mean_distance_of(d.ring, report.vsa.assignments, oracle),
-                    report.aggregation.messages + report.vsa.messages, 0});
+                    tree_messages(report), 0});
   }
 
   // --- one-to-many directories ----------------------------------------------
@@ -161,4 +168,7 @@ int main(int argc, char** argv) {
                std::to_string(r.messages), std::to_string(r.thrash)});
   bench::emit(t, csv);
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

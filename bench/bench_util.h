@@ -52,8 +52,8 @@ inline void add_common_flags(Cli& cli) {
 
 inline ExperimentParams params_from_cli(const Cli& cli) {
   ExperimentParams p;
-  p.nodes = static_cast<std::size_t>(cli.get_int("nodes"));
-  p.servers_per_node = static_cast<std::size_t>(cli.get_int("servers"));
+  p.nodes = static_cast<std::size_t>(cli.get_count("nodes"));
+  p.servers_per_node = static_cast<std::size_t>(cli.get_count("servers"));
   p.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   p.utilization = cli.get_double("utilization");
   return p;

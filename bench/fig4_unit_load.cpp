@@ -42,7 +42,7 @@ void print_profile(const std::string& label, const std::vector<double>& ul,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli;
   bench::add_common_flags(cli);
   cli.add_flag("scatter", "emit per-node unit-load points", "false");
@@ -100,4 +100,7 @@ int main(int argc, char** argv) {
     bench::emit(sc, csv);
   }
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

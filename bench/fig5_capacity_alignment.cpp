@@ -45,7 +45,7 @@ void print_by_capacity(const std::string& heading, const chord::Ring& ring,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli;
   bench::add_common_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
@@ -75,4 +75,7 @@ int main(int argc, char** argv) {
              Table::num(report.vsa.assigned_load(), 1)});
   bench::emit(s, csv);
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -39,7 +39,7 @@ void print_by_capacity(const std::string& heading, const chord::Ring& ring,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli;
   bench::add_common_flags(cli);
   cli.add_flag("alpha", "Pareto shape parameter", "1.5");
@@ -77,4 +77,7 @@ int main(int argc, char** argv) {
              Table::num(largest, 1)});
   bench::emit(s, csv);
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -13,6 +13,7 @@
 // CDF at the bucket edges.  Multiple topology graphs (the paper runs 10)
 // are aggregated; --graphs controls the count.
 #include <iostream>
+#include <limits>
 
 #include "bench_util.h"
 #include "common/histogram.h"
@@ -25,13 +26,13 @@ void run_figure(const topo::TransitStubParams& topo_params,
                 const std::string& topo_name, const Cli& cli) {
   const bool csv = cli.get_bool("csv");
   const auto params = bench::params_from_cli(cli);
-  const auto graphs = static_cast<std::uint64_t>(cli.get_int("graphs"));
+  const auto graphs = cli.get_count("graphs");
 
   lb::ProximityConfig proximity;
   proximity.landmark_count =
-      static_cast<std::size_t>(cli.get_int("landmarks"));
-  proximity.bits_per_dimension =
-      static_cast<std::uint32_t>(cli.get_int("bits"));
+      static_cast<std::size_t>(cli.get_count("landmarks"));
+  proximity.bits_per_dimension = static_cast<std::uint32_t>(
+      cli.get_count("bits", std::numeric_limits<std::uint32_t>::max()));
 
   bench::DistanceProfile aware, ignorant;
   for (std::uint64_t g = 0; g < graphs; ++g) {
@@ -103,7 +104,7 @@ void run_figure(const topo::TransitStubParams& topo_params,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli;
   bench::add_common_flags(cli);
   cli.add_flag("graphs", "number of topology graphs to aggregate (paper: 10)",
@@ -114,4 +115,7 @@ int main(int argc, char** argv) {
   run_figure(p2plb::topo::TransitStubParams::ts5k_large(), "ts5k-large",
              cli);
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -7,6 +7,7 @@
 // ignorant one (the gap is smaller than on ts5k-large but clearly
 // present).
 #include <iostream>
+#include <limits>
 
 #include "bench_util.h"
 #include "common/histogram.h"
@@ -17,7 +18,7 @@ using namespace p2plb;
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli;
   bench::add_common_flags(cli);
   cli.add_flag("graphs", "number of topology graphs to aggregate (paper: 10)",
@@ -27,13 +28,13 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
   const bool csv = cli.get_bool("csv");
   const auto params = bench::params_from_cli(cli);
-  const auto graphs = static_cast<std::uint64_t>(cli.get_int("graphs"));
+  const auto graphs = cli.get_count("graphs");
 
   lb::ProximityConfig proximity;
   proximity.landmark_count =
-      static_cast<std::size_t>(cli.get_int("landmarks"));
-  proximity.bits_per_dimension =
-      static_cast<std::uint32_t>(cli.get_int("bits"));
+      static_cast<std::size_t>(cli.get_count("landmarks"));
+  proximity.bits_per_dimension = static_cast<std::uint32_t>(
+      cli.get_count("bits", std::numeric_limits<std::uint32_t>::max()));
 
   bench::DistanceProfile aware, ignorant;
   const auto topo_params = topo::TransitStubParams::ts5k_small();
@@ -90,4 +91,7 @@ int main(int argc, char** argv) {
                 std::to_string(ignorant.after_heavy)});
   bench::emit(head, csv);
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

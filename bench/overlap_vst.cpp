@@ -19,7 +19,7 @@
 #include "sim/engine.h"
 #include "sim/network.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace p2plb;
   Cli cli;
   bench::add_common_flags(cli);
@@ -82,4 +82,7 @@ int main(int argc, char** argv) {
   std::cout << "\n(Overlapping VST with VSA hides the sweep latency behind"
                " the transfers decided early, as Section 3.5 describes.)\n";
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -18,7 +18,7 @@
 #include "ktree/tree.h"
 #include "lb/balancer.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace p2plb;
   Cli cli;
   cli.add_flag("sizes", "comma-separated node counts",
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV instead of aligned tables", "false");
   if (!cli.parse(argc, argv)) return 0;
   const bool csv = cli.get_bool("csv");
-  const auto servers = static_cast<std::size_t>(cli.get_int("servers"));
+  const auto servers = static_cast<std::size_t>(cli.get_count("servers"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   print_heading(std::cout,
@@ -60,8 +60,9 @@ int main(int argc, char** argv) {
                  std::to_string(tree.effective_height()),
                  std::to_string(report.aggregation.rounds),
                  std::to_string(report.vsa.rounds),
-                 std::to_string(report.aggregation.messages),
-                 std::to_string(report.vsa.messages)});
+                 std::to_string(
+                     report.phase(lb::Phase::kAggregation).messages),
+                 std::to_string(report.phase(lb::Phase::kVsa).messages)});
     }
   }
   bench::emit(t, csv);
@@ -69,4 +70,7 @@ int main(int argc, char** argv) {
                " shrink with K;\n the paper observed similar balancing"
                " results for K = 2 and K = 8.)\n";
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -156,7 +156,7 @@ sim::Time measure_recovery(sim::Engine& engine,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli;
   cli.add_flag("sizes", "comma-separated node counts", "128,512,2048");
   cli.add_flag("degrees", "comma-separated K values", "2,8");
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV instead of aligned tables", "false");
   if (!cli.parse(argc, argv)) return 0;
   const bool csv = cli.get_bool("csv");
-  const auto servers = static_cast<std::size_t>(cli.get_int("servers"));
+  const auto servers = static_cast<std::size_t>(cli.get_count("servers"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const double crash_fraction = cli.get_double("crash-fraction");
   // Open the trace file before the sweeps, so a bad name fails fast.
@@ -299,4 +299,7 @@ int main(int argc, char** argv) {
     std::cerr << "host-time profile written to " << profile_path << "\n";
   }
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -38,12 +38,12 @@ chord::Ring make_ring(std::size_t nodes, std::size_t servers,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli;
   cli.add_flag("nodes", "node count", "1024");
   cli.add_flag("seed", "RNG seed", "11");
   if (!cli.parse(argc, argv)) return 0;
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes"));
+  const auto nodes = static_cast<std::size_t>(cli.get_count("nodes"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   std::cout << "frontier 1: tolerated overload (epsilon) vs data moved\n\n";
@@ -89,4 +89,7 @@ int main(int argc, char** argv) {
   std::cout << "\n(more virtual servers pack the load finer; epsilon trades "
                "movement for tolerated overload)\n";
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -32,6 +32,7 @@
 // re-convergence.
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -112,7 +113,7 @@ struct World {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli;
   cli.add_flag("nodes", "initial node count", "512");
   cli.add_flag("intervals", "number of balancing intervals to simulate",
@@ -135,12 +136,18 @@ int main(int argc, char** argv) {
   cli.add_flag("alerts-out", obs::kAlertsOutFlagHelp, "");
   if (!cli.parse(argc, argv)) return 0;
 
+  // Every count is read before anything is built, so a bad one fails
+  // fast instead of wrapping into a huge ring.
+  const auto initial = static_cast<std::size_t>(cli.get_count("nodes"));
+  const auto intervals = static_cast<int>(
+      cli.get_count("intervals", std::numeric_limits<int>::max()));
+  const auto crash_burst =
+      static_cast<std::size_t>(cli.get_count("crash-burst"));
+
   World world;
-  const auto initial = static_cast<std::size_t>(cli.get_int("nodes"));
   world.ring = workload::build_ring(initial, 5, world.capacities, world.rng);
   world.reassign_loads();
 
-  const auto intervals = static_cast<int>(cli.get_int("intervals"));
   const double churn_rate = cli.get_double("churn-per-interval");
   constexpr sim::Time kBalanceInterval = 600.0;  // "10 minutes"
 
@@ -219,9 +226,6 @@ int main(int argc, char** argv) {
 
   int rounds_started = 0;
   const int crash_round = intervals / 2;  // this round loses nodes mid-flight
-  const auto crash_burst =
-      static_cast<std::size_t>(std::max<std::int64_t>(
-          cli.get_int("crash-burst"), 0));
   const lb::ProtocolRound* crashed_round = nullptr;
   // In-flight rounds: each must outlive its events, so they live here.
   std::vector<std::unique_ptr<lb::ProtocolRound>> rounds;
@@ -323,4 +327,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -22,7 +22,7 @@
 #include "workload/objects.h"
 #include "workload/scenario.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace p2plb;
   Cli cli;
   cli.add_flag("nodes", "number of storage nodes", "512");
@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
   cli.add_flag("zipf", "popularity skew exponent", "1.1");
   cli.add_flag("seed", "RNG seed", "21");
   if (!cli.parse(argc, argv)) return 0;
-  const auto nodes = static_cast<std::size_t>(cli.get_int("nodes"));
-  const auto objects = static_cast<std::size_t>(cli.get_int("objects"));
+  const auto nodes = static_cast<std::size_t>(cli.get_count("nodes"));
+  const auto objects = static_cast<std::size_t>(cli.get_count("objects"));
   const double zipf = cli.get_double("zipf");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
@@ -98,4 +98,7 @@ int main(int argc, char** argv) {
                  "split a single object -- see DESIGN.md)\n";
   }
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

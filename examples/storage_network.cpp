@@ -36,12 +36,12 @@ struct Outcome {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli;
   cli.add_flag("nodes", "number of storage nodes", "2048");
   cli.add_flag("seed", "RNG seed", "7");
   if (!cli.parse(argc, argv)) return 0;
-  const auto node_count = static_cast<std::size_t>(cli.get_int("nodes"));
+  const auto node_count = static_cast<std::size_t>(cli.get_count("nodes"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   // The physical internet and the storage ring on top of it.
@@ -111,4 +111,7 @@ int main(int argc, char** argv) {
                           1)
             << "% for the same balance quality\n";
   return 0;
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -23,7 +23,6 @@ Node& Ring::mutable_node(NodeIndex i) {
 }
 
 void Ring::add_virtual_server(NodeIndex owner, Key id) {
-  const common::ShardGuard shard(ring_shard_);
   Node& n = mutable_node(owner);
   P2PLB_REQUIRE_MSG(n.alive, "cannot add a virtual server to a dead node");
   P2PLB_REQUIRE_MSG(!vs_slot_.contains(id), "virtual server id collision");
@@ -60,7 +59,6 @@ Key Ring::add_random_virtual_server(NodeIndex owner, Rng& rng) {
 }
 
 void Ring::remove_virtual_server(Key id) {
-  const common::ShardGuard shard(ring_shard_);
   const std::uint32_t slot = slot_checked(id);
   Node& n = mutable_node(vs_owner_[slot]);
   std::erase(n.servers, id);
@@ -72,7 +70,6 @@ void Ring::remove_virtual_server(Key id) {
 }
 
 void Ring::remove_node(NodeIndex node) {
-  const common::ShardGuard shard(ring_shard_);
   Node& n = mutable_node(node);
   P2PLB_REQUIRE_MSG(n.alive, "node already removed");
   for (const Key id : n.servers) {

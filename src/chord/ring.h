@@ -30,7 +30,6 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/thread_safety.h"
 #include "chord/id.h"
 
 namespace p2plb::chord {
@@ -76,7 +75,6 @@ class Ring {
 
   /// Add a physical node with the given capacity (> 0) and optional
   /// topology attachment.  Returns its index.
-  // p2plb: holds(ring_shard_)
   NodeIndex add_node(double capacity,
                      std::uint32_t attachment = Node::kNoAttachment);
 
@@ -94,7 +92,7 @@ class Ring {
   void remove_node(NodeIndex node);
 
   /// Move a virtual server to a new live host.  Ring arcs are unchanged.
-  void transfer_virtual_server(Key id, NodeIndex new_owner);  // p2plb: holds(ring_shard_)
+  void transfer_virtual_server(Key id, NodeIndex new_owner);
 
   // --- queries ----------------------------------------------------------
 
@@ -167,7 +165,7 @@ class Ring {
   // --- load -------------------------------------------------------------
 
   /// Set the load carried by a virtual server (>= 0).
-  void set_load(Key id, double load);  // p2plb: holds(ring_shard_)
+  void set_load(Key id, double load);
 
   /// Total load over a node's virtual servers.
   [[nodiscard]] double node_load(NodeIndex i) const;
@@ -190,34 +188,28 @@ class Ring {
     return it->second;
   }
   /// Rebuild the ring-order index if membership changed since last query.
-  void ensure_order() const;  // p2plb: holds(ring_shard_)
+  void ensure_order() const;
   /// Index into order_ of the slot holding exactly `id`.
   [[nodiscard]] std::size_t order_pos(Key id) const;
 
-  /// Ownership domain of the whole ring state: under a sharded engine
-  /// every mutation of the columns below must come from the shard that
-  /// owns this ring (the queries stay wait-free reads).
-  common::ShardCapability ring_shard_;
-
-  std::vector<Node> nodes_;  // p2plb: shared(ring_shard_)
-  std::size_t live_nodes_ = 0;  // p2plb: shared(ring_shard_)
+  std::vector<Node> nodes_;
+  std::size_t live_nodes_ = 0;
 
   // Virtual-server columns, indexed by slot.  A slot is live until its
   // VS is removed, then parked on vs_free_ for reuse by the next add.
-  std::vector<Key> vs_id_;          // p2plb: shared(ring_shard_)
-  std::vector<NodeIndex> vs_owner_;  // p2plb: shared(ring_shard_)
-  std::vector<double> vs_load_;      // p2plb: shared(ring_shard_)
-  std::vector<std::uint8_t> vs_live_;  // p2plb: shared(ring_shard_)
-  std::vector<std::uint32_t> vs_free_ P2PLB_GUARDED_BY(ring_shard_);
-  std::size_t vs_count_ = 0;  // p2plb: shared(ring_shard_)
+  std::vector<Key> vs_id_;
+  std::vector<NodeIndex> vs_owner_;
+  std::vector<double> vs_load_;
+  std::vector<std::uint8_t> vs_live_;
+  std::vector<std::uint32_t> vs_free_;
+  std::size_t vs_count_ = 0;
   // Key -> slot; lookup/erase only, never iterated (hash order must not
   // leak into any output).
-  // p2plb: shared(ring_shard_)
   std::unordered_map<Key, std::uint32_t> vs_slot_;
   // Live slots sorted by id; rebuilt lazily after membership changes so
   // bulk setup does not pay a per-add O(S) insertion.
-  mutable std::vector<std::uint32_t> order_;  // p2plb: shared(ring_shard_)
-  mutable bool order_dirty_ = false;  // p2plb: shared(ring_shard_)
+  mutable std::vector<std::uint32_t> order_;
+  mutable bool order_dirty_ = false;
 };
 
 }  // namespace p2plb::chord

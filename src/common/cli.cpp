@@ -1,6 +1,7 @@
 #include "common/cli.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -8,6 +9,12 @@
 #include "common/error.h"
 
 namespace p2plb {
+
+bool parse_decimal(std::string_view s, std::uint64_t* out) {
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return !s.empty() && ec == std::errc() && ptr == end;
+}
 
 void Cli::add_flag(const std::string& name, const std::string& doc,
                    const std::string& default_value) {
@@ -85,6 +92,15 @@ bool Cli::get_bool(const std::string& name) const {
     return false;
   throw PreconditionError("flag --" + name + " expects a boolean, got '" + v +
                           "'");
+}
+
+std::uint64_t Cli::get_count(const std::string& name,
+                             std::uint64_t max) const {
+  const std::string& v = find(name).value;
+  std::uint64_t out = 0;
+  if (parse_decimal(v, &out) && out <= max) return out;
+  throw PreconditionError("--" + name + " must be a decimal count <= " +
+                          std::to_string(max) + ", got '" + v + "'");
 }
 
 std::vector<std::int64_t> Cli::get_int_list(const std::string& name) const {

@@ -37,8 +37,7 @@ Lbi ContinuousLbi::local_contribution(const ktree::Region& region) const {
     const chord::Node& n = ring_.node(i);
     chord::Key report_key;
     if (n.servers.empty()) {
-      std::uint64_t h = 0xB10C0DE5ULL + i;
-      report_key = static_cast<chord::Key>(splitmix64(h) >> 32);
+      report_key = fallback_report_key(i);
     } else {
       report_key = n.servers.front();  // deterministic reporter
     }

@@ -13,8 +13,9 @@ RoundStats stats_of(const BalanceReport& report) {
   stats.transfers = report.transfers_applied;
   stats.moved_load = report.vsa.assigned_load();
   stats.unassigned = report.vsa.unassigned_heavy.size();
-  stats.messages = report.aggregation.messages +
-                   report.dissemination.messages + report.vsa.messages;
+  stats.messages = report.phase(Phase::kAggregation).messages +
+                   report.phase(Phase::kDissemination).messages +
+                   report.phase(Phase::kVsa).messages;
   stats.completion_time = report.completion_time;
   stats.phases = report.phases;
   return stats;

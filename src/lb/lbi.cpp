@@ -18,8 +18,7 @@ LbiAggregation aggregate_lbi(const ktree::KTree& tree, Rng& rng) {
     Reporter& r = result.reporter_vs[i];
     if (n.servers.empty()) {
       // No identity of its own: publish at a hash of the node index.
-      std::uint64_t h = 0xB10C0DE5ULL + i;
-      r.key = static_cast<chord::Key>(splitmix64(h) >> 32);
+      r.key = fallback_report_key(i);
       r.leaf = tree.leaf_containing(r.key);
       // min_load stays +inf: the node contributes no server to L_min.
     } else {
@@ -30,7 +29,6 @@ LbiAggregation aggregate_lbi(const ktree::KTree& tree, Rng& rng) {
       lbi.min_load = *ring.node_min_server_load(i);
     }
     scratch[r.leaf].merge(lbi);
-    ++result.messages;
   }
 
   // Phase 2: bottom-up fold, one round per tree level.
@@ -39,7 +37,6 @@ LbiAggregation aggregate_lbi(const ktree::KTree& tree, Rng& rng) {
     for (ktree::KtIndex i = range.begin; i < range.end; ++i) {
       const ktree::KtIndex parent = tree.node(i).parent;
       scratch[parent].merge(scratch[i]);
-      ++result.messages;
     }
   }
   result.rounds = static_cast<std::uint32_t>(tree.height()) + 1;
@@ -50,17 +47,9 @@ LbiAggregation aggregate_lbi(const ktree::KTree& tree, Rng& rng) {
 }
 
 LbiDissemination disseminate_lbi(const ktree::KTree& tree) {
-  LbiDissemination result;
-  // Top-down: each interior node forwards the root triple to its
-  // children; each leaf forwards it to its hosting VS's node.
-  for (std::uint16_t d = 0; d <= tree.height(); ++d) {
-    const auto range = tree.level(d);
-    for (ktree::KtIndex i = range.begin; i < range.end; ++i)
-      result.messages += tree.node(i).child_count;
-  }
-  result.messages += tree.leaf_count();  // leaf -> hosting node handoff
-  result.rounds = static_cast<std::uint32_t>(tree.height()) + 1;
-  return result;
+  // Top-down, one round per level: each interior node forwards the root
+  // triple to its children; each leaf forwards it to its hosting VS's node.
+  return {static_cast<std::uint32_t>(tree.height()) + 1};
 }
 
 Lbi ground_truth_lbi(const chord::Ring& ring) {

@@ -54,11 +54,18 @@ struct LbiAggregation {
   /// Number of bottom-up rounds (== tree height + 1): the O(log_K N)
   /// quantity the paper bounds.
   std::uint32_t rounds = 0;
-  /// Messages exchanged (leaf reports + child->parent transfers).
-  std::uint64_t messages = 0;
   /// Each node's Reporter, indexed by NodeIndex.
   std::vector<Reporter> reporter_vs;
 };
+
+/// The key a node hosting no virtual server reports under: a hash of its
+/// index.  aggregate_lbi and ContinuousLbi both route such a node's
+/// triple to the owner of this key.
+[[nodiscard]] inline chord::Key fallback_report_key(
+    chord::NodeIndex i) noexcept {
+  std::uint64_t h = 0xB10C0DE5ULL + i;
+  return static_cast<chord::Key>(splitmix64(h) >> 32);
+}
 
 /// Run one LBI aggregation sweep over the converged tree.
 ///
@@ -72,10 +79,9 @@ struct LbiAggregation {
 
 /// Dissemination (Section 3.3): the root triple travels top-down to every
 /// leaf and on to every node.  Returns the number of top-down rounds
-/// (== tree height + 1) and counts messages.
+/// (== tree height + 1).
 struct LbiDissemination {
   std::uint32_t rounds = 0;
-  std::uint64_t messages = 0;
 };
 [[nodiscard]] LbiDissemination disseminate_lbi(const ktree::KTree& tree);
 

@@ -353,21 +353,6 @@ void ProtocolRound::maybe_finish() {
   report_.after = classify_all(ring_, report_.system, config_.balancer.epsilon);
   report_.completion_time = now - t0_;
 
-  // Single source of truth for traffic: the analytic counters the oracle
-  // pipeline computed must equal what actually crossed the network, and
-  // the report carries the measured values.
-  P2PLB_ASSERT_MSG(report_.aggregation.messages ==
-                       metrics(Phase::kAggregation).messages,
-                   "analytic aggregation count diverged from network");
-  P2PLB_ASSERT_MSG(report_.dissemination.messages ==
-                       metrics(Phase::kDissemination).messages,
-                   "analytic dissemination count diverged from network");
-  P2PLB_ASSERT_MSG(report_.vsa.messages == metrics(Phase::kVsa).messages,
-                   "analytic VSA count diverged from network");
-  report_.aggregation.messages = metrics(Phase::kAggregation).messages;
-  report_.dissemination.messages = metrics(Phase::kDissemination).messages;
-  report_.vsa.messages = metrics(Phase::kVsa).messages;
-
   // Round outcomes land in the network's registry.
   const std::size_t planned = report_.vsa.assignments.size();
   registry_->counter("lb.rounds").increment();

@@ -30,11 +30,8 @@
 // the synchronous wrapper produce identical pairings and identical
 // post-transfer classifications.  Every
 // remote hop passes through sim::Network::send under a per-phase tag, so
-// message/byte/latency accounting lives in exactly one place; the
-// per-phase counters are emitted as BalanceReport::phases and the legacy
-// analytic counters (LbiAggregation/LbiDissemination/VsaResult::messages)
-// are overwritten from the network's tallies (tests assert the two always
-// agree).
+// message/byte/latency accounting lives in exactly one place: the
+// per-phase counters are emitted as BalanceReport::phases.
 //
 // The ring may churn while a round is in flight: decisions were
 // snapshotted, endpoints were snapshotted, and a transfer whose server

@@ -114,9 +114,6 @@ class Sweep {
       }
       box.heavy_end = level.heavies.size();
       box.light_end = level.lights.size();
-      // node -> leaf reports
-      out_.messages += (box.heavy_end - box.heavy_begin) +
-                       (box.light_end - box.light_begin);
       if (params_.key_local_rendezvous) key_local(box, depth, level);
       level.inboxes.push_back(box);
     }
@@ -249,7 +246,6 @@ class Sweep {
     up.lights.insert(up.lights.end(), left.lights.begin(), left.lights.end());
     up.inboxes.back().heavy_end = up.heavies.size();
     up.inboxes.back().light_end = up.lights.size();
-    out_.messages += total;
     if (params_.trace)
       forwarded_up_[i] = static_cast<std::uint32_t>(total);
   }
@@ -282,7 +278,6 @@ class Sweep {
       if (depth >= out_.pairs_per_depth.size())
         out_.pairs_per_depth.resize(static_cast<std::size_t>(depth) + 1, 0);
       ++out_.pairs_per_depth[depth];
-      out_.messages += 2;  // notify both endpoints directly
       const double residual = spare.delta - candidate.load;
       if (!(residual > 0.0 && residual >= params_.min_load)) {
         std::move(fit + 1, end, fit);

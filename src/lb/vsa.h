@@ -157,8 +157,6 @@ struct VsaResult {
   std::vector<SpareCapacity> unassigned_light;
   /// Bottom-up rounds (== tree height + 1): the O(log_K N) bound.
   std::uint32_t rounds = 0;
-  /// Record-movement + pair-notification messages.
-  std::uint64_t messages = 0;
   /// assignments-per-rendezvous-depth histogram (index = depth).
   std::vector<std::uint32_t> pairs_per_depth;
   /// When the last KT node ending the record flow fired, relative to the

@@ -109,7 +109,6 @@ void Tracer::set_trace_sampling(std::uint64_t keep, std::uint64_t of,
                                 std::uint64_t seed) {
   P2PLB_REQUIRE_MSG(of >= 1 && keep <= of,
                     "trace sampling rate must satisfy keep <= of, of >= 1");
-  const common::ShardGuard shard(trace_shard_);
   sample_keep_ = keep;
   sample_of_ = of;
   sample_seed_ = seed;

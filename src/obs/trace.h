@@ -41,8 +41,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/thread_safety.h"
-
 namespace p2plb::obs {
 
 /// One key/value argument of a trace event.  `json` holds the value
@@ -153,11 +151,9 @@ class Tracer {
                 std::uint64_t id);
 
   /// Allocate a fresh trace / span id (monotonic from 1; deterministic).
-  // p2plb: holds(trace_shard_)
   [[nodiscard]] std::uint64_t new_trace_id() noexcept {
     return ++last_trace_id_;
   }
-  // p2plb: holds(trace_shard_)
   [[nodiscard]] std::uint64_t new_span_id() noexcept {
     return ++last_span_id_;
   }
@@ -176,7 +172,7 @@ class Tracer {
 
   /// Forward events to `sink` as they happen (nullptr drops them; they
   /// are still counted).
-  void set_sink(TraceSink* sink) noexcept { sink_ = sink; }  // p2plb: holds(trace_shard_)
+  void set_sink(TraceSink* sink) noexcept { sink_ = sink; }
 
   /// Keep `keep` of every `of` traces, chosen by a seeded hash of the
   /// trace id -- a pure function, so the decision is identical at every
@@ -217,23 +213,17 @@ class Tracer {
   }
 
  private:
-  // p2plb: holds(trace_shard_)
   void push(double t, EventKind kind, std::string_view lane,
             std::string_view name, std::uint64_t id, const SpanContext& ctx,
             std::vector<Arg> args);
 
-  /// Ownership domain of the sink, the id allocators and the sampling
-  /// policy; a sharded run gives each shard its own Tracer and
-  /// merges afterwards, so nothing here may be written cross-shard.
-  common::ShardCapability trace_shard_;
-
-  TraceSink* sink_ = nullptr;       // p2plb: shared(trace_shard_)
-  std::size_t recorded_ = 0;        // p2plb: shared(trace_shard_)
-  std::uint64_t last_trace_id_ = 0;  // p2plb: shared(trace_shard_)
-  std::uint64_t last_span_id_ = 0;   // p2plb: shared(trace_shard_)
-  std::uint64_t sample_keep_ = 1;  // p2plb: shared(trace_shard_)
-  std::uint64_t sample_of_ = 1;    // p2plb: shared(trace_shard_)
-  std::uint64_t sample_seed_ = 0;  // p2plb: shared(trace_shard_)
+  TraceSink* sink_ = nullptr;
+  std::size_t recorded_ = 0;
+  std::uint64_t last_trace_id_ = 0;
+  std::uint64_t last_span_id_ = 0;
+  std::uint64_t sample_keep_ = 1;
+  std::uint64_t sample_of_ = 1;
+  std::uint64_t sample_seed_ = 0;
 };
 
 }  // namespace p2plb::obs

@@ -60,7 +60,6 @@ SeriesId WindowedAggregator::make_series(std::string_view name,
                           std::string(name));
     return id;
   }
-  const common::ShardGuard shard(window_shard_);  // registration writes
   Series s;
   s.name = std::string(name);
   s.kind = kind;
@@ -91,7 +90,6 @@ SeriesId WindowedAggregator::histogram_series(std::string_view name) {
 
 ColumnId WindowedAggregator::column_series(std::string_view name) {
   const SeriesId target = make_series(name, SeriesKind::kHistogram);
-  const common::ShardGuard shard(window_shard_);
   for (std::size_t i = 0; i < columns_.size(); ++i)
     if (columns_[i].name == name)
       return ColumnId{static_cast<std::uint32_t>(i)};
@@ -138,13 +136,11 @@ void WindowedAggregator::add_boundary_hook(BoundaryHook hook) {
 std::vector<double>& WindowedAggregator::column_data(ColumnId id,
                                                      std::size_t size) {
   P2PLB_REQUIRE(id.valid() && id.index < columns_.size());
-  const common::ShardGuard shard(window_shard_);
   std::vector<double>& values = columns_[id.index].values;
   values.resize(size);
   return values;
 }
 
-// p2plb: holds(window_shard_)
 void WindowedAggregator::apply(SeriesId id, double value) {
   P2PLB_ASSERT(id.valid() && id.index < series_.size());
   Series& s = series_[id.index];
@@ -164,7 +160,6 @@ void WindowedAggregator::apply(SeriesId id, double value) {
   ++records_;
 }
 
-// p2plb: holds(window_shard_)
 void WindowedAggregator::close_current_bucket() {
   const double boundary = bucket_end_;
   closing_ = true;

@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/thread_safety.h"
 
 namespace p2plb::obs {
 
@@ -183,19 +182,15 @@ class WindowedAggregator {
   /// Boundary probes may call record(boundary_t, ...) re-entrantly: the
   /// guard in advance_to parks the roll so their readings land in the
   /// closing bucket instead of recursing.
-  // p2plb: holds(window_shard_)
   void record(SeriesId id, double t, double value) {
     advance_to(t);
-    const common::ShardGuard shard(window_shard_);
     apply(id, value);
   }
 
   /// Close every bucket whose end is <= t (probes + folds + hooks per
   /// boundary, in time order); true iff one closed.  The bucket
   /// containing t stays open.
-  // p2plb: holds(window_shard_)
   bool advance_to(double t) {
-    const common::ShardGuard shard(window_shard_);
     if (closing_ || t < bucket_end_) return false;
     while (bucket_end_ <= t) close_current_bucket();
     return true;
@@ -261,9 +256,7 @@ class WindowedAggregator {
   };
 
   SeriesId make_series(std::string_view name, SeriesKind kind);
-  // p2plb: holds(window_shard_)
   void apply(SeriesId id, double value);
-  // p2plb: holds(window_shard_)
   void close_current_bucket();
   /// Ring slot of the bucket `back` buckets before the current one
   /// (back = 1 is the newest closed bucket).
@@ -273,25 +266,18 @@ class WindowedAggregator {
   }
   [[nodiscard]] std::size_t window_span(std::size_t k) const noexcept;
 
-  /// Ownership domain of every bucket, column and clock member: records
-  /// arrive from whichever shard executes the enclosing event, so a
-  /// sharded run gives each shard its own aggregator and merges closed
-  /// buckets (LogHistogram::merge is exact) -- nothing here may be
-  /// written cross-shard.
-  common::ShardCapability window_shard_;
-
   WindowConfig config_;
   std::map<std::string, std::uint32_t, std::less<>> by_name_;
-  std::vector<Series> series_;    // p2plb: shared(window_shard_)
-  std::vector<Column> columns_;   // p2plb: shared(window_shard_)
+  std::vector<Series> series_;
+  std::vector<Column> columns_;
   std::vector<BoundaryProbe> probes_;
   std::vector<BoundaryHook> hooks_;
-  std::uint64_t current_seq_ = 0;   // p2plb: shared(window_shard_)
-  double bucket_end_ = 0.0;         // p2plb: shared(window_shard_)
-  double last_boundary_ = 0.0;      // p2plb: shared(window_shard_)
-  std::size_t closed_ = 0;          // p2plb: shared(window_shard_)
-  std::uint64_t records_ = 0;       // p2plb: shared(window_shard_)
-  bool closing_ = false;            // p2plb: shared(window_shard_)
+  std::uint64_t current_seq_ = 0;
+  double bucket_end_ = 0.0;
+  double last_boundary_ = 0.0;
+  std::size_t closed_ = 0;
+  std::uint64_t records_ = 0;
+  bool closing_ = false;
 };
 
 }  // namespace p2plb::obs

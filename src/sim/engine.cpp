@@ -78,7 +78,6 @@ bool Engine::cancel(EventId id) {
 EventId Engine::every(Time period, std::function<bool()> fn) {
   P2PLB_REQUIRE(period > 0.0);
   P2PLB_REQUIRE(fn != nullptr);
-  const common::ShardGuard shard(engine_shard_);
   // Every occurrence is registered under one chain id so cancel(id) kills
   // the chain; stopping from inside the callback stays cooperative.
   const EventId chain_id = kPeriodicBit | next_chain_++;

@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/thread_safety.h"
 #include "sim/core/event_arena.h"
 #include "sim/core/flight_recorder.h"
 #include "sim/core/timer_wheel.h"
@@ -118,7 +117,7 @@ class Engine {
 
   /// Cancel a pending event.  Returns false if it already fired or was
   /// already cancelled.
-  bool cancel(EventId id);  // p2plb: holds(engine_shard_)
+  bool cancel(EventId id);
 
   /// Install a periodic timer with the given period (> 0), first firing
   /// after one period.  The callback returns true to keep the timer alive,
@@ -130,7 +129,7 @@ class Engine {
   EventId every(Time period, std::function<bool()> fn);
 
   /// Execute the next pending event.  Returns false if the queue is empty.
-  bool step();  // p2plb: holds(engine_shard_)
+  bool step();
 
   /// Run until the queue is empty or `max_events` executed.
   /// Returns the number of events executed by this call.
@@ -139,7 +138,7 @@ class Engine {
   /// Run events with firing time <= t_end, then advance the clock (and
   /// the attached windows) to exactly t_end.  Returns the number of
   /// events executed by this call.
-  std::uint64_t run_until(Time t_end);  // p2plb: holds(engine_shard_)
+  std::uint64_t run_until(Time t_end);
 
   // --- Flight recorder & post-mortem hooks -------------------------------
 
@@ -228,7 +227,7 @@ class Engine {
 
   static constexpr EventId kPeriodicBit = EventId{1} << 63;
 
-  EventId insert(Time t, EventFn fn);  // p2plb: holds(engine_shard_)
+  EventId insert(Time t, EventFn fn);
   /// fn() with the stall detector / anomaly hook engaged (cold path).
   void fire_instrumented(EventFn& fn);
   void notify_anomaly(const std::string& what);
@@ -236,43 +235,36 @@ class Engine {
   void clean_heap_top(Heap& heap);
   /// Locate the next live event across early heap / batch / wheel (or
   /// the binary heap), releasing dead slots met on the way.
-  bool find_front(Front& front);   // p2plb: holds(engine_shard_)
+  bool find_front(Front& front);
   /// find_front after closing the attached windows through the front's
   /// time, capped at `limit`.  A boundary hook may schedule or cancel
   /// work, so the front is located again after every close.
-  bool locate(Front& front, Time limit);  // p2plb: holds(engine_shard_)
-  void pop_front(const Front& front);  // p2plb: holds(engine_shard_)
+  bool locate(Front& front, Time limit);
+  void pop_front(const Front& front);
   /// Pop a located front and run its callback (step() and run_until()).
-  void fire(const Front& front);   // p2plb: holds(engine_shard_)
-  void refill_batch();             // p2plb: holds(engine_shard_)
-  void fire_periodic(EventId chain_id);  // p2plb: holds(engine_shard_)
-
-  /// Ownership domain of the whole event queue (clock, queues, arena,
-  /// insert counters).  Every mutator below is annotated as holding it;
-  /// the attach-time pointers (recorder_, hooks, profiler, windows) are
-  /// setup-phase state and intentionally stay outside the shard.
-  common::ShardCapability engine_shard_;
+  void fire(const Front& front);
+  void refill_batch();
+  void fire_periodic(EventId chain_id);
 
   QueueKind kind_;
-  Time now_ = 0.0;        // p2plb: shared(engine_shard_)
-  std::uint64_t next_seq_ = 0;  // p2plb: shared(engine_shard_)
-  std::uint64_t executed_ = 0;  // p2plb: shared(engine_shard_)
-  std::uint64_t next_chain_ P2PLB_GUARDED_BY(engine_shard_) = 1;
+  Time now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t next_chain_ = 1;
 
-  core::EventArena arena_;   // p2plb: shared(engine_shard_)
-  core::TimerWheel wheel_;   // p2plb: shared(engine_shard_)
+  core::EventArena arena_;
+  core::TimerWheel wheel_;
   /// Entries of the tick being drained, sorted by (time, seq); same-tick
   /// schedules during the drain splice in at their sorted position.
-  std::vector<core::WheelEntry> batch_;  // p2plb: shared(engine_shard_)
-  std::size_t batch_pos_ = 0;    // p2plb: shared(engine_shard_)
-  std::uint64_t batch_tick_ = 0;  // p2plb: shared(engine_shard_)
+  std::vector<core::WheelEntry> batch_;
+  std::size_t batch_pos_ = 0;
+  std::uint64_t batch_tick_ = 0;
   /// Events scheduled below the wheel horizon (possible only after a
   /// peek advanced the horizon past a run_until() clock stop); rare.
-  Heap early_;  // p2plb: shared(engine_shard_)
+  Heap early_;
   /// kBinaryHeap mode's whole queue.
-  Heap heap_;   // p2plb: shared(engine_shard_)
+  Heap heap_;
   // Armed periodic chains; lookup/erase only, never iterated.
-  // p2plb: shared(engine_shard_)
   std::unordered_map<EventId, Periodic> periodics_;
 
   core::FlightRecorder* recorder_ = nullptr;
@@ -281,11 +273,11 @@ class Engine {
   obs::Profiler* profiler_ = nullptr;
   std::uint32_t profile_frame_ = 0;  ///< interned "engine.event" frame
   obs::WindowedAggregator* windows_ = nullptr;
-  std::uint64_t wheel_inserts_ = 0;   // p2plb: shared(engine_shard_)
-  std::uint64_t batch_splices_ = 0;   // p2plb: shared(engine_shard_)
-  std::uint64_t early_inserts_ = 0;   // p2plb: shared(engine_shard_)
-  std::uint64_t heap_inserts_ = 0;    // p2plb: shared(engine_shard_)
-  std::uint64_t batch_refills_ = 0;   // p2plb: shared(engine_shard_)
+  std::uint64_t wheel_inserts_ = 0;
+  std::uint64_t batch_splices_ = 0;
+  std::uint64_t early_inserts_ = 0;
+  std::uint64_t heap_inserts_ = 0;
+  std::uint64_t batch_refills_ = 0;
 };
 
 }  // namespace p2plb::sim

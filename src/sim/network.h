@@ -47,7 +47,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_safety.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -124,14 +123,10 @@ class Network {
    public:
     ContextScope(Network& net, const obs::SpanContext& ctx) noexcept
         : net_(net) {
-      const common::ShardGuard shard(net_.net_shard_);
       saved_ = net_.ambient_;
       net_.ambient_ = ctx;
     }
-    ~ContextScope() {
-      const common::ShardGuard shard(net_.net_shard_);
-      net_.ambient_ = saved_;
-    }
+    ~ContextScope() { net_.ambient_ = saved_; }
     ContextScope(const ContextScope&) = delete;
     ContextScope& operator=(const ContextScope&) = delete;
 
@@ -144,7 +139,6 @@ class Network {
   /// innermost ContextScope); all-zero outside any scope or when no
   /// tracer is attached.
   [[nodiscard]] const obs::SpanContext& current_context() const noexcept {
-    const common::ShardGuard shard(net_shard_);
     return ambient_;
   }
 
@@ -156,7 +150,6 @@ class Network {
                double bytes = 0.0, Time processing_delay = 0.0,
                std::string_view tag = {}) {
     P2PLB_REQUIRE(processing_delay >= 0.0);
-    const common::ShardGuard shard(net_shard_);
     const Time lat = latency_(from, to);
     P2PLB_ASSERT_MSG(lat >= 0.0, "latency function returned negative delay");
     account(totals_, lat, bytes);
@@ -235,7 +228,7 @@ class Network {
   /// frames follow as (tag, layer-prefix); untagged sends use ("net",
   /// "net").  Tags already in use are re-interned here, later ones on
   /// their first send.
-  void attach_profiler(obs::Profiler* profiler) {  // p2plb: holds(net_shard_)
+  void attach_profiler(obs::Profiler* profiler) {
     engine_.attach_profiler(profiler);
     profiler_ = profiler;
     net_frame_ = profiler != nullptr ? profiler->intern("net", "net") : 0;
@@ -273,7 +266,7 @@ class Network {
   /// series, and hand it to the engine to close its buckets on time
   /// (nullptr detaches both).  Series ids resolve once here, so the
   /// per-send cost is one pointer test plus two record()s.
-  void attach_windows(obs::WindowedAggregator* windows) {  // p2plb: holds(net_shard_)
+  void attach_windows(obs::WindowedAggregator* windows) {
     windows_ = windows;
     engine_.attach_windows(windows);
     if (windows != nullptr) {
@@ -329,7 +322,6 @@ class Network {
   /// The index of the slot for `tag`, created on its first send.  Sends
   /// come in long same-tag bursts (one protocol phase at a time), so the
   /// last slot hit is checked first; a miss scans the few tags in use.
-  // p2plb: holds(net_shard_)
   std::uint32_t tag_slot(std::string_view tag) {
     if (last_slot_ < tags_.size() && tags_[last_slot_].name == tag)
       return last_slot_;
@@ -344,22 +336,17 @@ class Network {
     return last_slot_;
   }
 
-  /// Ownership domain of the accounting and causal-envelope state every
-  /// send touches.  The attach-time sink pointers (tracer_, profiler_,
-  /// metrics_) are setup-phase configuration and stay outside the shard.
-  common::ShardCapability net_shard_;
-
   Engine& engine_;
   LatencyFn owned_latency_;  ///< Backing store for the wrapping ctor only.
   Latency latency_;
-  TrafficCounters totals_;  // p2plb: shared(net_shard_)
+  TrafficCounters totals_;
   // Per-tag tallies in first-use order, and the index of the last slot
   // hit (sends burst per tag).
-  std::vector<TagSlot> tags_;  // p2plb: shared(net_shard_)
-  std::uint32_t last_slot_ = 0;  // p2plb: shared(net_shard_)
+  std::vector<TagSlot> tags_;
+  std::uint32_t last_slot_ = 0;
 
   obs::Tracer* tracer_ = nullptr;
-  obs::SpanContext ambient_ P2PLB_GUARDED_BY(net_shard_);
+  obs::SpanContext ambient_;
   obs::Profiler* profiler_ = nullptr;
   obs::Profiler::FrameId net_frame_ = 0;       ///< ("net","net"), untagged
   std::unique_ptr<obs::MetricsRegistry> metrics_;

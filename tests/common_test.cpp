@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "common/cli.h"
 #include "common/error.h"
@@ -502,6 +503,43 @@ TEST(Cli, RejectsOutOfRangeIntegers) {
   EXPECT_THROW((void)cli.get_int("m"), PreconditionError);
   EXPECT_THROW((void)cli.get_int_list("ns"), PreconditionError);
   EXPECT_EQ(cli.get_int("edge"), INT64_MAX);
+}
+
+TEST(Cli, CountsTakeDecimalDigitsUpToTheirMaximum) {
+  Cli cli;
+  cli.add_flag("zero", "", "0");
+  cli.add_flag("top", "", "18446744073709551615");
+  cli.add_flag("bits", "", "4294967295");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(cli.parse(1, argv));
+  EXPECT_EQ(cli.get_count("zero"), 0u);
+  EXPECT_EQ(cli.get_count("top"), UINT64_MAX);
+  EXPECT_EQ(cli.get_count("bits", UINT32_MAX), UINT32_MAX);
+}
+
+TEST(Cli, CountsRejectSignsJunkAndOverflowNamingTheFlag) {
+  // A count never wraps: "-1" must not read as SIZE_MAX, nor "-5" as 0.
+  for (const char* bad : {"-1", "+3", " 3", "3 ", "3x", "0x10", "", "1.5",
+                          "18446744073709551616"}) {
+    Cli cli;
+    cli.add_flag("nodes", "", "1");
+    const char* argv[] = {"prog", "--nodes", bad};
+    ASSERT_TRUE(cli.parse(3, argv));
+    try {
+      (void)cli.get_count("nodes");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("--nodes must be a decimal count"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Past the field's own maximum.
+  Cli cli;
+  cli.add_flag("bits", "", "4294967296");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(cli.parse(1, argv));
+  EXPECT_THROW((void)cli.get_count("bits", UINT32_MAX), PreconditionError);
 }
 
 TEST(Cli, HelpReturnsFalse) {

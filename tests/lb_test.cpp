@@ -55,8 +55,6 @@ TEST_P(LbiSweep, AggregationMatchesGroundTruth) {
   for (const chord::NodeIndex i : ring.live_nodes())
     EXPECT_TRUE(tree.node(agg.reporter_vs[i].leaf).is_leaf());
   EXPECT_EQ(agg.rounds, static_cast<std::uint32_t>(tree.height()) + 1);
-  // Each node reports once; each non-root tree node forwards once.
-  EXPECT_EQ(agg.messages, ring.live_node_count() + tree.size() - 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LbiSweep, ::testing::Values(101, 102, 103));
@@ -66,9 +64,6 @@ TEST(Lbi, DisseminationCoversTree) {
   const ktree::KTree tree(ring, 2);
   const LbiDissemination d = disseminate_lbi(tree);
   EXPECT_EQ(d.rounds, static_cast<std::uint32_t>(tree.height()) + 1);
-  // Every non-root node receives the triple once, plus one message per
-  // leaf to hand it to the hosting node.
-  EXPECT_EQ(d.messages, (tree.size() - 1) + tree.leaf_count());
 }
 
 TEST(Lbi, ReporterVsBelongsToNode) {

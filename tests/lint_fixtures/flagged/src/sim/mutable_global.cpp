@@ -1,5 +1,6 @@
-// Namespace-scope mutable state: under a sharded engine no shard can
-// own it, so no-mutable-global flags every non-const definition.
+// Namespace-scope mutable state outlives the run that wrote it: the next
+// same-seed run in the process starts from its leftovers, so
+// no-mutable-global flags every non-const definition.
 #include <cstdint>
 
 namespace p2plb::sim {
@@ -10,5 +11,10 @@ const std::uint64_t kMaxNodes = 100000;  // fine: immutable
 namespace {
 int g_tu_local_counter;  // flagged: anon-namespace state is still global
 }  // namespace
+
+struct S {
+  static int n;  // flagged: mutable static member
+};
+int S::n = 0;  // its definition: reported once, at the declaration above
 
 }  // namespace p2plb::sim

@@ -1,11 +1,12 @@
-// Function-local statics survive across calls from every shard -- a
-// hidden cross-shard channel no-static-local exists to catch.
+// Function-local statics survive from one run to the next in the same
+// process, so a later same-seed run starts from different state --
+// the hidden carry-over no-static-local exists to catch.
 #include <cstdint>
 
 namespace p2plb::sim {
 
 std::uint64_t next_id() {
-  static std::uint64_t counter = 0;  // flagged: hidden mutable channel
+  static std::uint64_t counter = 0;  // flagged: carries over between runs
   return ++counter;
 }
 

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "effects.h"
 #include "lint_core.h"
 
 namespace p2plb::lint {
@@ -47,9 +46,10 @@ TEST(LintFixtures, EveryRuleFiresExactlyWhereExpected) {
   EXPECT_EQ(count(findings, "missing_guard.h", kRuleHeaderGuard), 1u);
   EXPECT_EQ(count(findings, "using_ns.h", kRuleUsingNamespace), 1u);
   EXPECT_EQ(count(findings, "ofstream_export.cpp", kRuleObsSink), 1u);
-  EXPECT_EQ(count(findings, "mutable_global.cpp", kRuleMutableGlobal), 2u);
+  // Two mutable globals and one static member, reported at its in-class
+  // declaration only (its out-of-class definition is not a second one).
+  EXPECT_EQ(count(findings, "mutable_global.cpp", kRuleMutableGlobal), 3u);
   EXPECT_EQ(count(findings, "static_local.cpp", kRuleStaticLocal), 1u);
-  EXPECT_EQ(count(findings, "shard_break.cpp", kRuleShardConfinement), 1u);
   EXPECT_EQ(count(findings, "bad_allow.cpp", kRuleBadAllow), 1u);
 
   // The allow() escape hatch suppresses both its forms.
@@ -234,107 +234,6 @@ TEST(LintUnordered, AliasDeclaredElsewhereIsTracked) {
   EXPECT_EQ(findings[0].rule, kRuleUnorderedIter);
   EXPECT_EQ(findings[0].file, "src/sim/t.cpp");
   EXPECT_EQ(findings[0].line, 5u);
-}
-
-// ---------------------------------------------------------------------------
-// Mutation-effect analysis: call-graph construction and write-set
-// telescoping across translation units.
-
-const FunctionInfo* find_function(const EffectsReport& report,
-                                  const std::string& key) {
-  for (const FunctionInfo& f : report.functions)
-    if (f.key() == key) return &f;
-  return nullptr;
-}
-
-TEST(Effects, CallGraphAndTelescopingAcrossFiles) {
-  std::vector<SourceFile> files;
-  files.push_back(parse_source(
-      "src/sim/widget.h",
-      "#pragma once\n"
-      "namespace p2plb::sim {\n"
-      "class Widget {\n"
-      " public:\n"
-      "  void bump();\n"
-      "  void bump_twice();\n"
-      " private:\n"
-      "  int count_ = 0;\n"
-      "};\n"
-      "}  // namespace p2plb::sim\n"));
-  files.push_back(parse_source(
-      "src/sim/widget.cpp",
-      "#include \"sim/widget.h\"\n"
-      "namespace p2plb::sim {\n"
-      "void Widget::bump() { ++count_; }\n"
-      "void Widget::bump_twice() {\n"
-      "  bump();\n"
-      "  bump();\n"
-      "}\n"
-      "}  // namespace p2plb::sim\n"));
-  const EffectsReport report = analyze_effects(files);
-
-  const FunctionInfo* bump = find_function(report, "p2plb::sim::Widget::bump");
-  ASSERT_NE(bump, nullptr);
-  EXPECT_EQ(bump->writes_member.count("p2plb::sim::Widget::count_"), 1u);
-
-  // The call graph resolves the unqualified calls to the class's own
-  // method, and telescoping folds the callee's direct write into the
-  // caller's transitive set without inventing a direct write.
-  const FunctionInfo* twice =
-      find_function(report, "p2plb::sim::Widget::bump_twice");
-  ASSERT_NE(twice, nullptr);
-  EXPECT_EQ(std::count(twice->calls.begin(), twice->calls.end(),
-                       "p2plb::sim::Widget::bump"),
-            1u);
-  EXPECT_TRUE(twice->writes_member.empty());
-  EXPECT_EQ(
-      twice->transitive_writes_member.count("p2plb::sim::Widget::count_"),
-      1u);
-
-  // The totals line the markdown report prints is the sum of the rows.
-  const EffectsReport::Totals totals = report.totals();
-  EXPECT_EQ(totals.call_edges, 1u);
-  EXPECT_EQ(totals.member_writes, 1u);
-}
-
-TEST(Effects, SharedStateGrantSpellingsAllHold) {
-  // All three grant spellings -- comment, REQUIRES macro, ShardGuard --
-  // satisfy shard-confinement; an unannotated writer is the finding.
-  const std::vector<Finding> findings = lint_snippet(
-      "src/sim/box.cpp",
-      "namespace p2plb::sim {\n"
-      "class Box {\n"
-      " public:\n"
-      "  // p2plb: holds(box_shard_)\n"
-      "  void a() { n_ = 1; }\n"
-      "  void b() P2PLB_REQUIRES(box_shard_) { n_ = 2; }\n"
-      "  void c() {\n"
-      "    const common::ShardGuard shard(box_shard_);\n"
-      "    n_ = 3;\n"
-      "  }\n"
-      "  void rogue() { n_ = 4; }\n"
-      " private:\n"
-      "  int n_ = 0;  // p2plb: shared(box_shard_)\n"
-      "};\n"
-      "}  // namespace p2plb::sim\n");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, kRuleShardConfinement);
-  EXPECT_NE(findings[0].message.find("rogue"), std::string::npos);
-}
-
-TEST(Effects, ConstructorsInitializeOwnMembersWithoutACapability) {
-  // A constructor (or destructor) touching its *own* class's shared
-  // members is exempt -- the object is not visible to any shard yet.
-  EXPECT_TRUE(lint_snippet("src/sim/own.cpp",
-                           "namespace p2plb::sim {\n"
-                           "class Own {\n"
-                           " public:\n"
-                           "  Own() : n_(0) { n_ = 1; }\n"
-                           " private:\n"
-                           "  int n_ = 0;  // p2plb: shared(own_shard_)\n"
-                           "};\n"
-                           "}  // namespace p2plb::sim\n")
-                  .empty());
 }
 
 TEST(LintBadAllow, UnknownRuleReportedOnceAllStaysValid) {

@@ -14,6 +14,7 @@
 
 #include "lb/controller.h"
 #include "lb/protocol_round.h"
+#include "lb/reporting.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "workload/capacity.h"
@@ -135,40 +136,52 @@ TEST(ProtocolRound, AnalyticCountersMatchNetworkAccounting) {
   engine.run();
   const lb::BalanceReport& report = round.report();
   const ktree::KTree& tree = round.tree();
+  const std::uint64_t agg = report.phase(lb::Phase::kAggregation).messages;
+  const std::uint64_t dis = report.phase(lb::Phase::kDissemination).messages;
+  const std::uint64_t vsa = report.phase(lb::Phase::kVsa).messages;
+  const std::uint64_t vst = report.phase(lb::Phase::kTransfer).messages;
 
   // Closed-form analytic counts for aggregation and dissemination
   // (Section 3.2): every node reports once and every tree edge carries
   // one fold message up / one triple down; each leaf hands off once.
   const auto edges = static_cast<std::uint64_t>(tree.size()) - 1;
-  EXPECT_EQ(report.aggregation.messages,
-            clone.live_node_count() + edges);
-  EXPECT_EQ(report.dissemination.messages, edges + tree.leaf_count());
+  EXPECT_EQ(agg, clone.live_node_count() + edges);
+  EXPECT_EQ(dis, edges + tree.leaf_count());
 
-  // The per-phase metrics and the legacy per-phase structs must be two
-  // views of the same tally.
-  EXPECT_EQ(report.phase(lb::Phase::kAggregation).messages,
-            report.aggregation.messages);
-  EXPECT_EQ(report.phase(lb::Phase::kDissemination).messages,
-            report.dissemination.messages);
-  EXPECT_EQ(report.phase(lb::Phase::kVsa).messages, report.vsa.messages);
-  EXPECT_EQ(report.phase(lb::Phase::kTransfer).messages,
-            report.vsa.assignments.size());
+  // VSA: one message per record entering its leaf, one per leftover a
+  // KT node forwards up, and two notifications per pairing -- counted
+  // from an independent synchronous sweep over the same snapshot.
+  {
+    const ktree::KTree oracle_tree(clone, lb::BalancerConfig{}.tree_degree);
+    Rng oracle_rng(77);
+    const lb::LbiAggregation lbi = lb::aggregate_lbi(oracle_tree, oracle_rng);
+    const lb::Classification classes =
+        lb::classify_all(clone, lbi.system, lb::BalancerConfig{}.epsilon);
+    const lb::VsaEntries entries =
+        lb::build_entries_ignorant(oracle_tree, classes, lbi.reporter_vs);
+    lb::VsaTrace trace;
+    lb::VsaParams params;
+    params.min_load = lbi.system.min_load;
+    params.trace = &trace;
+    const lb::VsaResult sweep = lb::run_vsa(oracle_tree, entries, params);
+    std::uint64_t forwarded = 0;
+    for (const std::uint32_t n : trace.forwarded_up) forwarded += n;
+    EXPECT_EQ(vsa, entries.heavy_count() + entries.light_count() +
+                       forwarded + 2 * sweep.assignments.size());
+  }
+  EXPECT_EQ(vst, report.vsa.assignments.size());
 
-  // And the network's own tag counters are the single source of truth.
-  EXPECT_EQ(net.counters(lb::kTagAggregation).messages,
-            report.aggregation.messages);
-  EXPECT_EQ(net.counters(lb::kTagVsa).messages, report.vsa.messages);
-  EXPECT_EQ(net.totals().messages,
-            report.aggregation.messages + report.dissemination.messages +
-                report.vsa.messages +
-                report.phase(lb::Phase::kTransfer).messages);
+  // The network's own tag counters are the single source of truth.
+  EXPECT_EQ(net.counters(lb::kTagAggregation).messages, agg);
+  EXPECT_EQ(net.counters(lb::kTagVsa).messages, vsa);
+  EXPECT_EQ(net.totals().messages, agg + dis + vsa + vst);
 
   // The synchronous wrapper reports the same counts (same decisions).
   Rng clone_rng(77);
   const lb::BalanceReport sync = lb::run_balance_round(clone, {}, clone_rng);
-  EXPECT_EQ(sync.aggregation.messages, report.aggregation.messages);
-  EXPECT_EQ(sync.dissemination.messages, report.dissemination.messages);
-  EXPECT_EQ(sync.vsa.messages, report.vsa.messages);
+  for (std::size_t p = 0; p < lb::kPhaseCount; ++p)
+    EXPECT_EQ(sync.phases[p].messages, report.phases[p].messages)
+        << lb::phase_name(static_cast<lb::Phase>(p));
 }
 
 TEST(ProtocolRound, PhaseMetricsAreOrderedAndPopulated) {

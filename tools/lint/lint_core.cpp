@@ -1,6 +1,6 @@
 #include "lint_core.h"
 
-#include "effects.h"
+#include "mutable_state.h"
 
 #include <algorithm>
 #include <array>
@@ -415,43 +415,6 @@ void collect_allows(const StrippedFile& stripped, SourceFile& out) {
   }
 }
 
-/// Capability annotations (`p2plb: shared(cap)` / `p2plb: holds(a, b)`)
-/// for the effect analyzer, with the same own-line-covers-next-line
-/// behaviour as allow directives.
-void collect_notes(const StrippedFile& stripped, SourceFile& out) {
-  for (const auto& comment : stripped.comments) {
-    const std::size_t tag = comment.text.find("p2plb:");
-    if (tag == std::string::npos) continue;
-    for (const char* verb : {"shared(", "holds("}) {
-      const std::size_t p = comment.text.find(verb, tag);
-      if (p == std::string::npos) continue;
-      const std::size_t open = comment.text.find('(', p);
-      const std::size_t close = comment.text.find(')', open);
-      if (close == std::string::npos) continue;
-      SourceFile::Note note;
-      note.line = comment.line;
-      note.holds = verb[0] == 'h';
-      std::string id;
-      for (std::size_t i = open + 1; i <= close; ++i) {
-        const char c = comment.text[i];
-        if (c == ',' || c == ')') {
-          if (!id.empty()) note.caps.push_back(id);
-          id.clear();
-        } else if (std::isspace(static_cast<unsigned char>(c)) == 0) {
-          id += c;
-        }
-      }
-      if (note.caps.empty()) continue;
-      out.notes.push_back(note);
-      if (comment.line < stripped.line_has_code.size() &&
-          !stripped.line_has_code[comment.line]) {
-        note.line = comment.line + 1;
-        out.notes.push_back(note);
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Declared-name table for the unordered-iteration rule: every variable,
 // member or alias declared with an unordered container type, across the
@@ -771,8 +734,7 @@ const std::vector<std::string>& all_rules() {
       kRuleLayering,      kRuleStdRand,     kRuleRandomDevice,
       kRuleWallClock,     kRuleUnorderedIter, kRulePointerKeys,
       kRuleHeaderGuard,   kRuleUsingNamespace, kRuleObsSink,
-      kRuleMutableGlobal, kRuleShardConfinement, kRuleStaticLocal,
-      kRuleBadAllow};
+      kRuleMutableGlobal, kRuleStaticLocal,   kRuleBadAllow};
   return rules;
 }
 
@@ -814,7 +776,6 @@ SourceFile parse_source(const std::filesystem::path& rel_path,
   StrippedFile stripped = strip(contents);
   collect_includes(stripped.code, f);
   collect_allows(stripped, f);
-  collect_notes(stripped, f);
   f.tokens = tokenize(blank_literals(stripped.code));
   return f;
 }
@@ -837,14 +798,8 @@ std::vector<Finding> run_rules(const std::vector<SourceFile>& files) {
     rule_bad_allow(f, findings);
     rule_obs_sink(f, findings);
     rule_header_hygiene(f, findings);
+    rule_mutable_state(f, findings);
   }
-
-  // The mutation-effect pass (symbol table + call graph over src/).
-  const EffectsReport effects = analyze_effects(files);
-  std::vector<Finding> effect_findings = effects_rules(files, effects);
-  findings.insert(findings.end(),
-                  std::make_move_iterator(effect_findings.begin()),
-                  std::make_move_iterator(effect_findings.end()));
 
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
@@ -854,7 +809,7 @@ std::vector<Finding> run_rules(const std::vector<SourceFile>& files) {
   return findings;
 }
 
-std::vector<SourceFile> load_tree(const std::filesystem::path& root) {
+std::vector<Finding> lint_tree(const std::filesystem::path& root) {
   namespace fs = std::filesystem;
   std::vector<fs::path> paths;
   for (const char* dir : {"src", "tools", "bench", "examples", "tests"}) {
@@ -883,11 +838,7 @@ std::vector<SourceFile> load_tree(const std::filesystem::path& root) {
     buf << is.rdbuf();
     files.push_back(parse_source(fs::relative(p, root), buf.str()));
   }
-  return files;
-}
-
-std::vector<Finding> lint_tree(const std::filesystem::path& root) {
-  return run_rules(load_tree(root));
+  return run_rules(files);
 }
 
 }  // namespace p2plb::lint

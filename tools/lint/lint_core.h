@@ -42,7 +42,6 @@ inline constexpr const char* kRuleHeaderGuard = "header-guard";
 inline constexpr const char* kRuleUsingNamespace = "no-using-namespace-header";
 inline constexpr const char* kRuleObsSink = "obs-sink-only";
 inline constexpr const char* kRuleMutableGlobal = "no-mutable-global";
-inline constexpr const char* kRuleShardConfinement = "shard-confinement";
 inline constexpr const char* kRuleStaticLocal = "no-static-local";
 inline constexpr const char* kRuleBadAllow = "bad-allow";
 
@@ -75,29 +74,12 @@ struct SourceFile {
   /// including the preceding-line form).
   std::vector<std::pair<std::size_t, std::vector<std::string>>> allows;
 
-  /// Capability annotations for the effect analyzer: `// p2plb:
-  /// shared(<cap>)` on a declaration, `// p2plb: holds(<cap>, ...)` on a
-  /// function.  Own-line comments cover the next line, like allows.
-  struct Note {
-    std::size_t line = 0;
-    bool holds = false;  ///< false: shared(...), true: holds(...)
-    std::vector<std::string> caps;
-  };
-  std::vector<Note> notes;
-
   [[nodiscard]] bool allowed(std::size_t line, const std::string& rule) const;
 };
 
 /// Parse one file's contents (used directly by the fixture tests).
 [[nodiscard]] SourceFile parse_source(const std::filesystem::path& rel_path,
                                       const std::string& contents);
-
-/// Load and parse every .h/.cpp under root's src/, tools/, bench/,
-/// examples/ and tests/ directories (skipping lint fixtures), sorted by
-/// path.  lint_tree() == run_rules(load_tree(root)); the CLI also feeds
-/// the same files to the effect analyzer.
-[[nodiscard]] std::vector<SourceFile> load_tree(
-    const std::filesystem::path& root);
 
 /// Lint every .h/.cpp under root's src/, tools/, bench/, examples/ and
 /// tests/ directories (skipping lint fixtures).  Layering and the

@@ -4,8 +4,6 @@
 //   p2plb_lint --list-rules             print every rule id and exit
 //   p2plb_lint --json FILE              also write findings as JSON
 //   p2plb_lint --github                 print ::error workflow commands
-//   p2plb_lint --effects-json FILE      write the p2plb-effects-1 report
-//   p2plb_lint --effects-md FILE        write the cross-layer mutation table
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 #include <cstring>
@@ -14,7 +12,6 @@
 #include <iostream>
 #include <string>
 
-#include "effects.h"
 #include "lint_core.h"
 
 namespace {
@@ -61,8 +58,6 @@ bool write_file(const std::string& path, const std::string& contents) {
 int main(int argc, char** argv) {
   std::string root = ".";
   std::string json_path;
-  std::string effects_json_path;
-  std::string effects_md_path;
   bool github = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -79,23 +74,13 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
       continue;
     }
-    if (arg == "--effects-json" && i + 1 < argc) {
-      effects_json_path = argv[++i];
-      continue;
-    }
-    if (arg == "--effects-md" && i + 1 < argc) {
-      effects_md_path = argv[++i];
-      continue;
-    }
     if (arg == "--github") {
       github = true;
       continue;
     }
     if (arg == "--help" || arg == "-h") {
       std::cout << "usage: p2plb_lint [--root DIR] [--list-rules] "
-                   "[--json FILE] [--github]\n"
-                   "                  [--effects-json FILE] "
-                   "[--effects-md FILE]\n";
+                   "[--json FILE] [--github]\n";
       return 0;
     }
     std::cerr << "p2plb_lint: unknown argument '" << arg << "'\n";
@@ -103,21 +88,8 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const std::vector<p2plb::lint::SourceFile> files =
-        p2plb::lint::load_tree(root);
     const std::vector<p2plb::lint::Finding> findings =
-        p2plb::lint::run_rules(files);
-
-    if (!effects_json_path.empty() || !effects_md_path.empty()) {
-      const p2plb::lint::EffectsReport report =
-          p2plb::lint::analyze_effects(files);
-      if (!effects_json_path.empty() &&
-          !write_file(effects_json_path, p2plb::lint::effects_json(report)))
-        return 2;
-      if (!effects_md_path.empty() &&
-          !write_file(effects_md_path, p2plb::lint::effects_markdown(report)))
-        return 2;
-    }
+        p2plb::lint::lint_tree(root);
     if (!json_path.empty() && !write_file(json_path, findings_json(findings)))
       return 2;
 

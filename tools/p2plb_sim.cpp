@@ -39,14 +39,12 @@
 //   $ p2plb_sim --windows 5 --series series.csv
 //   $ p2plb_sim --alerts examples/alerts.conf --alerts-out alerts.csv
 #include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <system_error>
 
 #include "bench_util.h"
 #include "common/stats.h"
@@ -71,13 +69,6 @@ namespace {
 
 using namespace p2plb;
 
-/// Parse one unsigned decimal field: digits only, no sign, no spaces.
-bool parse_decimal(std::string_view s, std::uint64_t* out) {
-  const char* const end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
-  return !s.empty() && ec == std::errc() && ptr == end;
-}
-
 /// Parse --trace-sample "K/M" (e.g. "1/64") with 1 <= K <= M.  Returns
 /// false on anything else.
 bool parse_sample_ratio(std::string_view s, std::uint64_t* keep,
@@ -89,33 +80,18 @@ bool parse_sample_ratio(std::string_view s, std::uint64_t* keep,
          *keep <= *of;
 }
 
-/// Read the count flag `name`: decimal digits only, at most `max`.  On
-/// anything else -- a sign, a value past 64 bits or past `max` -- names
-/// the flag and returns false, so a negative or overflowing count never
-/// wraps into a huge size.
-bool read_count(const Cli& cli, const std::string& name, std::uint64_t max,
-                std::uint64_t* out) {
-  if (parse_decimal(cli.get_string(name), out) && *out <= max) return true;
-  std::cerr << "--" << name << " must be a decimal count <= " << max << "\n";
-  return false;
-}
-
 int run(const Cli& cli) {
   const bool csv = cli.get_bool("csv");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
-  constexpr std::uint64_t kMaxSize = std::numeric_limits<std::size_t>::max();
-  std::uint64_t nodes = 0, servers = 0, objects = 0, max_rounds = 0, degree = 0,
-                threshold = 0, landmarks = 0, bits = 0;
-  if (!read_count(cli, "nodes", kMaxSize, &nodes) ||
-      !read_count(cli, "servers", kMaxSize, &servers) ||
-      !read_count(cli, "objects", kMaxSize, &objects) ||
-      !read_count(cli, "rounds", kMax32, &max_rounds) ||
-      !read_count(cli, "degree", kMax32, &degree) ||
-      !read_count(cli, "threshold", kMaxSize, &threshold) ||
-      !read_count(cli, "landmarks", kMaxSize, &landmarks) ||
-      !read_count(cli, "bits", kMax32, &bits))
-    return 1;
+  const std::uint64_t nodes = cli.get_count("nodes");
+  const std::uint64_t servers = cli.get_count("servers");
+  const std::uint64_t objects = cli.get_count("objects");
+  const std::uint64_t max_rounds = cli.get_count("rounds", kMax32);
+  const std::uint64_t degree = cli.get_count("degree", kMax32);
+  const std::uint64_t threshold = cli.get_count("threshold");
+  const std::uint64_t landmarks = cli.get_count("landmarks");
+  const std::uint64_t bits = cli.get_count("bits", kMax32);
   const std::string topology_name = cli.get_string("topology");
   const std::string workload_name = cli.get_string("workload");
   const std::string mode = cli.get_string("mode");
@@ -462,7 +438,7 @@ int run(const Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Cli cli;
   cli.add_flag("nodes", "number of DHT nodes", "4096");
   cli.add_flag("servers", "virtual servers per node", "5");
@@ -522,4 +498,7 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV tables", "false");
   if (!cli.parse(argc, argv)) return 0;
   return run(cli);
+} catch (const p2plb::PreconditionError& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

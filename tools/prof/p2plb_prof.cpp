@@ -37,7 +37,7 @@ int run(const Cli& cli) {
   P2PLB_REQUIRE_MSG(in.is_open(), "cannot open profile: " + in_path);
   const proftool::Profile profile = proftool::parse_profile(in);
 
-  const auto top_k = static_cast<std::size_t>(cli.get_int("top"));
+  const auto top_k = static_cast<std::size_t>(cli.get_count("top"));
   P2PLB_REQUIRE_MSG(top_k > 0, "--top must be > 0");
 
   const std::string folded = cli.get_string("folded");
