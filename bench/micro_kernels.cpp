@@ -1,7 +1,7 @@
 // Microbenchmarks for the library's hot kernels (google-benchmark):
 // Hilbert encode/decode, Chord ring operations and lookups, K-nary tree
-// construction, the VSA pairing loop, topology generation, Dijkstra and
-// the distance oracle's batch fill.
+// construction, one maintenance check interval, the VSA pairing loop,
+// topology generation, Dijkstra and the distance oracle's batch fill.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,6 +10,7 @@
 #include "chord/router.h"
 #include "common/rng.h"
 #include "hilbert/hilbert.h"
+#include "ktree/protocol.h"
 #include "ktree/tree.h"
 #include "lb/balancer.h"
 #include "sim/engine.h"
@@ -88,6 +89,26 @@ void BM_RingSuccessor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RingSuccessor)->Arg(1024)->Arg(4096);
+
+/// One check interval of a converged K=2 maintenance tree: every
+/// instance's periodic check plus the root watchdog, on an idle ring.
+void BM_MaintenanceInterval(benchmark::State& state) {
+  auto ring = make_ring(static_cast<std::size_t>(state.range(0)), 5);
+  sim::Engine engine;
+  ktree::MaintenanceProtocol protocol(engine, ring, 2, 1.0,
+                                      ktree::unit_latency(ring));
+  protocol.start();
+  engine.run_until(60.0);
+  if (!protocol.converged()) state.SkipWithError("tree did not converge");
+  const std::uint64_t before = engine.events_executed();
+  for (auto _ : state) engine.run_until(engine.now() + 1.0);
+  benchmark::DoNotOptimize(protocol.instance_count());
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(engine.events_executed() - before));
+  state.counters["instances"] =
+      static_cast<double>(protocol.instance_count());
+}
+BENCHMARK(BM_MaintenanceInterval)->Arg(1024);
 
 void BM_ChordLookup(benchmark::State& state) {
   const auto ring = make_ring(static_cast<std::size_t>(state.range(0)), 5);

@@ -33,13 +33,13 @@ void Ring::add_virtual_server(NodeIndex owner, Key id) {
     vs_id_[slot] = id;
     vs_owner_[slot] = owner;
     vs_load_[slot] = 0.0;
-    vs_live_[slot] = 1;
+    vs_state_[slot] = kUnordered;
   } else {
     slot = static_cast<std::uint32_t>(vs_id_.size());
     vs_id_.push_back(id);
     vs_owner_.push_back(owner);
     vs_load_.push_back(0.0);
-    vs_live_.push_back(1);
+    vs_state_.push_back(kUnordered);
   }
   vs_slot_.emplace(id, slot);
   ++vs_count_;
@@ -62,7 +62,7 @@ void Ring::remove_virtual_server(Key id) {
   const std::uint32_t slot = slot_checked(id);
   Node& n = mutable_node(vs_owner_[slot]);
   std::erase(n.servers, id);
-  vs_live_[slot] = 0;
+  vs_state_[slot] = kFree;
   vs_free_.push_back(slot);
   vs_slot_.erase(id);
   --vs_count_;
@@ -74,7 +74,7 @@ void Ring::remove_node(NodeIndex node) {
   P2PLB_REQUIRE_MSG(n.alive, "node already removed");
   for (const Key id : n.servers) {
     const std::uint32_t slot = vs_slot_.at(id);
-    vs_live_[slot] = 0;
+    vs_state_[slot] = kFree;
     vs_free_.push_back(slot);
     vs_slot_.erase(id);
     --vs_count_;
@@ -99,14 +99,22 @@ void Ring::transfer_virtual_server(Key id, NodeIndex new_owner) {
 
 void Ring::ensure_order() const {
   if (!order_dirty_) return;
-  order_.clear();
+  std::erase_if(order_, [this](std::uint32_t slot) {
+    return vs_state_[slot] != kOrdered;
+  });
+  const auto kept = static_cast<std::ptrdiff_t>(order_.size());
   order_.reserve(vs_count_);
-  for (std::uint32_t slot = 0; slot < vs_id_.size(); ++slot)
-    if (vs_live_[slot] != 0) order_.push_back(slot);
-  std::sort(order_.begin(), order_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return vs_id_[a] < vs_id_[b];
-            });
+  for (std::uint32_t slot = 0; slot < vs_state_.size(); ++slot) {
+    if (vs_state_[slot] != kUnordered) continue;
+    vs_state_[slot] = kOrdered;
+    order_.push_back(slot);
+  }
+  const auto by_id = [this](std::uint32_t a, std::uint32_t b) {
+    return vs_id_[a] < vs_id_[b];
+  };
+  std::sort(order_.begin() + kept, order_.end(), by_id);
+  std::inplace_merge(order_.begin(), order_.begin() + kept, order_.end(),
+                     by_id);
   order_dirty_ = false;
 }
 
@@ -124,14 +132,28 @@ VirtualServer Ring::server(Key id) const {
   return VirtualServer{vs_id_[slot], vs_owner_[slot], vs_load_[slot]};
 }
 
-VirtualServer Ring::successor(Key k) const {
+std::size_t Ring::successor_pos(Key k) const {
   P2PLB_REQUIRE_MSG(vs_count_ > 0, "successor() on an empty ring");
   ensure_order();
   const auto it = std::lower_bound(
       order_.begin(), order_.end(), k,
       [this](std::uint32_t slot, Key key) { return vs_id_[slot] < key; });
-  const std::uint32_t slot = it != order_.end() ? *it : order_.front();
+  return it != order_.end() ? static_cast<std::size_t>(it - order_.begin())
+                            : 0;
+}
+
+VirtualServer Ring::successor(Key k) const {
+  const std::size_t pos = successor_pos(k);
+  const std::uint32_t slot = order_[pos];
   return VirtualServer{vs_id_[slot], vs_owner_[slot], vs_load_[slot]};
+}
+
+Ring::SuccessorArc Ring::successor_arc(Key k) const {
+  const std::size_t pos = successor_pos(k);
+  const Key id = vs_id_[order_[pos]];
+  const Key pred = vs_id_[pos == 0 ? order_.back() : order_[pos - 1]];
+  // A singleton ring owns the whole space, as in arc_size.
+  return {id, pred == id ? kSpaceSize : distance_cw(pred, id)};
 }
 
 Key Ring::predecessor_key(Key id) const {
@@ -219,7 +241,7 @@ double Ring::total_capacity() const {
 double Ring::min_server_load() const {
   double best = std::numeric_limits<double>::infinity();
   for (std::uint32_t slot = 0; slot < vs_id_.size(); ++slot)
-    if (vs_live_[slot] != 0) best = std::min(best, vs_load_[slot]);
+    if (vs_state_[slot] != kFree) best = std::min(best, vs_load_[slot]);
   return vs_count_ == 0 ? 0.0 : best;
 }
 

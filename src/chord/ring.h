@@ -14,12 +14,17 @@
 // Storage is structure-of-arrays: a virtual server is a *slot* into
 // parallel id/owner/load columns, recycled through an explicit free list
 // under churn, with an O(1) hash for key->slot resolution (lookup only,
-// never iterated -- determinism) and a lazily rebuilt ring-order index
+// never iterated -- determinism) and a lazily maintained ring-order index
 // for successor queries and ordered iteration.  At 10^6 nodes x 5 VS the
 // old node-based std::map cost one pointer-chasing allocation per VS and
 // O(log S) per lookup; the columns put the load sweep over contiguous
 // memory and make lookups O(1).  VirtualServer remains the value type
 // queries return -- materialized from the columns on demand.
+//
+// The order index is merged, not re-sorted: the first ordered query after
+// membership changes drops the removed slots, sorts only the `a` slots
+// added since the last query and merges them into the survivors, so a
+// join under churn costs O(S + a log a) rather than O(S log S).
 #pragma once
 
 #include <cstdint>
@@ -129,6 +134,13 @@ class Ring {
   /// k, inclusive).  Requires a non-empty ring.
   [[nodiscard]] VirtualServer successor(Key k) const;
 
+  /// successor(k).id together with arc_size of that id, from one search.
+  struct SuccessorArc {
+    Key id = 0;
+    std::uint64_t arc = 0;
+  };
+  [[nodiscard]] SuccessorArc successor_arc(Key k) const;
+
   /// Id of the predecessor virtual server of `id` (the id counter-
   /// clockwise-adjacent on the ring).  With a single VS this is itself.
   [[nodiscard]] Key predecessor_key(Key id) const;
@@ -187,10 +199,19 @@ class Ring {
     P2PLB_REQUIRE_MSG(it != vs_slot_.end(), "no such virtual server");
     return it->second;
   }
-  /// Rebuild the ring-order index if membership changed since last query.
+  /// Bring the ring-order index up to date if membership changed since
+  /// the last ordered query.
   void ensure_order() const;
   /// Index into order_ of the slot holding exactly `id`.
   [[nodiscard]] std::size_t order_pos(Key id) const;
+  /// Index into order_ of successor(k)'s slot (wrapping past the end).
+  [[nodiscard]] std::size_t successor_pos(Key k) const;
+
+  /// Per-slot state.  A slot added since the last ordered query is
+  /// kUnordered until ensure_order merges it in; an order_ entry is
+  /// current only while its slot is kOrdered (a slot freed and reused
+  /// between two queries leaves a stale entry at its old id's place).
+  enum SlotState : std::uint8_t { kFree = 0, kOrdered = 1, kUnordered = 2 };
 
   std::vector<Node> nodes_;
   std::size_t live_nodes_ = 0;
@@ -200,14 +221,14 @@ class Ring {
   std::vector<Key> vs_id_;
   std::vector<NodeIndex> vs_owner_;
   std::vector<double> vs_load_;
-  std::vector<std::uint8_t> vs_live_;
+  mutable std::vector<std::uint8_t> vs_state_;  // SlotState
   std::vector<std::uint32_t> vs_free_;
   std::size_t vs_count_ = 0;
   // Key -> slot; lookup/erase only, never iterated (hash order must not
   // leak into any output).
   std::unordered_map<Key, std::uint32_t> vs_slot_;
-  // Live slots sorted by id; rebuilt lazily after membership changes so
-  // bulk setup does not pay a per-add O(S) insertion.
+  // kOrdered slots sorted by id; brought up to date lazily after
+  // membership changes so bulk setup does not pay a per-add O(S) insertion.
   mutable std::vector<std::uint32_t> order_;
   mutable bool order_dirty_ = false;
 };

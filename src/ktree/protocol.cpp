@@ -1,6 +1,7 @@
 #include "ktree/protocol.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -171,26 +172,15 @@ MaintenanceProtocol::MaintenanceProtocol(sim::Engine& engine,
                                          chord::Ring& ring,
                                          std::uint32_t degree,
                                          sim::Time check_interval,
-                                         VsLatencyFn latency,
-                                         obs::MetricsRegistry* metrics)
+                                         VsLatencyFn latency)
     : engine_(engine),
       ring_(ring),
       degree_(degree),
       interval_(check_interval),
-      latency_(std::move(latency)),
-      metrics_(metrics) {
+      latency_(std::move(latency)) {
   P2PLB_REQUIRE(degree_ >= 2);
   P2PLB_REQUIRE(check_interval > 0.0);
   P2PLB_REQUIRE(latency_ != nullptr);
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  constexpr std::string_view kName = "ktree.maintenance.messages";
-  msg_reseed_ = &metrics_->counter(kName, {{"kind", "reseed"}});
-  msg_replant_ = &metrics_->counter(kName, {{"kind", "replant"}});
-  msg_prune_ = &metrics_->counter(kName, {{"kind", "prune"}});
-  msg_create_ = &metrics_->counter(kName, {{"kind", "create"}});
 }
 
 void MaintenanceProtocol::start() {
@@ -199,9 +189,9 @@ void MaintenanceProtocol::start() {
   // space; any node can locate (and if needed recreate) it.  Model that
   // with a watchdog firing every check interval.
   engine_.every(interval_, [this] {
-    if (!instances_.contains(Region::whole()) &&
+    if (!by_region_.contains(Region::whole()) &&
         ring_.virtual_server_count() > 0) {
-      msg_reseed_->increment();  // the lookup that re-seeds the root
+      ++reseeds_;  // the lookup that re-seeds the root
       // A reseed starts a fresh causal chain: nothing live caused it.
       const obs::SpanContext cause = trace_event(
           "maint.reseed", {}, Region::whole(),
@@ -225,97 +215,138 @@ obs::SpanContext MaintenanceProtocol::trace_event(
 
 void MaintenanceProtocol::create_instance(const Region& region,
                                           const obs::SpanContext& cause) {
-  if (instances_.contains(region)) return;
   if (ring_.virtual_server_count() == 0) return;
-  Instance inst;
+  const auto [entry, inserted] = by_region_.try_emplace(region, 0);
+  if (!inserted) return;
+  std::uint32_t slot;
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+    children_.resize(children_.size() + degree_);
+  }
+  entry->second = slot;
+  Instance& inst = slots_[slot];
+  inst.region = region;
   inst.host_vs = ring_.successor(region.midpoint()).id;
+  ++inst.gen;
+  inst.live = true;
   inst.ctx = trace_event("maint.create", cause, region, inst.host_vs);
-  instances_.emplace(region, inst);
-  schedule_check(region);
+  inst.entry = entry;
+  std::fill_n(children_.begin() + std::ptrdiff_t{slot} * degree_, degree_,
+              Handle{});
+  schedule_check(Handle{slot, inst.gen});
 }
 
-void MaintenanceProtocol::schedule_check(const Region& region) {
-  engine_.schedule_after(interval_, [this, region] {
-    check_instance(region);
-  });
+void MaintenanceProtocol::destroy_instance(std::uint32_t slot) {
+  Instance& inst = slots_[slot];
+  by_region_.erase(inst.entry);
+  inst.live = false;
+  free_.push_back(slot);
 }
 
-void MaintenanceProtocol::check_instance(const Region& region) {
-  const auto it = instances_.find(region);
-  if (it == instances_.end()) return;  // destroyed meanwhile: stop checking
+void MaintenanceProtocol::schedule_check(Handle self) {
+  engine_.schedule_after(interval_, [this, self] { check_instance(self); });
+}
+
+void MaintenanceProtocol::check_instance(Handle self) {
+  if (!holds(self)) return;  // destroyed meanwhile: the chain ends here
   if (ring_.virtual_server_count() == 0) return;
 
   // Re-plant: the proper host is the current successor of the midpoint.
-  const chord::Key proper = ring_.successor(region.midpoint()).id;
-  if (it->second.host_vs != proper) {
-    msg_replant_->increment();  // state handoff to the new host
-    it->second.host_vs = proper;
+  Instance& inst = slots_[self.slot];
+  const chord::Ring::SuccessorArc proper =
+      ring_.successor_arc(inst.region.midpoint());
+  if (inst.host_vs != proper.id) {
+    ++replants_;  // state handoff to the new host
+    inst.host_vs = proper.id;
     // The replant extends the instance's causal chain: later actions by
     // this instance parent to it.
-    it->second.ctx = trace_event("maint.replant", it->second.ctx, region,
-                                 proper);
+    inst.ctx = trace_event("maint.replant", inst.ctx, inst.region, proper.id);
   }
 
-  const bool is_leaf = region.len <= ring_.arc_size(proper);
-  if (is_leaf) {
-    // Prune every strict descendant, including orphans whose intermediate
-    // ancestors already vanished.  Regions never wrap (children split
-    // without crossing 2^32), so all descendants have lo in
-    // [region.lo, region.lo + region.len) and smaller len -- a contiguous
-    // range of the (lo, len)-ordered instance map.
-    auto it2 = instances_.lower_bound(Region{region.lo, 0});
-    while (it2 != instances_.end() &&
-           chord::distance_cw(region.lo, it2->first.lo) < region.len) {
-      // Ancestors can share our lo with a larger len; skip non-descendants.
-      if (it2->first.len >= region.len) {
-        ++it2;
-        continue;
-      }
-      msg_prune_->increment();  // prune notification
-      trace_event("maint.prune", it->second.ctx, it2->first,
-                  it2->second.host_vs);
-      it2 = instances_.erase(it2);
-    }
+  if (inst.region.len <= proper.arc) {
+    prune_descendants(self.slot);
   } else {
-    // Grow: create any missing child after the create-message latency.
-    for (std::uint32_t c = 0; c < degree_; ++c) {
-      const Region child = region.child(c, degree_);
-      if (child.len == 0 || instances_.contains(child)) continue;
-      const chord::Key child_host = ring_.successor(child.midpoint()).id;
-      const sim::Time lat = latency_(proper, child_host);
-      if (lat > 0.0) msg_create_->increment();
-      // The child's creation is caused by this instance's check; capture
-      // the parent context now so a replant in between doesn't rewrite
-      // history.
-      engine_.schedule_after(lat, [this, child, cause = it->second.ctx] {
-        create_instance(child, cause);
-      });
-    }
+    grow_children(self.slot, proper.id);
   }
-  schedule_check(region);
+  schedule_check(self);
+}
+
+void MaintenanceProtocol::prune_descendants(std::uint32_t slot) {
+  // Prune every strict descendant, including orphans whose intermediate
+  // ancestors already vanished.  Regions never wrap (children split
+  // without crossing 2^32), so all descendants have lo in
+  // [region.lo, region.lo + region.len) and smaller len -- a contiguous
+  // range of the (lo, len)-ordered index around this instance's entry:
+  // descendants sharing its lo sort just before it, the rest after it.
+  const Region region = slots_[slot].region;
+  auto it = slots_[slot].entry;
+  while (it != by_region_.begin() && std::prev(it)->first.lo == region.lo)
+    --it;
+  while (it != by_region_.end() &&
+         chord::distance_cw(region.lo, it->first.lo) < region.len) {
+    // Ancestors (and this instance) share our lo with a len no smaller;
+    // skip non-descendants.
+    if (it->first.len >= region.len) {
+      ++it;
+      continue;
+    }
+    const std::uint32_t victim = it->second;
+    ++prunes_;  // prune notification
+    trace_event("maint.prune", slots_[slot].ctx, it->first,
+                slots_[victim].host_vs);
+    ++it;
+    destroy_instance(victim);
+  }
+}
+
+void MaintenanceProtocol::grow_children(std::uint32_t slot, chord::Key host) {
+  const Region region = slots_[slot].region;
+  Handle* cached = &children_[std::size_t{slot} * degree_];
+  for (std::uint32_t c = 0; c < degree_; ++c) {
+    const Region child = region.child(c, degree_);
+    if (child.len == 0 || holds(cached[c])) continue;
+    if (const auto it = by_region_.find(child); it != by_region_.end()) {
+      cached[c] = Handle{it->second, slots_[it->second].gen};
+      continue;
+    }
+    // Create the missing child after the create-message latency.
+    const chord::Key child_host = ring_.successor(child.midpoint()).id;
+    const sim::Time lat = latency_(host, child_host);
+    if (lat > 0.0) ++creates_;
+    // The child's creation is caused by this instance's check; capture
+    // the parent context now so a replant in between doesn't rewrite
+    // history.
+    engine_.schedule_after(lat, [this, child, cause = slots_[slot].ctx] {
+      create_instance(child, cause);
+    });
+  }
 }
 
 void MaintenanceProtocol::crash_node(chord::NodeIndex node) {
   // Capture the victim's servers, then remove it from the ring.
   const std::vector<chord::Key> victims = ring_.node(node).servers;
   ring_.remove_node(node);
-  for (auto it = instances_.begin(); it != instances_.end();) {
-    const bool hosted_by_victim =
-        std::find(victims.begin(), victims.end(), it->second.host_vs) !=
-        victims.end();
-    it = hosted_by_victim ? instances_.erase(it) : std::next(it);
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].live &&
+        std::find(victims.begin(), victims.end(), slots_[slot].host_vs) !=
+            victims.end())
+      destroy_instance(slot);
   }
 }
 
 bool MaintenanceProtocol::converged() const {
-  if (ring_.virtual_server_count() == 0) return instances_.empty();
+  if (ring_.virtual_server_count() == 0) return by_region_.empty();
   const KTree target(ring_, degree_);
-  if (instances_.size() != target.size()) return false;
+  if (by_region_.size() != target.size()) return false;
   for (KtIndex i = 0; i < target.size(); ++i) {
     const KtNode& n = target.node(i);
-    const auto it = instances_.find(n.region);
-    if (it == instances_.end()) return false;
-    if (it->second.host_vs != n.host_vs) return false;
+    const auto it = by_region_.find(n.region);
+    if (it == by_region_.end()) return false;
+    if (slots_[it->second].host_vs != n.host_vs) return false;
   }
   return true;
 }

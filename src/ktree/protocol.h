@@ -18,7 +18,11 @@
 //     creating missing children and pruning redundant ones.  Crashing a
 //     DHT node destroys the instances it hosted; the periodic checks
 //     regrow them top-down, which is the self-repair property the paper
-//     claims completes in O(log_K N) rounds.
+//     claims completes in O(log_K N) rounds.  Instances live in dense
+//     generation-tagged slots under one ordered region index; a check
+//     names its instance by (slot, generation), so a check chain dies
+//     with its instance even if the region is recreated before the dead
+//     instance's pending check fires.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +33,9 @@
 #include <string_view>
 #include <vector>
 
-#include <memory>
-
 #include "chord/ring.h"
 #include "ktree/region.h"
 #include "ktree/tree.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/network.h"
@@ -104,14 +105,10 @@ void begin_dissemination(sim::Network& net, const KTree& tree,
 class MaintenanceProtocol {
  public:
   /// `ring`, `engine` must outlive the protocol.  `check_interval` is
-  /// the paper's periodic-check period T.  Maintenance traffic is counted
-  /// in `metrics` as `ktree.maintenance.messages{kind=...}` (kinds:
-  /// reseed, replant, prune, create); when `metrics` is null the protocol
-  /// owns a private registry, so messages() always works.
+  /// the paper's periodic-check period T.
   MaintenanceProtocol(sim::Engine& engine, chord::Ring& ring,
                       std::uint32_t degree, sim::Time check_interval,
-                      VsLatencyFn latency,
-                      obs::MetricsRegistry* metrics = nullptr);
+                      VsLatencyFn latency);
 
   /// Bootstrap: create the root instance and start its periodic check.
   void start();
@@ -135,22 +132,20 @@ class MaintenanceProtocol {
 
   /// Number of live KT-node instances.
   [[nodiscard]] std::size_t instance_count() const {
-    return instances_.size();
+    return by_region_.size();
   }
-  /// Remote maintenance messages sent so far (sum over all kinds in the
-  /// metrics registry).
+  /// Maintenance messages sent so far: root reseeds, replant handoffs,
+  /// prune notifications and remote child creates.
   [[nodiscard]] std::uint64_t messages() const noexcept {
-    double sum = 0.0;
-    for (const obs::Counter* c :
-         {msg_reseed_, msg_replant_, msg_prune_, msg_create_})
-      sum += c->value();
-    return static_cast<std::uint64_t>(sum);
+    return reseeds_ + replants_ + prunes_ + creates_;
   }
 
-  /// Visit every live instance as fn(region, host_vs) -- diagnostics.
+  /// Visit every live instance as fn(region, host_vs), in region order
+  /// -- diagnostics.
   template <typename Fn>
   void for_each_instance(Fn&& fn) const {
-    for (const auto& [region, inst] : instances_) fn(region, inst.host_vs);
+    for (const auto& [region, slot] : by_region_)
+      fn(region, slots_[slot].host_vs);
   }
 
   /// The tree degree K.
@@ -158,23 +153,38 @@ class MaintenanceProtocol {
 
   /// Whether an instance currently exists for this exact region.
   [[nodiscard]] bool has_instance(const Region& region) const {
-    return instances_.contains(region);
+    return by_region_.contains(region);
   }
 
   /// The hosting VS of an instance (throws if absent).
   [[nodiscard]] chord::Key instance_host(const Region& region) const {
-    const auto it = instances_.find(region);
-    P2PLB_REQUIRE_MSG(it != instances_.end(), "no such instance");
-    return it->second.host_vs;
+    const auto it = by_region_.find(region);
+    P2PLB_REQUIRE_MSG(it != by_region_.end(), "no such instance");
+    return slots_[it->second].host_vs;
   }
 
  private:
+  /// Region -> slot of its live instance, in RegionOrder.
+  using RegionIndex = std::map<Region, std::uint32_t, RegionOrder>;
+
+  /// Names one instance while it lives.  Each occupant of a slot gets
+  /// the next generation, so a handle to a destroyed instance never
+  /// matches again, even once its slot is reused.
+  struct Handle {
+    std::uint32_t slot = 0;
+    std::uint32_t gen = 0;  ///< 0 matches nothing: occupants start at 1
+  };
+
+  /// One KT-node instance, in a dense slot recycled through free_.
   struct Instance {
+    Region region;
     chord::Key host_vs = 0;
-    bool alive = true;
+    std::uint32_t gen = 0;  ///< generation of the current or last occupant
+    bool live = false;
     /// Causal identity of the instance's last recorded lifecycle event
     /// (creation or replant); children of its checks parent to it.
     obs::SpanContext ctx;
+    RegionIndex::iterator entry;  ///< this instance's by_region_ entry
   };
 
   /// Emit a lifecycle instant as a child span of `parent` (no-op with no
@@ -183,24 +193,38 @@ class MaintenanceProtocol {
                                const obs::SpanContext& parent,
                                const Region& region, chord::Key host);
 
+  [[nodiscard]] bool holds(Handle h) const noexcept {
+    return h.slot < slots_.size() && slots_[h.slot].live &&
+           slots_[h.slot].gen == h.gen;
+  }
+
   void create_instance(const Region& region,
                        const obs::SpanContext& cause = {});
-  void check_instance(const Region& region);
-  void schedule_check(const Region& region);
+  void destroy_instance(std::uint32_t slot);
+  void check_instance(Handle self);
+  void schedule_check(Handle self);
+  /// A leaf's check: drop every instance of a strict descendant region.
+  void prune_descendants(std::uint32_t slot);
+  /// An internal node's check: create each missing child (hosted now at
+  /// `host`) after the create-message latency.
+  void grow_children(std::uint32_t slot, chord::Key host);
 
   sim::Engine& engine_;
   chord::Ring& ring_;
   std::uint32_t degree_;
   sim::Time interval_;
   VsLatencyFn latency_;
-  std::map<Region, Instance, RegionOrder> instances_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  std::vector<Instance> slots_;
+  /// degree_ cached child handles per slot; a stale one is looked up
+  /// again in by_region_.
+  std::vector<Handle> children_;
+  std::vector<std::uint32_t> free_;
+  RegionIndex by_region_;
   obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Counter* msg_reseed_ = nullptr;   ///< lookups re-seeding the root
-  obs::Counter* msg_replant_ = nullptr;  ///< state handoffs to a new host
-  obs::Counter* msg_prune_ = nullptr;    ///< prune notifications
-  obs::Counter* msg_create_ = nullptr;   ///< remote child-create messages
+  std::uint64_t reseeds_ = 0;   ///< lookups re-seeding the root
+  std::uint64_t replants_ = 0;  ///< state handoffs to a new host
+  std::uint64_t prunes_ = 0;    ///< prune notifications
+  std::uint64_t creates_ = 0;   ///< remote child-create messages
 };
 
 }  // namespace p2plb::ktree

@@ -2,12 +2,11 @@
 // histograms shared by every layer of the stack.
 //
 // Protocols publish their outcomes here (lb::ProtocolRound's lb.* round
-// counters, ktree::MaintenanceProtocol's repair traffic), and layers that
-// keep their own tallies export them on request as gauges
-// (sim::Engine::export_metrics, sim::Network::export_metrics).  The
-// registry is deterministic by construction -- metrics are stored in
-// canonical-key order, so snapshots and exports are stable across runs for
-// golden tests.
+// counters), and layers that keep their own tallies export them on
+// request as gauges (sim::Engine::export_metrics,
+// sim::Network::export_metrics).  The registry is deterministic by
+// construction -- metrics are stored in canonical-key order, so snapshots
+// and exports are stable across runs for golden tests.
 //
 // Handles returned by counter()/gauge()/histogram() are stable for the
 // registry's lifetime: resolve once, update on the hot path without a

@@ -299,5 +299,98 @@ TEST(Maintenance, PrunesAfterMembershipGrowth) {
   EXPECT_TRUE(protocol.converged());
 }
 
+/// FNV-1a over the live instance listing, in for_each_instance order.
+std::uint64_t listing_digest(const MaintenanceProtocol& protocol) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFFu;
+      h *= 1099511628211ull;
+    }
+  };
+  protocol.for_each_instance([&](const Region& r, chord::Key host) {
+    mix(r.lo);
+    mix(r.len);
+    mix(host);
+  });
+  return h;
+}
+
+TEST(Maintenance, ChurnEpisodeCountsArePinned) {
+  // A seeded join/crash episode over a converged 128-node tree.  The
+  // literals pin the whole schedule: how instances are stored and found
+  // must not change what the protocol does, or when.
+  auto ring = make_ring(128, 3, 412);
+  sim::Engine engine;
+  MaintenanceProtocol protocol(engine, ring, 2, 1.0, unit_latency(ring));
+  protocol.start();
+  engine.run_until(30.0);
+  ASSERT_TRUE(protocol.converged());
+
+  Rng rng(413);
+  sim::Time churn_end = engine.now();
+  for (int k = 0; k < 64; ++k) {
+    churn_end += rng.exponential(0.5);
+    engine.schedule_at(churn_end, [&] {
+      if (rng.below(2) == 0) {
+        const chord::NodeIndex n = ring.add_node(1.0);
+        for (int v = 0; v < 3; ++v)
+          (void)ring.add_random_virtual_server(n, rng);
+      } else {
+        const auto live = ring.live_nodes();
+        protocol.crash_node(live[rng.below(live.size())]);
+      }
+    });
+  }
+  engine.run_until(churn_end);
+  int intervals = 0;
+  while (!protocol.converged() && intervals < 100) {
+    engine.run_until(engine.now() + 1.0);
+    ++intervals;
+  }
+  ASSERT_TRUE(protocol.converged());
+
+  EXPECT_EQ(intervals, 9);
+  EXPECT_EQ(engine.events_executed(), 41273u);
+  EXPECT_EQ(protocol.messages(), 933u);
+  EXPECT_EQ(protocol.instance_count(), 823u);
+  std::size_t listed = 0;
+  protocol.for_each_instance([&](const Region&, chord::Key) { ++listed; });
+  EXPECT_EQ(listed, 823u);
+  EXPECT_EQ(listing_digest(protocol), 13511942549977987334ull);
+}
+
+TEST(Maintenance, OneCheckChainPerInstance) {
+  // Remote creates take a quarter interval, so instances check at four
+  // phases.  After a crash a parent can recreate a lost child on a host
+  // local to it before the dead instance's pending check fires; that
+  // check must die with its instance, not adopt the new one.
+  auto ring = make_ring(32, 3, 414);
+  sim::Engine engine;
+  MaintenanceProtocol protocol(engine, ring, 2, 1.0,
+                               unit_latency(ring, 0.25));
+  protocol.start();
+  engine.run_until(30.0);
+  ASSERT_TRUE(protocol.converged());
+
+  Rng rng(415);
+  for (int k = 0; k < 8; ++k) {
+    engine.run_until(engine.now() + 0.1);
+    const auto live = ring.live_nodes();
+    protocol.crash_node(live[rng.below(live.size())]);
+    engine.run_until(engine.now() + 20.0);
+    ASSERT_TRUE(protocol.converged());
+  }
+  // Quiet intervals, off the quarter-tick event times: every instance
+  // checks once and the root watchdog fires once.
+  for (int k = 0; k < 4; ++k) {
+    const std::uint64_t before = engine.events_executed();
+    engine.run_until(engine.now() + 1.0);
+    EXPECT_EQ(engine.events_executed() - before,
+              protocol.instance_count() + 1)
+        << "interval " << k;
+  }
+}
+
 }  // namespace
 }  // namespace p2plb::ktree

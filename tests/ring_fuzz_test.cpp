@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <set>
+#include <vector>
 
 #include "chord/ring.h"
 #include "common/histogram.h"
@@ -77,6 +80,88 @@ TEST_P(RingFuzz, InvariantsSurviveRandomOperations) {
       ring.set_load(ids[rng.below(ids.size())], rng.uniform(0.0, 50.0));
     }
     if (step % 40 == 0) check_ring_invariants(ring);
+  }
+  check_ring_invariants(ring);
+}
+
+/// Successor of `k` in a sorted id set (wrapping), with its arc size.
+chord::Ring::SuccessorArc model_successor_arc(const std::set<chord::Key>& ids,
+                                              chord::Key k) {
+  auto it = ids.lower_bound(k);
+  if (it == ids.end()) it = ids.begin();
+  const chord::Key pred =
+      it == ids.begin() ? *ids.rbegin() : *std::prev(it);
+  return {*it, pred == *it ? chord::kSpaceSize : chord::distance_cw(pred, *it)};
+}
+
+TEST_P(RingFuzz, OrderedQueriesMatchSortedModelAcrossBatches) {
+  // Batches of adds, removes and re-adds land between two ordered
+  // queries, so the order index must merge new slots into the survivors
+  // while dropping removed ones -- including slots freed and reused, with
+  // a new id or the same one, inside one batch.
+  Rng rng(GetParam());
+  chord::Ring ring;
+  std::set<chord::Key> model;
+  std::vector<chord::NodeIndex> nodes;
+  for (int i = 0; i < 3; ++i) nodes.push_back(ring.add_node(1.0));
+  const auto add = [&](chord::Key id) {
+    ring.add_virtual_server(nodes[rng.below(nodes.size())], id);
+    model.insert(id);
+  };
+  const auto add_random = [&] {
+    const chord::NodeIndex owner = nodes[rng.below(nodes.size())];
+    model.insert(ring.add_random_virtual_server(owner, rng));
+  };
+  const auto random_id = [&] {
+    return *std::next(model.begin(),
+                      static_cast<std::ptrdiff_t>(rng.below(model.size())));
+  };
+  for (int v = 0; v < 16; ++v) add_random();
+
+  for (int step = 0; step < 150; ++step) {
+    const std::uint64_t batch = 1 + rng.below(8);
+    for (std::uint64_t b = 0; b < batch; ++b) {
+      const auto op = rng.below(100);
+      if (op < 35 || model.size() < 3) {
+        add_random();
+      } else if (op < 65) {  // remove; the next add reuses its slot
+        const chord::Key id = random_id();
+        ring.remove_virtual_server(id);
+        model.erase(id);
+      } else if (op < 85) {  // remove and re-add the same id at once
+        const chord::Key id = random_id();
+        ring.remove_virtual_server(id);
+        add(id);
+      } else if (op < 92) {  // a node joins with servers
+        nodes.push_back(ring.add_node(1.0));
+        for (int v = 0; v < 3; ++v) add_random();
+      } else if (nodes.size() > 2) {  // a node leaves with its servers
+        const std::size_t victim = rng.below(nodes.size());
+        for (const chord::Key id : ring.node(nodes[victim]).servers)
+          model.erase(id);
+        ring.remove_node(nodes[victim]);
+        nodes.erase(nodes.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+    }
+    if (model.empty()) continue;
+    // Alternate which ordered query observes the batch first.
+    if (step % 2 == 0) {
+      ASSERT_EQ(ring.server_ids(),
+                std::vector<chord::Key>(model.begin(), model.end()));
+    }
+    for (int q = 0; q < 8; ++q) {
+      const auto k = static_cast<chord::Key>(rng() >> 32);
+      const chord::Ring::SuccessorArc want = model_successor_arc(model, k);
+      const chord::Ring::SuccessorArc got = ring.successor_arc(k);
+      ASSERT_EQ(got.id, want.id) << "step " << step << " key " << k;
+      ASSERT_EQ(got.arc, want.arc) << "step " << step << " key " << k;
+      ASSERT_EQ(ring.successor(k).id, want.id);
+      ASSERT_EQ(ring.arc_size(want.id), want.arc);
+      const chord::Key id = random_id();
+      ASSERT_EQ(ring.arc_size(id), model_successor_arc(model, id).arc);
+    }
+    ASSERT_EQ(ring.server_ids(),
+              std::vector<chord::Key>(model.begin(), model.end()));
   }
   check_ring_invariants(ring);
 }
