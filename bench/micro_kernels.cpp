@@ -186,13 +186,25 @@ BENCHMARK(BM_VsaSweep)
     ->ArgsProduct({{1024, 4096, 32768}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
+/// `graph` with every edge weight multiplied by `scale`.
+topo::Graph scaled_weights(const topo::Graph& graph, double scale) {
+  topo::Graph out(graph.vertex_count());
+  for (topo::Vertex v = 0; v < graph.vertex_count(); ++v)
+    for (const topo::HalfEdge& e : graph.neighbors(v))
+      if (v < e.to) out.add_edge(v, e.to, e.weight * scale);
+  return out;
+}
+
 void BM_OracleLookup(benchmark::State& state) {
   // Cached source-row lookups (the per-send latency path): pre-warm every
-  // source so the timed loop never runs a Dijkstra.
+  // source so the timed loop never runs a Dijkstra.  /0 reads the preset's
+  // 16-bit rows; /1 scales every weight by 1.5, which forces double rows.
   Rng rng(12);
   const auto topo = topo::generate_transit_stub(
       topo::TransitStubParams::ts5k_small(), rng, "bench");
-  topo::DistanceOracle oracle(topo.graph, topo.graph.vertex_count());
+  const topo::Graph graph =
+      state.range(0) == 0 ? topo.graph : scaled_weights(topo.graph, 1.5);
+  topo::DistanceOracle oracle(graph, graph.vertex_count());
   const auto stubs = topo.stub_vertices();
   std::vector<std::pair<topo::Vertex, topo::Vertex>> pairs(4096);
   Rng pick(13);
@@ -207,8 +219,9 @@ void BM_OracleLookup(benchmark::State& state) {
     benchmark::DoNotOptimize(oracle.distance(a, b));
     i = (i + 1) & (pairs.size() - 1);
   }
+  state.SetLabel(state.range(0) == 0 ? "16-bit rows" : "double rows");
 }
-BENCHMARK(BM_OracleLookup);
+BENCHMARK(BM_OracleLookup)->Arg(0)->Arg(1);
 
 /// BM_EngineThroughput variants.  0/1 are the wheel-vs-heap A/B with an
 /// 8-byte capture; 2-4 are wheel-only shapes: the capture sizes the lb
@@ -298,16 +311,20 @@ BENCHMARK(BM_Dijkstra5k)->Unit(benchmark::kMillisecond);
 void BM_OracleFill(benchmark::State& state) {
   // The batch fill beside the one-row kernel above: a fresh dense-mode
   // oracle fills every ts5k-large stub's row in one distances() call,
-  // fanned out over the hardware threads.
+  // fanned out over the hardware threads.  `row_bytes` is the memory the
+  // filled rows hold.
   Rng rng(8);
   const auto topo = topo::generate_transit_stub(
       topo::TransitStubParams::ts5k_large(), rng, "bench");
   std::vector<std::pair<topo::Vertex, topo::Vertex>> sources;
   for (const topo::Vertex v : topo.stub_vertices()) sources.emplace_back(v, v);
+  std::size_t row_bytes = 0;
   for (auto _ : state) {
     topo::DistanceOracle oracle(topo.graph, topo.graph.vertex_count());
     benchmark::DoNotOptimize(oracle.distances(sources));
+    row_bytes = oracle.row_bytes();
   }
+  state.counters["row_bytes"] = static_cast<double>(row_bytes);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(sources.size()));
 }

@@ -15,7 +15,8 @@
 //     (Section 3.5: phase 4 overlaps phase 3).
 //
 // Each timed row also prints its host time split four ways: deployment
-// build, oracle fill, ProtocolRound constructor and event loop.  These
+// build, oracle fill (with the bytes its rows hold), ProtocolRound
+// constructor and event loop.  These
 // figures are report-only (a million-node row is run by hand with
 // --timed-sizes 1048576); the repository's perf record is
 // bench_e2e/run.py.  The exact counts of the 1024- and 4096-node rows
@@ -57,6 +58,7 @@ struct TimedRoundResult {
   std::uint64_t events = 0;
   double deployment_seconds = 0.0;   ///< topology + loaded ring
   double oracle_fill_seconds = 0.0;  ///< up-front Dijkstra rows
+  std::size_t oracle_row_bytes = 0;  ///< memory those rows hold
   double constructor_seconds = 0.0;  ///< lb::ProtocolRound constructor
   double loop_seconds = 0.0;         ///< round.start() + engine.run()
 };
@@ -97,6 +99,7 @@ TimedRoundResult run_timed_round(std::size_t nodes, std::size_t servers,
   const auto fill0 = Clock::now();
   (void)oracle.distances(sources);
   r.oracle_fill_seconds = seconds_since(fill0);
+  r.oracle_row_bytes = oracle.row_bytes();
   sim::Engine engine;
   sim::Network net(engine, oracle.latency());
   if (tracer != nullptr) net.attach_tracer(tracer);
@@ -271,6 +274,8 @@ int main(int argc, char** argv) try {
         r.loop_seconds > 0.0
             ? static_cast<double>(r.events) / r.loop_seconds
             : 0.0;
+    const double row_mb =
+        static_cast<double>(r.oracle_row_bytes) / (1024.0 * 1024.0);
     std::cout << "\nround completion time: "
               << Table::num(report.completion_time, 1)
               << " latency units  (heavy " << report.before.heavy_count
@@ -282,8 +287,9 @@ int main(int argc, char** argv) try {
               << Table::num(events_per_sec / 1e6, 2) << " M events/s)\n"
               << "host time: deployment build "
               << Table::num(r.deployment_seconds, 3) << " s, oracle fill "
-              << Table::num(r.oracle_fill_seconds, 3)
-              << " s, ProtocolRound constructor "
+              << Table::num(r.oracle_fill_seconds, 3) << " s ("
+              << Table::num(row_mb, 1)
+              << " MB of rows), ProtocolRound constructor "
               << Table::num(r.constructor_seconds, 3) << " s, event loop "
               << Table::num(r.loop_seconds, 3) << " s\n"
               << "(phase 4 starts before phase 3 ends: transfers overlap "

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <queue>
 #include <set>
 
@@ -146,6 +147,8 @@ Graph mixed_weight_graph(Rng& rng, Vertex n) {
 void expect_bitwise_equal(const std::vector<double>& got,
                           const std::vector<double>& want) {
   ASSERT_EQ(got.size(), want.size());
+  if (std::memcmp(got.data(), want.data(), got.size() * sizeof(double)) == 0)
+    return;  // equal bits: skip the per-vertex report
   for (std::size_t v = 0; v < got.size(); ++v)
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got[v]),
               std::bit_cast<std::uint64_t>(want[v]))
@@ -506,6 +509,146 @@ TEST(DistanceOracle, ParallelBatchMatchesLazyRowsLru) {
   EXPECT_EQ(oracle.dijkstra_runs(), runs);
   (void)oracle.distance(ascending[0], ascending[1]);
   EXPECT_EQ(oracle.dijkstra_runs(), runs + 1);
+}
+
+// --- Compact rows ------------------------------------------------------------
+
+/// `source`'s full row, read one distance() at a time.
+std::vector<double> row_by_distance(DistanceOracle& oracle, std::size_t n,
+                                    Vertex source) {
+  std::vector<double> row(n);
+  for (Vertex v = 0; v < n; ++v) row[v] = oracle.distance(source, v);
+  return row;
+}
+
+/// Full rows of `sources`, answered by one distances() batch (row i is
+/// out[i * n, (i + 1) * n)).
+std::vector<double> rows_by_batch(DistanceOracle& oracle, std::size_t n,
+                                  std::span<const Vertex> sources) {
+  std::vector<std::pair<Vertex, Vertex>> pairs;
+  for (const Vertex s : sources)
+    for (Vertex v = 0; v < n; ++v) pairs.emplace_back(s, v);
+  return oracle.distances(pairs);
+}
+
+/// Every read path of the oracle -- distance() and a parallel distances()
+/// prefill on a dense oracle, both on an LRU one -- gives `sources`' rows
+/// bit for bit as shortest_paths does.
+void expect_rows_match_dijkstra(const Graph& g,
+                                std::span<const Vertex> sources) {
+  const std::size_t n = g.vertex_count();
+  constexpr std::size_t kLruCapacity = 3;  // several chunks per batch
+  DistanceOracle dense(g, n);
+  DistanceOracle lru(g, kLruCapacity);
+  const std::vector<double> dense_batch = rows_by_batch(dense, n, sources);
+  const std::vector<double> lru_batch = rows_by_batch(lru, n, sources);
+  DistanceOracle lazy(g, n);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "source " << sources[i]);
+    const std::vector<double> want = shortest_paths(g, sources[i]);
+    const auto slice = [&](const std::vector<double>& batch) {
+      const std::span<const double> row(batch.data() + i * n, n);
+      return std::vector<double>(row.begin(), row.end());
+    };
+    expect_bitwise_equal(slice(dense_batch), want);
+    expect_bitwise_equal(slice(lru_batch), want);
+    expect_bitwise_equal(row_by_distance(lazy, n, sources[i]), want);
+    expect_bitwise_equal(row_by_distance(lru, n, sources[i]), want);
+  }
+}
+
+TEST(DistanceOracle, CompactRowsMatchDijkstraOnPresets) {
+  for (const bool large : {true, false}) {
+    SCOPED_TRACE(large ? "ts5k-large" : "ts5k-small");
+    Rng topo_rng(2004);  // the end-to-end benchmark's topology seed
+    const auto topo = generate_transit_stub(
+        large ? TransitStubParams::ts5k_large()
+              : TransitStubParams::ts5k_small(),
+        topo_rng, "preset");
+    const Graph& g = topo.graph;
+    const std::size_t n = g.vertex_count();
+    Rng rng(45);
+    std::vector<Vertex> sources;
+    for (const std::size_t i : rng.sample_indices(n, 6))
+      sources.push_back(static_cast<Vertex>(i));
+    expect_rows_match_dijkstra(g, sources);
+    // Both presets take the 16-bit rows: two bytes per entry.
+    DistanceOracle oracle(g, n);
+    (void)rows_by_batch(oracle, n, sources);
+    EXPECT_EQ(oracle.row_bytes(), sources.size() * n * sizeof(std::uint16_t));
+  }
+}
+
+TEST(DistanceOracle, NonIntegralWeightsKeepDoubleRows) {
+  // Weights from 1e-9 to 1e16 (additions round and absorb), then small
+  // fractional weights whose bound alone would fit 16 bits.
+  Rng rng(46);
+  Graph fractional(5);
+  fractional.add_edge(0, 1, 0.1);
+  fractional.add_edge(1, 2, 0.2);
+  fractional.add_edge(0, 2, 0.3);
+  fractional.add_edge(2, 3, 1.5);
+  for (const Graph& g : {mixed_weight_graph(rng, 150), fractional}) {
+    const std::vector<Vertex> sources = {
+        0, 1, 3, static_cast<Vertex>(g.vertex_count() - 1)};
+    expect_rows_match_dijkstra(g, sources);
+    DistanceOracle oracle(g, g.vertex_count());
+    (void)rows_by_batch(oracle, g.vertex_count(), sources);
+    EXPECT_EQ(oracle.row_bytes(),
+              sources.size() * g.vertex_count() * sizeof(double));
+  }
+}
+
+/// A path of `edges` edges of one weight: its end points are
+/// edges * weight apart, which is the width rule's bound itself.
+Graph uniform_path(Vertex edges, double weight) {
+  Graph g(edges + 1);
+  for (Vertex v = 1; v <= edges; ++v) g.add_edge(v - 1, v, weight);
+  return g;
+}
+
+TEST(DistanceOracle, WidthRuleHoldsAtTheBound) {
+  // 217 * 302 == 0xFFFE is the largest bound 16-bit rows take (0xFFFF
+  // marks unreachable); 257 * 255 == 0xFFFF falls back to double rows.
+  struct Case {
+    Vertex edges;
+    double weight;
+    std::size_t width;
+  };
+  for (const Case c : {Case{217, 302.0, sizeof(std::uint16_t)},
+                       Case{257, 255.0, sizeof(double)}}) {
+    SCOPED_TRACE(::testing::Message() << c.edges << " edges of " << c.weight);
+    const Graph g = uniform_path(c.edges, c.weight);
+    const std::vector<Vertex> sources = {0, c.edges / 2, c.edges};
+    expect_rows_match_dijkstra(g, sources);
+    DistanceOracle oracle(g, g.vertex_count());
+    const double farthest = c.edges * c.weight;
+    EXPECT_EQ(oracle.distance(0, c.edges), farthest);
+    EXPECT_EQ(oracle.distance(c.edges, 0), farthest);
+    EXPECT_EQ(oracle.row_bytes(), 2 * g.vertex_count() * c.width);
+  }
+}
+
+TEST(DistanceOracle, DisconnectedIntegerGraphIsUnreachable) {
+  // Two components and an isolated vertex, integer weights: 16-bit rows.
+  Graph g(6);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(1, 2, 3.0);
+  g.add_edge(3, 4, 1.0);
+  for (const std::size_t capacity : {std::size_t{6}, std::size_t{2}}) {
+    DistanceOracle oracle(g, capacity);  // dense, then LRU
+    EXPECT_EQ(oracle.distance(0, 2), 4.0);
+    EXPECT_EQ(oracle.distance(0, 3), kUnreachable);
+    EXPECT_EQ(oracle.distance(5, 0), kUnreachable);
+    const std::vector<std::pair<Vertex, Vertex>> pairs = {{2, 4}, {3, 4}};
+    EXPECT_EQ(oracle.distances(pairs),
+              (std::vector<double>{kUnreachable, 1.0}));
+    const sim::Latency latency = oracle.latency(50.0);
+    EXPECT_EQ(latency(0, 3), 50.0);
+    EXPECT_EQ(latency(4, 5), 50.0);
+    EXPECT_EQ(latency(2, 0), 4.0);
+    EXPECT_EQ(latency(5, 5), 0.0);
+  }
 }
 
 }  // namespace
