@@ -310,12 +310,15 @@ BENCHMARK(BM_Dijkstra5k)->Unit(benchmark::kMillisecond);
 
 void BM_OracleFill(benchmark::State& state) {
   // The batch fill beside the one-row kernel above: a fresh dense-mode
-  // oracle fills every ts5k-large stub's row in one distances() call,
-  // fanned out over the hardware threads.  `row_bytes` is the memory the
-  // filled rows hold.
+  // oracle fills every stub's row in one distances() call, fanned out
+  // over the hardware threads.  /0 is ts5k-large, /1 ts5k-small.
+  // `row_bytes` is the memory the filled rows hold.
+  const bool large = state.range(0) == 0;
   Rng rng(8);
   const auto topo = topo::generate_transit_stub(
-      topo::TransitStubParams::ts5k_large(), rng, "bench");
+      large ? topo::TransitStubParams::ts5k_large()
+            : topo::TransitStubParams::ts5k_small(),
+      rng, "bench");
   std::vector<std::pair<topo::Vertex, topo::Vertex>> sources;
   for (const topo::Vertex v : topo.stub_vertices()) sources.emplace_back(v, v);
   std::size_t row_bytes = 0;
@@ -327,7 +330,12 @@ void BM_OracleFill(benchmark::State& state) {
   state.counters["row_bytes"] = static_cast<double>(row_bytes);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(sources.size()));
+  state.SetLabel(large ? "ts5k-large" : "ts5k-small");
 }
-BENCHMARK(BM_OracleFill)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_OracleFill)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace

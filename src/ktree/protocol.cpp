@@ -87,20 +87,21 @@ void fold_up(const std::shared_ptr<SweepState>& s, KtIndex i) {
     return;
   }
   const KtIndex parent = t.node(i).parent;
-  const sim::Time lat = s->net->latency_between(s->host[i], s->host[parent]);
-  s->count(lat);
+  // The traced instant precedes msg.send and carries the latency, so only
+  // a traced hop looks it up ahead of the send.
   if (obs::Tracer* tracer = s->net->tracer())
-    tracer->instant(s->net->engine().now(), s->lane(), "sweep.fold",
-                    annotate(*s->net),
-                    {obs::arg("node", i), obs::arg("parent", parent),
-                     obs::arg("latency", lat)});
-  s->net->send(
+    tracer->instant(
+        s->net->engine().now(), s->lane(), "sweep.fold", annotate(*s->net),
+        {obs::arg("node", i), obs::arg("parent", parent),
+         obs::arg("latency",
+                  s->net->latency_between(s->host[i], s->host[parent]))});
+  s->count(s->net->send(
       s->host[i], s->host[parent],
       [s, parent] {
         P2PLB_ASSERT(s->pending[parent] > 0);
         if (--s->pending[parent] == 0) fold_up(s, parent);
       },
-      s->opts.bytes_per_message, 0.0, s->opts.tag);
+      s->opts.bytes_per_message, 0.0, s->opts.tag));
 }
 
 // Top-down mirror of fold_up, with the same ownership discipline.
@@ -121,16 +122,16 @@ void deliver_down(const std::shared_ptr<SweepState>& s, KtIndex i) {
   const KtIndex first = t.node(i).first_child;
   for (std::uint16_t c = 0; c < t.node(i).child_count; ++c) {
     const KtIndex child = first + c;
-    const sim::Time lat = s->net->latency_between(s->host[i], s->host[child]);
-    s->count(lat);
     if (obs::Tracer* tracer = s->net->tracer())
-      tracer->instant(s->net->engine().now(), s->lane(), "sweep.deliver",
-                      annotate(*s->net),
-                      {obs::arg("node", i), obs::arg("child", child),
-                       obs::arg("latency", lat)});
-    s->net->send(s->host[i], s->host[child],
-                 [s, child] { deliver_down(s, child); },
-                 s->opts.bytes_per_message, 0.0, s->opts.tag);
+      tracer->instant(
+          s->net->engine().now(), s->lane(), "sweep.deliver",
+          annotate(*s->net),
+          {obs::arg("node", i), obs::arg("child", child),
+           obs::arg("latency",
+                    s->net->latency_between(s->host[i], s->host[child]))});
+    s->count(s->net->send(s->host[i], s->host[child],
+                          [s, child] { deliver_down(s, child); },
+                          s->opts.bytes_per_message, 0.0, s->opts.tag));
   }
 }
 

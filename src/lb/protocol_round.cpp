@@ -71,7 +71,12 @@ ProtocolRound::ProtocolRound(sim::Network& net, chord::Ring& ring,
     node_ep_[i] = node_endpoint(ring_, i);
 
   // Round outcomes (lb.*) are published into the network's registry.
+  // The distance histogram exists only once the round moves load, as
+  // every planned assignment starts a transfer.
   registry_ = &net_.metrics();
+  if (bal.apply_transfers && !report_.vsa.assignments.empty())
+    transfer_distance_ = &registry_->histogram(
+        "lb.transfer_distance", {0, 1, 2, 4, 8, 16, 32, 64, 128});
 }
 
 std::string_view ProtocolRound::tag_of(Phase p) noexcept {
@@ -300,11 +305,6 @@ void ProtocolRound::begin_transfer(std::size_t assignment_index) {
   }
   const Assignment& a = report_.vsa.assignments[assignment_index];
   ++transfers_outstanding_;
-  const double distance = net_.latency_between(node_ep_[a.from],
-                                               node_ep_[a.to]);
-  registry_
-      ->histogram("lb.transfer_distance", {0, 1, 2, 4, 8, 16, 32, 64, 128})
-      .observe(distance, a.load);
   if (obs::Tracer* tr = net_.tracer()) {
     // Child of the notify delivery that triggered this transfer.
     transfer_ctx_[assignment_index] = tr->child_of(net_.current_context());
@@ -319,7 +319,7 @@ void ProtocolRound::begin_transfer(std::size_t assignment_index) {
   obs::Profiler* const prof = net_.profiler();
   const obs::Profiler::Scope prof_scope(
       prof, prof != nullptr ? prof->intern("transfer", "lb") : 0);
-  net_.send(
+  const double distance = net_.send(
       node_ep_[a.from], node_ep_[a.to],
       [this, assignment_index] {
         // Applied at delivery time against the *live* ring: a server that
@@ -340,6 +340,7 @@ void ProtocolRound::begin_transfer(std::size_t assignment_index) {
         maybe_finish();
       },
       kTransferBytesPerLoad * a.load, 0.0, kTagTransfer);
+  transfer_distance_->observe(distance, a.load);
 }
 
 void ProtocolRound::maybe_finish() {

@@ -155,6 +155,8 @@ class ProtocolRound {
   // tallies (see balancer.h); round outcomes (lb.*) go to the registry
   // the network owns.
   obs::MetricsRegistry* registry_ = nullptr;
+  // Load moved by physical distance; null when the round moves nothing.
+  obs::HistogramMetric* transfer_distance_ = nullptr;
   // Causal spans (zero when no tracer is attached): the round span roots
   // one trace; each phase span and per-transfer async span is a child of
   // the message whose delivery started it (the round span for phase 1).

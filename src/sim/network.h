@@ -145,10 +145,11 @@ class Network {
   /// Deliver `on_receive` at the destination after the link latency plus
   /// `processing_delay`.  `bytes` feeds the traffic counters only.  A
   /// non-empty `tag` additionally books the message under that tag's
-  /// counter set (see counters()).
-  EventId send(Endpoint from, Endpoint to, EventFn on_receive,
-               double bytes = 0.0, Time processing_delay = 0.0,
-               std::string_view tag = {}) {
+  /// counter set (see counters()).  Returns the link latency charged, so
+  /// a caller that needs it makes no second lookup.
+  Time send(Endpoint from, Endpoint to, EventFn on_receive,
+            double bytes = 0.0, Time processing_delay = 0.0,
+            std::string_view tag = {}) {
     P2PLB_REQUIRE(processing_delay >= 0.0);
     const Time lat = latency_(from, to);
     P2PLB_ASSERT_MSG(lat >= 0.0, "latency function returned negative delay");
@@ -193,11 +194,13 @@ class Network {
                   core::FlightRecorder::kSend});
     }
     const Time delay = lat + processing_delay;
-    if (ctx.trace == 0 && carried == obs::Profiler::kRootStack)
-      return engine_.schedule_after(delay, std::move(on_receive));
+    if (ctx.trace == 0 && carried == obs::Profiler::kRootStack) {
+      engine_.schedule_after(delay, std::move(on_receive));
+      return lat;
+    }
     // The one delivery wrapper.  The tracer and profiler are re-read at
     // delivery: either may detach while the message is in flight.
-    return engine_.schedule_after(
+    engine_.schedule_after(
         delay, [this, ctx, from, to, tag_id, carried,
                 inner = std::move(on_receive)]() mutable {
           // Outermost, so the deliver instants count under the message.
@@ -213,6 +216,7 @@ class Network {
           const ContextScope scope(*this, ctx);  // its sends descend from it
           inner();
         });
+    return lat;
   }
 
   [[nodiscard]] Engine& engine() noexcept { return engine_; }

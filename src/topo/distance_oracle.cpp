@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <future>
 #include <numeric>
@@ -31,66 +32,90 @@ bool fits_narrow(const Graph& graph) {
          max_weight * static_cast<double>(n - 1) < kNarrowUnreachable;
 }
 
-/// A Dijkstra distance as a 16-bit entry, and an entry (of either width)
-/// as the distance.  Exact under the width rule.
-std::uint16_t narrow(double d) noexcept {
-  return d == kUnreachable ? kNarrowUnreachable : static_cast<std::uint16_t>(d);
+/// `graph` as flat arrays.  Requires the width rule: every weight is an
+/// integer in [1, 0xFFFF) and the vertex count is at most 0xFFFF.
+DistanceOracle::FlatAdjacency flatten(const Graph& graph) {
+  DistanceOracle::FlatAdjacency adj;
+  const std::size_t n = graph.vertex_count();
+  adj.offsets.reserve(n + 1);
+  adj.edges.reserve(2 * graph.edge_count());
+  std::uint32_t max_weight = 0;
+  for (Vertex v = 0; v < n; ++v) {
+    adj.offsets.push_back(static_cast<std::uint32_t>(adj.edges.size()));
+    for (const HalfEdge& e : graph.neighbors(v)) {
+      const auto w = static_cast<std::uint32_t>(e.weight);
+      adj.edges.push_back(e.to << 16 | w);
+      max_weight = std::max(max_weight, w);
+    }
+  }
+  adj.offsets.push_back(static_cast<std::uint32_t>(adj.edges.size()));
+  adj.mask = std::bit_ceil(max_weight + 1) - 1;
+  return adj;
 }
+
+/// A 16-bit entry (or a double one) as the distance.  Exact under the
+/// width rule.
 double widen(std::uint16_t d) noexcept {
   return d == kNarrowUnreachable ? kUnreachable : d;
 }
 double widen(double d) noexcept { return d; }
 
-/// One worker's reusable scratch: its Dijkstra heap and the double row a
-/// 16-bit row is narrowed from.
+/// One worker's reusable queue: Dial's bucket ring for 16-bit rows, the
+/// radix heap for double rows.
 struct Scratch {
+  std::vector<std::vector<Vertex>> buckets;
   RadixHeap heap;
-  std::vector<double> dist;
 };
 
-/// Dijkstra from `source` into `out` (empty on entry), allocating it.  A
-/// double row is the Dijkstra row itself; a 16-bit row is narrowed from
-/// `scratch.dist`, exactly (see the header).
-template <typename T>
-void fill_row(const Graph& graph, Vertex source, std::vector<T>& out,
-              Scratch& scratch) {
-  if constexpr (std::is_same_v<T, double>) {
-    out.assign(graph.vertex_count(), kUnreachable);
-    shortest_paths_into(graph, source, out, scratch.heap);
-  } else {
-    scratch.dist.assign(graph.vertex_count(), kUnreachable);
-    shortest_paths_into(graph, source, scratch.dist, scratch.heap);
-    out.resize(scratch.dist.size());
-    std::transform(scratch.dist.begin(), scratch.dist.end(), out.begin(),
-                   narrow);
+/// Dial's algorithm: Dijkstra over integer weights with a ring of
+/// mask + 1 buckets, where bucket d & mask holds the vertices labelled d.
+/// Every weight w is in [1, mask], so a relaxation from distance d lands
+/// d + w in another bucket than d's, less than one lap ahead: the bucket
+/// being scanned never grows, and a label never shares a bucket with a
+/// larger one.  A label d + w >= 0xFFFF never beats an entry (all are at
+/// most 0xFFFF), and every true distance is below it (width rule), so
+/// `dist` ends exact, with 0xFFFF left on unreachable vertices.
+void dial_row(const DistanceOracle::FlatAdjacency& adj, Vertex source,
+              std::uint16_t* dist, std::vector<std::vector<Vertex>>& buckets) {
+  const std::uint32_t mask = adj.mask;
+  buckets.resize(mask + 1);
+  std::fill(dist, dist + (adj.offsets.size() - 1), kNarrowUnreachable);
+  const std::uint32_t* const offsets = adj.offsets.data();
+  const std::uint32_t* const edges = adj.edges.data();
+  dist[source] = 0;
+  buckets[0].push_back(source);
+  std::size_t queued = 1;  // entries in the ring, stale ones included
+  for (std::uint32_t d = 0; queued > 0; ++d) {
+    std::vector<Vertex>& bucket = buckets[d & mask];
+    queued -= bucket.size();
+    for (const Vertex v : bucket) {
+      if (dist[v] != d) continue;  // stale: v settled below d
+      for (std::uint32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+        const std::uint32_t edge = edges[e];
+        const std::uint32_t nd = d + (edge & 0xFFFF);
+        const Vertex u = edge >> 16;
+        if (nd < dist[u]) {
+          dist[u] = static_cast<std::uint16_t>(nd);
+          buckets[nd & mask].push_back(u);
+          ++queued;
+        }
+      }
+    }
+    bucket.clear();
   }
 }
 
-/// One row to fill: its source and its slot (empty).
+/// Fill `row` (vertex_count entries) with the distances from `source`.
 template <typename T>
-using RowJob = std::pair<Vertex, std::vector<T>*>;
-
-/// Run one Dijkstra per job on min(hardware_concurrency, jobs) workers,
-/// the calling thread among them.  Each worker claims the next job and
-/// owns its scratch; rows are disjoint, so workers share nothing else.  A
-/// helper's exception (out of memory) is rethrown here once all joined.
-template <typename T>
-void fill_rows(const Graph& graph, std::span<const RowJob<T>> jobs) {
-  std::atomic<std::size_t> next{0};
-  const auto work = [&] {
-    Scratch scratch;
-    for (std::size_t j = next++; j < jobs.size(); j = next++)
-      fill_row(graph, jobs[j].first, *jobs[j].second, scratch);
-  };
-  const std::size_t workers = std::min<std::size_t>(
-      std::max(1u, std::thread::hardware_concurrency()), jobs.size());
-  // Declared after `next`: futures from std::async join on destruction,
-  // so no helper outlives the state it reads, even when work() throws.
-  std::vector<std::future<void>> helpers;
-  for (std::size_t w = 1; w < workers; ++w)
-    helpers.push_back(std::async(std::launch::async, work));
-  work();
-  for (std::future<void>& helper : helpers) helper.get();
+void fill_row(const Graph& graph, const DistanceOracle::FlatAdjacency& adj,
+              Vertex source, T* row, Scratch& scratch) {
+  if constexpr (std::is_same_v<T, double>) {
+    const std::span<double> dist(row, graph.vertex_count());
+    std::fill(dist.begin(), dist.end(), kUnreachable);
+    shortest_paths_into(graph, source, dist, scratch.heap);
+  } else {
+    dial_row(adj, source, row, scratch.buckets);
+  }
 }
 
 }  // namespace
@@ -98,17 +123,24 @@ void fill_rows(const Graph& graph, std::span<const RowJob<T>> jobs) {
 DistanceOracle::DistanceOracle(const Graph& graph,
                                std::size_t max_cached_sources)
     : graph_(graph),
+      vertex_count_(graph.vertex_count()),
       capacity_(max_cached_sources),
       narrow_(fits_narrow(graph)) {
   P2PLB_REQUIRE(capacity_ >= 1);
-  // When every row fits there is nothing to evict: switch to a dense
-  // per-vertex table and skip the hash lookup and LRU splice per query
-  // (this lookup sits on the per-send latency path of timed rounds).
-  if (capacity_ >= graph_.vertex_count()) {
+  // When every row fits there is nothing to evict: switch to the dense
+  // table and skip the hash lookup and LRU splice per query (this lookup
+  // sits on the per-send latency path of timed rounds).  The table is
+  // left uninitialised, so its pages become resident only as rows fill.
+  if (capacity_ >= vertex_count_) {
+    const auto make_dense = [n = vertex_count_](auto& cache) {
+      using T = std::remove_reference_t<decltype(cache.table[0])>;
+      cache.table = std::make_unique_for_overwrite<T[]>(n * n);
+      cache.filled.assign(n, 0);
+    };
     if (narrow_)
-      narrow_rows_.dense.resize(graph_.vertex_count());
+      make_dense(narrow_rows_);
     else
-      wide_rows_.dense.resize(graph_.vertex_count());
+      make_dense(wide_rows_);
   }
 }
 
@@ -121,15 +153,15 @@ DistanceOracle::Rows<T>& DistanceOracle::rows() noexcept {
 }
 
 template <typename T>
-std::vector<T>& DistanceOracle::slot(Vertex source, bool& fresh) {
+bool DistanceOracle::claim(Vertex source, RowJob<T>& job) {
   Rows<T>& cache = rows<T>();
-  std::vector<T>* r = nullptr;
-  if (!cache.dense.empty()) {
-    r = &cache.dense[source];
-  } else if (const auto it = cache.index.find(source);
-             it != cache.index.end()) {
+  job.source = source;
+  if (cache.table != nullptr) {
+    job.row = cache.table.get() + source * vertex_count_;
+    return cache.filled[source] == 0;
+  }
+  if (const auto it = cache.index.find(source); it != cache.index.end()) {
     cache.lru.splice(cache.lru.begin(), cache.lru, it->second);  // refresh
-    r = &cache.lru.front().second;
   } else {
     cache.lru.emplace_front(source, std::vector<T>{});
     cache.index[source] = cache.lru.begin();
@@ -137,34 +169,74 @@ std::vector<T>& DistanceOracle::slot(Vertex source, bool& fresh) {
       cache.index.erase(cache.lru.back().first);
       cache.lru.pop_back();
     }
-    r = &cache.lru.front().second;
   }
-  fresh = r->empty();
-  if (fresh) ++runs_;
-  return *r;
+  job.lru_row = &cache.lru.front().second;
+  return job.lru_row->empty();
 }
 
 template <typename T>
-const std::vector<T>& DistanceOracle::row(Vertex source) {
-  Rows<T>& cache = rows<T>();
-  // The per-send path: a filled dense row is one index and one test.
-  if (!cache.dense.empty() && !cache.dense[source].empty())
-    return cache.dense[source];
-  bool fresh = false;
-  std::vector<T>& r = slot<T>(source, fresh);
-  if (fresh) {
+void DistanceOracle::fill(std::span<const RowJob<T>> jobs) {
+  if (jobs.empty()) return;
+  // The flat adjacency is built once, by the first fill, so its cost is
+  // part of filling rows (and an oracle that never fills skips it).
+  if constexpr (std::is_same_v<T, std::uint16_t>)
+    if (adjacency_.offsets.empty()) adjacency_ = flatten(graph_);
+  // min(hardware_concurrency, jobs) workers, the calling thread among
+  // them.  Each claims the next job and owns its scratch; rows are
+  // disjoint, so workers share nothing else.  A helper's exception (out
+  // of memory) is rethrown here once all joined.
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
     Scratch scratch;
-    fill_row(graph_, source, r, scratch);
+    for (std::size_t j = next++; j < jobs.size(); j = next++) {
+      const RowJob<T>& job = jobs[j];
+      T* out = job.row;
+      if (out == nullptr) {
+        job.lru_row->resize(vertex_count_);
+        out = job.lru_row->data();
+      }
+      fill_row(graph_, adjacency_, job.source, out, scratch);
+    }
+  };
+  // A lone row (a lazy fill) skips the hardware_concurrency query.
+  const std::size_t workers =
+      jobs.size() == 1
+          ? 1
+          : std::min<std::size_t>(
+                std::max(1u, std::thread::hardware_concurrency()),
+                jobs.size());
+  {
+    // Declared after `next`: futures from std::async join on destruction,
+    // so no helper outlives the state it reads, even when work() throws.
+    std::vector<std::future<void>> helpers;
+    for (std::size_t w = 1; w < workers; ++w)
+      helpers.push_back(std::async(std::launch::async, work));
+    work();
+    for (std::future<void>& helper : helpers) helper.get();
   }
-  return r;
+  Rows<T>& cache = rows<T>();
+  for (const RowJob<T>& job : jobs)
+    if (job.row != nullptr) cache.filled[job.source] = 1;
+  runs_ += jobs.size();
+}
+
+template <typename T>
+const T* DistanceOracle::row(Vertex source) {
+  RowJob<T> job;
+  if (claim<T>(source, job)) fill<T>(std::span<const RowJob<T>>(&job, 1));
+  return job.data();
 }
 
 template <typename T>
 double DistanceOracle::distance_as(Vertex from, Vertex to) {
-  P2PLB_REQUIRE(from < graph_.vertex_count());
-  P2PLB_REQUIRE(to < graph_.vertex_count());
+  P2PLB_REQUIRE(from < vertex_count_);
+  P2PLB_REQUIRE(to < vertex_count_);
   if (from == to) return 0.0;
-  return widen(row<T>(from)[to]);
+  // The per-send path: a filled dense row is one flag test and one read.
+  const Rows<T>& cache = rows<T>();
+  return widen(cache.table != nullptr && cache.filled[from] != 0
+                   ? cache.table[from * vertex_count_ + to]
+                   : row<T>(from)[to]);
 }
 
 double DistanceOracle::distance(Vertex from, Vertex to) {
@@ -175,8 +247,8 @@ double DistanceOracle::distance(Vertex from, Vertex to) {
 std::vector<double> DistanceOracle::distances(
     std::span<const std::pair<Vertex, Vertex>> pairs) {
   for (const auto& [from, to] : pairs) {
-    P2PLB_REQUIRE(from < graph_.vertex_count());
-    P2PLB_REQUIRE(to < graph_.vertex_count());
+    P2PLB_REQUIRE(from < vertex_count_);
+    P2PLB_REQUIRE(to < vertex_count_);
   }
   return narrow_ ? distances_as<std::uint16_t>(pairs)
                  : distances_as<double>(pairs);
@@ -186,23 +258,21 @@ template <typename T>
 std::vector<double> DistanceOracle::distances_as(
     std::span<const std::pair<Vertex, Vertex>> pairs) {
   std::vector<double> out(pairs.size());
-  // Group query indices by source: one Dijkstra per distinct source even
-  // when the cache cannot hold all rows.
+  // Group query indices by source: one run per distinct source even when
+  // the cache cannot hold all rows.
   std::vector<std::size_t> order(pairs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return pairs[a].first < pairs[b].first;
   });
   // Walk the sources in ascending order a chunk at a time.  Claiming a
-  // chunk's slots in order does the LRU bookkeeping and run counting of
-  // a one-row-at-a-time walk; then its fresh rows are allocated and
-  // filled in parallel and its pairs answered.  A chunk holds at most
-  // `capacity_` sources, so claiming never evicts a row of the same chunk.
-  const Rows<T>& cache = rows<T>();
-  const std::size_t chunk =
-      cache.dense.empty() ? capacity_ : cache.dense.size();
-  std::vector<const std::vector<T>*> chunk_rows;
-  std::vector<RowJob<T>> fresh_rows;
+  // chunk's rows in order does the LRU bookkeeping of a one-row-at-a-time
+  // walk; then its missing rows are filled in parallel and its pairs
+  // answered.  A chunk holds at most `capacity_` sources, so claiming
+  // never evicts a row of the same chunk.
+  const std::size_t chunk = std::min(capacity_, vertex_count_);
+  std::vector<RowJob<T>> chunk_rows;  // one per source of the chunk
+  std::vector<RowJob<T>> fresh_rows;  // the ones still to fill
   std::size_t k = 0;
   while (k < order.size()) {
     const std::size_t chunk_begin = k;
@@ -210,18 +280,16 @@ std::vector<double> DistanceOracle::distances_as(
     fresh_rows.clear();
     while (k < order.size() && chunk_rows.size() < chunk) {
       const Vertex source = pairs[order[k]].first;
-      bool fresh = false;
-      std::vector<T>& r = slot<T>(source, fresh);
-      if (fresh) fresh_rows.emplace_back(source, &r);
-      chunk_rows.push_back(&r);
+      RowJob<T>& job = chunk_rows.emplace_back();
+      if (claim<T>(source, job)) fresh_rows.push_back(job);
       while (k < order.size() && pairs[order[k]].first == source) ++k;
     }
-    fill_rows<T>(graph_, fresh_rows);
+    fill<T>(fresh_rows);
     std::size_t g = 0;  // index into `chunk_rows` of the current source
     for (std::size_t i = chunk_begin; i < k; ++i) {
       const auto [from, to] = pairs[order[i]];
       if (i > chunk_begin && from != pairs[order[i - 1]].first) ++g;
-      out[order[i]] = to == from ? 0.0 : widen((*chunk_rows[g])[to]);
+      out[order[i]] = to == from ? 0.0 : widen(chunk_rows[g].data()[to]);
     }
   }
   return out;
@@ -229,11 +297,13 @@ std::vector<double> DistanceOracle::distances_as(
 
 std::size_t DistanceOracle::row_bytes() const noexcept {
   std::size_t total = 0;
-  const auto add = [&total](const auto& cache) {
-    for (const auto& r : cache.dense)
-      total += r.capacity() * sizeof(r.data()[0]);
+  const auto add = [&](const auto& cache) {
+    const std::size_t width = sizeof(cache.table[0]);
+    total += width * vertex_count_ *
+             static_cast<std::size_t>(
+                 std::count(cache.filled.begin(), cache.filled.end(), 1));
     for (const auto& entry : cache.lru)
-      total += entry.second.capacity() * sizeof(entry.second.data()[0]);
+      total += entry.second.capacity() * width;
   };
   add(narrow_rows_);
   add(wide_rows_);
@@ -243,7 +313,6 @@ std::size_t DistanceOracle::row_bytes() const noexcept {
 template <typename T>
 sim::Time DistanceOracle::hop(void* ctx, sim::Endpoint from,
                               sim::Endpoint to) {
-  if (from == to) return 0.0;
   auto& oracle = *static_cast<DistanceOracle*>(ctx);
   const double d = oracle.distance_as<T>(from, to);
   return d == kUnreachable ? oracle.unreachable_latency_ : d;

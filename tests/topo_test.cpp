@@ -579,6 +579,97 @@ TEST(DistanceOracle, CompactRowsMatchDijkstraOnPresets) {
   }
 }
 
+/// Every row the end-to-end benchmark fills on a preset, bit for bit
+/// against shortest_paths: the parallel distances() fill of all stub
+/// rows, and a fresh oracle filling each row lazily on its first
+/// distance().  Also pins the benchmark's topo.dijkstra_runs digest, one
+/// run per stub row.  (Its own suite keeps it out of the TSan job, where
+/// its ~9,400 reference runs took over ten minutes; the DistanceOracle.*
+/// tests there cover the threaded fill.)
+void expect_every_stub_row_matches_dijkstra(bool large,
+                                            std::size_t stub_count) {
+  Rng topo_rng(2004);  // the end-to-end benchmark's topology seed
+  const auto topo = generate_transit_stub(
+      large ? TransitStubParams::ts5k_large()
+            : TransitStubParams::ts5k_small(),
+      topo_rng, "preset");
+  const Graph& g = topo.graph;
+  const std::size_t n = g.vertex_count();
+  const std::vector<Vertex> stubs = topo.stub_vertices();
+  ASSERT_EQ(stubs.size(), stub_count);
+  std::vector<std::pair<Vertex, Vertex>> sources;
+  for (const Vertex s : stubs) sources.emplace_back(s, s);
+  DistanceOracle batch(g, n);
+  (void)batch.distances(sources);
+  EXPECT_EQ(batch.dijkstra_runs(), stub_count);
+  EXPECT_EQ(batch.row_bytes(), stub_count * n * sizeof(std::uint16_t));
+  DistanceOracle lazy(g, n);
+  for (const Vertex s : stubs) {
+    SCOPED_TRACE(::testing::Message() << "source " << s);
+    const std::vector<double> want = shortest_paths(g, s);
+    expect_bitwise_equal(row_by_distance(batch, n, s), want);
+    expect_bitwise_equal(row_by_distance(lazy, n, s), want);
+  }
+  EXPECT_EQ(batch.dijkstra_runs(), stub_count);  // the reads ran nothing
+  EXPECT_EQ(lazy.dijkstra_runs(), stub_count);
+}
+
+TEST(OracleRows, EveryStubRowMatchesDijkstraOnTs5kLarge) {
+  expect_every_stub_row_matches_dijkstra(true, 4556);
+}
+
+TEST(OracleRows, EveryStubRowMatchesDijkstraOnTs5kSmall) {
+  expect_every_stub_row_matches_dijkstra(false, 4869);
+}
+
+/// A random graph with integer weights in [1, max_weight] whose last
+/// quarter of vertices is cut off from vertex 0's part.
+Graph integer_weight_graph(Rng& rng, Vertex n, std::uint64_t max_weight) {
+  Graph g(n);
+  const Vertex cut = n - n / 4;
+  const auto add = [&](Vertex a, Vertex b) {
+    if (a == b || g.has_edge(a, b)) return;
+    g.add_edge(a, b, static_cast<double>(1 + rng.below(max_weight)));
+  };
+  for (Vertex v = 1; v < cut; ++v) add(v, static_cast<Vertex>(rng.below(v)));
+  for (Vertex i = 0; i < n; ++i)
+    add(static_cast<Vertex>(rng.below(cut)),
+        static_cast<Vertex>(rng.below(cut)));
+  for (Vertex v = cut + 1; v < n; ++v)
+    add(v, cut + static_cast<Vertex>(rng.below(v - cut)));
+  return g;
+}
+
+TEST(DistanceOracle, BucketRingWrapsAtTheMaxWeight) {
+  // The 16-bit kernel's bucket ring holds bit_ceil(max_weight + 1)
+  // buckets: 2, 8, 8 and 16 here.  At max weight 7 a relaxation lands a
+  // full ring lap minus one ahead; at 4 and 8 the ring is not full.  The
+  // labels wrap the ring many times, and the cut-off part stays
+  // unreachable.
+  Rng rng(47);
+  for (const std::uint64_t max_weight : {1u, 4u, 7u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "max weight " << max_weight);
+    const Graph g = integer_weight_graph(rng, 240, max_weight);
+    const std::vector<Vertex> sources = {0, 1, 100, 200, 239};
+    expect_rows_match_dijkstra(g, sources);
+    DistanceOracle oracle(g, g.vertex_count());
+    EXPECT_EQ(oracle.distance(0, 239), kUnreachable);
+    EXPECT_EQ(oracle.row_bytes(), g.vertex_count() * sizeof(std::uint16_t));
+  }
+}
+
+TEST(DistanceOracle, SingleVertex) {
+  const Graph g(1);
+  DistanceOracle oracle(g, 1);  // dense: one 1 x 1 table
+  EXPECT_EQ(oracle.distance(0, 0), 0.0);
+  const std::vector<std::pair<Vertex, Vertex>> pairs = {{0, 0}};
+  EXPECT_EQ(oracle.distances(pairs), std::vector<double>{0.0});
+  EXPECT_EQ(oracle.dijkstra_runs(), 1u);  // the batch filled its row
+  EXPECT_EQ(oracle.row_bytes(), sizeof(std::uint16_t));
+  EXPECT_EQ(oracle.latency()(0, 0), 0.0);
+  EXPECT_THROW((void)oracle.distance(0, 1), PreconditionError);
+}
+
 TEST(DistanceOracle, NonIntegralWeightsKeepDoubleRows) {
   // Weights from 1e-9 to 1e16 (additions round and absorb), then small
   // fractional weights whose bound alone would fit 16 bits.
@@ -618,6 +709,8 @@ TEST(DistanceOracle, WidthRuleHoldsAtTheBound) {
   for (const Case c : {Case{217, 302.0, sizeof(std::uint16_t)},
                        Case{257, 255.0, sizeof(double)}}) {
     SCOPED_TRACE(::testing::Message() << c.edges << " edges of " << c.weight);
+    // On the 16-bit path, the far end's relaxation back along it forms
+    // the label 0xFFFE + 302, past 0xFFFF: it must lose, not wrap.
     const Graph g = uniform_path(c.edges, c.weight);
     const std::vector<Vertex> sources = {0, c.edges / 2, c.edges};
     expect_rows_match_dijkstra(g, sources);
