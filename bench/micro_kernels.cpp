@@ -1,10 +1,12 @@
 // Microbenchmarks for the library's hot kernels (google-benchmark):
-// Hilbert encode/decode, Chord ring operations and lookups, K-nary tree
-// construction, one maintenance check interval, the VSA pairing loop,
-// topology generation, Dijkstra and the distance oracle's batch fill.
+// Hilbert encode/decode, Chord ring build, key and successor lookups,
+// Chord routing, K-nary tree construction, one maintenance check
+// interval, the VSA pairing loop, topology generation, Dijkstra and the
+// distance oracle's batch fill.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "chord/ring.h"
 #include "chord/router.h"
@@ -89,6 +91,33 @@ void BM_RingSuccessor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RingSuccessor)->Arg(1024)->Arg(4096);
+
+/// workload::build_ring at N nodes x 5 VS: capacity and id draws, one
+/// key -> slot insert per VS and the per-node sorted server lists.
+void BM_RingBuild(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(make_ring(nodes, 5).virtual_server_count());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(nodes * 5));
+}
+BENCHMARK(BM_RingBuild)->Arg(32768)->Unit(benchmark::kMillisecond);
+
+/// Ring::server_load at random keys of a 32768 x 5 ring (163,840 VS): the
+/// key -> slot lookup behind every per-VS read of the balancing round.
+void BM_RingServerLoad(benchmark::State& state) {
+  const auto ring = make_ring(32768, 5);
+  const std::vector<chord::Key> ids = ring.server_ids();
+  Rng rng(4);
+  std::vector<chord::Key> picks(std::size_t{1} << 16);
+  for (chord::Key& k : picks) k = ids[rng.below(ids.size())];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ring.server_load(picks[i]));
+    i = (i + 1) & (picks.size() - 1);
+  }
+}
+BENCHMARK(BM_RingServerLoad);
 
 /// One check interval of a converged K=2 maintenance tree: every
 /// instance's periodic check plus the root watchdog, on an idle ring.

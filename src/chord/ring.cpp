@@ -1,7 +1,9 @@
 #include "chord/ring.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <utility>
 
 namespace p2plb::chord {
 
@@ -25,7 +27,7 @@ Node& Ring::mutable_node(NodeIndex i) {
 void Ring::add_virtual_server(NodeIndex owner, Key id) {
   Node& n = mutable_node(owner);
   P2PLB_REQUIRE_MSG(n.alive, "cannot add a virtual server to a dead node");
-  P2PLB_REQUIRE_MSG(!vs_slot_.contains(id), "virtual server id collision");
+  P2PLB_REQUIRE_MSG(!has_server(id), "virtual server id collision");
   std::uint32_t slot;
   if (!vs_free_.empty()) {
     slot = vs_free_.back();
@@ -41,7 +43,7 @@ void Ring::add_virtual_server(NodeIndex owner, Key id) {
     vs_load_.push_back(0.0);
     vs_state_.push_back(kUnordered);
   }
-  vs_slot_.emplace(id, slot);
+  vs_index_.insert(id, slot);
   ++vs_count_;
   order_dirty_ = true;
   n.servers.insert(std::lower_bound(n.servers.begin(), n.servers.end(), id),
@@ -51,7 +53,7 @@ void Ring::add_virtual_server(NodeIndex owner, Key id) {
 Key Ring::add_random_virtual_server(NodeIndex owner, Rng& rng) {
   for (;;) {
     const Key id = static_cast<Key>(rng() >> 32);
-    if (!vs_slot_.contains(id)) {
+    if (!has_server(id)) {
       add_virtual_server(owner, id);
       return id;
     }
@@ -59,12 +61,12 @@ Key Ring::add_random_virtual_server(NodeIndex owner, Rng& rng) {
 }
 
 void Ring::remove_virtual_server(Key id) {
-  const std::uint32_t slot = slot_checked(id);
+  const std::uint32_t slot = vs_index_.erase(id);
+  P2PLB_REQUIRE_MSG(slot != SlotIndex::kNone, "no such virtual server");
   Node& n = mutable_node(vs_owner_[slot]);
   std::erase(n.servers, id);
   vs_state_[slot] = kFree;
   vs_free_.push_back(slot);
-  vs_slot_.erase(id);
   --vs_count_;
   order_dirty_ = true;
 }
@@ -73,10 +75,10 @@ void Ring::remove_node(NodeIndex node) {
   Node& n = mutable_node(node);
   P2PLB_REQUIRE_MSG(n.alive, "node already removed");
   for (const Key id : n.servers) {
-    const std::uint32_t slot = vs_slot_.at(id);
+    const std::uint32_t slot = vs_index_.erase(id);
+    P2PLB_REQUIRE_MSG(slot != SlotIndex::kNone, "no such virtual server");
     vs_state_[slot] = kFree;
     vs_free_.push_back(slot);
-    vs_slot_.erase(id);
     --vs_count_;
   }
   if (!n.servers.empty()) order_dirty_ = true;
@@ -95,6 +97,56 @@ void Ring::transfer_virtual_server(Key id, NodeIndex new_owner) {
   dst.servers.insert(
       std::lower_bound(dst.servers.begin(), dst.servers.end(), id), id);
   vs_owner_[slot] = new_owner;  // ring order untouched: ids are unchanged
+}
+
+void Ring::reserve_servers(std::size_t count) {
+  P2PLB_REQUIRE_MSG(count <= kSpaceSize, "more virtual servers than ids");
+  vs_index_.reserve(count);
+}
+
+void Ring::SlotIndex::insert(Key key, std::uint32_t slot) {
+  P2PLB_ASSERT(slot != kNone);
+  if (2 * (size_ + 1) > entries_.size())
+    rehash(std::max(kMinEntries, 2 * entries_.size()));
+  Entry& e = entries_[probe(key)];
+  P2PLB_ASSERT(e.slot == kNone);
+  e = Entry{key, slot};
+  ++size_;
+}
+
+std::uint32_t Ring::SlotIndex::erase(Key key) {
+  if (entries_.empty()) return kNone;
+  std::size_t hole = probe(key);
+  const std::uint32_t slot = entries_[hole].slot;
+  if (slot == kNone) return kNone;
+  // Backward shift: walk the rest of the probe run and move back into the
+  // hole every entry whose home does not lie cyclically in (hole, j] --
+  // i.e. whose probe path passes the hole -- so no lookup ever stops
+  // early at it.
+  for (std::size_t j = (hole + 1) & mask(); entries_[j].slot != kNone;
+       j = (j + 1) & mask()) {
+    if (((j - home(entries_[j].key)) & mask()) >= ((j - hole) & mask())) {
+      entries_[hole] = entries_[j];
+      hole = j;
+    }
+  }
+  entries_[hole] = Entry{};
+  --size_;
+  return slot;
+}
+
+void Ring::SlotIndex::reserve(std::size_t count) {
+  const std::size_t capacity =
+      std::bit_ceil(std::max(kMinEntries, 2 * count));
+  if (capacity > entries_.size()) rehash(capacity);
+}
+
+void Ring::SlotIndex::rehash(std::size_t capacity) {
+  const std::vector<Entry> old =
+      std::exchange(entries_, std::vector<Entry>(capacity));
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  for (const Entry& e : old)
+    if (e.slot != kNone) entries_[probe(e.key)] = e;
 }
 
 void Ring::ensure_order() const {
@@ -209,7 +261,7 @@ void Ring::set_load(Key id, double load) {
 double Ring::node_load(NodeIndex i) const {
   const Node& n = node(i);
   double total = 0.0;
-  for (const Key id : n.servers) total += vs_load_[vs_slot_.at(id)];
+  for (const Key id : n.servers) total += vs_load_[slot_checked(id)];
   return total;
 }
 
@@ -218,7 +270,7 @@ std::optional<double> Ring::node_min_server_load(NodeIndex i) const {
   if (n.servers.empty()) return std::nullopt;
   double best = std::numeric_limits<double>::infinity();
   for (const Key id : n.servers)
-    best = std::min(best, vs_load_[vs_slot_.at(id)]);
+    best = std::min(best, vs_load_[slot_checked(id)]);
   return best;
 }
 

@@ -13,13 +13,23 @@
 //
 // Storage is structure-of-arrays: a virtual server is a *slot* into
 // parallel id/owner/load columns, recycled through an explicit free list
-// under churn, with an O(1) hash for key->slot resolution (lookup only,
-// never iterated -- determinism) and a lazily maintained ring-order index
-// for successor queries and ordered iteration.  At 10^6 nodes x 5 VS the
-// old node-based std::map cost one pointer-chasing allocation per VS and
-// O(log S) per lookup; the columns put the load sweep over contiguous
-// memory and make lookups O(1).  VirtualServer remains the value type
-// queries return -- materialized from the columns on demand.
+// under churn, with a flat key->slot index for lookups and a lazily
+// maintained ring-order index for successor queries and ordered
+// iteration.  VirtualServer remains the value type queries return --
+// materialized from the columns on demand.
+//
+// The key->slot index is open addressing in one power-of-two array of
+// 8-byte {key, slot} entries (slot 0xFFFFFFFF marks an empty entry).  A
+// key's home entry is the high bits of key * 0x9E3779B97F4A7C15
+// (Fibonacci hashing: evenly spaced ids, common in tests and examples,
+// would cluster under a plain mask), and a lookup probes linearly from
+// there to the key or the first empty entry.  The table doubles before
+// it passes half full, so a lookup is one or two cache lines; the key is
+// stored inline so a probe never reads the id column.  Removal shifts
+// the rest of the probe run back over the hole (backward-shift
+// deletion), leaving no tombstones however long the churn.  The index
+// can only find, insert and erase -- it has no iteration, so hash order
+// cannot leak into any output.
 //
 // The order index is merged, not re-sorted: the first ordered query after
 // membership changes drops the removed slots, sorts only the `a` slots
@@ -30,7 +40,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.h"
@@ -99,6 +108,13 @@ class Ring {
   /// Move a virtual server to a new live host.  Ring arcs are unchanged.
   void transfer_virtual_server(Key id, NodeIndex new_owner);
 
+  /// Make room in the key->slot index for `count` virtual servers in
+  /// total, so that adding up to that many never rehashes it.  The
+  /// columns still grow by doubling: presizing them as well raised the
+  /// peak RSS of repeated ring builds in one process (each freed block
+  /// above glibc's mmap threshold raises the threshold).
+  void reserve_servers(std::size_t count);
+
   // --- queries ----------------------------------------------------------
 
   [[nodiscard]] std::size_t node_count() const noexcept {
@@ -118,7 +134,14 @@ class Ring {
 
   [[nodiscard]] VirtualServer server(Key id) const;
   [[nodiscard]] bool has_server(Key id) const {
-    return vs_slot_.contains(id);
+    return vs_index_.find(id) != SlotIndex::kNone;
+  }
+  /// Owner of `id`, or nullopt if no such virtual server: has_server and
+  /// server_owner from one lookup.
+  [[nodiscard]] std::optional<NodeIndex> find_owner(Key id) const {
+    const std::uint32_t slot = vs_index_.find(id);
+    if (slot == SlotIndex::kNone) return std::nullopt;
+    return vs_owner_[slot];
   }
 
   /// O(1) column reads, for the per-entry hot paths that used to pay a
@@ -194,10 +217,55 @@ class Ring {
 
  private:
   Node& mutable_node(NodeIndex i);
+  /// Key -> slot, as described in the file comment: find, insert and
+  /// erase only.
+  class SlotIndex {
+   public:
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+    /// The slot holding `key`, or kNone.
+    [[nodiscard]] std::uint32_t find(Key key) const noexcept {
+      return entries_.empty() ? kNone : entries_[probe(key)].slot;
+    }
+    /// Map an absent `key` to `slot`.
+    void insert(Key key, std::uint32_t slot);
+    /// Unmap `key`; returns the slot it held, or kNone if it was absent.
+    std::uint32_t erase(Key key);
+    /// Make room for `count` keys without a rehash.
+    void reserve(std::size_t count);
+
+   private:
+    static constexpr std::size_t kMinEntries = 16;
+    struct Entry {
+      Key key = 0;
+      std::uint32_t slot = kNone;
+    };
+    [[nodiscard]] std::size_t home(Key key) const noexcept {
+      return static_cast<std::size_t>(
+          (std::uint64_t{key} * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    [[nodiscard]] std::size_t mask() const noexcept {
+      return entries_.size() - 1;
+    }
+    /// Entry holding `key`, or the empty entry that ends its probe run.
+    /// Requires a non-empty table.
+    [[nodiscard]] std::size_t probe(Key key) const noexcept {
+      std::size_t i = home(key);
+      while (entries_[i].slot != kNone && entries_[i].key != key)
+        i = (i + 1) & mask();
+      return i;
+    }
+    void rehash(std::size_t capacity);
+
+    std::vector<Entry> entries_;  // size 0 or a power of two >= 2 * size_
+    unsigned shift_ = 64;         // 64 - log2(entries_.size())
+    std::size_t size_ = 0;
+  };
+
   [[nodiscard]] std::uint32_t slot_checked(Key id) const {
-    const auto it = vs_slot_.find(id);
-    P2PLB_REQUIRE_MSG(it != vs_slot_.end(), "no such virtual server");
-    return it->second;
+    const std::uint32_t slot = vs_index_.find(id);
+    P2PLB_REQUIRE_MSG(slot != SlotIndex::kNone, "no such virtual server");
+    return slot;
   }
   /// Bring the ring-order index up to date if membership changed since
   /// the last ordered query.
@@ -224,9 +292,7 @@ class Ring {
   mutable std::vector<std::uint8_t> vs_state_;  // SlotState
   std::vector<std::uint32_t> vs_free_;
   std::size_t vs_count_ = 0;
-  // Key -> slot; lookup/erase only, never iterated (hash order must not
-  // leak into any output).
-  std::unordered_map<Key, std::uint32_t> vs_slot_;
+  SlotIndex vs_index_;  // key -> live slot
   // kOrdered slots sorted by id; brought up to date lazily after
   // membership changes so bulk setup does not pay a per-add O(S) insertion.
   mutable std::vector<std::uint32_t> order_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <utility>
 
 namespace p2plb::ktree {
@@ -11,9 +12,10 @@ VsLatencyFn unit_latency(const chord::Ring& ring, sim::Time unit) {
   P2PLB_REQUIRE(unit >= 0.0);
   return [&ring, unit](chord::Key from_vs, chord::Key to_vs) -> sim::Time {
     if (from_vs == to_vs) return 0.0;
-    if (!ring.has_server(from_vs) || !ring.has_server(to_vs)) return unit;
-    return ring.server_owner(from_vs) == ring.server_owner(to_vs) ? 0.0
-                                                                  : unit;
+    const std::optional<chord::NodeIndex> from = ring.find_owner(from_vs);
+    if (!from) return unit;
+    const std::optional<chord::NodeIndex> to = ring.find_owner(to_vs);
+    return to && *from == *to ? 0.0 : unit;
   };
 }
 

@@ -8,8 +8,7 @@ std::size_t apply_assignments(chord::Ring& ring,
                               std::span<const Assignment> assignments) {
   std::size_t applied = 0;
   for (const Assignment& a : assignments) {
-    if (!ring.has_server(a.vs)) continue;
-    if (ring.server_owner(a.vs) != a.from) continue;  // already moved
+    if (ring.find_owner(a.vs) != a.from) continue;  // gone or already moved
     if (!ring.node(a.to).alive) continue;
     ring.transfer_virtual_server(a.vs, a.to);
     ++applied;

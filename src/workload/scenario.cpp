@@ -14,6 +14,7 @@ chord::Ring build_ring(std::size_t node_count, std::size_t servers_per_node,
   P2PLB_REQUIRE_MSG(attachments.empty() || attachments.size() == node_count,
                     "need one attachment vertex per node");
   chord::Ring ring;
+  ring.reserve_servers(node_count * servers_per_node);
   for (std::size_t i = 0; i < node_count; ++i) {
     const std::uint32_t attach =
         attachments.empty() ? chord::Node::kNoAttachment : attachments[i];
