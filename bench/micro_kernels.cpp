@@ -226,13 +226,17 @@ topo::Graph scaled_weights(const topo::Graph& graph, double scale) {
 
 void BM_OracleLookup(benchmark::State& state) {
   // Cached source-row lookups (the per-send latency path): pre-warm every
-  // source so the timed loop never runs a Dijkstra.  /0 reads the preset's
-  // 16-bit rows; /1 scales every weight by 1.5, which forces double rows.
+  // source so the timed loop never runs a Dijkstra.  One row width each:
+  // /0 reads the preset's 8-bit rows; /1 scales every weight by 4, which
+  // puts the width rule's bound past 0xFF (16-bit rows); /2 scales them
+  // by 1.5, which forces double rows.
+  constexpr double kScale[] = {1.0, 4.0, 1.5};
+  constexpr const char* kLabels[] = {"8-bit rows", "16-bit rows",
+                                     "double rows"};
   Rng rng(12);
   const auto topo = topo::generate_transit_stub(
       topo::TransitStubParams::ts5k_small(), rng, "bench");
-  const topo::Graph graph =
-      state.range(0) == 0 ? topo.graph : scaled_weights(topo.graph, 1.5);
+  const topo::Graph graph = scaled_weights(topo.graph, kScale[state.range(0)]);
   topo::DistanceOracle oracle(graph, graph.vertex_count());
   const auto stubs = topo.stub_vertices();
   std::vector<std::pair<topo::Vertex, topo::Vertex>> pairs(4096);
@@ -248,9 +252,13 @@ void BM_OracleLookup(benchmark::State& state) {
     benchmark::DoNotOptimize(oracle.distance(a, b));
     i = (i + 1) & (pairs.size() - 1);
   }
-  state.SetLabel(state.range(0) == 0 ? "16-bit rows" : "double rows");
+  // Bytes per entry, from the rows the warm-up filled.
+  state.counters["entry_bytes"] = static_cast<double>(oracle.row_bytes()) /
+                                  static_cast<double>(oracle.dijkstra_runs() *
+                                                      graph.vertex_count());
+  state.SetLabel(kLabels[state.range(0)]);
 }
-BENCHMARK(BM_OracleLookup)->Arg(0)->Arg(1);
+BENCHMARK(BM_OracleLookup)->DenseRange(0, 2);
 
 /// BM_EngineThroughput variants.  0/1 are the wheel-vs-heap A/B with an
 /// 8-byte capture; 2-4 are wheel-only shapes: the capture sizes the lb

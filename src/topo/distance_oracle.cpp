@@ -4,7 +4,9 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <concepts>
 #include <future>
+#include <limits>
 #include <numeric>
 #include <thread>
 #include <type_traits>
@@ -13,27 +15,44 @@ namespace p2plb::topo {
 
 namespace {
 
-/// A 16-bit row's unreachable entry (no distance reaches it, see the
-/// width rule in the header).
-constexpr std::uint16_t kNarrowUnreachable = 0xFFFF;
+/// An integer row's unreachable entry: its type's maximum, which no
+/// distance reaches (see the width rule in the header).
+template <typename T>
+constexpr T kUnreached = std::numeric_limits<T>::max();
 
-/// The width rule: 16-bit rows iff every weight is an integer and
-/// max_weight * (vertex_count - 1), a bound on every shortest path, is
-/// below kNarrowUnreachable.
-bool fits_narrow(const Graph& graph) {
+/// The width rule: bytes per row entry, 1 or 2 when every weight is an
+/// integer and B, max_weight times the edges a shortest path may need, is
+/// below that width's kUnreached; else 8.
+std::uint8_t row_width(const Graph& graph) {
   const std::size_t n = graph.vertex_count();
   double max_weight = 0.0;
   for (Vertex v = 0; v < n; ++v)
     for (const HalfEdge& e : graph.neighbors(v)) {
-      if (e.weight != std::floor(e.weight)) return false;
+      if (e.weight != std::floor(e.weight)) return sizeof(double);
       max_weight = std::max(max_weight, e.weight);
     }
-  return n < 2 ||
-         max_weight * static_cast<double>(n - 1) < kNarrowUnreachable;
+  if (n < 2) return sizeof(std::uint8_t);
+  // A shortest path has at most n - 1 edges.  If vertex 0 reaches every
+  // vertex within `ecc` hops, the path through vertex 0 bounds every pair
+  // by 2 * ecc edges.  (Past 0x10000 vertices a target would not fit a
+  // flat half-edge; there n - 1 alone rules out integer rows unless the
+  // graph has no edge at all.)
+  std::size_t edges = n - 1;
+  if (n <= 0x10000) {
+    const std::vector<std::uint32_t> hops = bfs_hops(graph, 0);
+    const std::uint32_t ecc = *std::max_element(hops.begin(), hops.end());
+    if (ecc != std::numeric_limits<std::uint32_t>::max())
+      edges = std::min<std::size_t>(edges, 2 * std::size_t{ecc});
+  }
+  const double bound = max_weight * static_cast<double>(edges);
+  if (bound < kUnreached<std::uint8_t>) return sizeof(std::uint8_t);
+  if (bound < kUnreached<std::uint16_t>) return sizeof(std::uint16_t);
+  return sizeof(double);
 }
 
-/// `graph` as flat arrays.  Requires the width rule: every weight is an
-/// integer in [1, 0xFFFF) and the vertex count is at most 0xFFFF.
+/// `graph` as flat arrays.  Requires integer rows under the width rule:
+/// every weight is an integer in [1, 0xFFFF) and every vertex with an
+/// edge is below 0x10000.
 DistanceOracle::FlatAdjacency flatten(const Graph& graph) {
   DistanceOracle::FlatAdjacency adj;
   const std::size_t n = graph.vertex_count();
@@ -53,14 +72,15 @@ DistanceOracle::FlatAdjacency flatten(const Graph& graph) {
   return adj;
 }
 
-/// A 16-bit entry (or a double one) as the distance.  Exact under the
+/// An integer entry (or a double one) as the distance.  Exact under the
 /// width rule.
-double widen(std::uint16_t d) noexcept {
-  return d == kNarrowUnreachable ? kUnreachable : d;
+template <std::unsigned_integral T>
+double widen(T d) noexcept {
+  return d == kUnreached<T> ? kUnreachable : d;
 }
 double widen(double d) noexcept { return d; }
 
-/// One worker's reusable queue: Dial's bucket ring for 16-bit rows, the
+/// One worker's reusable queue: Dial's bucket ring for integer rows, the
 /// radix heap for double rows.
 struct Scratch {
   std::vector<std::vector<Vertex>> buckets;
@@ -72,14 +92,16 @@ struct Scratch {
 /// Every weight w is in [1, mask], so a relaxation from distance d lands
 /// d + w in another bucket than d's, less than one lap ahead: the bucket
 /// being scanned never grows, and a label never shares a bucket with a
-/// larger one.  A label d + w >= 0xFFFF never beats an entry (all are at
-/// most 0xFFFF), and every true distance is below it (width rule), so
-/// `dist` ends exact, with 0xFFFF left on unreachable vertices.
+/// larger one.  Labels are formed in uint32, so one at or past
+/// kUnreached<T> never beats an entry (none is larger) instead of
+/// wrapping, and every true distance is below it (width rule): `dist`
+/// ends exact, with kUnreached<T> left on unreachable vertices.
+template <typename T>
 void dial_row(const DistanceOracle::FlatAdjacency& adj, Vertex source,
-              std::uint16_t* dist, std::vector<std::vector<Vertex>>& buckets) {
+              T* dist, std::vector<std::vector<Vertex>>& buckets) {
   const std::uint32_t mask = adj.mask;
   buckets.resize(mask + 1);
-  std::fill(dist, dist + (adj.offsets.size() - 1), kNarrowUnreachable);
+  std::fill(dist, dist + (adj.offsets.size() - 1), kUnreached<T>);
   const std::uint32_t* const offsets = adj.offsets.data();
   const std::uint32_t* const edges = adj.edges.data();
   dist[source] = 0;
@@ -95,7 +117,7 @@ void dial_row(const DistanceOracle::FlatAdjacency& adj, Vertex source,
         const std::uint32_t nd = d + (edge & 0xFFFF);
         const Vertex u = edge >> 16;
         if (nd < dist[u]) {
-          dist[u] = static_cast<std::uint16_t>(nd);
+          dist[u] = static_cast<T>(nd);
           buckets[nd & mask].push_back(u);
           ++queued;
         }
@@ -124,32 +146,39 @@ DistanceOracle::DistanceOracle(const Graph& graph,
                                std::size_t max_cached_sources)
     : graph_(graph),
       vertex_count_(graph.vertex_count()),
-      capacity_(max_cached_sources),
-      narrow_(fits_narrow(graph)) {
+      capacity_(max_cached_sources) {
   P2PLB_REQUIRE(capacity_ >= 1);
+}
+
+template <typename F>
+decltype(auto) DistanceOracle::with_row_type(F&& f) {
+  if (width_ == 0) prepare();
+  switch (width_) {
+    case sizeof(std::uint8_t):
+      return f(std::uint8_t{});
+    case sizeof(std::uint16_t):
+      return f(std::uint16_t{});
+    default:
+      return f(double{});
+  }
+}
+
+void DistanceOracle::prepare() {
+  width_ = row_width(graph_);
+  // Built here, with the width, so its cost is part of the first fill
+  // (and an oracle that is never used skips it).
+  if (width_ != sizeof(double)) adjacency_ = flatten(graph_);
   // When every row fits there is nothing to evict: switch to the dense
   // table and skip the hash lookup and LRU splice per query (this lookup
   // sits on the per-send latency path of timed rounds).  The table is
   // left uninitialised, so its pages become resident only as rows fill.
-  if (capacity_ >= vertex_count_) {
-    const auto make_dense = [n = vertex_count_](auto& cache) {
-      using T = std::remove_reference_t<decltype(cache.table[0])>;
-      cache.table = std::make_unique_for_overwrite<T[]>(n * n);
-      cache.filled.assign(n, 0);
-    };
-    if (narrow_)
-      make_dense(narrow_rows_);
-    else
-      make_dense(wide_rows_);
-  }
-}
-
-template <typename T>
-DistanceOracle::Rows<T>& DistanceOracle::rows() noexcept {
-  if constexpr (std::is_same_v<T, double>)
-    return wide_rows_;
-  else
-    return narrow_rows_;
+  if (capacity_ >= vertex_count_)
+    with_row_type([this](auto zero) {
+      Rows<decltype(zero)>& cache = rows<decltype(zero)>();
+      cache.table = std::make_unique_for_overwrite<decltype(zero)[]>(
+          vertex_count_ * vertex_count_);
+      cache.filled.assign(vertex_count_, 0);
+    });
 }
 
 template <typename T>
@@ -177,10 +206,6 @@ bool DistanceOracle::claim(Vertex source, RowJob<T>& job) {
 template <typename T>
 void DistanceOracle::fill(std::span<const RowJob<T>> jobs) {
   if (jobs.empty()) return;
-  // The flat adjacency is built once, by the first fill, so its cost is
-  // part of filling rows (and an oracle that never fills skips it).
-  if constexpr (std::is_same_v<T, std::uint16_t>)
-    if (adjacency_.offsets.empty()) adjacency_ = flatten(graph_);
   // min(hardware_concurrency, jobs) workers, the calling thread among
   // them.  Each claims the next job and owns its scratch; rows are
   // disjoint, so workers share nothing else.  A helper's exception (out
@@ -240,8 +265,9 @@ double DistanceOracle::distance_as(Vertex from, Vertex to) {
 }
 
 double DistanceOracle::distance(Vertex from, Vertex to) {
-  return narrow_ ? distance_as<std::uint16_t>(from, to)
-                 : distance_as<double>(from, to);
+  return with_row_type([&](auto zero) {
+    return distance_as<decltype(zero)>(from, to);
+  });
 }
 
 std::vector<double> DistanceOracle::distances(
@@ -250,8 +276,8 @@ std::vector<double> DistanceOracle::distances(
     P2PLB_REQUIRE(from < vertex_count_);
     P2PLB_REQUIRE(to < vertex_count_);
   }
-  return narrow_ ? distances_as<std::uint16_t>(pairs)
-                 : distances_as<double>(pairs);
+  return with_row_type(
+      [&](auto zero) { return distances_as<decltype(zero)>(pairs); });
 }
 
 template <typename T>
@@ -305,8 +331,7 @@ std::size_t DistanceOracle::row_bytes() const noexcept {
     for (const auto& entry : cache.lru)
       total += entry.second.capacity() * width;
   };
-  add(narrow_rows_);
-  add(wide_rows_);
+  std::apply([&](const auto&... cache) { (add(cache), ...); }, rows_);
   return total;
 }
 
@@ -323,7 +348,8 @@ sim::Latency DistanceOracle::latency(double unreachable) {
   // would be a firing time the engine rejects at the first such send.
   P2PLB_REQUIRE(std::isfinite(unreachable) && unreachable >= 0.0);
   unreachable_latency_ = unreachable;
-  return sim::Latency{this, narrow_ ? &hop<std::uint16_t> : &hop<double>};
+  return sim::Latency{
+      this, with_row_type([](auto zero) { return &hop<decltype(zero)>; })};
 }
 
 }  // namespace p2plb::topo

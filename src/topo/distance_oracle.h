@@ -10,29 +10,37 @@
 //          value-initialising it, so a row never filled is never touched
 //          and never becomes resident.  A lookup is the flag test and one
 //          read at table[from * V + to], with no hashing.  The table
-//          reserves V * V entries of address space up front (60 MB at
-//          16 bits for the 5,469-vertex ts5k-small).  The benchmarks and
-//          drivers run in this mode and fill every attachment's row up
-//          front.
+//          reserves V * V entries of address space (30 MB at 8 bits for
+//          the 5,469-vertex ts5k-small).  The benchmarks and drivers run
+//          in this mode and fill every attachment's row up front.
 //   LRU    smaller capacities keep at most `capacity` rows, each its own
 //          vector, and evict the least recently used one.
 //
-// Row width.  The constructor picks one element type for every row.  If
-// every edge weight is an integer and max_weight * (vertex_count - 1) is
-// below 0xFFFF, a row holds uint16_t distances with 0xFFFF meaning
-// unreachable; otherwise it holds doubles.  Both transit-stub presets
-// (weights 1 and 3, about 5,000 vertices) take the 16-bit rows.  They are
-// exact: a shortest path has at most vertex_count - 1 edges, so every
-// finite distance is an integer below 0xFFFF, and widening it returns the
-// double that Dijkstra over the graph's doubles computes, bit for bit.
+// Row width.  The first use that needs it (distance, distances or
+// latency) picks one element type for every row, and with it builds the
+// flat adjacency and allocates the dense table, so that work is timed
+// with the first fill.  If every edge weight is an integer, a bound B on
+// every shortest path decides: uint8_t rows if B < 0xFF, uint16_t rows if
+// B < 0xFFFF, each with its maximum meaning unreachable; otherwise, and
+// for any fractional weight, double rows.  B is max_weight times the
+// edges a shortest path may need: vertex_count - 1, or, when a BFS from
+// vertex 0 reaches every vertex of a graph of at most 0x10000 vertices,
+// at most twice vertex 0's hop eccentricity (the path through vertex 0
+// has that many edges).  The vertex cap keeps every target within a flat
+// half-edge's 16 bits; the BFS is not a shortest-path row and is not
+// counted in dijkstra_runs().  Both transit-stub presets take the 8-bit
+// rows (B = 48 on ts5k-large, 84 on ts5k-small, at topology seed 2004).
+// Integer rows are exact: every finite distance is an integer at most B,
+// so widening it returns the double that Dijkstra over the graph's
+// doubles computes, bit for bit.
 //
-// Kernels.  A 16-bit row comes from Dial's bucket-queue Dijkstra over a
-// flat adjacency built once, by the first fill (CSR offsets, each
-// half-edge a 16-bit target and a 16-bit weight in one uint32): the
-// queue is a ring of power-of-two size above the largest weight, indexed
-// by distance & mask, and the kernel writes its distances straight into
-// the row.  A double row comes from shortest_paths_into (graph.h) and
-// its radix heap.
+// Kernels.  An integer row comes from Dial's bucket-queue Dijkstra over a
+// flat adjacency (CSR offsets, each half-edge a 16-bit target and a
+// 16-bit weight in one uint32): the queue is a ring of power-of-two size
+// above the largest weight, indexed by distance & mask, and the kernel,
+// one template over the row type, writes its distances straight into the
+// row.  A double row comes from shortest_paths_into (graph.h) and its
+// radix heap.
 //
 // distances() resolves a batch grouped by source and fills its missing
 // rows in parallel: the calling thread claims them (LRU order), then up to
@@ -48,6 +56,7 @@
 #include <list>
 #include <memory>
 #include <span>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -62,7 +71,7 @@ class DistanceOracle {
  public:
   /// `graph` must outlive the oracle and not change while it lives.
   /// `max_cached_sources` bounds memory at max_cached_sources *
-  /// vertex_count * 8 bytes (2 bytes per entry with 16-bit rows).
+  /// vertex_count * 8 bytes (1 or 2 bytes per entry with integer rows).
   explicit DistanceOracle(const Graph& graph,
                           std::size_t max_cached_sources = 64);
 
@@ -80,8 +89,8 @@ class DistanceOracle {
   /// assertions).
   [[nodiscard]] std::uint64_t dijkstra_runs() const noexcept { return runs_; }
 
-  /// Bytes held by the filled rows: rows x vertex_count x 2 or 8, by the
-  /// width rule (an unfilled dense row is never resident).
+  /// Bytes held by the filled rows: rows x vertex_count x 1, 2 or 8, by
+  /// the width rule (an unfilled dense row is never resident).
   [[nodiscard]] std::size_t row_bytes() const noexcept;
 
   /// Adapt the oracle into the network's flat latency callable: endpoints
@@ -95,12 +104,13 @@ class DistanceOracle {
   /// width test on the per-send path).
   [[nodiscard]] sim::Latency latency(double unreachable = 1e6);
 
-  /// The integer-weight graph as flat arrays, built by the first 16-bit
-  /// fill: vertex v's half-edges are edges[offsets[v],
-  /// offsets[v + 1]), each `target << 16 | weight` in one uint32.  The
-  /// width rule makes both fit 16 bits (every weight and the vertex count
-  /// are at most 0xFFFF), so a half-edge is 4 bytes, a quarter of a
-  /// HalfEdge, and the offsets fit uint32.
+  /// The integer-weight graph as flat arrays, built with the width
+  /// choice when it picks integer rows: vertex v's half-edges are
+  /// edges[offsets[v], offsets[v + 1]), each `target << 16 | weight` in
+  /// one uint32.  The width rule makes both fit 16 bits (every weight is
+  /// at most B < 0xFFFF, and every vertex with an edge is below 0x10000),
+  /// so a half-edge is 4 bytes, a quarter of a HalfEdge, and the offsets
+  /// fit uint32.
   struct FlatAdjacency {
     std::vector<std::uint32_t> offsets;
     std::vector<std::uint32_t> edges;
@@ -110,8 +120,8 @@ class DistanceOracle {
   };
 
  private:
-  /// The cached rows of one element type (double, or uint16_t under the
-  /// width rule above).
+  /// The cached rows of one element type (uint8_t, uint16_t or double,
+  /// by the width rule above).
   template <typename T>
   struct Rows {
     using Lru = std::list<std::pair<Vertex, std::vector<T>>>;
@@ -136,8 +146,17 @@ class DistanceOracle {
     }
   };
 
+  /// Pick the row width, and build what it needs: the flat adjacency for
+  /// integer rows, the dense table in dense mode.  Runs once, on the
+  /// first use that needs the width.
+  void prepare();
+  /// `f(T{})` for the row type T, preparing it first if need be.
+  template <typename F>
+  decltype(auto) with_row_type(F&& f);
   template <typename T>
-  Rows<T>& rows() noexcept;
+  Rows<T>& rows() noexcept {
+    return std::get<Rows<T>>(rows_);
+  }
   /// `source`'s row, filled on first use.
   template <typename T>
   const T* row(Vertex source);
@@ -163,10 +182,9 @@ class DistanceOracle {
   std::size_t capacity_;
   std::uint64_t runs_ = 0;
   double unreachable_latency_ = 1e6;
-  bool narrow_ = false;  ///< 16-bit rows (fixed at construction)
-  FlatAdjacency adjacency_;  ///< 16-bit rows only; empty until a fill
-  Rows<std::uint16_t> narrow_rows_;
-  Rows<double> wide_rows_;
+  std::uint8_t width_ = 0;  ///< bytes per entry: 1, 2 or 8; 0 until chosen
+  FlatAdjacency adjacency_;  ///< integer rows only
+  std::tuple<Rows<std::uint8_t>, Rows<std::uint16_t>, Rows<double>> rows_;
 };
 
 }  // namespace p2plb::topo

@@ -112,9 +112,9 @@ class RadixHeap {
 
 /// Dijkstra from `source` into `dist`, which must hold vertex_count()
 /// entries, all kUnreachable: the kernel for any positive weights, and
-/// the DistanceOracle's for double rows (its 16-bit rows, on integer
-/// weights, run a bucket-queue Dijkstra over a flat adjacency; see
-/// distance_oracle.h).  `heap` is reusable scratch (empty on entry and
+/// the DistanceOracle's for double rows (its 8- and 16-bit rows, on
+/// integer weights, run a bucket-queue Dijkstra over a flat adjacency;
+/// see distance_oracle.h).  `heap` is reusable scratch (empty on entry and
 /// on return), so a caller filling many rows allocates its buckets once.  With a `target`, the search stops as soon as the target is
 /// settled and only dist[target] is final.
 void shortest_paths_into(const Graph& graph, Vertex source,

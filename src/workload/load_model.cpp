@@ -60,10 +60,22 @@ double sample_load(const LoadModel& model, double f, Rng& rng) {
 
 void assign_loads(chord::Ring& ring, const LoadModel& model, Rng& rng) {
   // Snapshot ids first: set_load does not reorder, but be explicit about
-  // iterating a stable sequence.
+  // iterating a stable sequence.  The snapshot is in ring order, so each
+  // id's predecessor is the entry before it (the last one for the first)
+  // and its arc needs no ring search: Ring::arc_fraction's arithmetic,
+  // bit for bit.
   const std::vector<chord::Key> ids = ring.server_ids();
-  for (const chord::Key id : ids)
-    ring.set_load(id, sample_load(model, ring.arc_fraction(id), rng));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const chord::Key pred = ids[i == 0 ? ids.size() - 1 : i - 1];
+    const std::uint64_t arc = ids.size() == 1
+                                  ? chord::kSpaceSize
+                                  : chord::distance_cw(pred, ids[i]);
+    ring.set_load(ids[i],
+                  sample_load(model,
+                              static_cast<double>(arc) /
+                                  static_cast<double>(chord::kSpaceSize),
+                              rng));
+  }
 }
 
 }  // namespace p2plb::workload

@@ -572,10 +572,10 @@ TEST(DistanceOracle, CompactRowsMatchDijkstraOnPresets) {
     for (const std::size_t i : rng.sample_indices(n, 6))
       sources.push_back(static_cast<Vertex>(i));
     expect_rows_match_dijkstra(g, sources);
-    // Both presets take the 16-bit rows: two bytes per entry.
+    // Both presets take the 8-bit rows: one byte per entry.
     DistanceOracle oracle(g, n);
     (void)rows_by_batch(oracle, n, sources);
-    EXPECT_EQ(oracle.row_bytes(), sources.size() * n * sizeof(std::uint16_t));
+    EXPECT_EQ(oracle.row_bytes(), sources.size() * n * sizeof(std::uint8_t));
   }
 }
 
@@ -602,7 +602,7 @@ void expect_every_stub_row_matches_dijkstra(bool large,
   DistanceOracle batch(g, n);
   (void)batch.distances(sources);
   EXPECT_EQ(batch.dijkstra_runs(), stub_count);
-  EXPECT_EQ(batch.row_bytes(), stub_count * n * sizeof(std::uint16_t));
+  EXPECT_EQ(batch.row_bytes(), stub_count * n * sizeof(std::uint8_t));
   DistanceOracle lazy(g, n);
   for (const Vertex s : stubs) {
     SCOPED_TRACE(::testing::Message() << "source " << s);
@@ -623,10 +623,12 @@ TEST(OracleRows, EveryStubRowMatchesDijkstraOnTs5kSmall) {
 }
 
 /// A random graph with integer weights in [1, max_weight] whose last
-/// quarter of vertices is cut off from vertex 0's part.
-Graph integer_weight_graph(Rng& rng, Vertex n, std::uint64_t max_weight) {
+/// quarter of vertices is cut off from vertex 0's part, or, with
+/// `connected`, a connected one.
+Graph integer_weight_graph(Rng& rng, Vertex n, std::uint64_t max_weight,
+                           bool connected = false) {
   Graph g(n);
-  const Vertex cut = n - n / 4;
+  const Vertex cut = connected ? n : n - n / 4;
   const auto add = [&](Vertex a, Vertex b) {
     if (a == b || g.has_edge(a, b)) return;
     g.add_edge(a, b, static_cast<double>(1 + rng.below(max_weight)));
@@ -641,20 +643,29 @@ Graph integer_weight_graph(Rng& rng, Vertex n, std::uint64_t max_weight) {
 }
 
 TEST(DistanceOracle, BucketRingWrapsAtTheMaxWeight) {
-  // The 16-bit kernel's bucket ring holds bit_ceil(max_weight + 1)
+  // The integer kernel's bucket ring holds bit_ceil(max_weight + 1)
   // buckets: 2, 8, 8 and 16 here.  At max weight 7 a relaxation lands a
   // full ring lap minus one ahead; at 4 and 8 the ring is not full.  The
-  // labels wrap the ring many times, and the cut-off part stays
-  // unreachable.
-  Rng rng(47);
-  for (const std::uint64_t max_weight : {1u, 4u, 7u, 8u}) {
-    SCOPED_TRACE(::testing::Message() << "max weight " << max_weight);
-    const Graph g = integer_weight_graph(rng, 240, max_weight);
-    const std::vector<Vertex> sources = {0, 1, 100, 200, 239};
-    expect_rows_match_dijkstra(g, sources);
-    DistanceOracle oracle(g, g.vertex_count());
-    EXPECT_EQ(oracle.distance(0, 239), kUnreachable);
-    EXPECT_EQ(oracle.row_bytes(), g.vertex_count() * sizeof(std::uint16_t));
+  // labels wrap the ring many times.  With a cut-off part, which stays
+  // unreachable, the bound is max_weight * 239: 8-bit rows at max weight
+  // 1, 16-bit rows above.  A connected graph is bounded through vertex
+  // 0's hop eccentricity instead, which takes 8-bit rows throughout.
+  for (const bool connected : {false, true}) {
+    Rng rng(connected ? 48 : 47);
+    for (const std::uint64_t max_weight : {1u, 4u, 7u, 8u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (connected ? "connected, " : "") << "max weight "
+                   << max_weight);
+      const Graph g = integer_weight_graph(rng, 240, max_weight, connected);
+      const std::vector<Vertex> sources = {0, 1, 100, 200, 239};
+      expect_rows_match_dijkstra(g, sources);
+      DistanceOracle oracle(g, g.vertex_count());
+      EXPECT_EQ(oracle.distance(0, 239) == kUnreachable, !connected);
+      const std::size_t width = connected || max_weight == 1
+                                    ? sizeof(std::uint8_t)
+                                    : sizeof(std::uint16_t);
+      EXPECT_EQ(oracle.row_bytes(), g.vertex_count() * width);
+    }
   }
 }
 
@@ -665,7 +676,7 @@ TEST(DistanceOracle, SingleVertex) {
   const std::vector<std::pair<Vertex, Vertex>> pairs = {{0, 0}};
   EXPECT_EQ(oracle.distances(pairs), std::vector<double>{0.0});
   EXPECT_EQ(oracle.dijkstra_runs(), 1u);  // the batch filled its row
-  EXPECT_EQ(oracle.row_bytes(), sizeof(std::uint16_t));
+  EXPECT_EQ(oracle.row_bytes(), sizeof(std::uint8_t));
   EXPECT_EQ(oracle.latency()(0, 0), 0.0);
   EXPECT_THROW((void)oracle.distance(0, 1), PreconditionError);
 }
@@ -690,40 +701,81 @@ TEST(DistanceOracle, NonIntegralWeightsKeepDoubleRows) {
   }
 }
 
-/// A path of `edges` edges of one weight: its end points are
-/// edges * weight apart, which is the width rule's bound itself.
-Graph uniform_path(Vertex edges, double weight) {
-  Graph g(edges + 1);
-  for (Vertex v = 1; v <= edges; ++v) g.add_edge(v - 1, v, weight);
+/// A path of `edges` edges of one weight with vertex 0 at position
+/// edges / 2 and the other path vertices in path order around it, so its
+/// end points, 1 and `edges`, are edges * weight apart; then `leaves`
+/// more vertices, each one edge from vertex 0.
+Graph centred_path(Vertex edges, double weight, Vertex leaves = 0) {
+  const Vertex centre = edges / 2;
+  const auto at = [centre](Vertex p) {
+    return p == centre ? 0 : p < centre ? p + 1 : p;
+  };
+  Graph g(edges + 1 + leaves);
+  for (Vertex p = 1; p <= edges; ++p) g.add_edge(at(p - 1), at(p), weight);
+  for (Vertex v = edges + 1; v <= edges + leaves; ++v)
+    g.add_edge(0, v, weight);
   return g;
 }
 
 TEST(DistanceOracle, WidthRuleHoldsAtTheBound) {
-  // 217 * 302 == 0xFFFE is the largest bound 16-bit rows take (0xFFFF
-  // marks unreachable); 257 * 255 == 0xFFFF falls back to double rows.
+  // Vertex 0's hop eccentricity on a path of `edges` edges is
+  // ceil(edges / 2), so B = weight * min(2 * ceil(edges / 2), edges +
+  // leaves).  217 * 302 == 0xFFFE is the largest bound 16-bit rows take
+  // (0xFFFF marks unreachable); 257 * 255 == 0xFFFF falls back to double
+  // rows.  254 unit edges and 8 leaves give B = min(2 * 127, 262) = 0xFE,
+  // the largest bound 8-bit rows take; 255 unit edges give
+  // B = min(256, 255) = 0xFF, and the distance 0xFF between the ends
+  // needs 16-bit rows.
   struct Case {
     Vertex edges;
     double weight;
+    Vertex leaves;
     std::size_t width;
   };
-  for (const Case c : {Case{217, 302.0, sizeof(std::uint16_t)},
-                       Case{257, 255.0, sizeof(double)}}) {
+  for (const Case c : {Case{217, 302.0, 0, sizeof(std::uint16_t)},
+                       Case{257, 255.0, 0, sizeof(double)},
+                       Case{254, 1.0, 8, sizeof(std::uint8_t)},
+                       Case{255, 1.0, 0, sizeof(std::uint16_t)}}) {
     SCOPED_TRACE(::testing::Message() << c.edges << " edges of " << c.weight);
-    // On the 16-bit path, the far end's relaxation back along it forms
-    // the label 0xFFFE + 302, past 0xFFFF: it must lose, not wrap.
-    const Graph g = uniform_path(c.edges, c.weight);
-    const std::vector<Vertex> sources = {0, c.edges / 2, c.edges};
+    // On the integer paths, the far end's relaxation back along it forms
+    // a label past the unreachable entry (0xFFFE + 302, or 0xFE + 1 ==
+    // 0xFF): it must lose, not wrap.
+    const Graph g = centred_path(c.edges, c.weight, c.leaves);
+    const std::vector<Vertex> sources = {1, 0, c.edges / 2, c.edges};
     expect_rows_match_dijkstra(g, sources);
     DistanceOracle oracle(g, g.vertex_count());
     const double farthest = c.edges * c.weight;
-    EXPECT_EQ(oracle.distance(0, c.edges), farthest);
-    EXPECT_EQ(oracle.distance(c.edges, 0), farthest);
+    EXPECT_EQ(oracle.distance(1, c.edges), farthest);
+    EXPECT_EQ(oracle.distance(c.edges, 1), farthest);
     EXPECT_EQ(oracle.row_bytes(), 2 * g.vertex_count() * c.width);
   }
 }
 
+TEST(DistanceOracle, UnreachedVertexKeepsTheVertexCountBound) {
+  // A unit star of 300 leaves around vertex 0 has B = min(2 * 1, 300):
+  // 8-bit rows.  One isolated vertex more and the BFS from vertex 0 no
+  // longer reaches every vertex, so B = 1 * 301 and the rows take 16 bits.
+  for (const bool isolated : {false, true}) {
+    SCOPED_TRACE(isolated ? "with an isolated vertex" : "connected");
+    Graph g(isolated ? 302 : 301);
+    for (Vertex v = 1; v <= 300; ++v) g.add_edge(0, v, 1.0);
+    const auto last = static_cast<Vertex>(g.vertex_count() - 1);
+    const std::vector<Vertex> sources = {0, 1, 300, last};
+    expect_rows_match_dijkstra(g, sources);
+    for (const std::size_t capacity : {g.vertex_count(), std::size_t{2}}) {
+      DistanceOracle oracle(g, capacity);  // dense, then LRU
+      EXPECT_EQ(oracle.distance(1, 300), 2.0);
+      EXPECT_EQ(oracle.distance(0, last), isolated ? kUnreachable : 1.0);
+      EXPECT_EQ(oracle.row_bytes(),
+                2 * g.vertex_count() *
+                    (isolated ? sizeof(std::uint16_t) : sizeof(std::uint8_t)));
+    }
+  }
+}
+
 TEST(DistanceOracle, DisconnectedIntegerGraphIsUnreachable) {
-  // Two components and an isolated vertex, integer weights: 16-bit rows.
+  // Two components and an isolated vertex, integer weights: 8-bit rows
+  // (B = 3 * 5).
   Graph g(6);
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 3.0);
