@@ -94,7 +94,7 @@ int main(int argc, char** argv) try {
       config.key_local_rendezvous = variant.key_local;
       Rng brng(params.seed + g * 1000 + 7);
       const auto report = lb::run_balance_round(d.ring, config, brng, keys);
-      topo::DistanceOracle oracle(d.topology.graph, 32);
+      topo::DistanceOracle oracle(d.topology.graph);
       profile.accumulate(d.ring, report.vsa.assignments, oracle);
       profile.after_heavy += report.after.heavy_count;
     }

@@ -45,7 +45,7 @@ int main(int argc, char** argv) try {
       config.rendezvous_threshold = static_cast<std::size_t>(threshold);
       Rng brng(params.seed + g * 1000 + 7);
       const auto report = lb::run_balance_round(d.ring, config, brng, keys);
-      topo::DistanceOracle oracle(d.topology.graph, 32);
+      topo::DistanceOracle oracle(d.topology.graph);
       profile.accumulate(d.ring, report.vsa.assignments, oracle);
       profile.after_heavy += report.after.heavy_count;
       unassigned += report.vsa.unassigned_heavy.size();

@@ -77,7 +77,7 @@ int main(int argc, char** argv) try {
     config.mode = lb::BalanceMode::kProximityAware;
     Rng brng(params.seed + 7);
     const auto report = lb::run_balance_round(d.ring, config, brng, keys);
-    topo::DistanceOracle oracle(d.topology.graph, 32);
+    topo::DistanceOracle oracle(d.topology.graph);
     rows.push_back({"proximity-aware K-nary tree (this paper)",
                     report.before.heavy_count, report.after.heavy_count,
                     report.vsa.assigned_load(),
@@ -91,7 +91,7 @@ int main(int argc, char** argv) try {
     lb::BalancerConfig config;
     Rng brng(params.seed + 7);
     const auto report = lb::run_balance_round(d.ring, config, brng);
-    topo::DistanceOracle oracle(d.topology.graph, 32);
+    topo::DistanceOracle oracle(d.topology.graph);
     rows.push_back({"proximity-ignorant K-nary tree",
                     report.before.heavy_count, report.after.heavy_count,
                     report.vsa.assigned_load(),
@@ -106,7 +106,7 @@ int main(int argc, char** argv) try {
     config.rendezvous_threshold = static_cast<std::size_t>(-1);
     Rng brng(params.seed + 7);
     const auto report = lb::run_balance_round(d.ring, config, brng);
-    topo::DistanceOracle oracle(d.topology.graph, 32);
+    topo::DistanceOracle oracle(d.topology.graph);
     rows.push_back({"many-to-many directory (Rao et al.)",
                     report.before.heavy_count, report.after.heavy_count,
                     report.vsa.assigned_load(),
@@ -122,7 +122,7 @@ int main(int argc, char** argv) try {
         lb::classify_all(d.ring, lb::ground_truth_lbi(d.ring), 0.05)
             .heavy_count;
     auto result = lb::run_one_to_many(d.ring, 0.05, brng, 16);
-    topo::DistanceOracle oracle(d.topology.graph, 32);
+    topo::DistanceOracle oracle(d.topology.graph);
     rows.push_back({"one-to-many directories (Rao et al.)", heavy_before,
                     result.residual_heavy, result.load_moved,
                     mean_distance_of(d.ring, result.assignments, oracle),
@@ -137,7 +137,7 @@ int main(int argc, char** argv) try {
         lb::classify_all(d.ring, lb::ground_truth_lbi(d.ring), 0.05)
             .heavy_count;
     auto result = lb::run_one_to_one(d.ring, 0.05, brng);
-    topo::DistanceOracle oracle(d.topology.graph, 32);
+    topo::DistanceOracle oracle(d.topology.graph);
     rows.push_back({"one-to-one random probing (Rao et al.)", heavy_before,
                     result.residual_heavy, result.load_moved,
                     mean_distance_of(d.ring, result.assignments, oracle),

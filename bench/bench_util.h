@@ -150,7 +150,7 @@ inline void run_mode_into_profile(const Deployment& base,
                .node_keys;
   }
   const auto report = lb::run_balance_round(d.ring, config, rng, keys);
-  topo::DistanceOracle oracle(d.topology.graph, 32);
+  topo::DistanceOracle oracle(d.topology.graph);
   profile.accumulate(d.ring, report.vsa.assignments, oracle);
   profile.before_heavy += report.before.heavy_count;
   profile.after_heavy += report.after.heavy_count;

@@ -237,7 +237,7 @@ void BM_OracleLookup(benchmark::State& state) {
   const auto topo = topo::generate_transit_stub(
       topo::TransitStubParams::ts5k_small(), rng, "bench");
   const topo::Graph graph = scaled_weights(topo.graph, kScale[state.range(0)]);
-  topo::DistanceOracle oracle(graph, graph.vertex_count());
+  topo::DistanceOracle oracle(graph);
   const auto stubs = topo.stub_vertices();
   std::vector<std::pair<topo::Vertex, topo::Vertex>> pairs(4096);
   Rng pick(13);
@@ -360,7 +360,7 @@ void BM_OracleFill(benchmark::State& state) {
   for (const topo::Vertex v : topo.stub_vertices()) sources.emplace_back(v, v);
   std::size_t row_bytes = 0;
   for (auto _ : state) {
-    topo::DistanceOracle oracle(topo.graph, topo.graph.vertex_count());
+    topo::DistanceOracle oracle(topo.graph);
     benchmark::DoNotOptimize(oracle.distances(sources));
     row_bytes = oracle.row_bytes();
   }

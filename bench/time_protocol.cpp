@@ -85,10 +85,9 @@ TimedRoundResult run_timed_round(std::size_t nodes, std::size_t servers,
       params, topo::TransitStubParams::ts5k_small(), "ts5k-small", round_rng);
   r.deployment_seconds = seconds_since(deploy0);
   // Every send's source is a node attachment: fill those rows up front
-  // so the event loop only reads them.  A vertex-count capacity keeps the
-  // oracle in dense mode (no eviction, no per-query hashing).
+  // so the event loop only reads them.
   const topo::Graph& graph = d.topology.graph;
-  topo::DistanceOracle oracle(graph, graph.vertex_count());
+  topo::DistanceOracle oracle(graph);
   std::vector<std::pair<topo::Vertex, topo::Vertex>> sources;
   for (chord::NodeIndex i = 0; i < d.ring.node_count(); ++i) {
     const sim::Endpoint a = lb::node_endpoint(d.ring, i);

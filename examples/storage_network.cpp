@@ -83,7 +83,7 @@ int main(int argc, char** argv) try {
                  .node_keys;
     }
     const auto report = lb::run_balance_round(ring, config, brng, keys);
-    topo::DistanceOracle oracle(topology.graph, 32);
+    topo::DistanceOracle oracle(topology.graph);
     Outcome& out = outcomes[aware];
     for (const auto& t :
          lb::transfer_costs(ring, report.vsa.assignments, oracle)) {

@@ -151,18 +151,6 @@ class MaintenanceProtocol {
   /// The tree degree K.
   [[nodiscard]] std::uint32_t degree() const noexcept { return degree_; }
 
-  /// Whether an instance currently exists for this exact region.
-  [[nodiscard]] bool has_instance(const Region& region) const {
-    return by_region_.contains(region);
-  }
-
-  /// The hosting VS of an instance (throws if absent).
-  [[nodiscard]] chord::Key instance_host(const Region& region) const {
-    const auto it = by_region_.find(region);
-    P2PLB_REQUIRE_MSG(it != by_region_.end(), "no such instance");
-    return slots_[it->second].host_vs;
-  }
-
  private:
   /// Region -> slot of its live instance, in RegionOrder.
   using RegionIndex = std::map<Region, std::uint32_t, RegionOrder>;

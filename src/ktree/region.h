@@ -46,7 +46,7 @@ struct Region {
 };
 
 /// Strict weak order over regions (by lo, then len): the map key order
-/// used by the maintenance protocol and the continuous aggregator.
+/// used by the maintenance protocol.
 struct RegionOrder {
   constexpr bool operator()(const Region& a, const Region& b) const noexcept {
     if (a.lo != b.lo) return a.lo < b.lo;

@@ -48,15 +48,8 @@ void HealthProbe::register_windows(obs::WindowedAggregator& windows) const {
   const obs::SeriesId vs_max = gauge("vs_per_node{q=max}");
   const obs::SeriesId vs_p50 = gauge("vs_per_node{q=p50}");
   const obs::SeriesId vs_p99 = gauge("vs_per_node{q=p99}");
-  // The attachments are fixed here: one attached later is not exported.
-  const ContinuousLbi* const clbi = clbi_;
+  // The tree is fixed here: one attached later is not exported.
   const ktree::MaintenanceProtocol* const tree = tree_;
-  obs::SeriesId clbi_error;
-  obs::SeriesId clbi_staleness;
-  if (clbi != nullptr) {
-    clbi_error = gauge("clbi_root_error");
-    clbi_staleness = gauge("clbi_staleness");
-  }
   obs::SeriesId tree_instances;
   obs::SeriesId tree_depth;
   if (tree != nullptr) {
@@ -111,14 +104,6 @@ void HealthProbe::register_windows(obs::WindowedAggregator& windows) const {
     record(vs_p50, percentile_sorted(vs_counts, 0.50));
     record(vs_p99, percentile_sorted(vs_counts, 0.99));
 
-    if (clbi != nullptr) {
-      record(clbi_error, clbi->root_relative_error());
-      // A bucket can close after a later refresh (the roll runs at the
-      // next record); report that as fresh, keeping -1 for "never".
-      const sim::Time last = clbi->last_refresh_time();
-      record(clbi_staleness,
-             last < 0.0 ? -1.0 : std::max(0.0, boundary - last));
-    }
     if (tree != nullptr) {
       record(tree_instances, static_cast<double>(tree->instance_count()));
       std::uint32_t height = 0;

@@ -59,8 +59,8 @@ struct LbiAggregation {
 };
 
 /// The key a node hosting no virtual server reports under: a hash of its
-/// index.  aggregate_lbi and ContinuousLbi both route such a node's
-/// triple to the owner of this key.
+/// index.  aggregate_lbi routes such a node's triple to the owner of this
+/// key.
 [[nodiscard]] inline chord::Key fallback_report_key(
     chord::NodeIndex i) noexcept {
   std::uint64_t h = 0xB10C0DE5ULL + i;

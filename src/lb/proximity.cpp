@@ -96,7 +96,7 @@ ClusteringQuality measure_clustering_quality(
     if (members.size() >= 2) multi.push_back(&members);
 
   ClusteringQuality q;
-  topo::DistanceOracle oracle(topology.graph, 64);
+  topo::DistanceOracle oracle(topology.graph);
   auto attachment = [&](chord::NodeIndex i) {
     const auto at = ring.node(i).attachment;
     P2PLB_REQUIRE_MSG(at != chord::Node::kNoAttachment,

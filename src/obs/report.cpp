@@ -104,8 +104,7 @@ void write_metrics_sections(std::ostream& os,
   Table traffic({"metric", "value"});
   bool any_traffic = false;
   for (const auto& [key, value] : metrics) {
-    if (key.compare(0, 4, "net.") != 0 && key.compare(0, 5, "clbi.") != 0 &&
-        key.compare(0, 6, "ktree.") != 0)
+    if (key.compare(0, 4, "net.") != 0 && key.compare(0, 6, "ktree.") != 0)
       continue;
     any_traffic = true;
     traffic.add_row({key, Table::num(value, 6)});

@@ -7,7 +7,6 @@
 #include <concepts>
 #include <future>
 #include <limits>
-#include <numeric>
 #include <thread>
 #include <type_traits>
 
@@ -142,12 +141,14 @@ void fill_row(const Graph& graph, const DistanceOracle::FlatAdjacency& adj,
 
 }  // namespace
 
-DistanceOracle::DistanceOracle(const Graph& graph,
-                               std::size_t max_cached_sources)
+DistanceOracle::DistanceOracle(const Graph& graph)
     : graph_(graph),
       vertex_count_(graph.vertex_count()),
-      capacity_(max_cached_sources) {
-  P2PLB_REQUIRE(capacity_ >= 1);
+      filled_(vertex_count_, 0) {}
+
+DistanceOracle::DistanceOracle(const Graph& graph, std::size_t capacity)
+    : DistanceOracle(graph) {
+  P2PLB_REQUIRE(capacity >= vertex_count_);
 }
 
 template <typename F>
@@ -166,70 +167,38 @@ decltype(auto) DistanceOracle::with_row_type(F&& f) {
 void DistanceOracle::prepare() {
   width_ = row_width(graph_);
   // Built here, with the width, so its cost is part of the first fill
-  // (and an oracle that is never used skips it).
+  // (and an oracle that is never used skips it).  The table is left
+  // uninitialised, so its pages become resident only as rows fill.
   if (width_ != sizeof(double)) adjacency_ = flatten(graph_);
-  // When every row fits there is nothing to evict: switch to the dense
-  // table and skip the hash lookup and LRU splice per query (this lookup
-  // sits on the per-send latency path of timed rounds).  The table is
-  // left uninitialised, so its pages become resident only as rows fill.
-  if (capacity_ >= vertex_count_)
-    with_row_type([this](auto zero) {
-      Rows<decltype(zero)>& cache = rows<decltype(zero)>();
-      cache.table = std::make_unique_for_overwrite<decltype(zero)[]>(
-          vertex_count_ * vertex_count_);
-      cache.filled.assign(vertex_count_, 0);
-    });
+  with_row_type([this](auto zero) {
+    std::get<std::unique_ptr<decltype(zero)[]>>(tables_) =
+        std::make_unique_for_overwrite<decltype(zero)[]>(vertex_count_ *
+                                                         vertex_count_);
+  });
 }
 
 template <typename T>
-bool DistanceOracle::claim(Vertex source, RowJob<T>& job) {
-  Rows<T>& cache = rows<T>();
-  job.source = source;
-  if (cache.table != nullptr) {
-    job.row = cache.table.get() + source * vertex_count_;
-    return cache.filled[source] == 0;
-  }
-  if (const auto it = cache.index.find(source); it != cache.index.end()) {
-    cache.lru.splice(cache.lru.begin(), cache.lru, it->second);  // refresh
-  } else {
-    cache.lru.emplace_front(source, std::vector<T>{});
-    cache.index[source] = cache.lru.begin();
-    if (cache.lru.size() > capacity_) {
-      cache.index.erase(cache.lru.back().first);
-      cache.lru.pop_back();
-    }
-  }
-  job.lru_row = &cache.lru.front().second;
-  return job.lru_row->empty();
-}
-
-template <typename T>
-void DistanceOracle::fill(std::span<const RowJob<T>> jobs) {
-  if (jobs.empty()) return;
-  // min(hardware_concurrency, jobs) workers, the calling thread among
-  // them.  Each claims the next job and owns its scratch; rows are
+void DistanceOracle::fill(std::span<const Vertex> sources) {
+  if (sources.empty()) return;
+  T* const rows = table<T>();
+  // min(hardware_concurrency, sources) workers, the calling thread among
+  // them.  Each claims the next source and owns its scratch; rows are
   // disjoint, so workers share nothing else.  A helper's exception (out
   // of memory) is rethrown here once all joined.
   std::atomic<std::size_t> next{0};
   const auto work = [&] {
     Scratch scratch;
-    for (std::size_t j = next++; j < jobs.size(); j = next++) {
-      const RowJob<T>& job = jobs[j];
-      T* out = job.row;
-      if (out == nullptr) {
-        job.lru_row->resize(vertex_count_);
-        out = job.lru_row->data();
-      }
-      fill_row(graph_, adjacency_, job.source, out, scratch);
-    }
+    for (std::size_t j = next++; j < sources.size(); j = next++)
+      fill_row(graph_, adjacency_, sources[j],
+               rows + sources[j] * vertex_count_, scratch);
   };
   // A lone row (a lazy fill) skips the hardware_concurrency query.
   const std::size_t workers =
-      jobs.size() == 1
+      sources.size() == 1
           ? 1
           : std::min<std::size_t>(
                 std::max(1u, std::thread::hardware_concurrency()),
-                jobs.size());
+                sources.size());
   {
     // Declared after `next`: futures from std::async join on destruction,
     // so no helper outlives the state it reads, even when work() throws.
@@ -239,17 +208,8 @@ void DistanceOracle::fill(std::span<const RowJob<T>> jobs) {
     work();
     for (std::future<void>& helper : helpers) helper.get();
   }
-  Rows<T>& cache = rows<T>();
-  for (const RowJob<T>& job : jobs)
-    if (job.row != nullptr) cache.filled[job.source] = 1;
-  runs_ += jobs.size();
-}
-
-template <typename T>
-const T* DistanceOracle::row(Vertex source) {
-  RowJob<T> job;
-  if (claim<T>(source, job)) fill<T>(std::span<const RowJob<T>>(&job, 1));
-  return job.data();
+  for (const Vertex s : sources) filled_[s] = 1;
+  runs_ += sources.size();
 }
 
 template <typename T>
@@ -257,11 +217,9 @@ double DistanceOracle::distance_as(Vertex from, Vertex to) {
   P2PLB_REQUIRE(from < vertex_count_);
   P2PLB_REQUIRE(to < vertex_count_);
   if (from == to) return 0.0;
-  // The per-send path: a filled dense row is one flag test and one read.
-  const Rows<T>& cache = rows<T>();
-  return widen(cache.table != nullptr && cache.filled[from] != 0
-                   ? cache.table[from * vertex_count_ + to]
-                   : row<T>(from)[to]);
+  // The per-send path: a filled row is one flag test and one read.
+  if (filled_[from] == 0) fill<T>(std::span<const Vertex>(&from, 1));
+  return widen(table<T>()[from * vertex_count_ + to]);
 }
 
 double DistanceOracle::distance(Vertex from, Vertex to) {
@@ -283,56 +241,27 @@ std::vector<double> DistanceOracle::distances(
 template <typename T>
 std::vector<double> DistanceOracle::distances_as(
     std::span<const std::pair<Vertex, Vertex>> pairs) {
-  std::vector<double> out(pairs.size());
-  // Group query indices by source: one run per distinct source even when
-  // the cache cannot hold all rows.
-  std::vector<std::size_t> order(pairs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return pairs[a].first < pairs[b].first;
-  });
-  // Walk the sources in ascending order a chunk at a time.  Claiming a
-  // chunk's rows in order does the LRU bookkeeping of a one-row-at-a-time
-  // walk; then its missing rows are filled in parallel and its pairs
-  // answered.  A chunk holds at most `capacity_` sources, so claiming
-  // never evicts a row of the same chunk.
-  const std::size_t chunk = std::min(capacity_, vertex_count_);
-  std::vector<RowJob<T>> chunk_rows;  // one per source of the chunk
-  std::vector<RowJob<T>> fresh_rows;  // the ones still to fill
-  std::size_t k = 0;
-  while (k < order.size()) {
-    const std::size_t chunk_begin = k;
-    chunk_rows.clear();
-    fresh_rows.clear();
-    while (k < order.size() && chunk_rows.size() < chunk) {
-      const Vertex source = pairs[order[k]].first;
-      RowJob<T>& job = chunk_rows.emplace_back();
-      if (claim<T>(source, job)) fresh_rows.push_back(job);
-      while (k < order.size() && pairs[order[k]].first == source) ++k;
-    }
-    fill<T>(fresh_rows);
-    std::size_t g = 0;  // index into `chunk_rows` of the current source
-    for (std::size_t i = chunk_begin; i < k; ++i) {
-      const auto [from, to] = pairs[order[i]];
-      if (i > chunk_begin && from != pairs[order[i - 1]].first) ++g;
-      out[order[i]] = to == from ? 0.0 : widen(chunk_rows[g].data()[to]);
-    }
-  }
+  // Every row stays resident: fill the batch's missing rows, each once,
+  // then answer every pair with a table read.
+  std::vector<Vertex> missing;
+  for (const auto& [from, to] : pairs)
+    if (filled_[from] == 0) missing.push_back(from);
+  std::sort(missing.begin(), missing.end());
+  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
+  fill<T>(missing);
+  const T* const rows = table<T>();
+  std::vector<double> out;
+  out.reserve(pairs.size());
+  for (const auto& [from, to] : pairs)
+    out.push_back(to == from ? 0.0
+                             : widen(rows[from * vertex_count_ + to]));
   return out;
 }
 
 std::size_t DistanceOracle::row_bytes() const noexcept {
-  std::size_t total = 0;
-  const auto add = [&](const auto& cache) {
-    const std::size_t width = sizeof(cache.table[0]);
-    total += width * vertex_count_ *
-             static_cast<std::size_t>(
-                 std::count(cache.filled.begin(), cache.filled.end(), 1));
-    for (const auto& entry : cache.lru)
-      total += entry.second.capacity() * width;
-  };
-  std::apply([&](const auto&... cache) { (add(cache), ...); }, rows_);
-  return total;
+  return std::size_t{width_} * vertex_count_ *
+         static_cast<std::size_t>(
+             std::count(filled_.begin(), filled_.end(), 1));
 }
 
 template <typename T>

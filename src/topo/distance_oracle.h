@@ -2,23 +2,20 @@
 //
 // Every hop of a timed round over a topology costs one shortest-path
 // distance, so the oracle keeps whole source rows (one single-source
-// shortest-path run each) and answers a query with one row read.  It has
-// two modes:
-//
-//   dense  capacity >= vertex count: one contiguous V x V row table plus
-//          a per-row filled flag.  The table is allocated without
-//          value-initialising it, so a row never filled is never touched
-//          and never becomes resident.  A lookup is the flag test and one
-//          read at table[from * V + to], with no hashing.  The table
-//          reserves V * V entries of address space (30 MB at 8 bits for
-//          the 5,469-vertex ts5k-small).  The benchmarks and drivers run
-//          in this mode and fill every attachment's row up front.
-//   LRU    smaller capacities keep at most `capacity` rows, each its own
-//          vector, and evict the least recently used one.
+// shortest-path run each) and answers a query with one row read.  The
+// rows live in one contiguous V x V table plus a per-row filled flag.
+// The table is allocated without value-initialising it, so a row never
+// filled is never touched and never becomes resident.  A lookup is the
+// flag test and one read at table[from * V + to], with no hashing.  The
+// table reserves V * V entries of address space (30 MB at 8 bits for the
+// 5,469-vertex ts5k-small).  The benchmarks and drivers fill every
+// attachment's row up front.  There is no eviction and no capacity knob;
+// the two-argument constructor only checks that a capacity covers every
+// vertex, for the one benchmark call that still passes one.
 //
 // Row width.  The first use that needs it (distance, distances or
 // latency) picks one element type for every row, and with it builds the
-// flat adjacency and allocates the dense table, so that work is timed
+// flat adjacency and allocates the row table, so that work is timed
 // with the first fill.  If every edge weight is an integer, a bound B on
 // every shortest path decides: uint8_t rows if B < 0xFF, uint16_t rows if
 // B < 0xFFFF, each with its maximum meaning unreachable; otherwise, and
@@ -42,22 +39,19 @@
 // row.  A double row comes from shortest_paths_into (graph.h) and its
 // radix heap.
 //
-// distances() resolves a batch grouped by source and fills its missing
-// rows in parallel: the calling thread claims them (LRU order), then up to
-// hardware_concurrency workers run one shortest-path search per row, each
-// with its own queue, writing into the claimed table row (an LRU row is
-// allocated by the worker that fills it).  The calling thread marks the
-// rows filled once every worker has joined.  A row is a pure function of
-// (graph, source), so the values, dijkstra_runs() and the cache contents
-// are those of filling the rows one at a time, whatever the worker count.
+// distances() fills a batch's missing rows in parallel: the calling
+// thread collects them, then up to hardware_concurrency workers run one
+// shortest-path search per row, each with its own queue, writing into the
+// table row.  The calling thread marks the rows filled once every worker
+// has joined.  A row is a pure function of (graph, source), so the
+// values, dijkstra_runs() and the filled rows are those of filling the
+// rows one at a time, whatever the worker count.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <span>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -70,18 +64,19 @@ namespace p2plb::topo {
 class DistanceOracle {
  public:
   /// `graph` must outlive the oracle and not change while it lives.
-  /// `max_cached_sources` bounds memory at max_cached_sources *
-  /// vertex_count * 8 bytes (1 or 2 bytes per entry with integer rows).
-  explicit DistanceOracle(const Graph& graph,
-                          std::size_t max_cached_sources = 64);
+  explicit DistanceOracle(const Graph& graph);
+  /// The same oracle; `capacity` must be at least the vertex count.
+  /// Exists only for the end-to-end benchmark's
+  /// `emplace(graph, graph.vertex_count())` call, and goes when that
+  /// benchmark moves to the one-argument constructor.
+  DistanceOracle(const Graph& graph, std::size_t capacity);
 
   /// Distance between two vertices (kUnreachable if disconnected).
   [[nodiscard]] double distance(Vertex from, Vertex to);
 
-  /// Resolve many pairs, grouping by source so each distinct source costs
-  /// exactly one shortest-path run regardless of cache size.  Missing
-  /// rows are filled in parallel; every vertex is range-checked before
-  /// any row work.
+  /// Resolve many pairs: each distinct source without a row costs
+  /// exactly one shortest-path run, and the missing rows are filled in
+  /// parallel.  Every vertex is range-checked before any row work.
   [[nodiscard]] std::vector<double> distances(
       std::span<const std::pair<Vertex, Vertex>> pairs);
 
@@ -90,7 +85,7 @@ class DistanceOracle {
   [[nodiscard]] std::uint64_t dijkstra_runs() const noexcept { return runs_; }
 
   /// Bytes held by the filled rows: rows x vertex_count x 1, 2 or 8, by
-  /// the width rule (an unfilled dense row is never resident).
+  /// the width rule (an unfilled row is never resident).
   [[nodiscard]] std::size_t row_bytes() const noexcept;
 
   /// Adapt the oracle into the network's flat latency callable: endpoints
@@ -120,55 +115,23 @@ class DistanceOracle {
   };
 
  private:
-  /// The cached rows of one element type (uint8_t, uint16_t or double,
-  /// by the width rule above).
-  template <typename T>
-  struct Rows {
-    using Lru = std::list<std::pair<Vertex, std::vector<T>>>;
-    // Dense mode: row s is table[s * V, (s + 1) * V), valid iff
-    // filled[s].  Null in LRU mode.
-    std::unique_ptr<T[]> table;
-    std::vector<std::uint8_t> filled;
-    // LRU: most recently used at the front; an empty row is not filled.
-    Lru lru;
-    std::unordered_map<Vertex, typename Lru::iterator> index;
-  };
-
-  /// One row to fill: the source and where its distances go -- a table
-  /// row, or (when `row` is null) an LRU vector the worker allocates.
-  template <typename T>
-  struct RowJob {
-    Vertex source = 0;
-    T* row = nullptr;
-    std::vector<T>* lru_row = nullptr;
-    [[nodiscard]] const T* data() const {
-      return row != nullptr ? row : lru_row->data();
-    }
-  };
-
   /// Pick the row width, and build what it needs: the flat adjacency for
-  /// integer rows, the dense table in dense mode.  Runs once, on the
-  /// first use that needs the width.
+  /// integer rows and the row table.  Runs once, on the first use that
+  /// needs the width.
   void prepare();
   /// `f(T{})` for the row type T, preparing it first if need be.
   template <typename F>
   decltype(auto) with_row_type(F&& f);
+  /// The row table of element type T (null unless T is the chosen one):
+  /// row s is table<T>()[s * V, (s + 1) * V), valid iff filled_[s].
   template <typename T>
-  Rows<T>& rows() noexcept {
-    return std::get<Rows<T>>(rows_);
+  T* table() noexcept {
+    return std::get<std::unique_ptr<T[]>>(tables_).get();
   }
-  /// `source`'s row, filled on first use.
+  /// Fill the rows of `sources` (distinct, none filled yet) in parallel,
+  /// then mark them filled and count the runs.
   template <typename T>
-  const T* row(Vertex source);
-  /// Point `job` at `source`'s row, refreshed in LRU order (a missing LRU
-  /// row is inserted empty, evicting the least recently used row).
-  /// Returns whether the row still has to be filled.
-  template <typename T>
-  bool claim(Vertex source, RowJob<T>& job);
-  /// Fill the claimed rows in parallel, then mark them filled and count
-  /// the runs.
-  template <typename T>
-  void fill(std::span<const RowJob<T>> jobs);
+  void fill(std::span<const Vertex> sources);
   template <typename T>
   double distance_as(Vertex from, Vertex to);
   template <typename T>
@@ -179,12 +142,14 @@ class DistanceOracle {
 
   const Graph& graph_;
   std::size_t vertex_count_;
-  std::size_t capacity_;
   std::uint64_t runs_ = 0;
   double unreachable_latency_ = 1e6;
   std::uint8_t width_ = 0;  ///< bytes per entry: 1, 2 or 8; 0 until chosen
   FlatAdjacency adjacency_;  ///< integer rows only
-  std::tuple<Rows<std::uint8_t>, Rows<std::uint16_t>, Rows<double>> rows_;
+  std::vector<std::uint8_t> filled_;  ///< per source: its row is filled
+  std::tuple<std::unique_ptr<std::uint8_t[]>, std::unique_ptr<std::uint16_t[]>,
+             std::unique_ptr<double[]>>
+      tables_;
 };
 
 }  // namespace p2plb::topo

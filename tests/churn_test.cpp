@@ -1,11 +1,9 @@
-// Tests for the churn models, plus an end-to-end run of Chord
-// stabilization under a realistic heavy-tailed churn schedule.
+// Tests for the churn models and schedules.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
 
-#include "chord/stabilization.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -101,50 +99,6 @@ TEST(ChurnSchedule, RejectsBadParams) {
   bad_alpha.pareto_alpha = 1.0;
   EXPECT_THROW((void)sample_session_length(bad_alpha, rng),
                PreconditionError);
-}
-
-// --- end-to-end: Chord stabilization under the churn schedule ---------------
-
-TEST(ChurnIntegration, StabilizationSurvivesRealisticChurn) {
-  Rng rng(1006);
-  sim::Engine engine;
-  chord::StabilizationParams sparams;
-  sparams.successor_list_length = 8;
-  sparams.fix_fingers_interval = 0.2;
-  chord::StabilizingRing ring(engine, sparams);
-  const chord::Key bootstrap_id = 0x42424242u;
-  ring.bootstrap(bootstrap_id);
-
-  ChurnParams churn;
-  churn.join_interarrival_mean = 4.0;   // a join every ~4 time units
-  churn.session_mean = 120.0;           // sessions of ~120 units
-  churn.pareto_alpha = 1.5;
-  const auto schedule = generate_churn_schedule(churn, 400.0, rng);
-
-  std::map<std::uint64_t, chord::Key> session_ids;
-  for (const auto& e : schedule) {
-    if (e.kind == ChurnEvent::Kind::kJoin) {
-      const auto id = static_cast<chord::Key>(rng() >> 32);
-      session_ids[e.session] = id;
-      engine.schedule_at(e.at, [&ring, id, bootstrap_id] {
-        if (!ring.is_live_participant(id)) ring.join(id, bootstrap_id);
-      });
-    } else {
-      const chord::Key id = session_ids.at(e.session);
-      // The join completes asynchronously; a leave racing an unfinished
-      // join simply finds nobody to kill (the peer "left while joining").
-      engine.schedule_at(e.at, [&ring, id] {
-        if (ring.is_live_participant(id)) ring.crash(id);
-      });
-    }
-  }
-  engine.run_until(400.0);
-  // Quiet period: churn stops, stabilization heals whatever is stale
-  // (backward pred-walk from a far fallback successor takes one step per
-  // stabilize round, so allow a generous healing window).
-  engine.run_until(700.0);
-  EXPECT_GT(ring.live_count(), 10u);
-  EXPECT_TRUE(ring.ring_consistent());
 }
 
 }  // namespace

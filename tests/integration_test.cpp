@@ -108,7 +108,7 @@ TEST(ProximityPipeline, AwareBeatsIgnorantOnTransferDistance) {
                  .node_keys;
     }
     const auto report = lb::run_balance_round(d.ring, config, rng, keys);
-    topo::DistanceOracle oracle(d.topology.graph, 64);
+    topo::DistanceOracle oracle(d.topology.graph);
     const double mean_dist = mean_transfer_distance(d, report, oracle);
     if (mode == lb::BalanceMode::kProximityAware) {
       aware_dist = mean_dist;

@@ -331,7 +331,7 @@ TEST(EventFn, EmptyCallablesAreRejected) {
 TEST(Network, OracleLatencyRequiresAFiniteUnreachableCost) {
   topo::Graph g(3);
   g.add_edge(0, 1, 2.0);  // vertex 2 is disconnected
-  topo::DistanceOracle oracle(g, 3);
+  topo::DistanceOracle oracle(g);
   EXPECT_THROW((void)oracle.latency(std::numeric_limits<double>::infinity()),
                PreconditionError);
   EXPECT_THROW((void)oracle.latency(std::nan("")), PreconditionError);

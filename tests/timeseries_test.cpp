@@ -474,8 +474,7 @@ TEST(HealthProbe, ComputesExactGaugesOnAHandBuiltRing) {
   EXPECT_DOUBLE_EQ(g.at("health.vs_per_node{q=p50}"), 1.5);
   EXPECT_GT(g.at("health.imbalance"), 1.0);
   EXPECT_GT(g.at("health.gini_unit_load"), 0.0);
-  // No attachments: no clbi / ktree gauges.
-  EXPECT_EQ(g.count("health.clbi_root_error"), 0u);
+  // No tree attached: no ktree gauges.
   EXPECT_EQ(g.count("health.ktree_instances"), 0u);
 }
 
@@ -490,22 +489,16 @@ TEST(HealthProbe, ReportsAttachedAggregatorAndTree) {
       rng);
   ktree::MaintenanceProtocol tree(engine, ring, 2, 1.0,
                                   ktree::unit_latency(ring));
-  lb::ContinuousLbi lbi(engine, ring, tree, 1.0, ktree::unit_latency(ring));
   lb::HealthProbe probe(ring);
-  probe.attach_continuous_lbi(&lbi);
   probe.attach_tree(&tree);
 
-  // Before anything runs: staleness sentinel, no instances yet.
-  EXPECT_DOUBLE_EQ(gauges_at(probe, 0.5).at("health.clbi_staleness"), -1.0);
+  // Before anything runs: no instances yet.
+  EXPECT_DOUBLE_EQ(gauges_at(probe, 0.5).at("health.ktree_instances"), 0.0);
 
   tree.start();
-  lbi.start();
   engine.run_until(80.0);
   ASSERT_TRUE(tree.converged());
   const std::map<std::string, double> g = gauges_at(probe, engine.now());
-  EXPECT_LT(g.at("health.clbi_root_error"), 1e-9);
-  EXPECT_GE(g.at("health.clbi_staleness"), 0.0);
-  EXPECT_LE(g.at("health.clbi_staleness"), 1.0);  // refreshes every 1.0
   EXPECT_DOUBLE_EQ(g.at("health.ktree_instances"),
                    static_cast<double>(tree.instance_count()));
   EXPECT_GE(g.at("health.ktree_depth"), 1.0);
@@ -518,18 +511,15 @@ TEST(HealthProbe, AttachAfterRegistrationIsNotExported) {
       32, 3, workload::CapacityProfile::gnutella_like(), rng);
   ktree::MaintenanceProtocol tree(engine, ring, 2, 1.0,
                                   ktree::unit_latency(ring));
-  lb::ContinuousLbi lbi(engine, ring, tree, 1.0, ktree::unit_latency(ring));
   lb::HealthProbe probe(ring);
   obs::WindowedAggregator windows({1.0, 4});
   probe.register_windows(windows);
-  probe.attach_continuous_lbi(&lbi);
   probe.attach_tree(&tree);
   std::vector<obs::Sample> rows;
   obs::record_series(windows, rows);
   windows.advance_to(2.0);
   ASSERT_FALSE(rows.empty());
   for (const obs::Sample& s : rows) {
-    EXPECT_EQ(s.key.find("clbi"), std::string::npos) << s.key;
     EXPECT_EQ(s.key.find("ktree"), std::string::npos) << s.key;
   }
 }

@@ -379,7 +379,7 @@ TEST(DistanceOracle, MatchesDirectComputation) {
   params.stub_domains_per_transit = 2;
   params.stub_nodes_mean = 6;
   const auto topo = generate_transit_stub(params, rng, "t");
-  DistanceOracle oracle(topo.graph, 4);
+  DistanceOracle oracle(topo.graph);
   for (int trial = 0; trial < 50; ++trial) {
     const auto a = static_cast<Vertex>(rng.below(topo.graph.vertex_count()));
     const auto b = static_cast<Vertex>(rng.below(topo.graph.vertex_count()));
@@ -393,16 +393,18 @@ TEST(DistanceOracle, BatchGroupsBySource) {
   Graph g(50);
   for (Vertex v = 1; v < 50; ++v)
     g.add_edge(v, static_cast<Vertex>(rng.below(v)), 1.0);
-  DistanceOracle oracle(g, 2);  // tiny cache
+  DistanceOracle oracle(g);
   std::vector<std::pair<Vertex, Vertex>> pairs;
-  for (int i = 0; i < 200; ++i)
+  std::set<Vertex> sources;
+  for (int i = 0; i < 200; ++i) {
     pairs.emplace_back(static_cast<Vertex>(rng.below(5)),   // 5 sources
                        static_cast<Vertex>(rng.below(50)));
+    sources.insert(pairs.back().first);
+  }
   const auto d = oracle.distances(pairs);
   ASSERT_EQ(d.size(), pairs.size());
-  // Grouping means at most one Dijkstra per distinct source despite the
-  // 2-row cache.
-  EXPECT_LE(oracle.dijkstra_runs(), 5u);
+  // Exactly one Dijkstra per distinct source.
+  EXPECT_EQ(oracle.dijkstra_runs(), sources.size());
   for (std::size_t i = 0; i < pairs.size(); ++i)
     EXPECT_DOUBLE_EQ(
         d[i], shortest_path_distance(g, pairs[i].first, pairs[i].second));
@@ -413,7 +415,7 @@ TEST(DistanceOracle, CachesRepeatSources) {
   Graph g(30);
   for (Vertex v = 1; v < 30; ++v)
     g.add_edge(v, static_cast<Vertex>(rng.below(v)), 1.0);
-  DistanceOracle oracle(g, 8);
+  DistanceOracle oracle(g);
   (void)oracle.distance(3, 10);
   (void)oracle.distance(3, 20);
   (void)oracle.distance(3, 29);
@@ -424,18 +426,22 @@ TEST(DistanceOracle, CachesRepeatSources) {
 TEST(DistanceOracle, BatchRejectsOutOfRangePairs) {
   Graph g(10);
   for (Vertex v = 1; v < 10; ++v) g.add_edge(v - 1, v, 1.0);
-  for (const std::size_t capacity : {std::size_t{10}, std::size_t{2}}) {
-    DistanceOracle oracle(g, capacity);  // dense, then LRU
-    const std::vector<std::pair<Vertex, Vertex>> bad_source = {{1, 2},
-                                                              {10, 3}};
-    const std::vector<std::pair<Vertex, Vertex>> bad_target = {{1, 2},
-                                                              {3, 10}};
-    EXPECT_THROW((void)oracle.distances(bad_source), PreconditionError);
-    EXPECT_THROW((void)oracle.distances(bad_target), PreconditionError);
-    // Checked before any row work: the valid pair ahead of the bad one
-    // ran no Dijkstra.
-    EXPECT_EQ(oracle.dijkstra_runs(), 0u);
-  }
+  DistanceOracle oracle(g);
+  const std::vector<std::pair<Vertex, Vertex>> bad_source = {{1, 2}, {10, 3}};
+  const std::vector<std::pair<Vertex, Vertex>> bad_target = {{1, 2}, {3, 10}};
+  EXPECT_THROW((void)oracle.distances(bad_source), PreconditionError);
+  EXPECT_THROW((void)oracle.distances(bad_target), PreconditionError);
+  // Checked before any row work: the valid pair ahead of the bad one ran
+  // no Dijkstra.
+  EXPECT_EQ(oracle.dijkstra_runs(), 0u);
+}
+
+TEST(DistanceOracle, CapacityBelowTheVertexCountIsRejected) {
+  Graph g(10);
+  for (Vertex v = 1; v < 10; ++v) g.add_edge(v - 1, v, 1.0);
+  EXPECT_THROW((void)DistanceOracle(g, 9), PreconditionError);
+  DistanceOracle oracle(g, 10);  // a capacity of every vertex is accepted
+  EXPECT_EQ(oracle.distance(0, 9), 9.0);
 }
 
 /// Pairs from every stub of a small transit-stub graph, several targets
@@ -467,13 +473,12 @@ TransitStubTopology parallel_batch_topology() {
 /// A batch equals a fresh oracle's one-pair-at-a-time answers bit for
 /// bit, and costs exactly one Dijkstra per distinct source.
 void expect_batch_matches_lazy_rows(const TransitStubTopology& topo,
-                                    DistanceOracle& batch,
-                                    std::size_t capacity) {
+                                    DistanceOracle& batch) {
   Rng rng(44);
   const auto pairs = stub_pairs(topo, rng);
   const std::vector<double> got = batch.distances(pairs);
   EXPECT_EQ(batch.dijkstra_runs(), topo.stub_vertices().size());
-  DistanceOracle lazy(topo.graph, capacity);
+  DistanceOracle lazy(topo.graph);
   ASSERT_EQ(got.size(), pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i)
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
@@ -484,31 +489,12 @@ void expect_batch_matches_lazy_rows(const TransitStubTopology& topo,
 
 TEST(DistanceOracle, ParallelBatchMatchesLazyRows) {
   const auto topo = parallel_batch_topology();
-  const std::size_t n = topo.graph.vertex_count();
-  DistanceOracle oracle(topo.graph, n);  // dense mode
-  expect_batch_matches_lazy_rows(topo, oracle, n);
+  DistanceOracle oracle(topo.graph);
+  expect_batch_matches_lazy_rows(topo, oracle);
   const std::uint64_t runs = oracle.dijkstra_runs();
   Rng rng(44);
   (void)oracle.distances(stub_pairs(topo, rng));
   EXPECT_EQ(oracle.dijkstra_runs(), runs);  // every row already cached
-}
-
-TEST(DistanceOracle, ParallelBatchMatchesLazyRowsLru) {
-  const auto topo = parallel_batch_topology();
-  constexpr std::size_t kCapacity = 7;
-  DistanceOracle oracle(topo.graph, kCapacity);
-  std::vector<Vertex> ascending = topo.stub_vertices();
-  std::sort(ascending.begin(), ascending.end());
-  ASSERT_GT(ascending.size(), 3 * kCapacity);  // several chunks
-  expect_batch_matches_lazy_rows(topo, oracle, kCapacity);
-  // The cache ends as a one-row-at-a-time walk over the ascending
-  // sources leaves it: the last `kCapacity` sources stay, the rest went.
-  const std::uint64_t runs = oracle.dijkstra_runs();
-  for (std::size_t i = ascending.size() - kCapacity; i < ascending.size(); ++i)
-    (void)oracle.distance(ascending[i], ascending[0]);
-  EXPECT_EQ(oracle.dijkstra_runs(), runs);
-  (void)oracle.distance(ascending[0], ascending[1]);
-  EXPECT_EQ(oracle.dijkstra_runs(), runs + 1);
 }
 
 // --- Compact rows ------------------------------------------------------------
@@ -531,29 +517,21 @@ std::vector<double> rows_by_batch(DistanceOracle& oracle, std::size_t n,
   return oracle.distances(pairs);
 }
 
-/// Every read path of the oracle -- distance() and a parallel distances()
-/// prefill on a dense oracle, both on an LRU one -- gives `sources`' rows
-/// bit for bit as shortest_paths does.
+/// Both read paths of the oracle -- a parallel distances() prefill, and
+/// distance() filling rows lazily -- give `sources`' rows bit for bit as
+/// shortest_paths does.
 void expect_rows_match_dijkstra(const Graph& g,
                                 std::span<const Vertex> sources) {
   const std::size_t n = g.vertex_count();
-  constexpr std::size_t kLruCapacity = 3;  // several chunks per batch
-  DistanceOracle dense(g, n);
-  DistanceOracle lru(g, kLruCapacity);
-  const std::vector<double> dense_batch = rows_by_batch(dense, n, sources);
-  const std::vector<double> lru_batch = rows_by_batch(lru, n, sources);
-  DistanceOracle lazy(g, n);
+  DistanceOracle batch(g);
+  const std::vector<double> rows = rows_by_batch(batch, n, sources);
+  DistanceOracle lazy(g);
   for (std::size_t i = 0; i < sources.size(); ++i) {
     SCOPED_TRACE(::testing::Message() << "source " << sources[i]);
     const std::vector<double> want = shortest_paths(g, sources[i]);
-    const auto slice = [&](const std::vector<double>& batch) {
-      const std::span<const double> row(batch.data() + i * n, n);
-      return std::vector<double>(row.begin(), row.end());
-    };
-    expect_bitwise_equal(slice(dense_batch), want);
-    expect_bitwise_equal(slice(lru_batch), want);
+    const std::span<const double> row(rows.data() + i * n, n);
+    expect_bitwise_equal(std::vector<double>(row.begin(), row.end()), want);
     expect_bitwise_equal(row_by_distance(lazy, n, sources[i]), want);
-    expect_bitwise_equal(row_by_distance(lru, n, sources[i]), want);
   }
 }
 
@@ -573,7 +551,7 @@ TEST(DistanceOracle, CompactRowsMatchDijkstraOnPresets) {
       sources.push_back(static_cast<Vertex>(i));
     expect_rows_match_dijkstra(g, sources);
     // Both presets take the 8-bit rows: one byte per entry.
-    DistanceOracle oracle(g, n);
+    DistanceOracle oracle(g);
     (void)rows_by_batch(oracle, n, sources);
     EXPECT_EQ(oracle.row_bytes(), sources.size() * n * sizeof(std::uint8_t));
   }
@@ -599,11 +577,11 @@ void expect_every_stub_row_matches_dijkstra(bool large,
   ASSERT_EQ(stubs.size(), stub_count);
   std::vector<std::pair<Vertex, Vertex>> sources;
   for (const Vertex s : stubs) sources.emplace_back(s, s);
-  DistanceOracle batch(g, n);
+  DistanceOracle batch(g);
   (void)batch.distances(sources);
   EXPECT_EQ(batch.dijkstra_runs(), stub_count);
   EXPECT_EQ(batch.row_bytes(), stub_count * n * sizeof(std::uint8_t));
-  DistanceOracle lazy(g, n);
+  DistanceOracle lazy(g);
   for (const Vertex s : stubs) {
     SCOPED_TRACE(::testing::Message() << "source " << s);
     const std::vector<double> want = shortest_paths(g, s);
@@ -659,7 +637,7 @@ TEST(DistanceOracle, BucketRingWrapsAtTheMaxWeight) {
       const Graph g = integer_weight_graph(rng, 240, max_weight, connected);
       const std::vector<Vertex> sources = {0, 1, 100, 200, 239};
       expect_rows_match_dijkstra(g, sources);
-      DistanceOracle oracle(g, g.vertex_count());
+      DistanceOracle oracle(g);
       EXPECT_EQ(oracle.distance(0, 239) == kUnreachable, !connected);
       const std::size_t width = connected || max_weight == 1
                                     ? sizeof(std::uint8_t)
@@ -671,7 +649,7 @@ TEST(DistanceOracle, BucketRingWrapsAtTheMaxWeight) {
 
 TEST(DistanceOracle, SingleVertex) {
   const Graph g(1);
-  DistanceOracle oracle(g, 1);  // dense: one 1 x 1 table
+  DistanceOracle oracle(g);  // one 1 x 1 table
   EXPECT_EQ(oracle.distance(0, 0), 0.0);
   const std::vector<std::pair<Vertex, Vertex>> pairs = {{0, 0}};
   EXPECT_EQ(oracle.distances(pairs), std::vector<double>{0.0});
@@ -694,7 +672,7 @@ TEST(DistanceOracle, NonIntegralWeightsKeepDoubleRows) {
     const std::vector<Vertex> sources = {
         0, 1, 3, static_cast<Vertex>(g.vertex_count() - 1)};
     expect_rows_match_dijkstra(g, sources);
-    DistanceOracle oracle(g, g.vertex_count());
+    DistanceOracle oracle(g);
     (void)rows_by_batch(oracle, g.vertex_count(), sources);
     EXPECT_EQ(oracle.row_bytes(),
               sources.size() * g.vertex_count() * sizeof(double));
@@ -743,7 +721,7 @@ TEST(DistanceOracle, WidthRuleHoldsAtTheBound) {
     const Graph g = centred_path(c.edges, c.weight, c.leaves);
     const std::vector<Vertex> sources = {1, 0, c.edges / 2, c.edges};
     expect_rows_match_dijkstra(g, sources);
-    DistanceOracle oracle(g, g.vertex_count());
+    DistanceOracle oracle(g);
     const double farthest = c.edges * c.weight;
     EXPECT_EQ(oracle.distance(1, c.edges), farthest);
     EXPECT_EQ(oracle.distance(c.edges, 1), farthest);
@@ -762,14 +740,12 @@ TEST(DistanceOracle, UnreachedVertexKeepsTheVertexCountBound) {
     const auto last = static_cast<Vertex>(g.vertex_count() - 1);
     const std::vector<Vertex> sources = {0, 1, 300, last};
     expect_rows_match_dijkstra(g, sources);
-    for (const std::size_t capacity : {g.vertex_count(), std::size_t{2}}) {
-      DistanceOracle oracle(g, capacity);  // dense, then LRU
-      EXPECT_EQ(oracle.distance(1, 300), 2.0);
-      EXPECT_EQ(oracle.distance(0, last), isolated ? kUnreachable : 1.0);
-      EXPECT_EQ(oracle.row_bytes(),
-                2 * g.vertex_count() *
-                    (isolated ? sizeof(std::uint16_t) : sizeof(std::uint8_t)));
-    }
+    DistanceOracle oracle(g);
+    EXPECT_EQ(oracle.distance(1, 300), 2.0);
+    EXPECT_EQ(oracle.distance(0, last), isolated ? kUnreachable : 1.0);
+    EXPECT_EQ(oracle.row_bytes(),
+              2 * g.vertex_count() *
+                  (isolated ? sizeof(std::uint16_t) : sizeof(std::uint8_t)));
   }
 }
 
@@ -780,20 +756,17 @@ TEST(DistanceOracle, DisconnectedIntegerGraphIsUnreachable) {
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 3.0);
   g.add_edge(3, 4, 1.0);
-  for (const std::size_t capacity : {std::size_t{6}, std::size_t{2}}) {
-    DistanceOracle oracle(g, capacity);  // dense, then LRU
-    EXPECT_EQ(oracle.distance(0, 2), 4.0);
-    EXPECT_EQ(oracle.distance(0, 3), kUnreachable);
-    EXPECT_EQ(oracle.distance(5, 0), kUnreachable);
-    const std::vector<std::pair<Vertex, Vertex>> pairs = {{2, 4}, {3, 4}};
-    EXPECT_EQ(oracle.distances(pairs),
-              (std::vector<double>{kUnreachable, 1.0}));
-    const sim::Latency latency = oracle.latency(50.0);
-    EXPECT_EQ(latency(0, 3), 50.0);
-    EXPECT_EQ(latency(4, 5), 50.0);
-    EXPECT_EQ(latency(2, 0), 4.0);
-    EXPECT_EQ(latency(5, 5), 0.0);
-  }
+  DistanceOracle oracle(g);
+  EXPECT_EQ(oracle.distance(0, 2), 4.0);
+  EXPECT_EQ(oracle.distance(0, 3), kUnreachable);
+  EXPECT_EQ(oracle.distance(5, 0), kUnreachable);
+  const std::vector<std::pair<Vertex, Vertex>> pairs = {{2, 4}, {3, 4}};
+  EXPECT_EQ(oracle.distances(pairs), (std::vector<double>{kUnreachable, 1.0}));
+  const sim::Latency latency = oracle.latency(50.0);
+  EXPECT_EQ(latency(0, 3), 50.0);
+  EXPECT_EQ(latency(4, 5), 50.0);
+  EXPECT_EQ(latency(2, 0), 4.0);
+  EXPECT_EQ(latency(5, 5), 0.0);
 }
 
 }  // namespace

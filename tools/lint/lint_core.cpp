@@ -34,7 +34,6 @@ constexpr std::initializer_list<LayerRule> kLayerDag = {
     {"sim", {"common", "obs", "sim/core"}},
     {"chord", {"common", "sim"}},
     {"topo", {"common", "sim"}},
-    {"pastry", {"common", "chord"}},
     {"workload", {"common", "chord", "sim"}},
     {"ktree", {"common", "chord", "obs", "sim"}},
     {"lb", {"common", "hilbert", "topo", "obs", "sim", "chord", "ktree"}},

@@ -228,10 +228,9 @@ int run(const Cli& cli) {
     sim::Engine engine;
     sim::Latency latency;
     if (topology) {
-      oracle.emplace(topology->graph, std::max<std::size_t>(nodes, 64));
+      oracle.emplace(topology->graph);
       // Every send leaves from an attachment vertex: fill those rows in
-      // one batch (they all fit the cache), so no Dijkstra runs inside a
-      // traced or profiled round.
+      // one batch, so no Dijkstra runs inside a traced or profiled round.
       std::vector<std::pair<topo::Vertex, topo::Vertex>> sources;
       for (const std::uint32_t a : attachments) sources.emplace_back(a, a);
       (void)oracle->distances(sources);
