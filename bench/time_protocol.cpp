@@ -35,8 +35,8 @@
 #include "lb/protocol_round.h"
 #include "obs/binary_trace.h"
 #include "obs/format.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/network.h"
@@ -114,8 +114,9 @@ TimedRoundResult run_timed_round(std::size_t nodes, std::size_t servers,
   r.mean_latency = net.totals().mean_latency();
   r.events = engine.events_executed();
   if (!metrics_path.empty()) {
-    net.export_metrics(net.metrics());
-    obs::write_metrics_file(net.metrics(), metrics_path);
+    std::vector<obs::Sample> totals;
+    net.export_metrics(totals);
+    obs::write_series_file(totals, metrics_path);
     std::cerr << "metrics written to " << metrics_path << "\n";
   }
   return r;

@@ -45,7 +45,6 @@
 #include "obs/alert.h"
 #include "obs/binary_trace.h"
 #include "obs/format.h"
-#include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "obs/window.h"
@@ -192,7 +191,6 @@ int main(int argc, char** argv) try {
     if (!alerts_path.empty()) {
       alerts.emplace(*windows, obs::load_alert_rules_file(alerts_path));
       if (!trace_path.empty()) alerts->attach_tracer(&tracer);
-      alerts->attach_metrics(&net.metrics());
     }
     if (!series_path.empty()) obs::record_series(*windows, series);
   }
@@ -305,8 +303,9 @@ int main(int argc, char** argv) try {
               << tracer.event_count() << " events)\n";
   }
   if (!metrics_path.empty()) {
-    net.export_metrics(net.metrics());
-    obs::write_metrics_file(net.metrics(), metrics_path);
+    std::vector<obs::Sample> totals;
+    net.export_metrics(totals);
+    obs::write_series_file(totals, metrics_path);
     std::cerr << "metrics written to " << metrics_path << "\n";
   }
   if (!series_path.empty()) {

@@ -28,12 +28,6 @@ inline constexpr std::uint64_t kSpaceSize = 1ull << 32;
   return distance_cw(a, x) != 0 && distance_cw(a, x) <= distance_cw(a, b);
 }
 
-/// x in [a, b) on the ring.  When a == b the interval is the entire ring.
-[[nodiscard]] constexpr bool in_co(Key a, Key b, Key x) noexcept {
-  if (a == b) return true;
-  return distance_cw(a, x) < distance_cw(a, b);
-}
-
 /// x in (a, b) on the ring.  When a == b the interval is the whole ring
 /// minus the point a.
 [[nodiscard]] constexpr bool in_oo(Key a, Key b, Key x) noexcept {

@@ -79,8 +79,8 @@ class Table {
 /// Quote one CSV field per RFC 4180: returned verbatim unless it contains
 /// a comma, double quote, CR or LF, in which case it is wrapped in double
 /// quotes with embedded quotes doubled.  The single escaping routine every
-/// CSV emitter in the codebase shares (Table, the metrics registry, the
-/// time-series sink).
+/// CSV emitter in the codebase shares (Table, the time-series writer, the
+/// alerts export).
 [[nodiscard]] std::string csv_field(const std::string& cell);
 
 /// Split one CSV record (no trailing newline) into its fields, undoing

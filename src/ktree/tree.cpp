@@ -26,6 +26,12 @@ void KTree::rebuild() {
   server_ids_ = ring_.server_ids();
   const auto server_count = static_cast<std::uint32_t>(server_ids_.size());
   std::vector<std::uint32_t> host_pos;  // per node: its host's snapshot slot
+  // Presized so a build does not reallocate these multi-megabyte arrays
+  // through every doubling: converged trees hold about 2.25 KT nodes per
+  // server at K = 2 (fewer at larger K), and a larger tree still grows.
+  const std::size_t expected_nodes = std::size_t{5} * server_count / 2;
+  nodes_.reserve(expected_nodes);
+  host_pos.reserve(expected_nodes);
   const auto plant = [&](chord::Key key) {
     const auto it =
         std::lower_bound(server_ids_.begin(), server_ids_.end(), key);

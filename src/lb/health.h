@@ -1,12 +1,13 @@
 // Derived system-health gauges, sampled at window boundaries.
 //
-// The metrics registry accumulates what the protocols *did* (messages,
-// transfers, phase timings); a HealthProbe computes what the system *is*
-// at one instant: how unbalanced, how heavy, how stale.  Each reading is
-// a pure function of the ring (plus the optionally attached maintenance
-// tree), and the windowed plane that samples them schedules nothing, so
-// observing never perturbs the simulation -- the schedule-invariance
-// property the observability tests pin.
+// The network's tallies and the BalanceReport count what the protocols
+// *did* (messages, transfers, phase timings); a HealthProbe computes
+// what the system *is* at one instant: how unbalanced, how heavy, how
+// stale.  Each reading is a pure function of the ring (plus the
+// optionally attached maintenance tree), and the windowed plane that
+// samples them schedules nothing, so observing never perturbs the
+// simulation -- the schedule-invariance property the observability tests
+// pin.
 //
 // All load gauges are in *unit load*: node i's load divided by its
 // capacity-proportional fair share (L / C) * C_i.  1.0 means exactly

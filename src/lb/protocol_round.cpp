@@ -69,14 +69,6 @@ ProtocolRound::ProtocolRound(sim::Network& net, chord::Ring& ring,
   vsa_waits_.resize(tree_.size(), 0);
   for (const chord::NodeIndex i : ring_.live_nodes())
     node_ep_[i] = node_endpoint(ring_, i);
-
-  // Round outcomes (lb.*) are published into the network's registry.
-  // The distance histogram exists only once the round moves load, as
-  // every planned assignment starts a transfer.
-  registry_ = &net_.metrics();
-  if (bal.apply_transfers && !report_.vsa.assignments.empty())
-    transfer_distance_ = &registry_->histogram(
-        "lb.transfer_distance", {0, 1, 2, 4, 8, 16, 32, 64, 128});
 }
 
 std::string_view ProtocolRound::tag_of(Phase p) noexcept {
@@ -319,7 +311,7 @@ void ProtocolRound::begin_transfer(std::size_t assignment_index) {
   obs::Profiler* const prof = net_.profiler();
   const obs::Profiler::Scope prof_scope(
       prof, prof != nullptr ? prof->intern("transfer", "lb") : 0);
-  const double distance = net_.send(
+  net_.send(
       node_ep_[a.from], node_ep_[a.to],
       [this, assignment_index] {
         // Applied at delivery time against the *live* ring: a server that
@@ -328,8 +320,6 @@ void ProtocolRound::begin_transfer(std::size_t assignment_index) {
         const std::size_t applied =
             apply_assignments(ring_, std::span<const Assignment>(&done, 1));
         report_.transfers_applied += applied;
-        if (applied > 0)
-          registry_->counter("lb.load_moved").add(done.load);
         if (obs::Tracer* tr = net_.tracer())
           tr->async_end(net_.engine().now(), kTagTransfer, "transfer",
                         assignment_index + 1, transfer_ctx_[assignment_index],
@@ -340,7 +330,6 @@ void ProtocolRound::begin_transfer(std::size_t assignment_index) {
         maybe_finish();
       },
       kTransferBytesPerLoad * a.load, 0.0, kTagTransfer);
-  transfer_distance_->observe(distance, a.load);
 }
 
 void ProtocolRound::maybe_finish() {
@@ -353,16 +342,6 @@ void ProtocolRound::maybe_finish() {
   }
   report_.after = classify_all(ring_, report_.system, config_.balancer.epsilon);
   report_.completion_time = now - t0_;
-
-  // Round outcomes land in the network's registry.
-  const std::size_t planned = report_.vsa.assignments.size();
-  registry_->counter("lb.rounds").increment();
-  registry_->counter("lb.transfers_planned")
-      .add(static_cast<double>(planned));
-  registry_->counter("lb.transfers_applied")
-      .add(static_cast<double>(report_.transfers_applied));
-  registry_->counter("lb.transfers_skipped")
-      .add(static_cast<double>(planned - report_.transfers_applied));
 
   if (obs::Tracer* tr = net_.tracer()) {
     if (transfer_started_)

@@ -50,7 +50,6 @@
 #include "common/error.h"
 #include "ktree/tree.h"
 #include "lb/balancer.h"
-#include "obs/metrics.h"
 #include "sim/network.h"
 
 namespace p2plb::lb {
@@ -152,11 +151,7 @@ class ProtocolRound {
   std::vector<sim::Endpoint> node_ep_;  // per NodeIndex; live nodes only
 
   // Observability.  PhaseMetrics are deltas of the network's per-tag
-  // tallies (see balancer.h); round outcomes (lb.*) go to the registry
-  // the network owns.
-  obs::MetricsRegistry* registry_ = nullptr;
-  // Load moved by physical distance; null when the round moves nothing.
-  obs::HistogramMetric* transfer_distance_ = nullptr;
+  // tallies (see balancer.h); round outcomes live in report_.
   // Causal spans (zero when no tracer is attached): the round span roots
   // one trace; each phase span and per-transfer async span is a child of
   // the message whose delivery started it (the round span for phase 1).

@@ -168,13 +168,6 @@ AlertEngine::AlertEngine(WindowedAggregator& windows,
   windows_.add_boundary_hook([this](double boundary) { evaluate(boundary); });
 }
 
-void AlertEngine::set_callback(
-    std::function<void(const AlertEvent&)> callback) {
-  P2PLB_REQUIRE(callback != nullptr);
-  P2PLB_REQUIRE_MSG(callback_ == nullptr, "alert callback already set");
-  callback_ = std::move(callback);
-}
-
 bool AlertEngine::firing(std::string_view rule) const {
   for (std::size_t i = 0; i < rules_.size(); ++i)
     if (rules_[i].name == rule) return states_[i].firing;
@@ -239,14 +232,6 @@ void AlertEngine::transition(const AlertRule& rule, RuleState& state,
                      {arg("event", event_name(fire)), arg("value", value),
                       arg("threshold", rule.threshold)});
   }
-  if (registry_ != nullptr) {
-    registry_
-        ->counter(fire ? "alert.fired" : "alert.resolved",
-                  {{"rule", rule.name}})
-        .increment();
-    registry_->gauge("alert.active").set(static_cast<double>(active_));
-  }
-  if (callback_ != nullptr) callback_(events_.back());
 }
 
 void AlertEngine::write_csv(std::ostream& os) const {

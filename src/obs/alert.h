@@ -26,23 +26,19 @@
 // registered series, or an empty window, evaluates to condition-false
 // (missing data never fires an alert).
 //
-// On fire and on resolve the engine emits, in this order: an AlertEvent
-// to its in-memory log (exported as `p2plb-alerts-1` CSV), a
-// trace instant on lane "alert" (no SpanContext, so no trace ids are
-// allocated and untraced schedules stay untouched), registry metrics
-// (`alert.fired{rule=...}` / `alert.resolved{rule=...}` counters and
-// the `alert.active` gauge), and the subscriber callback -- the seam
-// the streaming-balancer ROADMAP item plugs into.
+// On fire and on resolve the engine appends an AlertEvent to its
+// in-memory log (events(), exported as `p2plb-alerts-1` CSV) and, when
+// a tracer is attached, emits a trace instant on lane "alert" (no
+// SpanContext, so no trace ids are allocated and untraced schedules
+// stay untouched).  active() counts the rules currently firing.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/window.h"
 
@@ -100,12 +96,6 @@ class AlertEngine {
 
   /// Mirror fire/resolve as instants on lane "alert" (nullptr detaches).
   void attach_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
-  /// Count fires/resolves and track `alert.active` (nullptr detaches).
-  void attach_metrics(MetricsRegistry* registry) noexcept {
-    registry_ = registry;
-  }
-  /// Subscribe to every transition (the controller seam); at most one.
-  void set_callback(std::function<void(const AlertEvent&)> callback);
 
   [[nodiscard]] const std::vector<AlertRule>& rules() const noexcept {
     return rules_;
@@ -143,8 +133,6 @@ class AlertEngine {
   std::vector<AlertEvent> events_;
   std::size_t active_ = 0;
   Tracer* tracer_ = nullptr;
-  MetricsRegistry* registry_ = nullptr;
-  std::function<void(const AlertEvent&)> callback_;
 };
 
 /// AlertEngine::write_csv to `path`, whatever its suffix.

@@ -36,7 +36,9 @@ inline constexpr const char* kTraceFlagHelp =
     "(case-insensitive); p2plb_trace --out FILE.json converts either to "
     "Chrome trace_event JSON";
 inline constexpr const char* kMetricsFlagHelp =
-    "write the metrics registry here as CSV (metric,value)";
+    "write the end-of-run totals here as CSV (time,metric,value), one row "
+    "per net.* traffic tally (and per sim.* engine counter where the "
+    "driver exports them), stamped with the end time";
 inline constexpr const char* kSeriesFlagHelp =
     "write the closed window buckets here as a CSV time series "
     "(time,metric,value), one row per series per bucket";

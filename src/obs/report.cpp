@@ -1,13 +1,12 @@
 #include "obs/report.h"
 
 #include <algorithm>
-#include <istream>
+#include <map>
 #include <ostream>
 #include <string>
 
 #include "common/error.h"
 #include "common/table.h"
-#include "obs/format.h"
 
 namespace p2plb::obs {
 
@@ -38,23 +37,6 @@ ExperimentReport analyze(const std::vector<Sample>& samples,
   return report;
 }
 
-std::map<std::string, double> load_metrics_csv(std::istream& is) {
-  std::map<std::string, double> out;
-  std::string line;
-  P2PLB_REQUIRE_MSG(std::getline(is, line), "empty metrics CSV");
-  P2PLB_REQUIRE_MSG(
-      parse_csv_record(line) == std::vector<std::string>({"metric", "value"}),
-      "metrics CSV must start with a metric,value header");
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const auto fields = parse_csv_record(line);
-    P2PLB_REQUIRE_MSG(fields.size() == 2,
-                      "metrics CSV row must have 2 fields: " + line);
-    out[fields[0]] = parse_number(fields[1], line);
-  }
-  return out;
-}
-
 namespace {
 
 void write_convergence_section(std::ostream& os,
@@ -82,44 +64,24 @@ void write_convergence_section(std::ostream& os,
   os << '\n';
 }
 
-void write_metrics_sections(std::ostream& os,
-                            const std::map<std::string, double>& metrics) {
-  const std::string dist = "lb.transfer_distance/";
-  bool any_dist = false;
-  Table dist_table({"quantile", "value"});
-  for (const char* q : {"count", "weight", "p50", "p90", "p99"}) {
-    const auto it = metrics.find(dist + q);
-    if (it == metrics.end()) continue;
-    any_dist = true;
-    dist_table.add_row({q, Table::num(it->second, 6)});
-  }
-  if (any_dist) {
-    os << "## Moved load by distance\n\n"
-       << "Load-weighted physical transfer distance "
-          "(`lb.transfer_distance` histogram).\n\n";
-    dist_table.print_markdown(os);
-    os << '\n';
-  }
-
-  Table traffic({"metric", "value"});
-  bool any_traffic = false;
-  for (const auto& [key, value] : metrics) {
-    if (key.compare(0, 4, "net.") != 0 && key.compare(0, 6, "ktree.") != 0)
-      continue;
-    any_traffic = true;
-    traffic.add_row({key, Table::num(value, 6)});
-  }
-  if (any_traffic) {
-    os << "## Traffic totals\n\n";
-    traffic.print_markdown(os);
-    os << '\n';
-  }
+void write_traffic_section(std::ostream& os,
+                           const std::vector<Sample>& totals) {
+  std::map<std::string, double> traffic;  // sorted, last value wins
+  for (const Sample& s : totals)
+    if (s.key.compare(0, 4, "net.") == 0) traffic[s.key] = s.value;
+  if (traffic.empty()) return;
+  Table table({"metric", "value"});
+  for (const auto& [key, value] : traffic)
+    table.add_row({key, Table::num(value, 6)});
+  os << "## Traffic totals\n\n";
+  table.print_markdown(os);
+  os << '\n';
 }
 
 }  // namespace
 
 void write_markdown_report(std::ostream& os, const std::vector<Sample>& samples,
-                           const std::map<std::string, double>& metrics,
+                           const std::vector<Sample>& totals,
                            const ReportOptions& options) {
   const ExperimentReport report = analyze(samples, options);
 
@@ -163,7 +125,7 @@ void write_markdown_report(std::ostream& os, const std::vector<Sample>& samples,
     os << '\n';
   }
 
-  write_metrics_sections(os, metrics);
+  write_traffic_section(os, totals);
 }
 
 void write_alert_timeline(std::ostream& os,

@@ -1,18 +1,17 @@
-// Experiment reports from recorded time series + metrics exports.
+// Experiment reports from recorded time series + end-of-run totals.
 //
 // tools/p2plb_report's engine: given the series a run exported (closed
 // window buckets plus event markers, see obs/timeseries.h) and optionally
-// the final metrics-registry CSV, analyze() folds them into per-series
-// statistics and per-disturbance re-convergence measurements, and
+// the end-of-run totals (the `--metrics` file, same CSV schema),
+// analyze() folds the series into per-series statistics and
+// per-disturbance re-convergence measurements, and
 // write_markdown_report() renders the whole thing as a self-contained
 // Markdown document -- series overview, convergence under churn,
-// before/after health gauges, moved-load-by-distance quantiles and
-// traffic totals.  Everything is computed from the files alone so a
+// before/after health gauges and traffic totals.  Everything is computed from the files alone so a
 // report can be (re)generated long after the run, in CI or locally.
 #pragma once
 
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -58,15 +57,12 @@ struct ExperimentReport {
 [[nodiscard]] ExperimentReport analyze(const std::vector<Sample>& samples,
                                        const ReportOptions& options = {});
 
-/// Parse a metrics-registry CSV export (header "metric,value") back into
-/// a key -> value map.  Malformed input throws PreconditionError.
-[[nodiscard]] std::map<std::string, double> load_metrics_csv(std::istream& is);
-
-/// Render the full Markdown report.  `metrics` is the final registry
-/// export (pass an empty map when no metrics file is available; the
-/// metrics-derived sections are then omitted).
+/// Render the full Markdown report.  `totals` are the end-of-run rows
+/// (the `--metrics` file, loaded with load_series_file; pass none when
+/// there is no such file and the traffic section is omitted).  The
+/// traffic table lists the `net.*` keys, sorted, each at its last value.
 void write_markdown_report(std::ostream& os, const std::vector<Sample>& samples,
-                           const std::map<std::string, double>& metrics,
+                           const std::vector<Sample>& totals,
                            const ReportOptions& options = {});
 
 /// Render the "Alert timeline" Markdown section from a p2plb-alerts-1

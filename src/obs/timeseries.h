@@ -1,6 +1,6 @@
 // Time-series samples over simulated time.
 //
-// The metrics registry answers "how much, in total"; the tracer answers
+// The end-of-run totals answer "how much, in total"; the tracer answers
 // "what happened, when".  What neither can answer is "how did the system
 // *state* evolve": imbalance trajectories under churn, re-convergence
 // after a crash burst -- the curves the paper's Section 3.2 resilience
@@ -10,9 +10,12 @@
 // bucket, stamped with the bucket's end time, so a series is a dump of
 // closed window buckets (lb::HealthProbe::register_windows supplies the
 // health gauges).  Drivers may append marker rows (`event.crash`) at
-// their exact time.  The writer exports CSV, and the loader reads the
-// file back so tools/p2plb_report (and the golden tests) can compute
-// convergence times from a finished run.
+// their exact time.  The end-of-run totals are Sample rows too, stamped
+// with the end time (sim::Engine::export_metrics and
+// sim::Network::export_metrics append them; `--metrics` writes them), so
+// every sim-time file has one CSV schema.  The writer exports CSV, and
+// the loader reads the file back so tools/p2plb_report (and the golden
+// tests) can compute convergence times from a finished run.
 //
 // Like the rest of obs, series are deterministic: rows are stored in
 // append order, timestamps come from the caller in sim::Time units, and
@@ -30,8 +33,8 @@
 
 namespace p2plb::obs {
 
-/// One reading: metric `key` (canonical `name{labels}` form, see
-/// MetricsRegistry::key_of) had `value` at simulated time `t`.
+/// One reading: metric `key` (`name`, or `name{label=value,...}` for a
+/// labelled series) had `value` at simulated time `t`.
 struct Sample {
   double t = 0.0;
   std::string key;

@@ -178,8 +178,8 @@ class Tracer {
   /// trace id -- a pure function, so the decision is identical at every
   /// call site and across runs (same seed -> same kept set).  Id
   /// allocation is unaffected: sampling suppresses emission only, so
-  /// the schedule contract (and MetricsRegistry accounting, which never
-  /// passes through the tracer) stays exact.  keep == of disables.
+  /// the schedule contract (and the network's traffic tallies, which never
+  /// pass through the tracer) stays exact.  keep == of disables.
   void set_trace_sampling(std::uint64_t keep, std::uint64_t of,
                           std::uint64_t seed);
   /// The active sampling policy (keep == of means "keep everything"),

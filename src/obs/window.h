@@ -1,7 +1,7 @@
 // Streaming windowed metrics over simulated time.
 //
-// Every sink in obs so far is post-hoc: the registry accumulates totals,
-// the time-series sink appends samples, and analysis happens after the
+// Every other sink in obs is post-hoc: the tracer streams events, the
+// time-series export appends samples, and analysis happens after the
 // run.  The streaming-balancer ROADMAP item needs the opposite -- an
 // *online* sensing plane that protocols can read (and alert on) while
 // the simulation is still going.  A WindowedAggregator is that plane:

@@ -10,9 +10,9 @@
 // without any tracing having been enabled.
 //
 // Layering: this is a pure data structure in sim/core (common only, no
-// obs).  The engine owns turning its contents plus the queue
-// introspection counters into sim.* metrics (see Engine::export_metrics
-// -- sim may depend on obs; sim/core may not).
+// obs).  The engine owns turning the queue introspection counters into
+// sim.* metric rows (see Engine::export_metrics -- sim may depend on
+// obs; sim/core may not).
 #pragma once
 
 #include <cstdint>

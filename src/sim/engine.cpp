@@ -4,8 +4,8 @@
 #include <ostream>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/timeseries.h"
 #include "obs/wallclock.h"
 #include "obs/window.h"
 
@@ -271,11 +271,10 @@ EngineIntrospection Engine::introspection() const {
   return out;
 }
 
-void Engine::export_metrics(obs::MetricsRegistry& registry) const {
+void Engine::export_metrics(std::vector<obs::Sample>& rows) const {
   const EngineIntrospection i = introspection();
-  const auto set = [&registry](std::string_view name, double v,
-                               const obs::Labels& labels = {}) {
-    registry.gauge(name, labels).set(v);
+  const auto set = [this, &rows](std::string key, double v) {
+    rows.push_back(obs::Sample{now_, std::move(key), v});
   };
   set("sim.engine.executed", static_cast<double>(i.executed));
   set("sim.engine.pending", static_cast<double>(i.pending));
@@ -285,8 +284,8 @@ void Engine::export_metrics(obs::MetricsRegistry& registry) const {
   set("sim.engine.heap_inserts", static_cast<double>(i.heap_inserts));
   set("sim.engine.batch_refills", static_cast<double>(i.batch_refills));
   for (int level = 0; level < core::TimerWheel::kLevelCount; ++level)
-    set("sim.wheel.occupancy", static_cast<double>(i.wheel_occupancy[level]),
-        {{"level", std::to_string(level)}});
+    set("sim.wheel.occupancy{level=" + std::to_string(level) + "}",
+        static_cast<double>(i.wheel_occupancy[level]));
   set("sim.wheel.far_pending", static_cast<double>(i.far_pending));
   set("sim.wheel.far_inserts", static_cast<double>(i.far_inserts));
   set("sim.arena.high_water", static_cast<double>(i.arena_high_water));

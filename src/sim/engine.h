@@ -48,8 +48,8 @@
 #include "sim/core/types.h"
 
 namespace p2plb::obs {
-class MetricsRegistry;
 class Profiler;
+struct Sample;
 class WindowedAggregator;
 }
 
@@ -186,8 +186,9 @@ class Engine {
 
   [[nodiscard]] EngineIntrospection introspection() const;
 
-  /// Export the introspection counters as sim.* gauges.
-  void export_metrics(obs::MetricsRegistry& registry) const;
+  /// Append the introspection counters to `rows` as sim.* rows stamped
+  /// now() (sim.engine.executed, sim.wheel.occupancy{level=0}, ...).
+  void export_metrics(std::vector<obs::Sample>& rows) const;
 
   /// Introspection counters plus the flight-recorder ring (when one is
   /// attached), as text, for post-mortem inspection.

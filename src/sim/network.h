@@ -10,10 +10,9 @@
 // may carry a tag ("lb.vsa", "ktree.maintenance", ...) and the network
 // keeps an independent counter set per tag, which is how overlapping
 // protocol phases on one shared network are told apart.  These tallies
-// are the only traffic count: export_metrics() publishes them into an
-// obs::MetricsRegistry (net.messages / net.bytes / net.latency_sum, plus
-// a {tag=...} labelled set per tag) when a caller asks, so the send path
-// never touches a registry.
+// are the only traffic count: export_metrics() appends them as end-of-run
+// rows (net.messages / net.bytes / net.latency_sum, plus a {tag=...}
+// labelled set per tag) when a caller asks, so the send path only adds.
 //
 // Observability: a tag lives in one slot -- its tally, its profiler
 // frame, its trace lane ("net" for untagged sends) and its flight
@@ -41,14 +40,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "obs/window.h"
 #include "sim/engine.h"
@@ -146,7 +144,8 @@ class Network {
   /// `processing_delay`.  `bytes` feeds the traffic counters only.  A
   /// non-empty `tag` additionally books the message under that tag's
   /// counter set (see counters()).  Returns the link latency charged, so
-  /// a caller that needs it makes no second lookup.
+  /// a caller that needs it (the ktree sweeps' hop counts) makes no
+  /// second lookup.
   Time send(Endpoint from, Endpoint to, EventFn on_receive,
             double bytes = 0.0, Time processing_delay = 0.0,
             std::string_view tag = {}) {
@@ -240,30 +239,21 @@ class Network {
   }
   [[nodiscard]] obs::Profiler* profiler() const noexcept { return profiler_; }
 
-  /// A registry the network creates on first use and owns.  The network
-  /// never writes to it on its own: protocols publish their outcomes
-  /// there, and export_metrics(metrics()) adds the traffic tallies.
-  [[nodiscard]] obs::MetricsRegistry& metrics() {
-    if (metrics_ == nullptr)
-      metrics_ = std::make_unique<obs::MetricsRegistry>();
-    return *metrics_;
-  }
-
-  /// Publish the traffic tallies into `registry` as gauges, like
-  /// Engine::export_metrics: net.messages / net.bytes / net.latency_sum
-  /// over every send, plus the same three labelled {tag=...} for each tag
-  /// sent at least once.  Values are set, not added, so exporting again
-  /// after more traffic overwrites them.
-  void export_metrics(obs::MetricsRegistry& registry) const {
-    const auto set = [&registry](const TrafficCounters& c,
-                                 const obs::Labels& labels) {
-      registry.gauge("net.messages", labels)
-          .set(static_cast<double>(c.messages));
-      registry.gauge("net.bytes", labels).set(c.bytes);
-      registry.gauge("net.latency_sum", labels).set(c.latency_sum);
+  /// Append the traffic tallies to `rows` stamped with the engine's
+  /// now(), like Engine::export_metrics: net.messages / net.bytes /
+  /// net.latency_sum over every send, then the same three as
+  /// `name{tag=...}` for each tag sent at least once, in first-use order.
+  void export_metrics(std::vector<obs::Sample>& rows) const {
+    const Time now = engine_.now();
+    const auto add = [&rows, now](const TrafficCounters& c,
+                                  const std::string& labels) {
+      rows.push_back({now, "net.messages" + labels,
+                      static_cast<double>(c.messages)});
+      rows.push_back({now, "net.bytes" + labels, c.bytes});
+      rows.push_back({now, "net.latency_sum" + labels, c.latency_sum});
     };
-    set(totals_, {});
-    for (const TagSlot& s : tags_) set(s.counters, {{"tag", s.name}});
+    add(totals_, "");
+    for (const TagSlot& s : tags_) add(s.counters, "{tag=" + s.name + "}");
   }
 
   /// Feed every send into `windows`'s net.messages / net.bytes counter
@@ -353,7 +343,6 @@ class Network {
   obs::SpanContext ambient_;
   obs::Profiler* profiler_ = nullptr;
   obs::Profiler::FrameId net_frame_ = 0;       ///< ("net","net"), untagged
-  std::unique_ptr<obs::MetricsRegistry> metrics_;
   obs::WindowedAggregator* windows_ = nullptr;
   obs::SeriesId win_messages_;  ///< resolved at attach_windows time
   obs::SeriesId win_bytes_;

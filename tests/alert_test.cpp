@@ -3,8 +3,8 @@
 // rejection of malformed lines), the fire/resolve state machine at
 // bucket boundaries (including sustained-for straddling a batch of
 // boundaries closed in one advance, the shape a crash burst's quiet
-// period produces), the emission fan-out (trace instants with no span
-// ids, registry counters/gauge, subscriber callback), the p2plb-alerts-1
+// period produces), the trace instants mirroring each transition (with
+// no span ids), the p2plb-alerts-1
 // CSV round-trip, and the byte-identity of the exported stream across
 // identical runs.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 
 #include "common/error.h"
 #include "obs/alert.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/window.h"
 #include "trace_capture.h"
@@ -200,26 +199,19 @@ TEST(AlertEngine, QuantileRulesReadTheMergedHistogram) {
   EXPECT_DOUBLE_EQ(alerts.events()[0].value, 512.0 * 1.4142135623730951);
 }
 
-TEST(AlertEngine, EmitsToTracerMetricsAndCallbackInOrder) {
+TEST(AlertEngine, MirrorsTransitionsAsIdFreeTracerInstants) {
   WindowedAggregator w({10.0, 8});
   const SeriesId x = w.counter_series("x");
   AlertEngine alerts(w, obs::parse_alert_rules("hot x sum > 5\n"));
   obs::Tracer tracer;
   test::CaptureSink captured;
   tracer.set_sink(&captured);
-  obs::MetricsRegistry registry;
   alerts.attach_tracer(&tracer);
-  alerts.attach_metrics(&registry);
-  std::vector<AlertEvent> seen;
-  alerts.set_callback([&seen](const AlertEvent& e) { seen.push_back(e); });
-  EXPECT_THROW(alerts.set_callback([](const AlertEvent&) {}),
-               PreconditionError);
 
   w.record(x, 1.0, 6.0);
   w.advance_to(30.0);  // fire at 10, resolve at 20 (30 adds nothing)
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_TRUE(seen[0].fire);
-  EXPECT_FALSE(seen[1].fire);
+  ASSERT_EQ(alerts.events().size(), 2u);
+  EXPECT_EQ(alerts.active(), 0u);
 
   ASSERT_EQ(captured.events.size(), 2u);
   const obs::TraceEvent& fire = captured.events[0];
@@ -227,15 +219,11 @@ TEST(AlertEngine, EmitsToTracerMetricsAndCallbackInOrder) {
   EXPECT_EQ(fire.lane, "alert");
   EXPECT_EQ(fire.name, "hot");
   EXPECT_DOUBLE_EQ(fire.time, 10.0);
+  EXPECT_DOUBLE_EQ(captured.events[1].time, 20.0);
   // Instants carry no SpanContext: the id allocator never moves, so a
   // traced run with alerts keeps every other event's ids unchanged.
   EXPECT_FALSE(fire.ctx.in_trace());
   EXPECT_EQ(tracer.ids_allocated(), 0u);
-
-  const obs::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_DOUBLE_EQ(snap.value("alert.fired{rule=hot}"), 1.0);
-  EXPECT_DOUBLE_EQ(snap.value("alert.resolved{rule=hot}"), 1.0);
-  EXPECT_DOUBLE_EQ(snap.value("alert.active"), 0.0);
 }
 
 TEST(AlertEngine, AlertsFileRoundTripsAsCsv) {

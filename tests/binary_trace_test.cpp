@@ -12,7 +12,7 @@
 //   * sampling purity -- the keep/drop decision is a pure function of
 //     (trace id, seed): the kept set matches Tracer::keeps exactly, two
 //     runs with the same seed emit identical bytes, and sampling never
-//     perturbs id allocation or the metrics registry.
+//     perturbs id allocation or the network's traffic tallies.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,7 +24,7 @@
 #include "common/error.h"
 #include "lb/protocol_round.h"
 #include "obs/binary_trace.h"
-#include "obs/metrics.h"
+#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/network.h"
@@ -48,10 +48,10 @@ chord::Ring make_ring(std::size_t nodes, std::uint64_t seed) {
 /// Run one balancing round over a fresh copy of the seed-`seed` ring,
 /// with `tracer` attached.  Reusing one tracer across calls accumulates
 /// multiple traces, ids continuing monotonically -- the multi-trace
-/// streams these tests need.  A non-null `metrics` receives a snapshot of
-/// the network's registry (round outcomes plus exported traffic tallies).
+/// streams these tests need.  A non-null `metrics` receives the network's
+/// exported end-of-run rows (its net.* traffic tallies).
 void run_round(obs::Tracer* tracer, std::uint64_t seed,
-               obs::MetricsSnapshot* metrics = nullptr) {
+               std::vector<obs::Sample>* metrics = nullptr) {
   auto ring = make_ring(32, seed);
   sim::Engine engine;
   sim::Network net(engine, [](sim::Endpoint x, sim::Endpoint y) {
@@ -63,10 +63,7 @@ void run_round(obs::Tracer* tracer, std::uint64_t seed,
   round.start();
   engine.run();
   EXPECT_TRUE(round.done());
-  if (metrics != nullptr) {
-    net.export_metrics(net.metrics());
-    *metrics = net.metrics().snapshot();
-  }
+  if (metrics != nullptr) net.export_metrics(*metrics);
 }
 
 std::string encode_events(const std::vector<obs::TraceEvent>& events) {
@@ -184,23 +181,23 @@ TEST(TraceSampling, SampledOutRoundsStillFeedMetrics) {
   }
   ASSERT_TRUE(found);
 
-  obs::MetricsSnapshot sampled_metrics;
+  std::vector<obs::Sample> sampled_metrics;
   obs::Tracer sampled;
   sampled.set_trace_sampling(1, 64, drop_seed);
   run_round(&sampled, 1, &sampled_metrics);
   EXPECT_EQ(sampled.event_count(), 0u);   // the whole round was dropped
   EXPECT_GT(sampled.ids_allocated(), 0u); // but ids were still allocated
 
-  obs::MetricsSnapshot untraced_metrics;
+  std::vector<obs::Sample> untraced_metrics;
   run_round(nullptr, 1, &untraced_metrics);
 
   // The metrics path never goes through the tracer: the exported tallies
   // agree with an untraced run exactly even though zero trace events were
   // emitted.
-  EXPECT_GT(untraced_metrics.value("net.messages"), 0.0);
-  EXPECT_EQ(sampled_metrics.value("net.messages"),
-            untraced_metrics.value("net.messages"));
-  EXPECT_EQ(sampled_metrics.values, untraced_metrics.values);
+  ASSERT_FALSE(untraced_metrics.empty());
+  EXPECT_EQ(untraced_metrics.front().key, "net.messages");
+  EXPECT_GT(untraced_metrics.front().value, 0.0);
+  EXPECT_EQ(sampled_metrics, untraced_metrics);
 }
 
 TEST(TraceSampling, KeepEqualsOfDisablesSampling) {

@@ -38,8 +38,6 @@ TEST(Id, OpenClosedInterval) {
 }
 
 TEST(Id, ClosedOpenAndOpenOpen) {
-  EXPECT_TRUE(in_co(10, 20, 10));
-  EXPECT_FALSE(in_co(10, 20, 20));
   EXPECT_FALSE(in_oo(10, 20, 10));
   EXPECT_FALSE(in_oo(10, 20, 20));
   EXPECT_TRUE(in_oo(10, 20, 11));

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -13,7 +14,7 @@
 
 #include "common/error.h"
 #include "golden_trace.h"
-#include "obs/metrics.h"
+#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/core/flight_recorder.h"
 #include "sim/engine.h"
@@ -305,15 +306,20 @@ TEST(EngineIntrospectionCounters, TrackTheQueueAndExportAsMetrics) {
   EXPECT_LE(i.arena_high_water, 7u);
   EXPECT_GE(i.arena_capacity, i.arena_high_water);
 
-  obs::MetricsRegistry reg;
-  engine.export_metrics(reg);
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.value("sim.engine.executed"), 6.0);
-  EXPECT_EQ(snap.value("sim.engine.pending"), 1.0);
-  EXPECT_EQ(snap.value("sim.arena.capacity"),
+  std::vector<obs::Sample> rows;
+  engine.export_metrics(rows);
+  std::map<std::string, double> exported;
+  for (const obs::Sample& r : rows) {
+    EXPECT_EQ(r.t, engine.now()) << r.key;  // stamped with the clock
+    EXPECT_TRUE(exported.emplace(r.key, r.value).second) << r.key;
+  }
+  EXPECT_EQ(exported.at("sim.engine.executed"), 6.0);
+  EXPECT_EQ(exported.at("sim.engine.pending"), 1.0);
+  EXPECT_EQ(exported.at("sim.arena.capacity"),
             static_cast<double>(i.arena_capacity));
-  EXPECT_EQ(snap.values.count("sim.wheel.occupancy{level=0}"), 1u);
-  EXPECT_EQ(snap.values.count("sim.wheel.far_pending"), 1u);
+  EXPECT_EQ(exported.count("sim.wheel.occupancy{level=0}"), 1u);
+  EXPECT_EQ(exported.count("sim.wheel.occupancy{level=3}"), 1u);
+  EXPECT_EQ(exported.count("sim.wheel.far_pending"), 1u);
 
   // The binary-heap reference engine books its inserts separately.
   sim::Engine heap(sim::QueueKind::kBinaryHeap);

@@ -1,5 +1,6 @@
-// chord may depend on sim (the public engine surface) but not on the
-// nested sim/core module: engine queue internals are private to sim.
+// chord may depend on common only: both the public engine surface (sim)
+// and the nested sim/core queue internals are off limits, so each include
+// below is one layering finding.
 #include "sim/core/timer_wheel.h"
 #include "sim/engine.h"
 

@@ -1,21 +1,21 @@
-// Tests for the observability layer (obs::MetricsRegistry, obs::Tracer).
+// Tests for the observability layer (obs::Tracer, the end-of-run totals).
 //
 // Three groups:
-//   * unit tests for the registry primitives (canonical keys, counters,
-//     gauges, histograms, snapshots, exports);
+//   * unit tests for the tracer primitives and sinks;
 //   * golden-file tests pinning the exact JSONL output of one small
 //     deterministic balancing round (tests/golden_trace.h) -- any change
 //     to event ordering, field order or number formatting shows up as a
 //     byte-level diff here (the Chrome trace_event view derived from it
 //     is pinned in trace_analysis_test);
-//   * null-tracer / registry-vs-legacy tests: tracing must not perturb
-//     the simulation, and the registry must agree exactly with the
-//     network's legacy TrafficCounters.
+//   * null-tracer / tally-export tests: tracing must not perturb the
+//     simulation, and the exported net.* rows must agree exactly with
+//     the network's TrafficCounters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -24,7 +24,7 @@
 #include "common/error.h"
 #include "lb/protocol_round.h"
 #include "obs/binary_trace.h"
-#include "obs/metrics.h"
+#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "golden_trace.h"
 #include "trace_capture.h"
@@ -33,234 +33,6 @@
 
 namespace p2plb {
 namespace {
-
-// ---------------------------------------------------------------------------
-// MetricsRegistry primitives
-// ---------------------------------------------------------------------------
-
-TEST(MetricsKey, CanonicalizesLabels) {
-  EXPECT_EQ(obs::MetricsRegistry::key_of("net.messages", {}), "net.messages");
-  EXPECT_EQ(obs::MetricsRegistry::key_of("m", {{"tag", "lb.vsa"}}),
-            "m{tag=lb.vsa}");
-  // Label order at the call site never matters: keys are sorted.
-  EXPECT_EQ(obs::MetricsRegistry::key_of("m", {{"b", "2"}, {"a", "1"}}),
-            obs::MetricsRegistry::key_of("m", {{"a", "1"}, {"b", "2"}}));
-  EXPECT_EQ(obs::MetricsRegistry::key_of("m", {{"b", "2"}, {"a", "1"}}),
-            "m{a=1,b=2}");
-}
-
-TEST(MetricsKey, RejectsMalformedNamesAndLabels) {
-  EXPECT_THROW((void)obs::MetricsRegistry::key_of("", {}), PreconditionError);
-  EXPECT_THROW((void)obs::MetricsRegistry::key_of("m", {{"", "v"}}),
-               PreconditionError);
-  EXPECT_THROW(
-      (void)obs::MetricsRegistry::key_of("m", {{"k", "1"}, {"k", "2"}}),
-      PreconditionError);
-}
-
-TEST(Metrics, CounterMovesForwardOnly) {
-  obs::Counter c;
-  EXPECT_EQ(c.value(), 0.0);
-  c.increment();
-  c.add(2.5);
-  c.add(0.0);
-  EXPECT_EQ(c.value(), 3.5);
-  EXPECT_THROW(c.add(-1.0), PreconditionError);
-  EXPECT_EQ(c.value(), 3.5);  // failed add leaves the value untouched
-}
-
-TEST(Metrics, GaugeMovesBothWays) {
-  obs::Gauge g;
-  g.set(4.0);
-  g.add(-1.5);
-  EXPECT_EQ(g.value(), 2.5);
-}
-
-TEST(Metrics, HistogramQuantiles) {
-  obs::HistogramMetric h({0.0, 10.0, 20.0});
-  EXPECT_EQ(h.quantile(0.5), 0.0);  // empty -> 0
-  h.observe(5.0);        // bin [0, 10), weight 1
-  h.observe(15.0, 3.0);  // bin [10, 20), weight 3
-  EXPECT_EQ(h.samples(), 2u);
-  EXPECT_EQ(h.total_weight(), 4.0);
-  // p50 target = 2: one unit through bin 0, a third into bin 1.
-  EXPECT_NEAR(h.quantile(0.50), 10.0 + 10.0 / 3.0, 1e-12);
-  EXPECT_NEAR(h.quantile(0.90), 10.0 + 10.0 * (2.6 / 3.0), 1e-12);
-  EXPECT_NEAR(h.quantile(1.00), 20.0, 1e-12);
-}
-
-TEST(Metrics, HistogramQuantileEdgeCases) {
-  // Empty histogram: every quantile reads 0 (the "no data" convention).
-  obs::HistogramMetric empty({0.0, 1.0});
-  EXPECT_EQ(empty.quantile(0.0), 0.0);
-  EXPECT_EQ(empty.quantile(0.5), 0.0);
-  EXPECT_EQ(empty.quantile(1.0), 0.0);
-
-  // Single bucket: q interpolates linearly across the one bin, pinned to
-  // its edges at q = 0 and q = 1.
-  obs::HistogramMetric one({0.0, 10.0});
-  one.observe(4.0, 2.0);
-  EXPECT_EQ(one.quantile(0.0), 0.0);
-  EXPECT_NEAR(one.quantile(0.25), 2.5, 1e-12);
-  EXPECT_NEAR(one.quantile(0.5), 5.0, 1e-12);
-  EXPECT_EQ(one.quantile(1.0), 10.0);
-
-  // Exact boundary: with equal weight in [0,10) and [10,20), the median
-  // target lands exactly on the shared edge and must return it (the
-  // crossing bin interpolates to its full width, not past it).
-  obs::HistogramMetric h({0.0, 10.0, 20.0});
-  h.observe(5.0);
-  h.observe(15.0);
-  EXPECT_NEAR(h.quantile(0.5), 10.0, 1e-12);
-
-  // Underflow mass is attributed to the first edge, overflow to the
-  // last, so the estimate never leaves [edges.front(), edges.back()].
-  obs::HistogramMetric uo({0.0, 10.0});
-  uo.observe(-5.0);
-  uo.observe(100.0);
-  EXPECT_EQ(uo.quantile(0.25), 0.0);
-  EXPECT_EQ(uo.quantile(1.0), 10.0);
-
-  // q outside [0, 1] is a caller bug, not a clamp.
-  EXPECT_THROW((void)one.quantile(-0.1), PreconditionError);
-  EXPECT_THROW((void)one.quantile(1.1), PreconditionError);
-}
-
-TEST(Metrics, RegistryHandlesAreStableAndFindable) {
-  obs::MetricsRegistry reg;
-  obs::Counter& a = reg.counter("x", {{"tag", "t"}});
-  obs::Counter& b = reg.counter("x", {{"tag", "t"}});
-  EXPECT_EQ(&a, &b);  // find-or-create returns the same object
-  a.increment();
-  const obs::Counter* found = reg.find_counter("x", {{"tag", "t"}});
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->value(), 1.0);
-  EXPECT_EQ(reg.find_counter("x"), nullptr);  // different identity
-  EXPECT_EQ(reg.size(), 1u);
-  reg.gauge("g").set(2.0);
-  reg.histogram("h", {0.0, 1.0});
-  EXPECT_EQ(reg.size(), 3u);
-}
-
-TEST(Metrics, SnapshotAndDiff) {
-  obs::MetricsRegistry reg;
-  reg.counter("c").add(3.0);
-  reg.histogram("h", {0.0, 1.0, 2.0}).observe(0.5, 2.0);
-  const obs::MetricsSnapshot before = reg.snapshot();
-  EXPECT_EQ(before.value("c"), 3.0);
-  EXPECT_EQ(before.value("h/count"), 1.0);
-  EXPECT_EQ(before.value("h/weight"), 2.0);
-  EXPECT_EQ(before.value("missing"), 0.0);
-
-  reg.counter("c").add(4.0);
-  reg.counter("late").increment();  // born between the snapshots
-  reg.histogram("h", {}).observe(1.5);
-  const obs::MetricsSnapshot d = reg.snapshot().diff(before);
-  EXPECT_EQ(d.value("c"), 4.0);
-  EXPECT_EQ(d.value("late"), 1.0);
-  EXPECT_EQ(d.value("h/count"), 1.0);
-  EXPECT_EQ(d.value("h/weight"), 1.0);
-}
-
-TEST(Metrics, RemoveDropsTheIdentityAndSnapshotsOmitIt) {
-  obs::MetricsRegistry reg;
-  reg.counter("keep").add(1.0);
-  reg.counter("gone", {{"tag", "x"}}).add(2.0);
-  reg.gauge("g").set(3.0);
-  reg.histogram("h", {0.0, 1.0}).observe(0.5);
-  EXPECT_EQ(reg.size(), 4u);
-  const obs::MetricsSnapshot before = reg.snapshot();
-  EXPECT_EQ(before.value("gone{tag=x}"), 2.0);
-
-  // remove() works across all three metric types, by canonical identity.
-  EXPECT_TRUE(reg.remove("gone", {{"tag", "x"}}));
-  EXPECT_FALSE(reg.remove("gone", {{"tag", "x"}}));  // already gone
-  EXPECT_FALSE(reg.remove("never-existed"));
-  EXPECT_TRUE(reg.remove("g"));
-  EXPECT_TRUE(reg.remove("h"));
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_EQ(reg.find_counter("gone", {{"tag", "x"}}), nullptr);
-
-  // Later snapshots simply omit the removed keys...
-  reg.counter("keep").add(4.0);
-  const obs::MetricsSnapshot after = reg.snapshot();
-  EXPECT_EQ(after.values.count("gone{tag=x}"), 0u);
-  EXPECT_EQ(after.values.count("g"), 0u);
-  EXPECT_EQ(after.values.count("h/count"), 0u);
-
-  // ...so a diff spanning the removal never sees them (diff iterates the
-  // newer snapshot's keys) and surviving metrics delta normally.
-  const obs::MetricsSnapshot d = after.diff(before);
-  EXPECT_EQ(d.value("keep"), 4.0);
-  EXPECT_EQ(d.values.count("gone{tag=x}"), 0u);
-
-  // Re-creating the identity after removal starts a fresh metric.
-  EXPECT_EQ(reg.counter("gone", {{"tag", "x"}}).value(), 0.0);
-  EXPECT_EQ(reg.size(), 2u);
-}
-
-TEST(Metrics, CsvExportIsCanonical) {
-  obs::MetricsRegistry reg;
-  reg.counter("msgs").add(3.0);
-  reg.counter("msgs", {{"tag", "lb"}}).add(2.0);
-  reg.gauge("queue.depth").set(1.5);
-  obs::HistogramMetric& h = reg.histogram("dist", {0.0, 10.0, 20.0});
-  h.observe(5.0);
-  h.observe(15.0, 3.0);
-  std::ostringstream os;
-  reg.write_csv(os);
-  EXPECT_EQ(os.str(),
-            "metric,value\n"
-            "msgs,3\n"
-            "msgs{tag=lb},2\n"
-            "queue.depth,1.5\n"
-            "dist/count,2\n"
-            "dist/weight,4\n"
-            "dist/p50,13.333333\n"
-            "dist/p90,18.666667\n"
-            "dist/p99,19.866667\n");
-}
-
-TEST(Metrics, FileWriterWritesCsvWhateverTheSuffix) {
-  obs::MetricsRegistry reg;
-  reg.counter("c").increment();
-  const std::string csv_path = testing::TempDir() + "obs_metrics.csv";
-  const std::string txt_path = testing::TempDir() + "obs_metrics.txt";
-  obs::write_metrics_file(reg, csv_path);
-  obs::write_metrics_file(reg, txt_path);
-  std::ifstream csv(csv_path), txt(txt_path);
-  std::string csv_line, txt_line;
-  ASSERT_TRUE(std::getline(csv, csv_line));
-  ASSERT_TRUE(std::getline(txt, txt_line));
-  EXPECT_EQ(csv_line, "metric,value");
-  EXPECT_EQ(txt_line, "metric,value");  // the suffix selects nothing
-  EXPECT_THROW(obs::write_metrics_file(reg, "/nonexistent-dir/m.csv"),
-               PreconditionError);
-}
-
-TEST(Metrics, FileSuffixMatchIsCaseInsensitive) {
-  obs::MetricsRegistry reg;
-  reg.counter("c").increment();
-  const std::string upper_path = testing::TempDir() + "obs_metrics_up.CSV";
-  obs::write_metrics_file(reg, upper_path);
-  std::ifstream csv(upper_path);
-  std::string line;
-  ASSERT_TRUE(std::getline(csv, line));
-  EXPECT_EQ(line, "metric,value");  // CSV despite the upper-case suffix
-}
-
-TEST(Metrics, CsvQuotesLabelValuesPerRfc4180) {
-  obs::MetricsRegistry reg;
-  reg.counter("msgs", {{"tag", "a,b"}}).add(2.0);
-  reg.gauge("g", {{"q", "\"p99\""}}).set(1.5);
-  std::ostringstream os;
-  reg.write_csv(os);
-  // Counters export before gauges (see to_table).
-  EXPECT_EQ(os.str(),
-            "metric,value\n"
-            "\"msgs{tag=a,b}\",2\n"
-            "\"g{q=\"\"p99\"\"}\",1.5\n");
-}
 
 // ---------------------------------------------------------------------------
 // Tracer primitives
@@ -501,73 +273,115 @@ TEST(TraceGolden, SinkOpenerPicksFormatBySuffix) {
 // Network tally export
 // ---------------------------------------------------------------------------
 
-void expect_exported(const obs::MetricsSnapshot& snap,
+/// The exported rows of one export, keyed (each key appears once).
+std::map<std::string, double> by_key(const std::vector<obs::Sample>& rows) {
+  std::map<std::string, double> out;
+  for (const obs::Sample& r : rows)
+    EXPECT_TRUE(out.emplace(r.key, r.value).second) << r.key;
+  return out;
+}
+
+void expect_exported(const std::map<std::string, double>& rows,
                      const sim::TrafficCounters& tally,
-                     const obs::Labels& labels) {
-  const auto key = [&labels](std::string_view name) {
-    return obs::MetricsRegistry::key_of(name, labels);
-  };
-  ASSERT_EQ(snap.values.count(key("net.messages")), 1u) << key("net.messages");
-  EXPECT_EQ(snap.value(key("net.messages")),
+                     const std::string& labels) {
+  ASSERT_EQ(rows.count("net.messages" + labels), 1u) << labels;
+  EXPECT_EQ(rows.at("net.messages" + labels),
             static_cast<double>(tally.messages));
-  EXPECT_EQ(snap.value(key("net.bytes")), tally.bytes);
-  EXPECT_EQ(snap.value(key("net.latency_sum")), tally.latency_sum);
+  EXPECT_EQ(rows.at("net.bytes" + labels), tally.bytes);
+  EXPECT_EQ(rows.at("net.latency_sum" + labels), tally.latency_sum);
 }
 
 sim::LatencyFn self_free_latency() {
   return [](sim::Endpoint a, sim::Endpoint b) { return a == b ? 0.0 : 1.0; };
 }
 
-// The exported registry rows equal the network's own per-tag tallies.
-TEST(NetworkMetrics, RegistryMatchesLegacyCounters) {
-  sim::Engine engine;
-  sim::Network net(engine, self_free_latency());
+/// Four sends: two under lb.vsa (one of them host-local), one under
+/// ktree.maintenance, one untagged.
+void send_mixed_traffic(sim::Network& net) {
   net.send(0, 1, [] {}, 100.0, 0.0, "lb.vsa");
   net.send(1, 1, [] {}, 50.0, 0.0, "lb.vsa");
   net.send(0, 2, [] {}, 10.0, 0.0, "ktree.maintenance");
   net.send(2, 0, [] {}, 8.0);  // untagged: totals only
-  engine.run();
-
-  obs::MetricsRegistry reg;
-  net.export_metrics(reg);
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  expect_exported(snap, net.totals(), {});
-  expect_exported(snap, net.counters("lb.vsa"), {{"tag", "lb.vsa"}});
-  expect_exported(snap, net.counters("ktree.maintenance"),
-                  {{"tag", "ktree.maintenance"}});
-  // Three totals plus three per tag: the untagged send created no tag
-  // series.
-  EXPECT_EQ(snap.values.size(), 9u);
 }
 
-// A registry exported into after traffic starts equal to the tallies, not
-// at zero, and a later export overwrites it (gauges are set, not added to).
+// The exported rows equal the network's own per-tag tallies, each
+// stamped with the engine's clock.
+TEST(NetworkMetrics, RegistryMatchesLegacyCounters) {
+  sim::Engine engine;
+  sim::Network net(engine, self_free_latency());
+  send_mixed_traffic(net);
+  engine.run();
+
+  std::vector<obs::Sample> rows;
+  net.export_metrics(rows);
+  for (const obs::Sample& r : rows) EXPECT_EQ(r.t, engine.now()) << r.key;
+  const auto exported = by_key(rows);
+  expect_exported(exported, net.totals(), "");
+  expect_exported(exported, net.counters("lb.vsa"), "{tag=lb.vsa}");
+  expect_exported(exported, net.counters("ktree.maintenance"),
+                  "{tag=ktree.maintenance}");
+  // Three totals plus three per tag: the untagged send created no tag
+  // series.
+  EXPECT_EQ(rows.size(), 9u);
+}
+
+// An export after more traffic appends a fresh set of rows stamped at the
+// later time; the earlier rows stay as they were, so the last row of each
+// key is the final tally (what the report's traffic table reads).
 TEST(NetworkMetrics, AttachAfterTrafficSeedsTheRegistry) {
   sim::Engine engine;
   sim::Network net(engine, self_free_latency());
-  net.send(0, 1, [] {}, 100.0, 0.0, "lb.vsa");
-  net.send(1, 1, [] {}, 50.0, 0.0, "lb.vsa");
-  net.send(0, 2, [] {}, 10.0, 0.0, "ktree.maintenance");
-  net.send(2, 0, [] {}, 8.0);
+  send_mixed_traffic(net);
   engine.run();
 
-  obs::MetricsRegistry reg;
-  net.export_metrics(reg);
-  obs::MetricsSnapshot snap = reg.snapshot();
-  expect_exported(snap, net.totals(), {});
-  expect_exported(snap, net.counters("lb.vsa"), {{"tag", "lb.vsa"}});
-  EXPECT_EQ(snap.value("net.messages"), 4.0);
+  std::vector<obs::Sample> rows;
+  net.export_metrics(rows);
+  ASSERT_EQ(rows.size(), 9u);
+  EXPECT_EQ(by_key(rows).at("net.messages"), 4.0);
+  const double first_stamp = engine.now();
 
+  engine.schedule_after(5.0, [] {});
+  engine.run();
   net.send(0, 1, [] {}, 5.0, 0.0, "lb.vsa");
   engine.run();
-  net.export_metrics(reg);
-  snap = reg.snapshot();
-  expect_exported(snap, net.totals(), {});
-  expect_exported(snap, net.counters("lb.vsa"), {{"tag", "lb.vsa"}});
-  expect_exported(snap, net.counters("ktree.maintenance"),
-                  {{"tag", "ktree.maintenance"}});
-  EXPECT_EQ(snap.value("net.messages"), 5.0);
-  EXPECT_EQ(snap.value("net.messages{tag=lb.vsa}"), 3.0);
+  net.export_metrics(rows);
+  ASSERT_EQ(rows.size(), 18u);
+  const std::vector<obs::Sample> first(rows.begin(), rows.begin() + 9);
+  const std::vector<obs::Sample> second(rows.begin() + 9, rows.end());
+  EXPECT_EQ(first.front().t, first_stamp);
+  EXPECT_GT(second.front().t, first_stamp);
+  EXPECT_EQ(by_key(first).at("net.messages"), 4.0);
+  const auto latest = by_key(second);
+  expect_exported(latest, net.totals(), "");
+  expect_exported(latest, net.counters("lb.vsa"), "{tag=lb.vsa}");
+  expect_exported(latest, net.counters("ktree.maintenance"),
+                  "{tag=ktree.maintenance}");
+  EXPECT_EQ(latest.at("net.messages"), 5.0);
+  EXPECT_EQ(latest.at("net.messages{tag=lb.vsa}"), 3.0);
+}
+
+// The --metrics file is the exported rows through the series writer:
+// totals first, then each tag in first-use order, all at the end time.
+TEST(Metrics, CsvExportIsCanonical) {
+  sim::Engine engine;
+  sim::Network net(engine, self_free_latency());
+  send_mixed_traffic(net);
+  engine.run();
+  std::vector<obs::Sample> rows;
+  net.export_metrics(rows);
+  std::ostringstream os;
+  obs::write_series_csv(os, rows);
+  EXPECT_EQ(os.str(),
+            "time,metric,value\n"
+            "1,net.messages,4\n"
+            "1,net.bytes,168\n"
+            "1,net.latency_sum,3\n"
+            "1,net.messages{tag=lb.vsa},2\n"
+            "1,net.bytes{tag=lb.vsa},150\n"
+            "1,net.latency_sum{tag=lb.vsa},1\n"
+            "1,net.messages{tag=ktree.maintenance},1\n"
+            "1,net.bytes{tag=ktree.maintenance},10\n"
+            "1,net.latency_sum{tag=ktree.maintenance},1\n");
 }
 
 }  // namespace

@@ -75,7 +75,7 @@ TEST(Format, ParseNumberAcceptsOnlyAWholeNumber) {
 /// comma (canonical key contains one) and a quote in a plain key.
 std::vector<obs::Sample> tricky_series() {
   return {{0.0, "health.nodes", 64.0},
-          {2.5, obs::MetricsRegistry::key_of("m", {{"tag", "a,b"}}), 0.125},
+          {2.5, "m{tag=a,b}", 0.125},
           {10.0, "quote\"y", 3.0}};
 }
 
@@ -633,38 +633,28 @@ TEST(Report, MarkdownContainsAllSections) {
       {20.0, "health.heavy_fraction", 0.6},
       {30.0, "health.heavy_fraction", 0.05},
   };
-  std::map<std::string, double> metrics{
-      {"net.messages", 123.0},
-      {"lb.transfer_distance/count", 5.0},
-      {"lb.transfer_distance/p50", 2.0},
-      {"lb.transfer_distance/p99", 7.5},
+  // End-of-run rows as a --metrics file holds them; the traffic table
+  // lists the net.* keys, sorted, each at its last row.
+  const std::vector<obs::Sample> totals{
+      {10.0, "net.messages", 5.0},
+      {10.0, "sim.engine.executed", 9.0},
+      {30.0, "net.messages", 123.0},
+      {30.0, "net.bytes", 7.0},
   };
   std::ostringstream os;
-  obs::write_markdown_report(os, samples, metrics, {});
+  obs::write_markdown_report(os, samples, totals, {});
   const std::string md = os.str();
   EXPECT_NE(md.find("# Experiment report"), std::string::npos);
   EXPECT_NE(md.find("## Convergence under churn"), std::string::npos);
   EXPECT_NE(md.find("## Series overview"), std::string::npos);
   EXPECT_NE(md.find("## Health before / after"), std::string::npos);
-  EXPECT_NE(md.find("## Moved load by distance"), std::string::npos);
   EXPECT_NE(md.find("## Traffic totals"), std::string::npos);
   EXPECT_NE(md.find("| net.messages | 123 |"), std::string::npos);
+  EXPECT_LT(md.find("| net.bytes | 7 |"), md.find("| net.messages | 123 |"));
+  EXPECT_EQ(md.find("| net.messages | 5 |"), std::string::npos);
+  EXPECT_EQ(md.find("sim.engine.executed"), std::string::npos);
   // Markdown tables, not CSV: header separators present.
   EXPECT_NE(md.find("|---|"), std::string::npos);
-}
-
-TEST(Report, LoadMetricsCsvInvertsRegistryExport) {
-  obs::MetricsRegistry reg;
-  reg.counter("msgs", {{"tag", "a,b"}}).add(2.0);
-  reg.gauge("depth").set(1.5);
-  std::ostringstream os;
-  reg.write_csv(os);
-  std::istringstream is(os.str());
-  const std::map<std::string, double> loaded = obs::load_metrics_csv(is);
-  EXPECT_DOUBLE_EQ(loaded.at("msgs{tag=a,b}"), 2.0);
-  EXPECT_DOUBLE_EQ(loaded.at("depth"), 1.5);
-  std::istringstream bad("wrong,header\n");
-  EXPECT_THROW((void)obs::load_metrics_csv(bad), PreconditionError);
 }
 
 }  // namespace

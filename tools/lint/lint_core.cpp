@@ -32,7 +32,7 @@ constexpr std::initializer_list<LayerRule> kLayerDag = {
     // observer layer or the rest of sim.
     {"sim/core", {"common"}},
     {"sim", {"common", "obs", "sim/core"}},
-    {"chord", {"common", "sim"}},
+    {"chord", {"common"}},
     {"topo", {"common", "sim"}},
     {"workload", {"common", "chord", "sim"}},
     {"ktree", {"common", "chord", "obs", "sim"}},
@@ -639,7 +639,7 @@ void rule_obs_sink(const SourceFile& f, Emit findings) {
       emit(findings, f, tok.line, kRuleObsSink,
            "'ofstream' outside the obs sink classes: src/ code must not "
            "write observability files directly; emit through an "
-           "obs::TraceSink / MetricsRegistry and let obs/ own the "
+           "obs::TraceSink or an obs write_*_file and let obs/ own the "
            "formats");
   }
 }

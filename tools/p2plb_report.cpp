@@ -1,11 +1,11 @@
 // p2plb_report -- experiment reports from recorded runs.
 //
 // Reads the CSV time series a run exported (`--series`: its closed
-// window buckets plus event markers) plus optionally the final
-// metrics-registry CSV (`--metrics`), and writes a self-contained
-// Markdown report: series overview, re-convergence after each recorded
-// disturbance, before/after health gauges, moved-load-by-distance
-// quantiles and traffic totals.
+// window buckets plus event markers) plus optionally the end-of-run
+// totals (`--metrics`, the same time,metric,value CSV), and writes a
+// self-contained Markdown report: series overview, re-convergence after
+// each recorded disturbance, before/after health gauges and the net.*
+// traffic totals.
 //
 //   $ churn_simulation --windows 10 --series series.csv
 //   $ p2plb_report --series series.csv --out report.md
@@ -18,7 +18,6 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 
 #include "common/cli.h"
@@ -42,16 +41,9 @@ int run(const Cli& cli) {
     return 1;
   }
 
-  std::map<std::string, double> metrics;
+  std::vector<obs::Sample> totals;
   const std::string metrics_path = cli.get_string("metrics");
-  if (!metrics_path.empty()) {
-    std::ifstream is(metrics_path);
-    if (!is.good()) {
-      std::cerr << "p2plb_report: cannot open " << metrics_path << "\n";
-      return 1;
-    }
-    metrics = obs::load_metrics_csv(is);
-  }
+  if (!metrics_path.empty()) totals = obs::load_series_file(metrics_path);
 
   obs::ReportOptions options;
   options.title = cli.get_string("title");
@@ -59,7 +51,7 @@ int run(const Cli& cli) {
   options.event_metric = cli.get_string("event");
 
   std::ostringstream report;
-  obs::write_markdown_report(report, samples, metrics, options);
+  obs::write_markdown_report(report, samples, totals, options);
   const std::string alerts_path = cli.get_string("alerts");
   if (!alerts_path.empty())
     obs::write_alert_timeline(report, obs::load_alerts_file(alerts_path));
@@ -87,8 +79,8 @@ int main(int argc, char** argv) {
                "time-series CSV to analyze (time,metric,value); required",
                "");
   cli.add_flag("metrics",
-               "final metrics-registry CSV export (optional; adds the "
-               "moved-load and traffic sections)",
+               "end-of-run totals CSV (time,metric,value) from a driver's "
+               "--metrics (optional; adds the traffic section)",
                "");
   cli.add_flag("alerts",
                "p2plb-alerts-1 CSV export to render as an alert-timeline "

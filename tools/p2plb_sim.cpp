@@ -4,8 +4,8 @@
 // (none / ts5k-large / ts5k-small), workload (gaussian / pareto /
 // zipf-objects), balancing mode (ignorant / aware), the epsilon /
 // threshold / degree knobs, and multi-round control.  Prints the phase
-// breakdown, balance outcome, and (with a topology) the transfer-cost
-// profile.  `--csv` makes every table machine-readable.
+// breakdown and the balance outcome.  `--csv` makes every table
+// machine-readable.
 //
 // With `--timed`, rounds run as event-driven protocols (lb::ProtocolRound)
 // over simulated message latencies -- shortest-path distances when a
@@ -15,9 +15,10 @@
 // `--trace FILE` / `--metrics FILE` (they imply `--timed`) export the
 // run's structured trace (JSONL when FILE ends in .jsonl, compact binary
 // p2plb-btrace-1 when it ends in .btrace; case-insensitive) and the
-// unified metrics registry (CSV).  The trace streams to disk as the run
-// goes; `p2plb_trace --out FILE.json` converts it to Chrome trace_event
-// JSON for Perfetto.  `--trace-sample K/M` keeps a deterministic
+// end-of-run totals -- the engine's sim.* counters and the network's
+// net.* traffic tallies -- as time,metric,value CSV rows stamped with the
+// end time.  The trace streams to disk as the run goes; `p2plb_trace
+// --out FILE.json` converts it to Chrome trace_event JSON for Perfetto.  `--trace-sample K/M` keeps a deterministic
 // hash-selected subset of traces.
 // `--flight-recorder FILE` dumps the engine's recent-event ring and
 // queue introspection at exit and on anomalies (see also `--stall-ms`).
@@ -57,7 +58,6 @@
 #include "lb/vst.h"
 #include "obs/binary_trace.h"
 #include "obs/format.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -184,7 +184,6 @@ int run(const Cli& cli) {
     unit_before.push_back(ring.node_load(i) /
                           (fair_before * ring.node(i).capacity));
 
-  // Keep pre-transfer assignments for cost accounting (first round).
   Rng brng(seed + 2);
   const std::string trace_path = cli.get_string("trace");
   const std::string metrics_path = cli.get_string("metrics");
@@ -298,7 +297,6 @@ int run(const Cli& cli) {
       if (!alerts_path.empty()) {
         alerts.emplace(*windows, obs::load_alert_rules_file(alerts_path));
         if (!trace_path.empty()) alerts->attach_tracer(&tracer);
-        alerts->attach_metrics(&net.metrics());
         alerting = true;
       }
       if (!series_path.empty()) obs::record_series(*windows, series);
@@ -346,9 +344,10 @@ int run(const Cli& cli) {
       }
     }
     if (!metrics_path.empty()) {
-      engine.export_metrics(net.metrics());
-      net.export_metrics(net.metrics());
-      obs::write_metrics_file(net.metrics(), metrics_path);
+      std::vector<obs::Sample> totals;
+      engine.export_metrics(totals);
+      net.export_metrics(totals);
+      obs::write_series_file(totals, metrics_path);
       std::cerr << "metrics written to " << metrics_path << "\n";
     }
     if (!series_path.empty()) {
